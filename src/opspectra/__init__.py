@@ -4,11 +4,10 @@ operators on l2(N)."""
 __version__ = "0.1.0"
 
 from .core import (DiagonalDescriptor, FiniteRankTerm, StructuredOperator,
-                   add, adjoint, apply, approx_equal, compose,
-                   constant_diagonal, diagonal, embed_at, from_dense_corner,
-                   gram, identity, is_selfadjoint, is_zero, rank_one,
-                   right_shift, scale, self_commutator, toeplitz, truncate,
-                   unit_vector, weighted_shift, zero)
+                   add, adjoint, apply, compose, constant_diagonal, diagonal,
+                   embed_at, from_dense_corner, gram, identity, is_selfadjoint,
+                   is_zero, rank_one, right_shift, scale, self_commutator,
+                   toeplitz, truncate, weighted_shift, zero)
 from .errors import (ConvergenceFailure, DimensionMismatch, EssentialPoint,
                      NotHermitian, NotHyponormal, NotNormAttainingClass,
                      NotStabilized, OperatorLibraryError, ParseError,

@@ -17,8 +17,9 @@ import numpy as np
 from .core import (StructuredOperator, constant_diagonal, gram,
                    is_selfadjoint, self_commutator)
 from .errors import NotHyponormal, NotStabilized
-from .numerics import (_auto_trunc, cluster_values, discrete_eigs_below,
-                       min_modulus, operator_norm, positivity_verdict)
+from .numerics import (_auto_trunc, _clusters_match, cluster_values,
+                       discrete_eigs_below, min_modulus, operator_norm,
+                       positivity_verdict)
 from .symbols import (SpectralSummary, constant_value, essential_spectrum,
                       modulus_constant, spectral_area, symbol, winding_regions)
 
@@ -174,10 +175,7 @@ def _region_clusters(t: StructuredOperator, keep, trunc: int | None,
 
     a = at(n)
     b = at(2 * n)
-    stable = len(a) == len(b) and all(
-        abs(x[0] - y[0]) <= max(tol, 1e-12) * max(1.0, abs(x[0])) and x[1] == y[1]
-        for x, y in zip(a, b))
-    return b, stable
+    return b, _clusters_match(a, b, tol)
 
 
 @dataclass(frozen=True)

@@ -57,6 +57,14 @@ class DiagonalDescriptor:
             return self.prefix[m]
         return self.tail
 
+    def values(self, length: int) -> np.ndarray:
+        """The first ``length`` entries of the diagonal."""
+        out = np.full(length, self.tail, dtype=complex)
+        p = min(len(self.prefix), length)
+        if p:
+            out[:p] = self.prefix[:p]
+        return out
+
     def is_zero(self) -> bool:
         return not self.prefix and self.tail == 0
 
@@ -135,10 +143,6 @@ class StructuredOperator:
         """Size beyond which every entry is a pure band tail."""
         return max(self.max_prefix_len, self.rank_support)
 
-    def band_tail(self, offset: int) -> complex:
-        d = self.bands.get(offset)
-        return d.tail if d is not None else 0j
-
     # -- pointwise access ----------------------------------------------------
 
     def band_entry(self, i: int, j: int) -> complex:
@@ -187,16 +191,14 @@ class StructuredOperator:
     __rmul__ = __mul__
 
     def _band_apply(self, x) -> np.ndarray:
+        """Band part applied to a finite vector (length len(x) + bandwidth)."""
         x = np.asarray(x, dtype=complex)
-        out = np.zeros(len(x) + self.bandwidth, dtype=complex)
-        for j, xj in enumerate(x):
-            if xj == 0:
-                continue
-            for k, d in self.bands.items():
-                i = j + k
-                if i >= 0:
-                    out[i] += d.value_at(min(i, j)) * xj
-        return out
+        return self._band_block(len(x) + self.bandwidth, len(x)) @ x
+
+    def _band_adjoint_apply(self, x) -> np.ndarray:
+        """Adjoint of the band part applied to a finite vector."""
+        x = np.asarray(x, dtype=complex)
+        return self._band_block(len(x), len(x) + self.bandwidth).conj().T @ x
 
     def apply(self, x) -> np.ndarray:
         """Exact image of a finitely supported vector (trailing zeros trimmed)."""
@@ -207,7 +209,7 @@ class StructuredOperator:
         out[: len(band_part)] += band_part
         for t in self.rank_terms:
             m = min(len(x), len(t.right))
-            coeff = sum(x[j] * t.right[j].conjugate() for j in range(m))
+            coeff = np.vdot(t.right[:m], x[:m])
             if coeff != 0:
                 out[: len(t.left)] += coeff * np.asarray(t.left)
         nz = np.nonzero(out)[0]
@@ -216,37 +218,59 @@ class StructuredOperator:
     def compose(self, other: "StructuredOperator") -> "StructuredOperator":
         """Exact matrix product self @ other, closed in the class.
 
-        Band tails multiply like Laurent polynomials; all boundary effects of
-        the product land in prefixes of length at most
-        max(prefix lengths) + combined bandwidth.
+        Write each band part as T(a) + D, with a the Laurent polynomial of the
+        tails and D the prefix deviations.  Widom's formula
+        T(a)T(b) = T(ab) - H(a)H(b~) gives
+
+            AB = T(ab) - H(a)H(b~) + D_A B + T(a) D_B,
+
+        so the product's tails are the Laurent product ab (np.convolve), and
+        an entry can deviate from its tail only inside the Hankel corner or
+        the supports of D_A B and T(a) D_B.  Those entries come from one dense
+        product of band truncations; every other entry is the tail value
+        itself, which keeps canonical prefixes short and deterministic.
         """
         ka, kb = self.bandwidth, other.bandwidth
-        m_bound = max(self.max_prefix_len, other.max_prefix_len) + ka + kb
+        tails = np.convolve(self._tail_vector(), other._tail_vector())
+        # H(a)H(b~) lives in the h_rows-by-h_cols corner: h_rows subdiagonals
+        # of T(a) and h_cols superdiagonals of T(b) reach past index 0
+        h_rows = max([k for k, d in self.bands.items() if d.tail != 0] + [0])
+        h_cols = max([-k for k, d in other.bands.items() if d.tail != 0] + [0])
+        ra, ca = self._deviation_extent()
+        rb, cb = other._deviation_extent()
+        rows = max(ra, rb + h_rows if rb else 0, h_rows if h_cols else 0)
+        cols = max(ca + h_cols if ca else 0, cb, h_cols if h_rows else 0)
+        if rows and cols:
+            inner = min(rows + ka, cols + kb)
+            dense = self._band_block(rows, inner) @ other._band_block(inner, cols)
+            dev_a, tail_a = self._support_masks(rows, inner)
+            dev_b, tail_b = other._support_masks(inner, cols)
+            live = (dev_a @ (dev_b + tail_b) + tail_a @ dev_b) > 0
+            live[:h_rows, :h_cols] = True
         bands = {}
         for k in range(-(ka + kb), ka + kb + 1):
-            tail = sum((self.band_tail(k1) * other.band_tail(k - k1)
-                        for k1 in self.bands if (k - k1) in other.bands), 0j)
-            prefix = []
-            for m in range(m_bound):
-                i = m + max(k, 0)
-                j = m + max(-k, 0)
-                lo = max(i - ka, j - kb, 0)
-                hi = min(i + ka, j + kb)
-                prefix.append(sum((self.band_entry(i, l) * other.band_entry(l, j)
-                                   for l in range(lo, hi + 1)), 0j))
-            bands[k] = DiagonalDescriptor(tuple(prefix), tail)
+            tail = complex(tails[k + ka + kb])
+            prefix = ()
+            if rows and cols:
+                mask = np.diagonal(live, offset=-k)
+                hits = np.flatnonzero(mask)
+                if len(hits):
+                    stop = hits[-1] + 1
+                    diag = np.diagonal(dense, offset=-k)[:stop]
+                    prefix = tuple(np.where(mask[:stop], diag, tail).tolist())
+            if prefix or tail != 0:
+                bands[k] = DiagonalDescriptor(prefix, tail)
 
         terms = []
-        band_adj = StructuredOperator(
-            {-k: d.conjugated() for k, d in other.bands.items()})
         for t in other.rank_terms:                      # (band of self) @ term
             terms.append(FiniteRankTerm(tuple(self._band_apply(t.left)), t.right))
         for t in self.rank_terms:                       # term @ (band of other)
-            terms.append(FiniteRankTerm(t.left, tuple(band_adj._band_apply(t.right))))
+            terms.append(FiniteRankTerm(
+                t.left, tuple(other._band_adjoint_apply(t.right))))
         for ta in self.rank_terms:                      # term @ term
             for tb in other.rank_terms:
                 m = min(len(tb.left), len(ta.right))
-                coeff = sum(tb.left[i] * ta.right[i].conjugate() for i in range(m))
+                coeff = complex(np.vdot(ta.right[:m], tb.left[:m]))
                 terms.append(FiniteRankTerm(tuple(coeff * v for v in ta.left),
                                             tb.right))
         return StructuredOperator(bands, tuple(terms))
@@ -256,29 +280,91 @@ class StructuredOperator:
 
     # -- dense views ---------------------------------------------------------
 
+    def _tail_vector(self) -> np.ndarray:
+        """Tails at offsets -bandwidth..bandwidth (the Laurent coefficients)."""
+        w = self.bandwidth
+        out = np.zeros(2 * w + 1, dtype=complex)
+        for k, d in self.bands.items():
+            out[k + w] = d.tail
+        return out
+
+    def _deviation_extent(self):
+        """(rows, cols) of the smallest leading window holding every prefix
+        entry; (0, 0) for a pure Toeplitz band part."""
+        rows = max((len(d.prefix) + max(k, 0) for k, d in self.bands.items()
+                    if d.prefix), default=0)
+        cols = max((len(d.prefix) + max(-k, 0) for k, d in self.bands.items()
+                    if d.prefix), default=0)
+        return rows, cols
+
+    def _window_diagonals(self, rows: int, cols: int):
+        """(descriptor, flat start, length) of each band that meets the
+        leading rows-by-cols window; a diagonal is the flat slice
+        ``start : start + length * (cols + 1) : cols + 1``."""
+        for k, d in self.bands.items():
+            r0, c0 = max(k, 0), max(-k, 0)
+            length = min(rows - r0, cols - c0)
+            if length > 0:
+                yield d, r0 * cols + c0, length
+
+    def _band_block(self, rows: int, cols: int) -> np.ndarray:
+        """Band part (rank terms excluded) on the leading rows-by-cols window."""
+        out = np.zeros((rows, cols), dtype=complex)
+        flat, step = out.reshape(-1), cols + 1
+        for d, start, length in self._window_diagonals(rows, cols):
+            flat[start: start + length * step: step] = d.values(length)
+        return out
+
+    def _support_masks(self, rows: int, cols: int):
+        """0/1 float masks of the prefix entries and of the nonzero-tail
+        diagonals on a rows-by-cols window, ready for counting matmuls."""
+        dev = np.zeros((rows, cols))
+        tail = np.zeros((rows, cols))
+        dev_flat, tail_flat, step = dev.reshape(-1), tail.reshape(-1), cols + 1
+        for d, start, length in self._window_diagonals(rows, cols):
+            p = min(len(d.prefix), length)
+            dev_flat[start: start + p * step: step] = 1.0
+            if d.tail != 0:
+                tail_flat[start: start + length * step: step] = 1.0
+        return dev, tail
+
+    def _rank_block(self, s: int) -> np.ndarray:
+        """Sum of the rank terms on the leading s-by-s window."""
+        left = np.zeros((s, len(self.rank_terms)), dtype=complex)
+        right = np.zeros((s, len(self.rank_terms)), dtype=complex)
+        for r, t in enumerate(self.rank_terms):
+            left[: min(s, len(t.left)), r] = t.left[: s]
+            right[: min(s, len(t.right)), r] = t.right[: s]
+        return left @ right.conj().T
+
     def truncate(self, n: int) -> np.ndarray:
         """Leading n-by-n corner as a dense complex matrix."""
         if n < 1:
             raise ValueError("truncation size must be >= 1")
-        out = np.zeros((n, n), dtype=complex)
+        out = self._band_block(n, n)
+        s = min(n, self.rank_support)
+        out[:s, :s] += self._rank_block(s)
+        return out
+
+    def lower_band(self, n: int) -> np.ndarray:
+        """Leading n-by-n corner in LAPACK lower band storage.
+
+        Row u holds the u-th subdiagonal: ``out[u, j] = T[j + u, j]``.  The
+        width is max(bandwidth, rank_support - 1), capped at n - 1, so the
+        rank terms fold into the band.  Only the lower triangle is stored,
+        which describes the corner exactly when T is self-adjoint.
+        """
+        if n < 1:
+            raise ValueError("truncation size must be >= 1")
+        width = min(max(self.bandwidth, self.rank_support - 1), n - 1)
+        out = np.zeros((width + 1, n), dtype=complex)
         for k, d in self.bands.items():
-            length = n - abs(k)
-            if length <= 0:
-                continue
-            vals = np.full(length, d.tail, dtype=complex)
-            p = min(len(d.prefix), length)
-            if p:
-                vals[:p] = d.prefix[:p]
-            if k >= 0:
-                out[np.arange(k, n), np.arange(0, n - k)] = vals
-            else:
-                out[np.arange(0, n + k), np.arange(-k, n)] = vals
-        for t in self.rank_terms:
-            left = np.zeros(n, dtype=complex)
-            right = np.zeros(n, dtype=complex)
-            left[: min(n, len(t.left))] = t.left[: n]
-            right[: min(n, len(t.right))] = t.right[: n]
-            out += np.outer(left, right.conjugate())
+            if 0 <= k <= width:
+                out[k, : n - k] = d.values(n - k)
+        s = min(n, self.rank_support)
+        corner = self._rank_block(s)
+        for u in range(s):
+            out[u, : s - u] += np.diagonal(corner, offset=-u)
         return out
 
     def is_zero(self, tol: float = 0.0) -> bool:
@@ -350,10 +436,6 @@ def is_selfadjoint(t: StructuredOperator, tol: float = 0.0) -> bool:
     return (t - t.adjoint()).is_zero(tol)
 
 
-def approx_equal(a: StructuredOperator, b: StructuredOperator, tol: float = 0.0) -> bool:
-    return (a - b).is_zero(tol)
-
-
 # -- constructors ------------------------------------------------------------
 
 def zero() -> StructuredOperator:
@@ -415,9 +497,3 @@ def embed_at(t: StructuredOperator, start: int) -> StructuredOperator:
                   for t_ in t.rank_terms)
     return StructuredOperator(bands, terms)
 
-
-def unit_vector(i: int, n: int | None = None) -> np.ndarray:
-    length = (i + 1) if n is None else n
-    v = np.zeros(length, dtype=complex)
-    v[i] = 1.0
-    return v

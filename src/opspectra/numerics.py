@@ -1,4 +1,4 @@
-"""Dense desk-scale numerics on truncations.
+"""Desk-scale numerics on truncations.
 
 Eigenvalue extraction below the essential level relies on two facts about the
 representable class: truncations of a self-adjoint operator have spectrum
@@ -14,12 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eig_banded
 
 from .core import StructuredOperator, constant_diagonal, gram
 from .errors import ConvergenceFailure, DimensionMismatch, NotHermitian, NotStabilized
 from .symbols import _golden_min, symbol, symbol_max_modulus
 
-DEFAULT_TRUNC = 256
 TRUNC_CAP = 4096
 MERGE_FACTOR = 100.0        # eigenvalues within 100*tol are one cluster
 
@@ -166,7 +166,9 @@ def discrete_eigs_below(t: StructuredOperator, bound: float, tol: float = 1e-8,
     below ``bound``, certified by agreement of truncations at n and 2n.
 
     Eigenvalues within tol of the bound are assigned to the essential level
-    and only counted in ``near_boundary``.
+    and only counted in ``near_boundary``.  Each truncation goes to LAPACK in
+    lower band storage, and only the eigenvalues up to bound + tol are
+    computed.
     """
     sym = symbol(t)
     scale = max(1.0, t.magnitude())
@@ -181,7 +183,8 @@ def discrete_eigs_below(t: StructuredOperator, bound: float, tol: float = 1e-8,
         n = _auto_trunc(t)
 
     def eigs_at(size):
-        vals = np.linalg.eigvalsh(t.truncate(size))
+        vals = eig_banded(t.lower_band(size), lower=True, eigvals_only=True,
+                          select="v", select_range=(-np.inf, bound + tol))
         below = vals[vals < bound - tol]
         near = int(np.count_nonzero((vals >= bound - tol) & (vals <= bound + tol)))
         return cluster_values(below.tolist(), MERGE_FACTOR * tol), near

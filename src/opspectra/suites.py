@@ -296,7 +296,7 @@ def suite_paranormal_pair(seed: int = 0, count: int = 20, trunc: int = 64):
     return results
 
 
-def suite_weyl(seed: int = 0, count: int = 10, trunc: int = 64):
+def suite_weyl(seed: int = 0, count: int = 10):
     """Zero winding everywhere plus hyponormal AN forces normality."""
     rng = np.random.default_rng(seed)
     ops = [load_bundled(name).operator for name in BUNDLED]
