@@ -11,15 +11,15 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .core import (StructuredOperator, constant_diagonal, gram,
-                   is_selfadjoint, self_commutator)
+from .core import StructuredOperator, gram, is_selfadjoint, self_commutator
 from .errors import NotHyponormal, NotStabilized
-from .numerics import (_auto_trunc, _clusters_match, cluster_values,
-                       discrete_eigs_below, min_modulus, operator_norm,
-                       positivity_verdict)
+from .numerics import (TRUNC_CAP, _auto_trunc, _clusters_match,
+                       cluster_values, discrete_eigs_below, min_modulus,
+                       operator_norm, positive_truncations, positivity_verdict)
 from .symbols import (SpectralSummary, constant_value, essential_spectrum,
                       modulus_constant, spectral_area, symbol, winding_regions)
 
@@ -91,32 +91,75 @@ def check_paranormal(t: StructuredOperator, grid=None, tol: float = 1e-10,
                      trunc: int | None = None) -> CheckResult:
     """Grid test of the shifted-square positivity characterization.
 
-    The operator T*^2 T^2 - 2 s T*T + s^2 I must be positive for every s > 0;
-    a finite grid is a sound falsifier but only a heuristic verifier, so the
-    witness records exactly which shifts were tested.
+    The operator q(s) = T*^2 T^2 - 2 s T*T + s^2 I must be positive for every
+    s > 0; a finite grid is a sound falsifier but only a heuristic verifier,
+    so the witness records exactly which shifts were tested.
+
+    The symbol of q(s) is (|a|^2 - s)^2 >= 0, so only the truncations can
+    show a negative eigenvalue.  Each truncation size builds the band arrays
+    of the two Gram operators once, and every shift combines them.
     """
     if grid is None:
         grid = default_paranormal_grid(t)
-    elif any(float(s) <= 0 for s in grid):
-        raise ValueError("grid shifts must be positive")
-    if not grid:
-        return CheckResult(Verdict.YES, {"grid": (), "note": "zero operator"})
-    t2 = t.compose(t)
-    quartic = gram(t2)
+        if not grid:
+            return CheckResult(Verdict.YES, {"grid": (), "note": "zero operator"})
+    grid = tuple(float(s) for s in grid)
+    if not grid or any(s <= 0 for s in grid):
+        raise ValueError("grid must hold at least one shift, all positive")
+    quartic = gram(t.compose(t))
     quad = gram(t)
+    for g in (quartic, quad):
+        if not is_selfadjoint(g, 1e-12 * max(1.0, g.magnitude())):  # pragma: no cover
+            raise AssertionError("Gram operator lost Hermitian symmetry")
+    sym_quartic, sym_quad = symbol(quartic), symbol(quad)
+    squared = sym_quad.product(sym_quad)
+    offsets = sorted(set(sym_quartic.coeffs) | set(sym_quad.coeffs)
+                     | set(squared.coeffs) | {0})
+
+    def coefficients(sym):
+        return np.array([sym.coeffs.get(k, 0j) for k in offsets])
+
+    tails_quartic, tails_quad = coefficients(sym_quartic), coefficients(sym_quad)
+    if np.any(np.abs(tails_quartic - coefficients(squared))
+              > 1e-12 * max(1.0, squared.magnitude())):  # pragma: no cover
+        raise AssertionError("symbol(T*^2 T^2) is not symbol(T*T)^2")
+    centre = offsets.index(0)
+    window = (max(quartic.corner_size, quad.corner_size)
+              + max(quartic.bandwidth, quad.bandwidth) + 1)
+    corner_quartic, corner_quad = quartic.truncate(window), quad.truncate(window)
+    bands = {}
+
+    def magnitude(s):
+        """q(s).magnitude(): its tails and the corner window."""
+        corner = corner_quartic - 2.0 * s * corner_quad
+        corner.flat[:: window + 1] += s * s
+        tails = tails_quartic - 2.0 * s * tails_quad
+        tails[centre] += s * s
+        return max(float(np.max(np.abs(corner))), float(np.max(np.abs(tails))))
+
+    def band_at(size, s):
+        if size not in bands:
+            pair = quartic.lower_band(size), quad.lower_band(size)
+            width = max(len(b) for b in pair)
+            bands[size] = tuple(np.pad(b, ((0, width - len(b)), (0, 0)))
+                                for b in pair)
+        band_quartic, band_quad = bands[size]
+        band = band_quartic - 2.0 * s * band_quad
+        band[0] += s * s
+        return band
+
+    n = trunc if trunc is not None else _auto_trunc(quartic, quad)
     outcome = Verdict.YES
     failed_at = None
     for s in grid:
-        s = float(s)
-        q = quartic + quad.scaled(-2.0 * s) + constant_diagonal(s * s)
-        verdict, _ = positivity_verdict(q, tol, trunc)
+        verdict, _ = positive_truncations(partial(band_at, s=s), tol,
+                                          max(1.0, magnitude(s)), n, TRUNC_CAP)
         if verdict == "no":
             outcome, failed_at = Verdict.NO, s
             break
         if verdict == "undetermined":
             outcome = Verdict.UNDETERMINED
-    return CheckResult(outcome, {"grid": tuple(float(s) for s in grid),
-                                 "failed_at": failed_at})
+    return CheckResult(outcome, {"grid": grid, "failed_at": failed_at})
 
 
 # -- absolutely norm attaining -----------------------------------------------

@@ -6,7 +6,9 @@ inside the numerical range of the full operator (no pollution below the
 bottom), and discrete eigenvalues below the essential minimum have localized
 eigenvectors, so an n vs 2n agreement check certifies stabilization.  No
 rigorous enclosure is attempted; an unstable family is reported as such
-rather than counted.
+rather than counted.  Whether a truncation has any eigenvalue below a level
+is decided by a banded Cholesky factorization, so eigenvalues are computed
+only when something lies below.
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eig_banded
+from scipy.linalg import cholesky_banded, eig_banded
 
-from .core import StructuredOperator, constant_diagonal, gram
+from .core import StructuredOperator, gram
 from .errors import ConvergenceFailure, DimensionMismatch, NotHermitian, NotStabilized
 from .symbols import _golden_min, symbol, symbol_max_modulus
 
@@ -153,11 +155,28 @@ def _clusters_match(a, b, tol: float) -> bool:
                and x[1] == y[1] for x, y in zip(a, b))
 
 
-def _auto_trunc(t: StructuredOperator) -> int:
+def _auto_trunc(*ops: StructuredOperator) -> int:
     """Starting truncation: always covers the finite corner with headroom,
-    never smaller than 64 even for trivial corners."""
-    need = 2 * t.corner_size + 4 * t.bandwidth + 32
+    never smaller than 64 even for trivial corners.  Given several operators,
+    it covers the largest corner and bandwidth among them, as a linear
+    combination of them generically needs."""
+    corner = max(t.corner_size for t in ops)
+    width = max(t.bandwidth for t in ops)
+    need = 2 * corner + 4 * width + 32
     return int(min(max(64, need), TRUNC_CAP))
+
+
+def _all_above(band: np.ndarray, level: float) -> bool:
+    """Whether every eigenvalue of the Hermitian matrix held in lower band
+    storage exceeds ``level``: band - level*I has a banded Cholesky
+    factorization exactly when it is positive definite."""
+    shifted = band.copy()
+    shifted[0] -= level
+    try:
+        cholesky_banded(shifted, overwrite_ab=True, lower=True)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def discrete_eigs_below(t: StructuredOperator, bound: float, tol: float = 1e-8,
@@ -167,8 +186,9 @@ def discrete_eigs_below(t: StructuredOperator, bound: float, tol: float = 1e-8,
 
     Eigenvalues within tol of the bound are assigned to the essential level
     and only counted in ``near_boundary``.  Each truncation goes to LAPACK in
-    lower band storage, and only the eigenvalues up to bound + tol are
-    computed.
+    lower band storage; when its Cholesky factorization shows every
+    eigenvalue above bound + tol, nothing is listed, and otherwise only the
+    eigenvalues up to bound + tol are computed.
     """
     sym = symbol(t)
     scale = max(1.0, t.magnitude())
@@ -183,7 +203,10 @@ def discrete_eigs_below(t: StructuredOperator, bound: float, tol: float = 1e-8,
         n = _auto_trunc(t)
 
     def eigs_at(size):
-        vals = eig_banded(t.lower_band(size), lower=True, eigvals_only=True,
+        band = t.lower_band(size)
+        if _all_above(band, bound + tol):
+            return (), 0
+        vals = eig_banded(band, lower=True, eigvals_only=True,
                           select="v", select_range=(-np.inf, bound + tol))
         below = vals[vals < bound - tol]
         near = int(np.count_nonzero((vals >= bound - tol) & (vals <= bound + tol)))
@@ -260,29 +283,63 @@ def min_modulus(t: StructuredOperator, tol: float = 1e-8,
     return float(np.sqrt(max(0.0, bottom)))
 
 
+def positive_truncations(band_at, tol: float, scale: float, n: int,
+                         cap: int):
+    """Tri-state positivity of a self-adjoint operator from its truncations.
+
+    ``band_at(size)`` returns the leading size-by-size corner in lower band
+    storage.  Every truncation is a compression of the operator, so by
+    Cauchy interlacing an eigenvalue below -tol*scale at any size proves
+    non-positivity: the answer is "no" at the first size that shows one,
+    without waiting for the n / 2n agreement.  Otherwise the eigenvalues
+    below -tol are clustered at sizes n, 2n, ... up to ``cap``, and two
+    consecutive lists that match give "yes".
+
+    Returns (verdict, value): the lowest eigenvalue of the deciding
+    truncation for "no", the most negative cluster (0.0 when none) for
+    "yes", and None for "undetermined".
+    """
+    size, previous = n, None
+    while True:
+        band = band_at(size)
+        if not _all_above(band, -tol * scale):
+            lowest = eig_banded(band, lower=True, eigvals_only=True,
+                                select="i", select_range=(0, 0))
+            return "no", float(lowest[0])
+        if _all_above(band, -tol):
+            clusters = ()
+        else:
+            vals = eig_banded(band, lower=True, eigvals_only=True,
+                              select="v", select_range=(-np.inf, -tol))
+            clusters = cluster_values(vals[vals < -tol].tolist(),
+                                      MERGE_FACTOR * tol)
+        if previous is not None and _clusters_match(previous, clusters, tol):
+            return "yes", min((v for v, _ in clusters), default=0.0)
+        if 2 * size > cap:
+            return "undetermined", None
+        size, previous = 2 * size, clusters
+
+
 def positivity_verdict(d: StructuredOperator, tol: float,
                        n: int | None = None):
     """Tri-state positivity of a self-adjoint structured operator.
 
     Returns (verdict, witness) with verdict in {"yes", "no", "undetermined"}.
-    The essential part is tested on the symbol; the discrete part through a
-    shifted discrete_eigs_below call so the n/2n stabilization rule applies.
+    The essential part is tested on the symbol, the discrete part on the
+    truncations of ``d`` by ``positive_truncations``.
     """
     scale = max(1.0, d.magnitude())
     sym = symbol(d)
     if not sym.is_real(1e-12):
         raise NotHermitian("operator is not self-adjoint (complex symbol)")
+    if not (d - d.adjoint()).is_zero(1e-12 * scale):
+        raise NotHermitian("operator is not self-adjoint to 1e-12")
     ess_min = symbol_min_modulus_signed(sym)
     if ess_min < -tol * scale:
         return "no", {"symbol_min": ess_min}
-    shift = 1.0 + max(0.0, -ess_min)
-    shifted = d + constant_diagonal(shift)
-    report = discrete_eigs_below(shifted, shift, tol=tol, n=n)
-    negatives = [(v.real if isinstance(v, complex) else v) - shift
-                 for v, _ in report.eigenvalues]
-    worst = min(negatives, default=0.0)
-    if negatives and worst < -tol * scale:
-        return "no", {"symbol_min": ess_min, "most_negative_eigenvalue": worst}
-    if not report.stabilized:
-        return "undetermined", {"symbol_min": ess_min, "reason": "not stabilized"}
-    return "yes", {"symbol_min": ess_min, "most_negative_eigenvalue": worst}
+    verdict, value = positive_truncations(
+        d.lower_band, tol, scale, n if n is not None else _auto_trunc(d),
+        TRUNC_CAP)
+    if verdict == "undetermined":
+        return verdict, {"symbol_min": ess_min, "reason": "not stabilized"}
+    return verdict, {"symbol_min": ess_min, "most_negative_eigenvalue": value}

@@ -62,6 +62,17 @@ def test_check_paranormal_rejects_nonpositive_grid():
         check_paranormal(right_shift(), grid=(1.0, -0.5))
 
 
+def test_check_paranormal_rejects_empty_grid():
+    with pytest.raises(ValueError):
+        check_paranormal(right_shift(), grid=[])
+
+
+def test_check_paranormal_accepts_array_grid():
+    res = check_paranormal(right_shift(), grid=np.array([0.5, 1.0]))
+    assert res.verdict is Verdict.YES
+    assert res.witness["grid"] == (0.5, 1.0)
+
+
 def test_check_selfadjoint():
     assert check_selfadjoint(SELF_ADJOINT_BAND).verdict is Verdict.YES
     assert check_selfadjoint(right_shift()).verdict is Verdict.NO

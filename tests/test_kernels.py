@@ -2,17 +2,25 @@
 
 ``compose`` is checked against the dense product of truncations, and the
 banded ``discrete_eigs_below`` against a dense ``eigvalsh`` reference that
-keeps the earlier full-spectrum implementation of the same n / 2n rule.
+keeps the earlier full-spectrum implementation of the same n / 2n rule.  The
+Cholesky positivity certificate is checked against ``eigvalsh``, and
+``positivity_verdict`` and ``check_paranormal`` against the earlier
+shifted-operator implementations built on those references.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opspectra import StructuredOperator, discrete_eigs_below, gram, identity
-from opspectra import suites
+from opspectra import (StructuredOperator, check_paranormal, constant_diagonal,
+                       diagonal, discrete_eigs_below, gram, identity,
+                       self_commutator)
+from opspectra import numerics, suites
+from opspectra.classify import Verdict, default_paranormal_grid
 from opspectra.numerics import (MERGE_FACTOR, TRUNC_CAP, DiscreteEigenReport,
-                                _auto_trunc, _clusters_match, cluster_values,
+                                _all_above, _auto_trunc, _clusters_match,
+                                cluster_values, positivity_verdict,
                                 symbol_min_modulus_signed)
 from opspectra.symbols import symbol
 
@@ -130,3 +138,101 @@ def test_banded_eigs_match_dense_reference(t):
     for (x, m), (y, k) in zip(got.eigenvalues, want.eigenvalues):
         assert m == k
         assert abs(x - y) <= MERGE_FACTOR * tol
+
+
+# -- positivity ----------------------------------------------------------------
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 40), st.integers(0, 5), st.integers(0, 2 ** 32 - 1))
+def test_all_above_matches_eigvalsh(n, width, seed):
+    rng = np.random.default_rng(seed)
+    dense = np.zeros((n, n), dtype=complex)
+    for u in range(min(width, n - 1) + 1):
+        diag = rng.normal(size=n - u) + 1j * rng.normal(size=n - u)
+        dense += np.diag(diag.real if u == 0 else diag, -u)
+    dense = np.tril(dense) + np.tril(dense, -1).conj().T
+    band = np.array([np.concatenate([np.diagonal(dense, -u), np.zeros(u)])
+                     for u in range(min(width, n - 1) + 1)])
+    lowest = float(np.linalg.eigvalsh(dense)[0])
+    margin = 1e-6 * max(1.0, float(np.max(np.abs(dense))))
+    assert _all_above(band, lowest - margin)
+    assert not _all_above(band, lowest + margin)
+
+
+def positivity_reference(d, tol, cap):
+    """The earlier positivity_verdict: shift d above zero and list the
+    eigenvalues below the shift with the dense n / 2n reference."""
+    scale = max(1.0, d.magnitude())
+    ess_min = symbol_min_modulus_signed(symbol(d))
+    if ess_min < -tol * scale:
+        return "no", {"symbol_min": ess_min}
+    shift = 1.0 + max(0.0, -ess_min)
+    report = dense_eigs_below(d + constant_diagonal(shift), shift, tol=tol,
+                              cap=cap)
+    negatives = [v - shift for v, _ in report.eigenvalues]
+    worst = min(negatives, default=0.0)
+    if negatives and worst < -tol * scale:
+        return "no", {"symbol_min": ess_min, "most_negative_eigenvalue": worst}
+    if not report.stabilized:
+        return "undetermined", {"symbol_min": ess_min, "reason": "not stabilized"}
+    return "yes", {"symbol_min": ess_min, "most_negative_eigenvalue": worst}
+
+
+def assert_same_positivity(d, tol=1e-10, cap=512):
+    """The truncation cap is lowered for both sides, to keep the dense
+    reference quick; positivity_verdict reads it at call time."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(numerics, "TRUNC_CAP", cap)
+        got, witness = positivity_verdict(d, tol)
+        want, reference = positivity_reference(d, tol, cap)
+    assert got == want
+    if got == "yes":
+        assert abs(witness["most_negative_eigenvalue"]
+                   - reference["most_negative_eigenvalue"]) <= MERGE_FACTOR * tol
+
+
+@settings(max_examples=40, deadline=None)
+@given(operators)
+def test_positivity_of_self_commutator_matches_reference(t):
+    assert_same_positivity(self_commutator(t))
+
+
+@settings(max_examples=40, deadline=None)
+@given(operators, st.floats(0.01, 10.0))
+def test_positivity_of_paranormal_shift_matches_reference(t, s):
+    q = gram(t @ t) + gram(t).scaled(-2.0 * s) + constant_diagonal(s * s)
+    assert_same_positivity(q)
+
+
+@pytest.mark.parametrize("low", [-5e-11, -5e-10, -5e-9, 0.0, 0.3])
+def test_positivity_thresholds_match_reference(low):
+    # scale 10: the early "no" needs an eigenvalue below -tol * 10, while
+    # eigenvalues in [-tol * 10, -tol] are listed and stabilize to "yes"
+    assert_same_positivity(diagonal((low, 1.0), 10.0))
+
+
+def paranormal_reference(t, grid, tol=1e-10):
+    """The earlier grid loop: one structured operator per shift."""
+    quartic, quad = gram(t @ t), gram(t)
+    outcome = Verdict.YES
+    for s in grid:
+        q = quartic + quad.scaled(-2.0 * s) + constant_diagonal(s * s)
+        verdict, _ = positivity_verdict(q, tol)
+        if verdict == "no":
+            return Verdict.NO, s
+        if verdict == "undetermined":
+            outcome = Verdict.UNDETERMINED
+    return outcome, None
+
+
+@settings(max_examples=30, deadline=None)
+@given(operators)
+def test_check_paranormal_matches_per_shift_reference(t):
+    for op in (t, t.adjoint()):
+        grid = default_paranormal_grid(op)
+        if not grid:
+            continue
+        res = check_paranormal(op, grid=grid)
+        want, failed_at = paranormal_reference(op, grid)
+        assert res.verdict is want
+        assert res.witness["failed_at"] == failed_at
