@@ -3,7 +3,9 @@
 Exit codes: 0 on clean completion, 2 when any verdict is undetermined,
 1 on errors (including usage errors).  Structured output is a single
 self-describing JSON document per run carrying every tolerance and
-truncation size used, so each verdict is reproducible.
+truncation size used, so each verdict is reproducible.  It is encoded once,
+compact on one line (an ``indent`` would bypass the C encoder); the --out
+file of classify and decompose receives the same text.
 """
 
 from __future__ import annotations
@@ -48,9 +50,9 @@ def _pair(z) -> list:
 
 
 def _matrix(m) -> dict:
-    m = np.asarray(m, dtype=complex)
+    m = np.ascontiguousarray(m, dtype=complex)
     return {"shape": list(m.shape),
-            "entries": [_pair(v) for v in m.reshape(-1)]}
+            "entries": m.reshape(-1).view(np.float64).reshape(-1, 2).tolist()}
 
 
 def classification_to_dict(report: ClassificationReport) -> dict:
@@ -70,8 +72,8 @@ def classification_to_dict(report: ClassificationReport) -> dict:
 def summary_to_dict(summary: SpectralSummary) -> dict:
     curve = summary.ess_curve
     return {
-        "ess_curve": [[float(t), p.real, p.imag]
-                      for t, p in zip(curve.theta, curve.points)],
+        "ess_curve": np.column_stack((curve.theta, curve.points.real,
+                                      curve.points.imag)).tolist(),
         "ess_is_circle": summary.ess_is_circle,
         "weyl_extra": [{"winding": c.winding, "area": c.area,
                         "representative": _pair(c.representative),
@@ -167,10 +169,12 @@ def cmd_classify(args) -> int:
     summary = spectral_summary(spec.operator, samples=params["samples"],
                                resolution=params["resolution"],
                                trunc=params.get("trunc"))
-    doc = report_document(params | {"spec": spec.name, "seed": args.seed},
-                          started, classification=report, spectral=summary)
+    if args.format == "structured" or args.out:
+        text = json.dumps(report_document(
+            params | {"spec": spec.name, "seed": args.seed}, started,
+            classification=report, spectral=summary))
     if args.format == "structured":
-        print(json.dumps(doc, indent=2))
+        print(text)
     else:
         print(f"operator: {spec.name}")
         for label, verdict in (
@@ -193,7 +197,7 @@ def cmd_classify(args) -> int:
               f"(raster error {summary.area_error:.2g})")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(doc, handle, indent=2)
+            handle.write(text)
     return EXIT_UNDETERMINED if report.any_undetermined else EXIT_OK
 
 
@@ -213,7 +217,7 @@ def cmd_spectrum(args) -> int:
                               started, spectral=summary)
         doc["singular_levels"] = {"below_essential": [[lv, m] for lv, m in levels],
                                   "stabilized": stabilized}
-        print(json.dumps(doc, indent=2))
+        print(json.dumps(doc))
     else:
         print(f"operator: {spec.name}")
         print(f"  curve samples written to    {csv_path}")
@@ -245,7 +249,7 @@ def cmd_decompose(args) -> int:
                                   tol=max(params["tol"], 1e-6))
     blocks = normality_from_blocks(dec, operator=spec.operator)
     inclusion = spectrum_inclusion_check(spec.operator, dec)
-    if args.format == "structured":
+    if args.format == "structured" or args.out:
         doc = report_document(params | {"spec": spec.name}, started,
                               decomposition=dec)
         doc["verification"] = {"residuals": _jsonable(record.residuals),
@@ -256,7 +260,9 @@ def cmd_decompose(args) -> int:
         doc["spectrum_inclusion"] = {"checked": inclusion.checked,
                                      "violators": [_pair(v) for v in
                                                    inclusion.violators]}
-        print(json.dumps(doc, indent=2))
+        text = json.dumps(doc)
+    if args.format == "structured":
+        print(text)
     else:
         print(f"operator: {spec.name} (truncation {dec.trunc})")
         print(f"  essential level alpha  {dec.alpha:.12g}  case {dec.case_label}")
@@ -274,10 +280,8 @@ def cmd_decompose(args) -> int:
         print(f"  eigenvalue inclusion   "
               f"{'clean' if inclusion.all_inside else inclusion.violators}")
     if args.out:
-        doc = report_document(params | {"spec": spec.name}, started,
-                              decomposition=dec)
         with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(doc, handle, indent=2)
+            handle.write(text)
     return EXIT_OK if record.ok else EXIT_UNDETERMINED
 
 

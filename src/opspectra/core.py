@@ -14,7 +14,7 @@ is invariant under transposition.
 
 from __future__ import annotations
 
-import math
+import cmath
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +22,7 @@ import numpy as np
 
 def _coerce(value):
     z = complex(value)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+    if not cmath.isfinite(z):
         raise ValueError(f"non-finite scalar {value!r} in operator data")
     return z
 

@@ -64,6 +64,23 @@ class LaurentSymbol:
         return all(abs(self.coeffs.get(-k, 0j) - c.conjugate()) <= tol * scale
                    for k, c in self.coeffs.items())
 
+    def is_segment(self, tol: float = 1e-12) -> bool:
+        """Whether the curve a(T) lies on one line segment.
+
+        That holds iff a = c + e^{i phi} r with r real on the circle, i.e. iff
+        one unimodular u satisfies a_{-k} = u conj(a_k) for every k >= 1
+        (u = e^{2 i phi}).  u is taken from the largest pair."""
+        scale = max(1.0, self.magnitude())
+        pairs = [(self.coeffs.get(k, 0j), self.coeffs.get(-k, 0j))
+                 for k in sorted({abs(k) for k in self.coeffs if k})]
+        if not pairs:
+            return True
+        ak, amk = max(pairs, key=lambda p: abs(p[0]) + abs(p[1]))
+        w = amk * ak
+        u = w / abs(w) if w else 1.0
+        return all(abs(amk - u * ak.conjugate()) <= tol * scale
+                   for ak, amk in pairs)
+
 
 def symbol(t: StructuredOperator) -> LaurentSymbol:
     """Tail coefficients per band offset; prefixes and rank terms are finite
@@ -299,9 +316,16 @@ def winding_regions(s: LaurentSymbol, resolution: int = 512,
                     max_curve_samples: int = 2 ** 20) -> AreaEstimate:
     """Rasterize the bounding box, flood-fill off-curve components, and
     winding-test one representative per component (winding is locally
-    constant off the curve).  Error bound: curve length x cell diagonal."""
+    constant off the curve).  Error bound: curve length x cell diagonal.
+
+    A segment curve (a self-adjoint symbol up to rotation and shift) has a
+    connected complement and planar measure 0, which is returned exactly and
+    without sampling: its raster box is flat, so the gap test would drive the
+    sampling to ``max_curve_samples``."""
     if resolution < 8:
         raise ValueError("resolution must be >= 8")
+    if s.is_segment():
+        return AreaEstimate(0.0, 0.0, (), 0, 0.0, resolution)
     pts = s.on_circle(4096)
     scale = max(1.0, s.magnitude())
     extent = max(np.ptp(pts.real), np.ptp(pts.imag))

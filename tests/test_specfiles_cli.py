@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import opspectra
 from opspectra import ParseError, ValidationError, Verdict, right_shift
-from opspectra.cli import main
+from opspectra.cli import _matrix, main
 from opspectra.classify import ClassificationReport
 from opspectra.specfiles import (BUNDLED, load_bundled, parse_spec,
                                  parse_spec_text, serialize_spec)
@@ -238,3 +243,58 @@ def test_cli_verify_suite_flags_corrupted_golden(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert code == 1
     assert "[FAIL] golden:unitary_diag" in out
+
+
+def test_matrix_entries_match_per_entry_pairs():
+    rng = np.random.default_rng(4)
+    m = rng.normal(size=(7, 5)) + 1j * rng.normal(size=(7, 5))
+    m[0, 0], m[1, 2], m[3, 4] = complex(-0.0, 0.0), complex(1.0, -0.0), -0j
+    for a in (m, m.T, m[::2, 1:], np.zeros((0, 3), dtype=complex)):
+        expected = [[complex(v).real, complex(v).imag] for v in a.reshape(-1)]
+        got = _matrix(a)
+        assert got["shape"] == list(a.shape)
+        assert repr(got["entries"]) == repr(expected)   # repr keeps -0.0
+
+
+CLI_SMALL = ["--trunc", "64", "--resolution", "128", "--samples", "256"]
+
+
+@pytest.mark.parametrize("command", ["classify", "spectrum", "decompose"])
+def test_structured_document_is_one_line(command, capsys, tmp_path,
+                                         monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    main([command, "defect_shift", "--format", "structured"] + CLI_SMALL)
+    out = capsys.readouterr().out
+    assert out.endswith("\n") and out.count("\n") == 1
+    assert json.loads(out)["provenance"]["tool"] == "opspectra"
+
+
+@pytest.mark.parametrize("command", ["classify", "decompose"])
+def test_out_file_is_the_structured_stdout(command, capsys, tmp_path):
+    path = tmp_path / "doc.json"
+    code = main([command, "defect_shift", "--format", "structured",
+                 "--out", str(path)] + CLI_SMALL)
+    assert code == 0
+    assert path.read_text(encoding="utf-8") == capsys.readouterr().out[:-1]
+
+
+def test_decompose_text_out_file_is_the_full_document(capsys, tmp_path):
+    path = tmp_path / "doc.json"
+    main(["decompose", "defect_shift", "--out", str(path)] + CLI_SMALL)
+    capsys.readouterr()
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    assert set(doc) == {"provenance", "decomposition", "verification",
+                        "normality_from_blocks", "spectrum_inclusion"}
+    assert doc["verification"]["ok"] is True
+
+
+def test_python_dash_m_entry_point():
+    src = str(Path(opspectra.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "opspectra", "classify", "right_shift",
+         "--format", "structured"],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["classification"]["is_AN"] == "yes"

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,9 +11,9 @@ from opspectra import (EssentialPoint, LaurentSymbol, PointOnCurve, compose,
                        right_shift, spectral_area, symbol, symbol_curve,
                        toeplitz, winding, winding_regions, zero)
 from opspectra.specfiles import load_bundled
-from opspectra.symbols import (constant_value, modulus_constant,
-                               polygon_winding, symbol_max_modulus,
-                               symbol_min_modulus)
+from opspectra.symbols import (AreaEstimate, constant_value,
+                               modulus_constant, polygon_winding,
+                               symbol_max_modulus, symbol_min_modulus)
 
 
 def test_symbol_extraction():
@@ -201,3 +203,57 @@ def test_winding_regions_structure():
     inside = [c for c in est.components if c.winding != 0]
     assert len(inside) == 1
     assert abs(inside[0].representative - 0.2) < 0.2
+
+
+def _no_sampling(self, m):
+    raise AssertionError("a segment curve must not be sampled")
+
+
+@pytest.mark.parametrize("coeffs", [
+    {1: 1.0, -1: 1.0},                                          # z + 1/z
+    {1: 1j, -1: 1j, 0: 2.0},                                    # i(z + 1/z) + 2
+    {k: np.exp(0.3j) * c for k, c in
+     {1: 1.0, -1: 1.0, 2: 0.5, -2: 0.5}.items()} | {0: -1.0},   # rotated, shifted
+    {2: 1.0, -2: 1.0, 1: 1e-13, -1: 1e-13j},    # a pair below tol sets no u
+])
+def test_segment_curve_has_no_area_and_is_not_sampled(coeffs, monkeypatch):
+    s = LaurentSymbol(coeffs)
+    monkeypatch.setattr(LaurentSymbol, "on_circle", _no_sampling)
+    assert s.is_segment()
+    assert winding_regions(s, 512) == AreaEstimate(0.0, 0.0, (), 0, 0.0, 512)
+
+
+@pytest.mark.parametrize("coeffs, area, curve_cells, components", [
+    # ellipse, semi-axes 1.5 and 0.5: |a_1| != |a_-1|
+    ({1: 1.0, -1: 0.5j}, 2.3938421888212655, 956, [(1, 29936)]),
+    # u = 1 at k = 1 but u = i at k = 2
+    ({1: 1.0, -1: 1.0, 2: 1.0, -2: 1j}, 5.521341105980958, 1489,
+     [(-1, 10165), (1, 10094)]),
+])
+def test_near_segment_traps_stay_on_the_raster(coeffs, area, curve_cells,
+                                               components):
+    s = LaurentSymbol(coeffs)
+    assert not s.is_segment()
+    est = winding_regions(s, 256)
+    assert est.value == pytest.approx(area, rel=1e-12)
+    assert est.curve_cells == curve_cells
+    assert [(c.winding, c.cells) for c in est.components] == components
+
+
+unit = st.floats(-1, 1, allow_nan=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(unit, unit), min_size=1, max_size=4), unit,
+       st.floats(0, 2 * np.pi), st.tuples(unit, unit))
+def test_rotated_shifted_real_symbol_is_segment(pairs, r0, phi, shift):
+    rot = np.exp(1j * phi)
+    coeffs = {0: rot * r0 + complex(*shift)}
+    for k, (re, im) in enumerate(pairs, start=1):
+        coeffs[k] = rot * complex(re, im)
+        coeffs[-k] = rot * complex(re, -im)
+    s = LaurentSymbol(coeffs)
+    assert s.is_segment()
+    with mock.patch.object(LaurentSymbol, "on_circle", _no_sampling):
+        est = winding_regions(s, 128)
+    assert est == AreaEstimate(0.0, 0.0, (), 0, 0.0, 128)
