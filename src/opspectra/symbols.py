@@ -21,6 +21,8 @@ from .core import StructuredOperator
 from .errors import EssentialPoint, PointOnCurve
 
 _TWO_PI = 2.0 * math.pi
+_EPS = float(np.finfo(float).eps)
+_SEGMENT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -64,13 +66,17 @@ class LaurentSymbol:
         return all(abs(self.coeffs.get(-k, 0j) - c.conjugate()) <= tol * scale
                    for k, c in self.coeffs.items())
 
-    def is_segment(self, tol: float = 1e-12) -> bool:
-        """Whether the curve a(T) lies on one line segment.
+    def is_segment(self) -> bool:
+        """Whether the curve a(T) lies on one line segment; a constant
+        symbol counts (a point is a degenerate segment).
 
         That holds iff a = c + e^{i phi} r with r real on the circle, i.e. iff
         one unimodular u satisfies a_{-k} = u conj(a_k) for every k >= 1
-        (u = e^{2 i phi}).  u is taken from the largest pair."""
-        scale = max(1.0, self.magnitude())
+        (u = e^{2 i phi}).  u is taken from the largest pair.  The tolerance
+        is relative to the non-constant coefficients, so a shift c does not
+        change the answer unless they lie below the rounding of a's values."""
+        scale = max(sum(abs(c) for k, c in self.coeffs.items() if k),
+                    _EPS * max(1.0, self.magnitude()))
         pairs = [(self.coeffs.get(k, 0j), self.coeffs.get(-k, 0j))
                  for k in sorted({abs(k) for k in self.coeffs if k})]
         if not pairs:
@@ -78,7 +84,7 @@ class LaurentSymbol:
         ak, amk = max(pairs, key=lambda p: abs(p[0]) + abs(p[1]))
         w = amk * ak
         u = w / abs(w) if w else 1.0
-        return all(abs(amk - u * ak.conjugate()) <= tol * scale
+        return all(abs(amk - u * ak.conjugate()) <= _SEGMENT_TOL * scale
                    for ak, amk in pairs)
 
 
@@ -329,7 +335,7 @@ def winding_regions(s: LaurentSymbol, resolution: int = 512,
     pts = s.on_circle(4096)
     scale = max(1.0, s.magnitude())
     extent = max(np.ptp(pts.real), np.ptp(pts.imag))
-    if extent <= 1e-13 * scale:
+    if extent <= 1e-13 * scale:     # a curve below the rounding of its shift
         return AreaEstimate(0.0, 0.0, (), 0, 0.0, resolution)
 
     pad = extent / resolution

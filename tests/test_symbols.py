@@ -229,6 +229,11 @@ def test_segment_curve_has_no_area_and_is_not_sampled(coeffs, monkeypatch):
     # u = 1 at k = 1 but u = i at k = 2
     ({1: 1.0, -1: 1.0, 2: 1.0, -2: 1j}, 5.521341105980958, 1489,
      [(-1, 10165), (1, 10094)]),
+    # a small circle and a small ellipse around a large constant: a shift
+    # does not make a curve a segment
+    ({0: 1e6, 1: 1e-7}, 3.170141936233446e-14, 964, [(1, 50156)]),
+    ({0: 1e6, 1: 1e-7, -1: 0.5e-7j}, 2.3931937942311555e-14, 956,
+     [(1, 29892)]),
 ])
 def test_near_segment_traps_stay_on_the_raster(coeffs, area, curve_cells,
                                                components):
@@ -238,6 +243,13 @@ def test_near_segment_traps_stay_on_the_raster(coeffs, area, curve_cells,
     assert est.value == pytest.approx(area, rel=1e-12)
     assert est.curve_cells == curve_cells
     assert [(c.winding, c.cells) for c in est.components] == components
+
+
+def test_curve_below_the_rounding_of_its_shift_has_no_area():
+    # not a segment, but its extent 2e-8 is below 1e-13 * 1e6
+    s = LaurentSymbol({0: 1e6, 1: 1e-8})
+    assert not s.is_segment()
+    assert winding_regions(s, 256) == AreaEstimate(0.0, 0.0, (), 0, 0.0, 256)
 
 
 unit = st.floats(-1, 1, allow_nan=False)
