@@ -20,8 +20,10 @@ from .errors import NotHyponormal, NotStabilized
 from .numerics import (TRUNC_CAP, _auto_trunc, _clusters_match,
                        cluster_values, discrete_eigs_below, min_modulus,
                        operator_norm, positive_truncations, positivity_verdict)
-from .symbols import (SpectralSummary, constant_value, essential_spectrum,
-                      modulus_constant, spectral_area, symbol, winding_regions)
+from .symbols import (EssentialCurve, SpectralSummary, _WindingRaster,
+                      _winding_raster, constant_value, modulus_constant,
+                      polygon_winding, spectral_area, symbol,
+                      symbol_min_modulus, winding_regions)
 
 
 class Verdict(enum.Enum):
@@ -203,7 +205,8 @@ def check_an(t: StructuredOperator, tol: float = 1e-8,
 
 def _region_clusters(t: StructuredOperator, keep, trunc: int | None,
                      tol: float, hermitian: bool):
-    """Stabilized clusters of truncation eigenvalues selected by ``keep``.
+    """Stabilized clusters of truncation eigenvalues selected by ``keep``, an
+    elementwise predicate on an array of eigenvalues.
 
     Eigenvalues are filtered before the n / 2n comparison so that essential
     clusters (whose multiplicity grows with n) do not block stabilization.
@@ -213,8 +216,8 @@ def _region_clusters(t: StructuredOperator, keep, trunc: int | None,
     def at(size):
         m = t.truncate(size)
         vals = np.linalg.eigvalsh(m) if hermitian else np.linalg.eigvals(m)
-        kept = [complex(v) for v in vals if keep(complex(v))]
-        return cluster_values(kept, 100.0 * tol)
+        return cluster_values([complex(v) for v in vals[keep(vals)]],
+                              100.0 * tol)
 
     a = at(n)
     b = at(2 * n)
@@ -494,29 +497,40 @@ def classify(t: StructuredOperator, trunc: int | None = None,
          "paranormal": tol_paranormal, "an": tol_an})
 
 
+def _isolated(z: np.ndarray, raster: _WindingRaster, curve_pts: np.ndarray,
+              clearance: float) -> np.ndarray:
+    """Mask of the points z farther than ``clearance`` from every sample in
+    ``curve_pts`` around which that polygon winds zero times.
+
+    Points deep inside a component of ``raster`` read its winding; the rest
+    are tested one by one on the polygon."""
+    decided, winding = raster.deep_windings(z, clearance)
+    keep = decided & (winding == 0)
+    for i in np.flatnonzero(~decided):
+        q = complex(z[i])
+        keep[i] = (float(np.min(np.abs(curve_pts - q))) > clearance
+                   and polygon_winding(curve_pts, q) == 0)
+    return keep
+
+
 def spectral_summary(t: StructuredOperator, samples: int = 1024,
                      resolution: int = 512, trunc: int | None = None,
                      tol: float = 1e-8) -> SpectralSummary:
-    """Assemble the full spectral report for an operator."""
-    curve = essential_spectrum(t, samples)
-    regions = winding_regions(symbol(t), resolution)
-    norm_upper = operator_norm(t)
-    m_modulus = min_modulus(t)
-    from .symbols import ess_min_modulus
-    me = ess_min_modulus(t)
-    m_modulus = min(m_modulus, me)  # guard float rounding on the invariant
+    """Assemble the full spectral report for an operator.
 
+    The isolated eigenvalues are the stabilized truncation clusters off the
+    curve around which the 4096-point curve polygon winds zero times."""
     sym = symbol(t)
-    curve_pts = sym.on_circle(4096)
-    scale = max(1.0, norm_upper)
+    curve = EssentialCurve.sampled(sym, samples)
+    raster = _winding_raster(sym, resolution)
+    regions = raster.estimate
+    norm_upper = operator_norm(t)
+    me = symbol_min_modulus(sym)
+    m_modulus = min(min_modulus(t), me)  # guard float rounding on the invariant
 
-    def isolated(z):
-        if float(np.min(np.abs(curve_pts - z))) <= 1e-6 * scale:
-            return False
-        from .symbols import polygon_winding
-        return polygon_winding(curve_pts, z) == 0
-
-    clusters, stable = _region_clusters(t, isolated, trunc, tol, hermitian=False)
+    keep = partial(_isolated, raster=raster, curve_pts=sym.on_circle(4096),
+                   clearance=1e-6 * max(1.0, norm_upper))
+    clusters, stable = _region_clusters(t, keep, trunc, tol, hermitian=False)
     eigenvalues = tuple(clusters) if stable else ()
     weyl = tuple(c for c in regions.components if c.winding != 0)
     return SpectralSummary(curve, curve.is_circle, weyl, eigenvalues,
@@ -527,7 +541,6 @@ def spectral_summary(t: StructuredOperator, samples: int = 1024,
 def discrete_singular_levels(t: StructuredOperator, tol: float = 1e-8,
                              trunc: int | None = None):
     """Moduli levels of |T| strictly below the essential level, via T*T."""
-    from .symbols import symbol_min_modulus
     g = gram(t)
     level = symbol_min_modulus(symbol(t)) ** 2
     report = discrete_eigs_below(g, bound=level, tol=tol, n=trunc)

@@ -168,7 +168,7 @@ def cmd_classify(args) -> int:
                       tol_an=params["tol"])
     summary = spectral_summary(spec.operator, samples=params["samples"],
                                resolution=params["resolution"],
-                               trunc=params.get("trunc"))
+                               trunc=params.get("trunc"), tol=params["tol"])
     if args.format == "structured" or args.out:
         text = json.dumps(report_document(
             params | {"spec": spec.name, "seed": args.seed}, started,
@@ -207,8 +207,9 @@ def cmd_spectrum(args) -> int:
     params = _collect_params(args, spec)
     summary = spectral_summary(spec.operator, samples=params["samples"],
                                resolution=params["resolution"],
-                               trunc=params.get("trunc"))
+                               trunc=params.get("trunc"), tol=params["tol"])
     levels, stabilized = discrete_singular_levels(spec.operator,
+                                                  tol=params["tol"],
                                                   trunc=params.get("trunc"))
     csv_path = args.out or f"{spec.name}_curve.csv"
     write_curve_csv(csv_path, summary)

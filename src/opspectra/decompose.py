@@ -22,9 +22,6 @@ from .numerics import cluster_values, hermitian_eig
 
 CASE_NORM = "lambda_equals_norm"
 CASE_EIGEN_INF = "case1"
-CASE_LIMIT_ONLY = "case2"
-CASE_GAP = "case3"
-CASE_EIGEN_LIMIT = "case4"
 
 
 @dataclass(frozen=True)

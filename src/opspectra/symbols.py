@@ -228,12 +228,15 @@ class EssentialCurve:
     def __iter__(self):
         return iter(self.points)
 
+    @classmethod
+    def sampled(cls, s: LaurentSymbol, samples: int = CIRCLE_SAMPLES) -> "EssentialCurve":
+        theta = np.arange(samples) * (_TWO_PI / samples)
+        return cls(theta, s.evaluate(np.exp(1j * theta)),
+                   modulus_constant(s, samples))
+
 
 def essential_spectrum(t: StructuredOperator, samples: int = CIRCLE_SAMPLES) -> EssentialCurve:
-    s = symbol(t)
-    theta = np.arange(samples) * (_TWO_PI / samples)
-    return EssentialCurve(theta, s.evaluate(np.exp(1j * theta)),
-                          modulus_constant(s, samples))
+    return EssentialCurve.sampled(symbol(t), samples)
 
 
 def _golden_min(f, a: float, b: float, iters: int = 80) -> float:
@@ -318,11 +321,59 @@ class AreaEstimate:
     resolution: int
 
 
-def winding_regions(s: LaurentSymbol, resolution: int = 512,
-                    max_curve_samples: int = 2 ** 20) -> AreaEstimate:
-    """Rasterize the bounding box, flood-fill off-curve components, and
-    winding-test one representative per component (winding is locally
-    constant off the curve).  Error bound: curve length x cell diagonal.
+@dataclass(frozen=True)
+class _WindingRaster:
+    """The area raster of a symbol curve, kept for winding lookups.
+
+    ``labels`` numbers the 4-connected off-curve components (0 on the curve),
+    ``depth`` is each cell's chessboard distance in cells to the nearest curve
+    cell, and ``label_winding`` the winding of each label (0 for components
+    that touch the border).  ``safe_depth`` is None when there is no raster
+    (segment or sub-rounding curves) or when the gap test failed at
+    ``max_curve_samples``; the lookup then decides nothing."""
+
+    estimate: AreaEstimate
+    origin: complex = 0j
+    cell: tuple = (0.0, 0.0)
+    labels: np.ndarray | None = None
+    depth: np.ndarray | None = None
+    label_winding: np.ndarray | None = None
+    safe_depth: int | None = None
+
+    def deep_windings(self, z: np.ndarray, clearance: float):
+        """Returns (decided, winding) for the points z.
+
+        A point is decided when it lies in the box, in a cell deeper than
+        ``safe_depth``, and the cells are larger than ``clearance``.  Such a
+        point lies more than reach plus one cell from every curve cell, so
+        the raster's refined polygon deforms into the 4096-point polygon
+        ``on_circle(4096)`` without crossing it, and both wind around it as
+        around the representative of its label.  It also lies farther than
+        ``clearance`` from every sample of either polygon."""
+        z = np.asarray(z, dtype=complex)
+        decided = np.zeros(z.shape, dtype=bool)
+        winding = np.zeros(z.shape, dtype=int)
+        if self.safe_depth is None or min(self.cell) <= clearance:
+            return decided, winding
+        size = self.labels.shape[0]
+        fx = (z.real - self.origin.real) / self.cell[0]
+        fy = (z.imag - self.origin.imag) / self.cell[1]
+        inside = np.flatnonzero((fx >= 0) & (fx < size) & (fy >= 0) & (fy < size))
+        ix, iy = fx[inside].astype(int), fy[inside].astype(int)
+        deep = self.depth[iy, ix] > self.safe_depth
+        found = inside[deep]
+        decided[found] = True
+        winding[found] = self.label_winding[self.labels[iy[deep], ix[deep]]]
+        return decided, winding
+
+
+def _winding_raster(s: LaurentSymbol, resolution: int = 512,
+                    max_curve_samples: int = 2 ** 20) -> _WindingRaster:
+    """Rasterize the bounding box, label the 4-connected off-curve
+    components, and winding-test one representative per bounded component
+    (winding is locally constant off the curve).  The representative is the
+    component's deepest cell, the first one in scan order.  Error bound:
+    curve length x cell diagonal.
 
     A segment curve (a self-adjoint symbol up to rotation and shift) has a
     connected complement and planar measure 0, which is returned exactly and
@@ -330,13 +381,14 @@ def winding_regions(s: LaurentSymbol, resolution: int = 512,
     sampling to ``max_curve_samples``."""
     if resolution < 8:
         raise ValueError("resolution must be >= 8")
+    empty = _WindingRaster(AreaEstimate(0.0, 0.0, (), 0, 0.0, resolution))
     if s.is_segment():
-        return AreaEstimate(0.0, 0.0, (), 0, 0.0, resolution)
-    pts = s.on_circle(4096)
+        return empty
+    coarse = pts = s.on_circle(4096)
     scale = max(1.0, s.magnitude())
     extent = max(np.ptp(pts.real), np.ptp(pts.imag))
     if extent <= 1e-13 * scale:     # a curve below the rounding of its shift
-        return AreaEstimate(0.0, 0.0, (), 0, 0.0, resolution)
+        return empty
 
     pad = extent / resolution
     xmin, xmax = float(np.min(pts.real)) - pad, float(np.max(pts.real)) + pad
@@ -349,11 +401,23 @@ def winding_regions(s: LaurentSymbol, resolution: int = 512,
     m = 4096
     while True:
         gaps = np.abs(np.diff(np.append(pts, pts[0])))
-        if float(np.max(gaps)) < 0.5 * min(cw, ch) or m >= max_curve_samples:
+        closed = float(np.max(gaps)) < 0.5 * min(cw, ch)
+        if closed or m >= max_curve_samples:
             break
         m *= 2
         pts = s.on_circle(m)
     curve_len = float(np.sum(np.abs(np.diff(np.append(pts, pts[0])))))
+    # Sample j * m / 4096 of the refined curve is coarse sample j exactly (m
+    # is 4096 times a power of 2).  reach bounds how far each block of
+    # refined samples strays from the start of its 4096-point chord; the
+    # block's end lies less than half a cell further.  Within that disc the
+    # refined path deforms into the chord, so the two polygons wind alike
+    # around every point more than reach + one cell from the curve cells.
+    safe_depth = None
+    if closed:
+        blocks = pts.reshape(coarse.size, -1)
+        reach = float(np.max(np.abs(blocks - coarse[:, None])))
+        safe_depth = math.ceil(reach / min(cw, ch)) + 1
 
     ix = np.clip(((pts.real - xmin) / cw).astype(int), 0, resolution - 1)
     iy = np.clip(((pts.imag - ymin) / ch).astype(int), 0, resolution - 1)
@@ -363,30 +427,44 @@ def winding_regions(s: LaurentSymbol, resolution: int = 512,
 
     four = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
     labels, n_labels = ndimage.label(~curve_mask, structure=four)
+    depth = ndimage.distance_transform_cdt(~curve_mask, metric="chessboard")
     border = np.unique(np.concatenate([labels[0, :], labels[-1, :],
                                        labels[:, 0], labels[:, -1]]))
     unbounded = set(int(b) for b in border if b != 0)
     bounded = [lab for lab in range(1, n_labels + 1) if lab not in unbounded]
 
+    counts = np.bincount(labels.ravel(), minlength=n_labels + 1)
+    boxes = ndimage.find_objects(labels)
+    label_winding = np.zeros(n_labels + 1, dtype=int)
     components = []
     inside_cells = 0
-    if bounded:
-        dist = ndimage.distance_transform_edt(~curve_mask)
-        reps = ndimage.maximum_position(dist, labels=labels, index=bounded)
-        counts = ndimage.sum_labels(np.ones_like(labels), labels=labels,
-                                    index=bounded)
-        for (ry, rx), cells in zip(np.atleast_2d(reps), np.atleast_1d(counts)):
-            q = complex(xmin + (rx + 0.5) * cw, ymin + (ry + 0.5) * ch)
-            w = polygon_winding(pts, q)
-            cells = int(cells)
-            if w != 0:
-                inside_cells += cells
-            components.append(RegionComponent(w, cells * cell_area, q, cells))
+    for lab in bounded:
+        box = boxes[lab - 1]
+        crop = np.where(labels[box] == lab, depth[box], -1)
+        ry, rx = np.unravel_index(np.argmax(crop), crop.shape)
+        q = complex(xmin + (box[1].start + rx + 0.5) * cw,
+                    ymin + (box[0].start + ry + 0.5) * ch)
+        w = polygon_winding(pts, q)
+        cells = int(counts[lab])
+        label_winding[lab] = w
+        if w != 0:
+            inside_cells += cells
+        components.append(RegionComponent(w, cells * cell_area, q, cells))
 
     value = (inside_cells + curve_cells) * cell_area
     error = (curve_len + 4 * cell_diag) * cell_diag
-    return AreaEstimate(value, error, tuple(components), curve_cells,
-                        cell_diag, resolution)
+    estimate = AreaEstimate(value, error, tuple(components), curve_cells,
+                            cell_diag, resolution)
+    return _WindingRaster(estimate, complex(xmin, ymin), (cw, ch), labels,
+                          depth, label_winding, safe_depth)
+
+
+def winding_regions(s: LaurentSymbol, resolution: int = 512,
+                    max_curve_samples: int = 2 ** 20) -> AreaEstimate:
+    """Components of the complement of the curve a(T) with their windings,
+    and the raster area of {winding != 0} together with the curve; see
+    ``_winding_raster``."""
+    return _winding_raster(s, resolution, max_curve_samples).estimate
 
 
 def spectral_area(t: StructuredOperator, resolution: int = 512) -> AreaEstimate:

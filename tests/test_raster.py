@@ -1,0 +1,240 @@
+"""The winding raster behind winding_regions and the isolated-eigenvalue
+lookup of spectral_summary, each checked against a test-local oracle."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy import ndimage
+
+from opspectra import LaurentSymbol, suites, symbol, winding_regions
+from opspectra.classify import _isolated
+from opspectra.symbols import (AreaEstimate, RegionComponent, _winding_raster,
+                               polygon_winding)
+
+
+def _edt_winding_regions(s, resolution, max_curve_samples=2 ** 20):
+    """The raster as it was built with a Euclidean distance transform, whose
+    maximum_position chose each component's representative."""
+    if s.is_segment():
+        return AreaEstimate(0.0, 0.0, (), 0, 0.0, resolution)
+    pts = s.on_circle(4096)
+    scale = max(1.0, s.magnitude())
+    extent = max(np.ptp(pts.real), np.ptp(pts.imag))
+    if extent <= 1e-13 * scale:
+        return AreaEstimate(0.0, 0.0, (), 0, 0.0, resolution)
+    pad = extent / resolution
+    xmin, xmax = float(np.min(pts.real)) - pad, float(np.max(pts.real)) + pad
+    ymin, ymax = float(np.min(pts.imag)) - pad, float(np.max(pts.imag)) + pad
+    cw = (xmax - xmin) / resolution
+    ch = (ymax - ymin) / resolution
+    cell_area = cw * ch
+    cell_diag = math.hypot(cw, ch)
+    m = 4096
+    while True:
+        gaps = np.abs(np.diff(np.append(pts, pts[0])))
+        if float(np.max(gaps)) < 0.5 * min(cw, ch) or m >= max_curve_samples:
+            break
+        m *= 2
+        pts = s.on_circle(m)
+    curve_len = float(np.sum(np.abs(np.diff(np.append(pts, pts[0])))))
+    ix = np.clip(((pts.real - xmin) / cw).astype(int), 0, resolution - 1)
+    iy = np.clip(((pts.imag - ymin) / ch).astype(int), 0, resolution - 1)
+    curve_mask = np.zeros((resolution, resolution), dtype=bool)
+    curve_mask[iy, ix] = True
+    curve_cells = int(np.count_nonzero(curve_mask))
+    four = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
+    labels, n_labels = ndimage.label(~curve_mask, structure=four)
+    border = np.unique(np.concatenate([labels[0, :], labels[-1, :],
+                                       labels[:, 0], labels[:, -1]]))
+    unbounded = set(int(b) for b in border if b != 0)
+    bounded = [lab for lab in range(1, n_labels + 1) if lab not in unbounded]
+    components = []
+    inside_cells = 0
+    if bounded:
+        dist = ndimage.distance_transform_edt(~curve_mask)
+        reps = ndimage.maximum_position(dist, labels=labels, index=bounded)
+        counts = ndimage.sum_labels(np.ones_like(labels), labels=labels,
+                                    index=bounded)
+        for (ry, rx), cells in zip(np.atleast_2d(reps), np.atleast_1d(counts)):
+            q = complex(xmin + (rx + 0.5) * cw, ymin + (ry + 0.5) * ch)
+            w = polygon_winding(pts, q)
+            cells = int(cells)
+            if w != 0:
+                inside_cells += cells
+            components.append(RegionComponent(w, cells * cell_area, q, cells))
+    value = (inside_cells + curve_cells) * cell_area
+    error = (curve_len + 4 * cell_diag) * cell_diag
+    return AreaEstimate(value, error, tuple(components), curve_cells,
+                        cell_diag, resolution)
+
+
+def _suite_symbols(count=12):
+    out = []
+    for seed in range(count):
+        rng = np.random.default_rng([20, seed])
+        out.append(symbol(suites.random_banded_symbol(rng, max_bandwidth=3)))
+        out.append(symbol(suites.random_weighted_shift(rng)))
+        out.append(symbol(suites.random_hyponormal(rng)))
+    return out
+
+
+TRAPS = [{1: 1.0, -1: 0.5j}, {1: 1.0, -1: 1.0, 2: 1.0, -2: 1j},
+         {0: 1e6, 1: 1e-7}, {0: 1e6, 1: 1e-7, -1: 0.5e-7j}, {0: 1e6, 1: 1e-8},
+         {1: 1.0, -1: 1.0}]
+
+
+@pytest.mark.parametrize("resolution", [128, 512])
+def test_raster_matches_the_distance_transform_version(resolution):
+    symbols = _suite_symbols() + [LaurentSymbol(c) for c in TRAPS]
+    for s in symbols:
+        got = winding_regions(s, resolution)
+        want = _edt_winding_regions(s, resolution)
+        assert (got.value, got.error, got.curve_cells, got.cell_diagonal) == \
+            (want.value, want.error, want.curve_cells, want.cell_diagonal)
+        assert [(c.winding, c.cells, c.area) for c in got.components] == \
+            [(c.winding, c.cells, c.area) for c in want.components]
+
+
+def _chessboard_depth(curve):
+    """Chebyshev distance in cells to the nearest curve cell, by dilation."""
+    depth = np.zeros(curve.shape, dtype=int)
+    reached = curve.copy()
+    step = 0
+    while not reached.all():
+        step += 1
+        grown = ndimage.binary_dilation(reached, structure=np.ones((3, 3)))
+        depth[grown & ~reached] = step
+        reached = grown
+    return depth
+
+
+@pytest.mark.parametrize("s", _suite_symbols(4) + [LaurentSymbol(c)
+                                                   for c in TRAPS[:2]])
+def test_representative_is_the_first_deepest_cell_of_its_component(s):
+    raster = _winding_raster(s, 128)
+    if raster.labels is None:
+        assert raster.estimate.components == ()
+        return
+    depth = _chessboard_depth(raster.labels == 0)
+    assert np.array_equal(raster.depth, depth)
+    (cw, ch), origin = raster.cell, raster.origin
+    for comp in raster.estimate.components:
+        rx = round((comp.representative.real - origin.real) / cw - 0.5)
+        ry = round((comp.representative.imag - origin.imag) / ch - 0.5)
+        member = raster.labels == raster.labels[ry, rx]
+        assert raster.labels[ry, rx] != 0
+        assert np.count_nonzero(member) == comp.cells
+        deepest = member & (depth == depth[member].max())
+        assert np.flatnonzero(deepest)[0] == ry * raster.labels.shape[1] + rx
+
+
+# -- the isolated() mask against the per-point predicate -----------------------
+
+def _isolated_reference(curve_pts, q, clearance):
+    if float(np.min(np.abs(curve_pts - q))) <= clearance:
+        return False
+    return polygon_winding(curve_pts, q) == 0
+
+
+def _lookup_points(s, raster, rng, count=200):
+    """Random box points, points 0.3-30 cells from the curve, and points
+    outside the box."""
+    curve = s.on_circle(4096)
+    lo = complex(curve.real.min(), curve.imag.min())
+    hi = complex(curve.real.max(), curve.imag.max())
+    span = hi - lo
+    box = lo + rng.uniform(-0.02, 1.02, count) * span.real \
+        + 1j * rng.uniform(-0.02, 1.02, count) * span.imag
+    cell = min(raster.cell)
+    theta = rng.uniform(0, 2 * np.pi, count)
+    near = s.evaluate(np.exp(1j * theta)) + cell * np.exp(
+        rng.uniform(np.log(0.3), np.log(30), count)
+        + 1j * rng.uniform(0, 2 * np.pi, count))
+    outside = np.concatenate([lo - span * rng.uniform(0.05, 1, 10),
+                              hi + span * rng.uniform(0.05, 1, 10)])
+    return np.concatenate([box, near, outside])
+
+
+def _check_mask(s, raster, rng, clearance):
+    curve_pts = s.on_circle(4096)
+    z = _lookup_points(s, raster, rng)
+    got = _isolated(z, raster, curve_pts, clearance)
+    want = [_isolated_reference(curve_pts, complex(q), clearance) for q in z]
+    assert got.tolist() == want
+    return int(np.count_nonzero(raster.deep_windings(z, clearance)[0]))
+
+
+coefficient = st.complex_numbers(max_magnitude=1.5, allow_nan=False,
+                                 allow_infinity=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.dictionaries(st.integers(-4, 4), coefficient, min_size=1, max_size=6),
+       st.sampled_from([64, 256, 512]), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([1e-6, 1e-3]))
+def test_isolated_mask_matches_the_per_point_predicate(coeffs, resolution,
+                                                       seed, clearance):
+    s = LaurentSymbol(coeffs)
+    assume(not s.is_segment())
+    raster = _winding_raster(s, resolution)
+    assume(raster.labels is not None)
+    _check_mask(s, raster, np.random.default_rng(seed), clearance)
+
+
+@pytest.mark.parametrize("coeffs, resolution, max_samples, decides", [
+    # the 4096-point polygon strays up to about 0.1 from this curve
+    ({1: 1.0, 1500: 0.05}, 512, 2 ** 20, True),
+    # a star polygon: each coarse chord spans 17.6 degrees of the circle
+    ({200: 1.0}, 512, 2 ** 20, True),
+    ({1: 1.0, -1: 0.5j}, 512, 2 ** 20, True),
+    # the gap test fails at max_curve_samples: nothing is looked up
+    ({1: 1.0, 1500: 0.05}, 512, 4096, False),
+    # cells no larger than the clearance: nothing is looked up
+    ({1: 1e-7, -2: 0.3e-7}, 256, 2 ** 20, False),
+])
+def test_isolated_mask_on_fixed_symbols(coeffs, resolution, max_samples,
+                                        decides):
+    s = LaurentSymbol(coeffs)
+    raster = _winding_raster(s, resolution, max_samples)
+    assert (raster.safe_depth is not None) == (max_samples > 4096)
+    for seed in range(3):
+        decided = _check_mask(s, raster, np.random.default_rng(seed), 1e-6)
+        assert (decided > 0) == decides
+
+
+def test_segment_symbol_has_no_raster_and_falls_back():
+    s = LaurentSymbol({1: 1.0, -1: 1.0})
+    raster = _winding_raster(s, 512)
+    assert raster.safe_depth is None
+    z = np.array([0.0, 0.5j, 3.0, 1.0 + 1e-9j])
+    assert _isolated(z, raster, s.on_circle(4096), 1e-6).tolist() == \
+        [_isolated_reference(s.on_circle(4096), complex(q), 1e-6) for q in z]
+
+
+def _coarse_chord_points(s, raster):
+    """Points a quarter cell apart along every chord of the 4096-point
+    polygon, 256 chords at a time."""
+    curve = s.on_circle(4096)
+    ends = np.roll(curve, -1)
+    steps = int(np.ceil(np.max(np.abs(ends - curve))
+                        / (0.25 * min(raster.cell)))) + 1
+    t = np.linspace(0.0, 1.0, steps + 1)
+    for lo in range(0, curve.size, 256):
+        chunk = slice(lo, lo + 256)
+        yield (curve[chunk, None] + t * (ends - curve)[chunk, None]).ravel()
+
+
+@pytest.mark.parametrize("coeffs", [
+    {1: 1.0}, {1: 1.0, 2: 0.1}, {1: 1.0, -1: 0.5j}, {1: 1.0, 2: 0.4},
+    {1: 1.0, -1: 1.0, 2: 1.0, -2: 1j},
+    # chords that cut far inside the curve
+    {200: 1.0}, {1: 1.0, 1500: 0.05}, {20: 1.0, -20: 1.0, 40: 1.0, -40: 1j},
+])
+def test_lookup_decides_no_point_of_a_coarse_chord(coeffs):
+    s = LaurentSymbol(coeffs)
+    raster = _winding_raster(s, 512)
+    for z in _coarse_chord_points(s, raster):
+        assert not raster.deep_windings(z, 0.0)[0].any()

@@ -160,6 +160,29 @@ def test_cli_spectrum_writes_curve_csv(tmp_path, capsys, monkeypatch):
     assert "singular levels < essential 0.5 (x2)" in out
 
 
+def test_cli_tol_reaches_summary_and_singular_levels(tmp_path, capsys,
+                                                     monkeypatch):
+    import opspectra.cli as cli_module
+    seen = []
+
+    def recording(fn):
+        def wrapper(*args, **kwargs):
+            seen.append((fn.__name__, kwargs.get("tol")))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("spectral_summary", "discrete_singular_levels"):
+        monkeypatch.setattr(cli_module, name,
+                            recording(getattr(cli_module, name)))
+    monkeypatch.chdir(tmp_path)
+    assert main(["spectrum", "right_shift", "--tol", "1e-6"] + CLI_SMALL) == 0
+    assert main(["classify", "right_shift", "--tol", "1e-6"] + CLI_SMALL) == 0
+    capsys.readouterr()
+    assert seen == [("spectral_summary", 1e-6),
+                    ("discrete_singular_levels", 1e-6),
+                    ("spectral_summary", 1e-6)]
+
+
 def test_cli_decompose(capsys):
     code = main(["decompose", "defect_shift", "--trunc", "64"])
     out = capsys.readouterr().out
