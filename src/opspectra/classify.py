@@ -499,16 +499,21 @@ def classify(t: StructuredOperator, trunc: int | None = None,
 
 def _isolated(z: np.ndarray, raster: _WindingRaster, curve_pts: np.ndarray,
               clearance: float) -> np.ndarray:
-    """Mask of the points z farther than ``clearance`` from every sample in
-    ``curve_pts`` around which that polygon winds zero times.
+    """Mask of the points z farther than ``clearance`` from every edge of the
+    closed polygon through ``curve_pts`` and around which it winds zero
+    times.
 
     Points deep inside a component of ``raster`` read its winding; the rest
     are tested one by one on the polygon."""
     decided, winding = raster.deep_windings(z, clearance)
     keep = decided & (winding == 0)
+    edges = np.roll(curve_pts, -1) - curve_pts
+    length2 = np.maximum(edges.real ** 2 + edges.imag ** 2, np.finfo(float).tiny)
     for i in np.flatnonzero(~decided):
         q = complex(z[i])
-        keep[i] = (float(np.min(np.abs(curve_pts - q))) > clearance
+        # the point of each edge nearest q: its projection, clipped to the edge
+        s = np.clip(((q - curve_pts) * edges.conj()).real / length2, 0.0, 1.0)
+        keep[i] = (float(np.min(np.abs(curve_pts + s * edges - q))) > clearance
                    and polygon_winding(curve_pts, q) == 0)
     return keep
 
@@ -519,7 +524,9 @@ def spectral_summary(t: StructuredOperator, samples: int = 1024,
     """Assemble the full spectral report for an operator.
 
     The isolated eigenvalues are the stabilized truncation clusters off the
-    curve around which the 4096-point curve polygon winds zero times."""
+    curve around which the 4096-point curve polygon winds zero times.  When
+    the clusters at n and 2n disagree, none are listed and
+    ``eigenvalues_stabilized`` is False."""
     sym = symbol(t)
     curve = EssentialCurve.sampled(sym, samples)
     raster = _winding_raster(sym, resolution)
@@ -535,7 +542,8 @@ def spectral_summary(t: StructuredOperator, samples: int = 1024,
     weyl = tuple(c for c in regions.components if c.winding != 0)
     return SpectralSummary(curve, curve.is_circle, weyl, eigenvalues,
                            float(m_modulus), float(me), float(norm_upper),
-                           float(regions.value), float(regions.error))
+                           float(regions.value), float(regions.error),
+                           bool(stable))
 
 
 def discrete_singular_levels(t: StructuredOperator, tol: float = 1e-8,

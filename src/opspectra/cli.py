@@ -84,6 +84,7 @@ def summary_to_dict(summary: SpectralSummary) -> dict:
         "norm_upper": summary.norm_upper,
         "area": summary.area,
         "area_error": summary.area_error,
+        "eigenvalues_stabilized": summary.eigenvalues_stabilized,
     }
 
 
@@ -230,8 +231,10 @@ def cmd_spectrum(args) -> int:
         if summary.eigenvalues:
             pts = ", ".join(f"{v:.6g} (x{m})" for v, m in summary.eigenvalues)
             print(f"  isolated eigenvalues        {pts}")
-        else:
+        elif summary.eigenvalues_stabilized:
             print("  isolated eigenvalues        none found")
+        else:
+            print("  isolated eigenvalues        not stabilized")
         if levels:
             lv = ", ".join(f"{v:.6g} (x{m})" for v, m in levels)
             print(f"  singular levels < essential {lv}")
@@ -334,10 +337,15 @@ def build_parser() -> _Parser:
     return parser
 
 
+_parser = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:          # the parser depends on nothing that changes
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
         handler = {"classify": cmd_classify, "spectrum": cmd_spectrum,
                    "decompose": cmd_decompose,
                    "verify-suite": cmd_verify_suite}[args.command]

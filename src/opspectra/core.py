@@ -104,6 +104,9 @@ class StructuredOperator:
     Matrix entry (i, j) is ``bands[i-j].value_at(min(i, j))`` plus the sum of
     ``left[i] * conj(right[j])`` over the rank terms.  Finite bandwidth and
     bounded diagonals make every instance a bounded operator.
+
+    Each instance keeps a private memo of derived data (see ``memoized``).
+    It is not a field, so equality, ``repr`` and pickling ignore it.
     """
 
     bands: dict = field(default_factory=dict)
@@ -123,6 +126,10 @@ class StructuredOperator:
         object.__setattr__(self, "bands", bands)
         object.__setattr__(self, "rank_terms",
                            tuple(t for t in terms if not t.is_zero()))
+        object.__setattr__(self, "_derived", {})
+
+    def __reduce__(self):
+        return StructuredOperator, (self.bands, self.rank_terms)
 
     # -- structural metadata -------------------------------------------------
 
@@ -159,8 +166,11 @@ class StructuredOperator:
     # -- exact algebra -------------------------------------------------------
 
     def adjoint(self) -> "StructuredOperator":
-        bands = {-k: d.conjugated() for k, d in self.bands.items()}
-        return StructuredOperator(bands, tuple(t.swapped() for t in self.rank_terms))
+        def compute():
+            bands = {-k: d.conjugated() for k, d in self.bands.items()}
+            return StructuredOperator(bands,
+                                      tuple(t.swapped() for t in self.rank_terms))
+        return memoized(self, "adjoint", compute)
 
     def __add__(self, other: "StructuredOperator") -> "StructuredOperator":
         bands = {}
@@ -390,6 +400,19 @@ class StructuredOperator:
 
 # -- module-level operation names -------------------------------------------
 
+def memoized(t: StructuredOperator, key, compute):
+    """The value stored under ``key`` in t's memo, or ``compute()``, stored.
+
+    Only immutable results that are pure functions of t and ``key`` belong
+    here.  An exception stores nothing, so the next call recomputes.  A
+    stored value must not refer back to t: the memo would then keep t alive
+    in a reference cycle.
+    """
+    if key not in t._derived:
+        t._derived[key] = compute()
+    return t._derived[key]
+
+
 def adjoint(t: StructuredOperator) -> StructuredOperator:
     return t.adjoint()
 
@@ -420,16 +443,18 @@ def is_zero(t: StructuredOperator, tol: float = 0.0) -> bool:
 
 def self_commutator(t: StructuredOperator) -> StructuredOperator:
     """T*T - TT*, self-adjoint by construction (verified on the corner)."""
-    d = t.adjoint().compose(t) - t.compose(t.adjoint())
-    defect = d - d.adjoint()
-    if not defect.is_zero(1e-12 * max(1.0, d.magnitude())):  # pragma: no cover
-        raise AssertionError("self-commutator lost Hermitian symmetry")
-    return d
+    def compute():
+        d = gram(t) - t.compose(t.adjoint())
+        defect = d - d.adjoint()
+        if not defect.is_zero(1e-12 * max(1.0, d.magnitude())):  # pragma: no cover
+            raise AssertionError("self-commutator lost Hermitian symmetry")
+        return d
+    return memoized(t, "self_commutator", compute)
 
 
 def gram(t: StructuredOperator) -> StructuredOperator:
     """T*T."""
-    return t.adjoint().compose(t)
+    return memoized(t, "gram", lambda: t.adjoint().compose(t))
 
 
 def is_selfadjoint(t: StructuredOperator, tol: float = 0.0) -> bool:

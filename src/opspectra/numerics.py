@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cholesky_banded, eig_banded
 
-from .core import StructuredOperator, gram
+from .core import StructuredOperator, gram, memoized
 from .errors import ConvergenceFailure, DimensionMismatch, NotHermitian, NotStabilized
 from .symbols import _golden_min, symbol, symbol_max_modulus
 
@@ -188,8 +188,14 @@ def discrete_eigs_below(t: StructuredOperator, bound: float, tol: float = 1e-8,
     and only counted in ``near_boundary``.  Each truncation goes to LAPACK in
     lower band storage; when its Cholesky factorization shows every
     eigenvalue above bound + tol, nothing is listed, and otherwise only the
-    eigenvalues up to bound + tol are computed.
+    eigenvalues up to bound + tol are computed.  The report is kept in t's
+    memo under its arguments.
     """
+    return memoized(t, ("discrete_eigs_below", bound, tol, n, cap),
+                    lambda: _discrete_eigs_below(t, bound, tol, n, cap))
+
+
+def _discrete_eigs_below(t, bound, tol, n, cap) -> DiscreteEigenReport:
     sym = symbol(t)
     scale = max(1.0, t.magnitude())
     if not sym.is_real(1e-12):
@@ -248,8 +254,14 @@ def operator_norm(t: StructuredOperator, tol: float = 1e-8,
 
     The symbol supremum equals the essential norm and dominates the slowly
     converging Toeplitz part; truncation singular values capture the discrete
-    part and increase monotonically to the norm.
+    part and increase monotonically to the norm.  The value is kept in t's
+    memo under the arguments.
     """
+    return memoized(t, ("operator_norm", tol, n, cap),
+                    lambda: _operator_norm(t, tol, n, cap))
+
+
+def _operator_norm(t, tol, n, cap) -> float:
     ess = symbol_max_modulus(symbol(t))
     if n is None:
         n = _auto_trunc(t)

@@ -349,7 +349,7 @@ class _WindingRaster:
         the raster's refined polygon deforms into the 4096-point polygon
         ``on_circle(4096)`` without crossing it, and both wind around it as
         around the representative of its label.  It also lies farther than
-        ``clearance`` from every sample of either polygon."""
+        ``clearance`` from every edge of either polygon."""
         z = np.asarray(z, dtype=complex)
         decided = np.zeros(z.shape, dtype=bool)
         winding = np.zeros(z.shape, dtype=int)
@@ -483,7 +483,8 @@ class SpectralSummary:
     """Bundle of spectral data for reporting.
 
     eigenvalues holds only isolated eigenvalues of finite multiplicity
-    (stabilized truncation clusters off the curve with winding zero).
+    (stabilized truncation clusters off the curve with winding zero); it is
+    empty when eigenvalues_stabilized is False.
     Invariants: 0 <= min_modulus <= ess_min_modulus <= norm_upper, area >= 0.
     """
 
@@ -496,3 +497,4 @@ class SpectralSummary:
     norm_upper: float
     area: float
     area_error: float
+    eigenvalues_stabilized: bool

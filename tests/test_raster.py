@@ -133,8 +133,19 @@ def test_representative_is_the_first_deepest_cell_of_its_component(s):
 
 # -- the isolated() mask against the per-point predicate -----------------------
 
+def _edge_distance(curve_pts, q):
+    """Least distance from q to an edge of the closed polygon, each edge
+    parametrized as a + s (b - a), s in [0, 1]."""
+    a, b = curve_pts, np.roll(curve_pts, -1)
+    d = b - a
+    with np.errstate(invalid="ignore", divide="ignore"):
+        s = np.real((q - a) / d)         # the projection parameter on each edge
+    s = np.where(d == 0, 0.0, np.clip(s, 0.0, 1.0))
+    return float(np.min(np.abs(a + s * d - q)))
+
+
 def _isolated_reference(curve_pts, q, clearance):
-    if float(np.min(np.abs(curve_pts - q))) <= clearance:
+    if _edge_distance(curve_pts, q) <= clearance:
         return False
     return polygon_winding(curve_pts, q) == 0
 
@@ -212,6 +223,20 @@ def test_segment_symbol_has_no_raster_and_falls_back():
     z = np.array([0.0, 0.5j, 3.0, 1.0 + 1e-9j])
     assert _isolated(z, raster, s.on_circle(4096), 1e-6).tolist() == \
         [_isolated_reference(s.on_circle(4096), complex(q), 1e-6) for q in z]
+
+
+def test_points_on_a_segment_curve_between_its_samples_are_not_isolated():
+    """On the curve of z + 1/z the 4096 samples lie up to 3e-3 apart; a point
+    on an edge between two of them is on the curve, whatever its distance to
+    the samples."""
+    s = LaurentSymbol({1: 1.0, -1: 1.0})
+    curve = s.on_circle(4096)
+    middles = (0.5 * (curve + np.roll(curve, -1)))[960:1088]   # around 0
+    assert float(np.min(np.abs(curve[:, None] - middles), axis=0).min()) > 1e-3
+    raster = _winding_raster(s, 512)
+    assert not _isolated(middles, raster, curve, 1e-6).any()
+    off = middles + 1e-3j
+    assert _isolated(off, raster, curve, 1e-6).all()
 
 
 def _coarse_chord_points(s, raster):

@@ -11,8 +11,8 @@ import opspectra
 from opspectra import ParseError, ValidationError, Verdict, right_shift
 from opspectra.cli import _matrix, main
 from opspectra.classify import ClassificationReport
-from opspectra.specfiles import (BUNDLED, load_bundled, parse_spec,
-                                 parse_spec_text, serialize_spec)
+from opspectra.specfiles import (BUNDLED, OperatorSpec, load_bundled,
+                                 parse_spec, parse_spec_text, serialize_spec)
 
 
 def test_bundled_right_shift_parses_to_shift():
@@ -321,3 +321,85 @@ def test_python_dash_m_entry_point():
         capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["classification"]["is_AN"] == "yes"
+
+
+def _fresh_process(argv, cwd):
+    src = str(Path(opspectra.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "opspectra"] + argv,
+                          capture_output=True, text=True, env=env, cwd=cwd,
+                          timeout=300)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_main_called_repeatedly_behaves_as_fresh_processes(tmp_path, capsys,
+                                                           monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    runs = (["classify", "defect_shift"] + CLI_SMALL,
+            ["spectrum", "defect_shift", "--trunc", "x"],
+            ["spectrum", "unitary_diag", "--out", "curve.csv"] + CLI_SMALL)
+    in_process = []
+    for argv in runs:
+        code = main(argv)
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out, captured.err))
+    assert [code for code, _, _ in in_process] == [0, 1, 0]
+    assert in_process == [_fresh_process(argv, tmp_path) for argv in runs]
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    import opspectra.cli as cli_module
+    built, build = [], cli_module.build_parser
+
+    def counting():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli_module, "_parser", None)
+    monkeypatch.setattr(cli_module, "build_parser", counting)
+    assert main(["classify"]) == 1
+    assert main(["classify", "right_shift"] + CLI_SMALL) == 0
+    capsys.readouterr()
+    assert built == [1]
+
+
+def _unstable_spec(tmp_path):
+    """Random T(a) + K, a of bandwidth 1 with a dense 8 x 8 corner and a
+    rank-one term, whose off-curve truncation eigenvalues disagree between
+    n and 2n."""
+    rng = np.random.default_rng([20201008, 1, 8, 1])
+    coeffs = {k: complex(*rng.uniform(-1, 1, 2)) for k in (-1, 0, 1)}
+    head = (rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))) / np.sqrt(8)
+    support = int(rng.integers(1, 9))
+    left, right = (tuple(complex(*rng.uniform(-1, 1, 2)) for _ in range(support))
+                   for _ in range(2))
+    t = (opspectra.toeplitz(coeffs) + opspectra.from_dense_corner(head)
+         + opspectra.rank_one(left, right))
+    path = tmp_path / "unstable.json"
+    path.write_text(serialize_spec(OperatorSpec("unstable", t)))
+    return path
+
+
+def test_spectrum_reports_isolated_eigenvalues_that_did_not_stabilize(
+        tmp_path, capsys):
+    path = _unstable_spec(tmp_path)
+    summary = opspectra.spectral_summary(parse_spec(path).operator)
+    assert summary.eigenvalues == () and summary.eigenvalues_stabilized is False
+    csv = str(tmp_path / "curve.csv")
+    main(["spectrum", str(path), "--out", csv])
+    out = capsys.readouterr().out
+    assert "isolated eigenvalues        not stabilized" in out
+    main(["classify", str(path), "--format", "structured"])
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["spectral"]["eigenvalues_stabilized"] is False
+    assert doc["spectral"]["eigenvalues"] == []
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_bundled_isolated_eigenvalues_stabilize(name, capsys, tmp_path):
+    main(["classify", name, "--format", "structured"])
+    assert json.loads(capsys.readouterr().out)[
+        "spectral"]["eigenvalues_stabilized"] is True
+    main(["spectrum", name, "--out", str(tmp_path / "curve.csv")])
+    assert "not stabilized" not in capsys.readouterr().out
