@@ -15,7 +15,8 @@ from functools import partial
 
 import numpy as np
 
-from .core import StructuredOperator, gram, is_selfadjoint, self_commutator
+from .core import (StructuredOperator, gram, is_selfadjoint, selfadjoint_defect,
+                   self_commutator)
 from .errors import NotHyponormal, NotStabilized
 from .numerics import (TRUNC_CAP, _auto_trunc, _clusters_match,
                        cluster_values, discrete_eigs_below, min_modulus,
@@ -55,7 +56,7 @@ class ANResult:
 # -- elementary membership tests ---------------------------------------------
 
 def check_selfadjoint(t: StructuredOperator, tol: float = 1e-10) -> CheckResult:
-    defect = (t - t.adjoint()).magnitude()
+    defect = selfadjoint_defect(t)
     return CheckResult(Verdict.YES if defect <= tol else Verdict.NO,
                        {"selfadjoint_defect": defect})
 

@@ -103,29 +103,41 @@ def symbol_curve(s: LaurentSymbol, m: int) -> np.ndarray:
 
 # -- winding numbers ---------------------------------------------------------
 
-def winding(s: LaurentSymbol, lam, samples: int = 256, cap: int = 2 ** 20) -> int:
-    """Winding number of a - lam around 0 by accumulated argument.
+def _laurent_roots(coeffs: dict):
+    """Roots of the polynomial z^(-min k) sum c_k z^k, from ``np.roots``,
+    and the same roots projected onto the unit circle.
 
-    Sampling is doubled until consecutive argument steps stay below pi/2,
-    guaranteed to terminate for points off the curve since Laurent
-    polynomials have bounded derivative on the circle.
+    A value read at a projected root is a value the symbol takes on the
+    circle, so a minimum over those points never lies below the true one
+    and no root needs to be filtered out.  Zero coefficients are dropped;
+    a single term has no roots."""
+    coeffs = {k: c for k, c in coeffs.items() if c != 0}
+    lo, hi = min(coeffs), max(coeffs)
+    poly = np.zeros(hi - lo + 1, dtype=complex)
+    for k, c in coeffs.items():
+        poly[hi - k] = c                # np.roots takes the top degree first
+    roots = np.roots(poly)
+    size = np.abs(roots)
+    return roots, np.divide(roots, size, out=np.ones_like(roots), where=size > 0)
+
+
+def winding(s: LaurentSymbol, lam) -> int:
+    """Winding number of a - lam around 0: the number of roots of
+    z^(-lo) (a - lam) inside the disc, plus lo, the lowest power with a
+    nonzero coefficient (argument principle).
+
+    Raises PointOnCurve when a - lam is zero or when a - lam is within
+    1e-14 * scale of 0 at some root projected onto the circle.
     """
     lam = complex(lam)
     scale = max(1.0, s.magnitude(), abs(lam))
-    m = max(16, samples)
-    while True:
-        pts = s.on_circle(m) - lam
-        if np.min(np.abs(pts)) <= 1e-14 * scale:
-            raise PointOnCurve(f"{lam} lies on the symbol curve")
-        steps = np.angle(np.roll(pts, -1) / pts)
-        if np.max(np.abs(steps)) < math.pi / 2:
-            total = float(np.sum(steps))
-            w = round(total / _TWO_PI)
-            return int(w)
-        if m >= cap:
-            raise PointOnCurve(
-                f"{lam} is numerically indistinguishable from the symbol curve")
-        m *= 2
+    shifted = LaurentSymbol({**s.coeffs, 0: s.coeffs.get(0, 0j) - lam})
+    if not shifted.coeffs:
+        raise PointOnCurve(f"{lam} lies on the symbol curve")
+    roots, unit = _laurent_roots(shifted.coeffs)
+    if np.any(np.abs(shifted.evaluate(unit)) <= 1e-14 * scale):
+        raise PointOnCurve(f"{lam} lies on the symbol curve")
+    return int(np.count_nonzero(np.abs(roots) < 1.0)) + min(shifted.coeffs)
 
 
 def polygon_winding(points: np.ndarray, q: complex) -> int:
@@ -185,35 +197,34 @@ def index_by_truncation(t: StructuredOperator, lam, n: int = 512) -> int:
 
 # -- essential spectrum ------------------------------------------------------
 
-CIRCLE_RTOL = 1e-9          # relative modulus deviation on 1024 samples
+CIRCLE_RTOL = 1e-9          # relative size of the non-constant coefficients
 CIRCLE_SAMPLES = 1024
 
 
-def modulus_constant(s: LaurentSymbol, samples: int = CIRCLE_SAMPLES,
-                     rtol: float = CIRCLE_RTOL) -> float | None:
-    """Radius alpha when |a| is constant on the circle within rtol, else None."""
-    if not s.coeffs:
-        return 0.0
+def _nearly_constant(s: LaurentSymbol) -> bool:
+    """Whether the non-constant coefficients of s sum to at most
+    CIRCLE_RTOL * max(|c_0|, 1) in modulus."""
+    rest = sum(abs(c) for k, c in s.coeffs.items() if k)
+    return rest <= CIRCLE_RTOL * max(abs(s.coeffs.get(0, 0j)), 1.0)
+
+
+def modulus_constant(s: LaurentSymbol) -> float | None:
+    """Radius alpha when |a| is constant on the circle, else None: the
+    non-constant coefficients of g = a conj(a) are small against g_0, and
+    alpha = sqrt(g_0)."""
     if len(s.coeffs) == 1:
         return abs(next(iter(s.coeffs.values())))
-    mods = np.abs(s.on_circle(samples))
-    alpha = float(np.mean(mods))
-    if np.max(np.abs(mods - alpha)) <= rtol * max(alpha, 1.0):
-        return alpha
+    g = s.product(s.conjugated())
+    if _nearly_constant(g):
+        return math.sqrt(g.coeffs.get(0, 0j).real)
     return None
 
 
-def constant_value(s: LaurentSymbol, samples: int = CIRCLE_SAMPLES,
-                   rtol: float = CIRCLE_RTOL) -> complex | None:
-    """The constant c when a(z) = c on the circle within rtol, else None."""
-    if not s.coeffs:
-        return 0j
-    if set(s.coeffs) == {0}:
-        return s.coeffs[0]
-    vals = s.on_circle(samples)
-    c = complex(np.mean(vals))
-    if np.max(np.abs(vals - c)) <= rtol * max(abs(c), 1.0):
-        return c
+def constant_value(s: LaurentSymbol) -> complex | None:
+    """The constant c_0 when the other coefficients of a are small against
+    it, else None."""
+    if _nearly_constant(s):
+        return s.coeffs.get(0, 0j)
     return None
 
 
@@ -231,53 +242,27 @@ class EssentialCurve:
     @classmethod
     def sampled(cls, s: LaurentSymbol, samples: int = CIRCLE_SAMPLES) -> "EssentialCurve":
         theta = np.arange(samples) * (_TWO_PI / samples)
-        return cls(theta, s.evaluate(np.exp(1j * theta)),
-                   modulus_constant(s, samples))
+        return cls(theta, s.evaluate(np.exp(1j * theta)), modulus_constant(s))
 
 
 def essential_spectrum(t: StructuredOperator, samples: int = CIRCLE_SAMPLES) -> EssentialCurve:
     return EssentialCurve.sampled(symbol(t), samples)
 
 
-def _golden_min(f, a: float, b: float, iters: int = 80) -> float:
-    """Plain golden-section minimum of f on [a, b]; returns the best value."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    best = min(fc, fd)
-    for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-        best = min(best, fc, fd)
-    return best
-
-
-def _refined_extremum(s: LaurentSymbol, want_max: bool, samples: int = 1024) -> float:
+def _refined_extremum(s: LaurentSymbol, want_max: bool) -> float:
+    """min or max of |a| on the circle, read at the projected roots of the
+    derivative polynomial of g = a conj(a) (its critical points) and of a
+    itself: at a multiple zero of a the critical points of g are ill
+    conditioned, the zeros of a less so."""
     if not s.coeffs:
         return 0.0
     if len(s.coeffs) == 1:
         return abs(next(iter(s.coeffs.values())))  # |c z^k| is exactly constant
-    theta = np.arange(samples) * (_TWO_PI / samples)
-    mods = np.abs(s.evaluate(np.exp(1j * theta)))
-    g = -mods if want_max else mods
-
-    def f(t):
-        v = abs(complex(s.evaluate(np.exp(1j * t))))
-        return -v if want_max else v
-
-    local = np.nonzero((g <= np.roll(g, 1)) & (g <= np.roll(g, -1)))[0]
-    best = float(np.min(g))
-    h = _TWO_PI / samples
-    for i in local:
-        best = min(best, _golden_min(f, theta[i] - h, theta[i] + h))
-    return -best if want_max else best
+    g = s.product(s.conjugated())
+    critical = _laurent_roots({k: k * c for k, c in g.coeffs.items()})[1]
+    z = np.concatenate([critical, _laurent_roots(s.coeffs)[1]])
+    mods = np.abs(s.evaluate(z))
+    return float(np.max(mods) if want_max else np.min(mods))
 
 
 def symbol_min_modulus(s: LaurentSymbol) -> float:

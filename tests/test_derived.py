@@ -19,7 +19,7 @@ from opspectra import (StructuredOperator, classify, from_dense_corner, gram,
                        rank_one, self_commutator, spectral_summary, suites,
                        symbol, toeplitz)
 from opspectra.cli import summary_to_dict
-from opspectra.core import memoized
+from opspectra.core import is_selfadjoint, memoized, selfadjoint_defect
 from opspectra.numerics import (discrete_eigs_below, operator_norm,
                                 symbol_min_modulus_signed)
 
@@ -162,3 +162,28 @@ def test_an_exception_stores_nothing():
     assert memoized(t, "answer", compute) == 42
     assert memoized(t, "answer", compute) == 42
     assert len(attempts) == 2
+
+
+def test_selfadjoint_operators_store_no_adjoint(pool_bases):
+    # the self-adjointness checks read selfadjoint_defect, so the memo of
+    # T*T and of [T*, T] holds no copy of the operator itself
+    for t in pool_bases[:3]:
+        classify(t)
+        spectral_summary(t, **SMALL)
+        assert "adjoint" not in gram(t)._derived
+        assert "adjoint" not in self_commutator(t)._derived
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(GENERATORS), st.integers(0, 2 ** 32 - 1),
+       st.integers(0, 2 ** 32 - 1))
+def test_selfadjoint_defect_is_the_magnitude_of_t_minus_its_adjoint(make, a, b):
+    # sums and products of the generators, so that both the tails and the
+    # corners of T - T* are nonzero
+    s, u = make(np.random.default_rng(a)), make(np.random.default_rng(b))
+    for t in (s, s + u.scaled(1j), s.compose(u), gram(s)):
+        direct = (t - t.adjoint()).magnitude()
+        scale = max(1.0, t.magnitude())
+        assert abs(selfadjoint_defect(t) - direct) <= 1e-15 * scale
+    g = gram(s)
+    assert is_selfadjoint(g, 1e-12 * max(1.0, g.magnitude()))

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from opspectra import (EssentialPoint, LaurentSymbol, PointOnCurve, compose,
                        diagonal, ess_min_modulus, essential_spectrum,
                        fredholm_index, gram, identity, index_by_truncation,
-                       right_shift, spectral_area, symbol, symbol_curve,
-                       toeplitz, winding, winding_regions, zero)
+                       right_shift, spectral_area, suites, symbol,
+                       symbol_curve, toeplitz, winding, winding_regions, zero)
+from opspectra.numerics import symbol_min_modulus_signed
 from opspectra.specfiles import load_bundled
 from opspectra.symbols import (AreaEstimate, constant_value,
                                modulus_constant, polygon_winding,
@@ -269,3 +270,178 @@ def test_rotated_shifted_real_symbol_is_segment(pairs, r0, phi, shift):
     with mock.patch.object(LaurentSymbol, "on_circle", _no_sampling):
         est = winding_regions(s, 128)
     assert est == AreaEstimate(0.0, 0.0, (), 0, 0.0, 128)
+
+
+# -- roots against the sampled oracles ------------------------------------------
+#
+# Extrema and winding numbers were once answered by sampling: a grid plus a
+# golden-section search for the extrema, and an argument sum whose sample
+# count doubles until consecutive steps stay below pi/2 for the winding.
+# Those implementations are kept here as oracles for the roots.
+
+def _golden_min(f, a, b, iters=80):
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    best = min(fc, fd)
+    for _ in range(iters):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+        best = min(best, fc, fd)
+    return best
+
+
+def _sampled_extremum(s, want_max, samples=1024):
+    """Grid of |a| plus a golden-section search around each local extremum."""
+    if not s.coeffs:
+        return 0.0
+    if len(s.coeffs) == 1:
+        return abs(next(iter(s.coeffs.values())))
+    theta = np.arange(samples) * (2 * np.pi / samples)
+    g = np.abs(s.evaluate(np.exp(1j * theta)))
+    g = -g if want_max else g
+
+    def f(t):
+        v = abs(complex(s.evaluate(np.exp(1j * t))))
+        return -v if want_max else v
+
+    local = np.nonzero((g <= np.roll(g, 1)) & (g <= np.roll(g, -1)))[0]
+    best = float(np.min(g))
+    h = 2 * np.pi / samples
+    for i in local:
+        best = min(best, _golden_min(f, theta[i] - h, theta[i] + h))
+    return -best if want_max else best
+
+
+def _sampled_min_signed(s):
+    """Minimum of a real symbol: a 2048-point grid plus a golden search."""
+    if set(s.coeffs) <= {0}:
+        return float(s.coeffs.get(0, 0j).real)
+    theta = np.arange(2048) * (2 * np.pi / 2048)
+    vals = s.evaluate(np.exp(1j * theta)).real
+    i = int(np.argmin(vals))
+    h = 2 * np.pi / 2048
+
+    def f(x):
+        return float(s.evaluate(np.exp(1j * x)).real)
+
+    return min(float(vals[i]), _golden_min(f, theta[i] - h, theta[i] + h))
+
+
+def _sampled_winding(s, lam, samples=256, cap=2 ** 20):
+    """Accumulated argument of a - lam, sampling doubled until every step
+    is below pi/2."""
+    lam = complex(lam)
+    scale = max(1.0, s.magnitude(), abs(lam))
+    m = max(16, samples)
+    while True:
+        pts = s.on_circle(m) - lam
+        if np.min(np.abs(pts)) <= 1e-14 * scale:
+            raise PointOnCurve(f"{lam} lies on the symbol curve")
+        steps = np.angle(np.roll(pts, -1) / pts)
+        if np.max(np.abs(steps)) < np.pi / 2:
+            return int(round(float(np.sum(steps)) / (2 * np.pi)))
+        if m >= cap:
+            raise PointOnCurve(f"{lam} is not resolved by {cap} samples")
+        m *= 2
+
+
+SUITE_GENERATORS = (suites.random_diagonal, suites.random_weighted_shift,
+                    suites.random_hyponormal, suites.random_finite_rank,
+                    suites.random_normal_corner, suites.random_an_hyponormal,
+                    suites.random_banded_symbol)
+suite_operators = st.builds(lambda make, seed: make(np.random.default_rng(seed)),
+                            st.sampled_from(SUITE_GENERATORS),
+                            st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(suite_operators)
+def test_root_extrema_are_never_worse_than_the_sampled_ones(t):
+    for s in (symbol(t), symbol(gram(t))):
+        scale = max(1.0, s.magnitude())
+        assert symbol_min_modulus(s) <= _sampled_extremum(s, False) + 1e-13 * scale
+        assert symbol_max_modulus(s) >= _sampled_extremum(s, True) - 1e-13 * scale
+    g = symbol(gram(t))
+    assert (symbol_min_modulus_signed(g)
+            <= _sampled_min_signed(g) + 1e-13 * max(1.0, g.magnitude()))
+
+
+@settings(max_examples=80, deadline=None)
+@given(suite_operators, st.lists(st.tuples(st.floats(-1.5, 1.5),
+                                           st.floats(-1.5, 1.5)),
+                                 min_size=1, max_size=6))
+def test_root_winding_matches_the_sampled_winding_off_the_curve(t, points):
+    s = symbol(t)
+    scale = max(1.0, s.magnitude())
+    curve = s.on_circle(4096)
+    for x, y in points:
+        lam = complex(x, y) * scale
+        if np.min(np.abs(curve - lam)) < 1e-3 * scale:
+            continue
+        assert winding(s, lam) == _sampled_winding(s, lam)
+
+
+def _real_with_zero(phi):
+    """b = z + 1/z - 2 cos(phi), real on the circle, zero at e^{+-i phi}."""
+    return LaurentSymbol({1: 1.0, -1: 1.0, 0: -2.0 * np.cos(phi)})
+
+
+@pytest.mark.parametrize("phi", [0.7, 1.3, np.pi / 2, 2.9])
+def test_double_zero_on_the_circle_reads_zero(phi):
+    # b^2 has double zeros on the circle.  Read only at the critical points
+    # of |b^2|^2 (quadruple zeros), min |b^2| would come out near 1e-11.
+    b2 = _real_with_zero(phi).product(_real_with_zero(phi))
+    scale = max(1.0, b2.magnitude())
+    assert symbol_min_modulus(b2) <= 1e-14 * scale
+    assert abs(symbol_min_modulus_signed(b2)) <= 1e-14 * scale
+
+
+def test_signed_minimum_of_a_symbol_real_up_to_one_tiny_term():
+    # is_real(1e-12) accepts c_0 + c_3 z^3 with |c_3| = 1e-13, whose
+    # derivative polynomial has a single term and hence no roots
+    s = LaurentSymbol({0: 2.0, 3: 1e-13})
+    assert s.is_real(1e-12)
+    assert symbol_min_modulus_signed(s) == pytest.approx(2.0, abs=1e-12)
+
+
+def test_selfadjoint_band_essential_minimum_is_exactly_zero():
+    t = load_bundled("selfadjoint_band").operator
+    assert ess_min_modulus(t) == 0.0
+    assert symbol_min_modulus(symbol(gram(t))) <= 1e-14
+
+
+def test_winding_raises_when_the_shifted_symbol_vanishes():
+    with pytest.raises(PointOnCurve):
+        winding(LaurentSymbol({0: 2.0}), 2.0)
+    with pytest.raises(PointOnCurve):
+        winding(LaurentSymbol({}), 0)
+    assert winding(LaurentSymbol({0: 2.0}), 1.0) == 0
+    assert winding(LaurentSymbol({}), 1j) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.booleans(), min_size=1, max_size=6),
+       st.lists(st.floats(-0.35, 0.35), min_size=6, max_size=6),
+       st.floats(0, 2 * np.pi), st.integers(0, 6),
+       st.tuples(st.floats(0.2, 2), st.floats(0, 2 * np.pi)),
+       st.tuples(st.floats(-1, 1), st.floats(-1, 1)))
+def test_winding_counts_roots_within_1e9_of_the_circle(inside, jitter, start,
+                                                       p, c, lam):
+    # a - lam = c z^(-p) prod (z - r_j) with |r_j| = 1 -+ 1e-9 and the
+    # angles at least 0.3 apart; the winding is #{|r_j| < 1} - p
+    n = len(inside)
+    angles = start + 2 * np.pi * np.arange(n) / n + np.array(jitter[:n])
+    radii = np.where(inside, 1 - 1e-9, 1 + 1e-9)
+    poly = c[0] * np.exp(1j * c[1]) * np.poly(radii * np.exp(1j * angles))
+    lam = complex(*lam)
+    coeffs = {n - i - p: complex(v) for i, v in enumerate(poly)}
+    coeffs[0] = coeffs.get(0, 0j) + lam
+    assert winding(LaurentSymbol(coeffs), lam) == sum(inside) - p
