@@ -1,21 +1,30 @@
-"""Banded operators on l2(N) with eventually constant diagonals plus finite rank.
+"""Banded Toeplitz operators plus a finite corner on l2(N).
 
-The representable class consists of operators whose matrix is a finite set of
-diagonals, each eventually constant, plus finitely many rank-one terms.  This
-class is closed under addition, scaling, composition and adjoints, and every
-member is a Toeplitz operator plus a finite-rank perturbation.  Diagonals that
-converge to their limit without reaching it (genuinely compact, non-banded
-parts) are outside the class and are not encoded.
+Every member of the representable class is T = T(a) + K: the Toeplitz
+operator of a Laurent polynomial a plus a finite matrix K in the top-left
+corner.  An instance stores exactly that, as two read-only complex arrays:
+
+- ``tails``, the coefficients a_k for k = -w..w, where w is the largest |k|
+  with a_k != 0 (``tails[k + w]`` is a_k);
+- ``window``, the full entries T[:M, :M], where M is the smallest size past
+  which every entry equals its tail.
+
+The class is closed under addition, scaling, composition and adjoints.
+Diagonals that converge to their limit without reaching it (genuinely
+compact, non-banded parts) are outside the class and are not encoded.
 
 Conventions: the band offset is k = row - column (the right shift sits at
 offset +1), and the position along a diagonal is m = min(row, column), which
-is invariant under transposition.
+is invariant under transposition.  ``DiagonalDescriptor`` (one diagonal as a
+prefix plus a tail) and ``FiniteRankTerm`` (a rank-one map) are input and
+serialization forms: the constructor accepts them, adds the rank terms into
+the window, and ``bands`` gives an operator back as descriptors.
 """
 
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,23 +66,8 @@ class DiagonalDescriptor:
             return self.prefix[m]
         return self.tail
 
-    def values(self, length: int) -> np.ndarray:
-        """The first ``length`` entries of the diagonal."""
-        out = np.full(length, self.tail, dtype=complex)
-        p = min(len(self.prefix), length)
-        if p:
-            out[:p] = self.prefix[:p]
-        return out
-
     def is_zero(self) -> bool:
         return not self.prefix and self.tail == 0
-
-    def conjugated(self) -> "DiagonalDescriptor":
-        return DiagonalDescriptor(tuple(v.conjugate() for v in self.prefix),
-                                  self.tail.conjugate())
-
-    def scaled(self, c: complex) -> "DiagonalDescriptor":
-        return DiagonalDescriptor(tuple(c * v for v in self.prefix), c * self.tail)
 
 
 @dataclass(frozen=True)
@@ -87,100 +81,183 @@ class FiniteRankTerm:
         object.__setattr__(self, "left", _coerce_vector(self.left))
         object.__setattr__(self, "right", _coerce_vector(self.right))
 
-    def is_zero(self) -> bool:
-        return not self.left or not self.right
 
-    def swapped(self) -> "FiniteRankTerm":
-        return FiniteRankTerm(self.right, self.left)
+def _toeplitz_block(tails, rows: int, cols: int) -> np.ndarray:
+    """T(a) on the leading rows-by-cols window, a given by ``tails``."""
+    w = len(tails) // 2
+    out = np.zeros((rows, cols), dtype=complex)
+    flat, step = out.reshape(-1), cols + 1
+    for k in np.flatnonzero(tails) - w:
+        r0, c0 = max(k, 0), max(-k, 0)
+        length = min(rows - r0, cols - c0)
+        if length > 0:
+            start = r0 * cols + c0
+            flat[start: start + length * step: step] = tails[k + w]
+    return out
 
-    def support(self) -> int:
-        return max(len(self.left), len(self.right))
+
+def _frozen(a) -> np.ndarray:
+    out = np.array(a, dtype=complex, order="C")
+    out.setflags(write=False)
+    return out
 
 
-@dataclass(frozen=True)
 class StructuredOperator:
-    """A banded-plus-finite-rank operator in canonical form.
+    """T(a) + K in canonical form: ``tails`` and ``window`` (see the module
+    docstring).  Entry (i, j) is ``window[i, j]`` inside the window and the
+    tail a_(i-j) outside it.  Finite bandwidth and bounded entries make every
+    instance a bounded operator.
 
-    Matrix entry (i, j) is ``bands[i-j].value_at(min(i, j))`` plus the sum of
-    ``left[i] * conj(right[j])`` over the rank terms.  Finite bandwidth and
-    bounded diagonals make every instance a bounded operator.
+    ``StructuredOperator(bands, rank_terms)`` builds an operator from
+    ``{offset: DiagonalDescriptor or (prefix, tail)}`` and a sequence of
+    ``FiniteRankTerm`` or ``(left, right)`` pairs; each rank term is added
+    into the window.  ``==`` compares the two arrays, so a band prefix and a
+    rank term describing the same matrix compare equal.
 
-    Each instance keeps a private memo of derived data (see ``memoized``).
-    It is not a field, so equality, ``repr`` and pickling ignore it.
+    Each instance keeps a private memo of derived data (see ``memoized``);
+    equality, ``repr`` and pickling ignore it.
     """
 
-    bands: dict = field(default_factory=dict)
-    rank_terms: tuple = ()
+    __slots__ = ("tails", "window", "_derived", "__weakref__")
 
-    def __post_init__(self):
-        bands = {}
-        for offset, desc in dict(self.bands).items():
-            if not isinstance(desc, DiagonalDescriptor):
-                desc = DiagonalDescriptor(*desc)
-            if not desc.is_zero():
-                bands[int(offset)] = desc
-        terms = tuple(
-            t if isinstance(t, FiniteRankTerm) else FiniteRankTerm(*t)
-            for t in self.rank_terms
-        )
-        object.__setattr__(self, "bands", bands)
-        object.__setattr__(self, "rank_terms",
-                           tuple(t for t in terms if not t.is_zero()))
+    def __init__(self, bands=None, rank_terms=()):
+        descs = {int(k): d if isinstance(d, DiagonalDescriptor)
+                 else DiagonalDescriptor(*d) for k, d in dict(bands or {}).items()}
+        terms = [t if isinstance(t, FiniteRankTerm) else FiniteRankTerm(*t)
+                 for t in rank_terms]
+        w = max((abs(k) for k, d in descs.items() if d.tail != 0), default=0)
+        tails = np.zeros(2 * w + 1, dtype=complex)
+        for k, d in descs.items():
+            if d.tail != 0:
+                tails[k + w] = d.tail
+        m = max([len(d.prefix) + abs(k) for k, d in descs.items() if d.prefix]
+                + [max(len(t.left), len(t.right)) for t in terms] + [0])
+        window = _toeplitz_block(tails, m, m)
+        flat = window.reshape(-1)
+        for k, d in descs.items():
+            start = max(k, 0) * m + max(-k, 0)
+            flat[start: start + len(d.prefix) * (m + 1): m + 1] = d.prefix
+        if terms:
+            left = np.zeros((m, len(terms)), dtype=complex)
+            right = np.zeros((m, len(terms)), dtype=complex)
+            for r, t in enumerate(terms):
+                left[: len(t.left), r] = t.left
+                right[: len(t.right), r] = t.right
+            window += left @ right.conj().T
+        self._set(tails, window)
+
+    @classmethod
+    def _of(cls, tails, window) -> "StructuredOperator":
+        """Canonical operator from tail coefficients (odd length, centred on
+        offset 0) and a square leading window of full entries."""
+        self = object.__new__(cls)
+        self._set(tails, window)
+        return self
+
+    def _set(self, tails, window):
+        tails = np.asarray(tails, dtype=complex)
+        window = np.asarray(window, dtype=complex)
+        if not (np.all(np.isfinite(tails)) and np.all(np.isfinite(window))):
+            raise ValueError("non-finite entry in operator data")
+        w = len(tails) // 2
+        offsets = np.flatnonzero(tails) - w
+        keep = int(np.max(np.abs(offsets))) if offsets.size else 0
+        tails = tails[w - keep: w + keep + 1]
+        rows, cols = np.nonzero(window != _toeplitz_block(tails, *window.shape))
+        m = int(max(rows.max(), cols.max())) + 1 if rows.size else 0
+        object.__setattr__(self, "tails", _frozen(tails))
+        object.__setattr__(self, "window", _frozen(window[:m, :m]))
         object.__setattr__(self, "_derived", {})
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"StructuredOperator is immutable ({name})")
+
     def __reduce__(self):
-        return StructuredOperator, (self.bands, self.rank_terms)
+        return StructuredOperator._of, (self.tails, self.window)
+
+    def __eq__(self, other):
+        if not isinstance(other, StructuredOperator):
+            return NotImplemented
+        return (np.array_equal(self.tails, other.tails)
+                and np.array_equal(self.window, other.window))
+
+    __hash__ = None
+
+    def __repr__(self):
+        return (f"StructuredOperator(tails={self.tails.tolist()!r}, "
+                f"window={self.window.tolist()!r})")
 
     # -- structural metadata -------------------------------------------------
 
+    def _structure(self):
+        """(bandwidth, corner_size, rows, cols), where rows (cols) is one
+        past the last row (column) of a window entry that differs from its
+        tail."""
+        def compute():
+            m = len(self.window)
+            rows, cols = np.nonzero(self.window
+                                    != _toeplitz_block(self.tails, m, m))
+            if not rows.size:
+                return len(self.tails) // 2, 0, 0, 0
+            return (max(len(self.tails) // 2, int(np.max(np.abs(rows - cols)))),
+                    int(np.max(np.minimum(rows, cols))) + 1,
+                    int(rows.max()) + 1, int(cols.max()) + 1)
+        return memoized(self, "structure", compute)
+
     @property
     def bandwidth(self) -> int:
-        return max((abs(k) for k in self.bands), default=0)
-
-    @property
-    def max_prefix_len(self) -> int:
-        return max((len(d.prefix) for d in self.bands.values()), default=0)
-
-    @property
-    def rank_support(self) -> int:
-        return max((t.support() for t in self.rank_terms), default=0)
+        """Largest |k| over the nonzero tails and the window entries that
+        differ from their tail."""
+        return self._structure()[0]
 
     @property
     def corner_size(self) -> int:
-        """Size beyond which every entry is a pure band tail."""
-        return max(self.max_prefix_len, self.rank_support)
+        """Largest min(i, j) + 1 over the window entries that differ from
+        their tail: past it, every diagonal is constant."""
+        return self._structure()[1]
 
-    # -- pointwise access ----------------------------------------------------
+    # -- input and serialization views ---------------------------------------
 
-    def band_entry(self, i: int, j: int) -> complex:
-        d = self.bands.get(i - j)
-        return d.value_at(min(i, j)) if d is not None else 0j
+    @property
+    def bands(self) -> dict:
+        """The operator as ``{offset: DiagonalDescriptor}``, one per nonzero
+        diagonal, with the window's entries as prefixes."""
+        w, bw = len(self.tails) // 2, self.bandwidth
+        out = {}
+        for k in range(-bw, bw + 1):
+            tail = self.tails[k + w] if abs(k) <= w else 0j
+            desc = DiagonalDescriptor(
+                tuple(np.diagonal(self.window, -k).tolist()), tail)
+            if not desc.is_zero():
+                out[k] = desc
+        return out
 
-    def entry(self, i: int, j: int) -> complex:
-        val = self.band_entry(i, j)
-        for t in self.rank_terms:
-            if i < len(t.left) and j < len(t.right):
-                val += t.left[i] * t.right[j].conjugate()
-        return val
+    @property
+    def rank_terms(self) -> tuple:
+        """Always empty: rank terms are added into the window on input."""
+        return ()
 
     # -- exact algebra -------------------------------------------------------
 
+    def _block(self, rows: int, cols: int) -> np.ndarray:
+        """Leading rows-by-cols window of T as a new dense array."""
+        out = _toeplitz_block(self.tails, rows, cols)
+        m = len(self.window)
+        out[: min(rows, m), : min(cols, m)] = self.window[:rows, :cols]
+        return out
+
     def adjoint(self) -> "StructuredOperator":
-        def compute():
-            bands = {-k: d.conjugated() for k, d in self.bands.items()}
-            return StructuredOperator(bands,
-                                      tuple(t.swapped() for t in self.rank_terms))
-        return memoized(self, "adjoint", compute)
+        return memoized(self, "adjoint", lambda: StructuredOperator._of(
+            self.tails[::-1].conj(), self.window.conj().T))
 
     def __add__(self, other: "StructuredOperator") -> "StructuredOperator":
-        bands = {}
-        for k in set(self.bands) | set(other.bands):
-            a = self.bands.get(k, DiagonalDescriptor())
-            b = other.bands.get(k, DiagonalDescriptor())
-            n = max(len(a.prefix), len(b.prefix))
-            prefix = tuple(a.value_at(m) + b.value_at(m) for m in range(n))
-            bands[k] = DiagonalDescriptor(prefix, a.tail + b.tail)
-        return StructuredOperator(bands, self.rank_terms + other.rank_terms)
+        wa, wb = len(self.tails) // 2, len(other.tails) // 2
+        w = max(wa, wb)
+        tails = np.zeros(2 * w + 1, dtype=complex)
+        tails[w - wa: w + wa + 1] = self.tails
+        tails[w - wb: w + wb + 1] += other.tails
+        m = max(len(self.window), len(other.window))
+        return StructuredOperator._of(tails, self._block(m, m) + other._block(m, m))
 
     def __neg__(self) -> "StructuredOperator":
         return self.scaled(-1)
@@ -190,212 +267,104 @@ class StructuredOperator:
 
     def scaled(self, c) -> "StructuredOperator":
         c = _coerce(c)
-        bands = {k: d.scaled(c) for k, d in self.bands.items()}
-        terms = tuple(FiniteRankTerm(tuple(c * v for v in t.left), t.right)
-                      for t in self.rank_terms)
-        return StructuredOperator(bands, terms)
+        return StructuredOperator._of(c * self.tails, c * self.window)
 
     def __mul__(self, c):
         return self.scaled(c)
 
     __rmul__ = __mul__
 
-    def _band_apply(self, x) -> np.ndarray:
-        """Band part applied to a finite vector (length len(x) + bandwidth)."""
-        x = np.asarray(x, dtype=complex)
-        return self._band_block(len(x) + self.bandwidth, len(x)) @ x
-
-    def _band_adjoint_apply(self, x) -> np.ndarray:
-        """Adjoint of the band part applied to a finite vector."""
-        x = np.asarray(x, dtype=complex)
-        return self._band_block(len(x), len(x) + self.bandwidth).conj().T @ x
-
     def apply(self, x) -> np.ndarray:
         """Exact image of a finitely supported vector (trailing zeros trimmed)."""
         x = np.asarray(x, dtype=complex)
-        n_out = max(len(x) + self.bandwidth, self.rank_support, 1)
-        out = np.zeros(n_out, dtype=complex)
-        band_part = self._band_apply(x)
-        out[: len(band_part)] += band_part
-        for t in self.rank_terms:
-            m = min(len(x), len(t.right))
-            coeff = np.vdot(t.right[:m], x[:m])
-            if coeff != 0:
-                out[: len(t.left)] += coeff * np.asarray(t.left)
-        nz = np.nonzero(out)[0]
+        out = self._block(len(x) + self.bandwidth, len(x)) @ x
+        nz = np.flatnonzero(out)
         return out[: nz[-1] + 1] if len(nz) else np.zeros(0, dtype=complex)
 
     def compose(self, other: "StructuredOperator") -> "StructuredOperator":
         """Exact matrix product self @ other, closed in the class.
 
-        Write each band part as T(a) + D, with a the Laurent polynomial of the
-        tails and D the prefix deviations.  Widom's formula
+        Write each operator as T(a) + D, with a the Laurent polynomial of the
+        tails and D the window's deviations from T(a).  Widom's formula
         T(a)T(b) = T(ab) - H(a)H(b~) gives
 
             AB = T(ab) - H(a)H(b~) + D_A B + T(a) D_B,
 
-        so the product's tails are the Laurent product ab (np.convolve), and
-        an entry can deviate from its tail only inside the Hankel corner or
-        the supports of D_A B and T(a) D_B.  Those entries come from one dense
-        product of band truncations; every other entry is the tail value
-        itself, which keeps canonical prefixes short and deterministic.
+        so the product's tails are the Laurent product ab (np.convolve, with
+        its two arguments in a fixed order, so that T*T and TT* get bit-equal
+        tails), and an entry can deviate from its tail only inside the Hankel
+        corner or the supports of D_A B and T(a) D_B.  Those entries come
+        from one dense product of leading windows; every other entry is the
+        tail value itself, which keeps windows small and deterministic.
         """
         ka, kb = self.bandwidth, other.bandwidth
-        tails = np.convolve(self._tail_vector(), other._tail_vector())
-        # H(a)H(b~) lives in the h_rows-by-h_cols corner: h_rows subdiagonals
-        # of T(a) and h_cols superdiagonals of T(b) reach past index 0
-        h_rows = max([k for k, d in self.bands.items() if d.tail != 0] + [0])
-        h_cols = max([-k for k, d in other.bands.items() if d.tail != 0] + [0])
-        ra, ca = self._deviation_extent()
-        rb, cb = other._deviation_extent()
+        tails = np.convolve(*sorted((self.tails, other.tails),
+                                    key=lambda v: v.tobytes()))
+        # H(a)H(b~) lives in the h_rows-by-h_cols corner: the nonzero
+        # subdiagonal tails of a and superdiagonal tails of b reach past index 0
+        wa, wb = len(self.tails) // 2, len(other.tails) // 2
+        h_rows = max(np.flatnonzero(self.tails[wa + 1:]) + 1, default=0)
+        h_cols = max(wb - np.flatnonzero(other.tails[:wb]), default=0)
+        _, _, ra, ca = self._structure()
+        _, _, rb, cb = other._structure()
         rows = max(ra, rb + h_rows if rb else 0, h_rows if h_cols else 0)
         cols = max(ca + h_cols if ca else 0, cb, h_cols if h_rows else 0)
-        if rows and cols:
+        m = max(rows, cols) if rows and cols else 0
+        window = _toeplitz_block(tails, m, m)
+        if m:
             inner = min(rows + ka, cols + kb)
-            dense = self._band_block(rows, inner) @ other._band_block(inner, cols)
-            dev_a, tail_a = self._support_masks(rows, inner)
-            dev_b, tail_b = other._support_masks(inner, cols)
+            a, b = self._block(rows, inner), other._block(inner, cols)
+            toeplitz_a = _toeplitz_block(self.tails, rows, inner)
+            toeplitz_b = _toeplitz_block(other.tails, inner, cols)
+            # 0/1 masks of the deviations D and of the nonzero-tail diagonals,
+            # multiplied to count the terms that can reach each entry
+            dev_a, dev_b = (a != toeplitz_a) * 1.0, (b != toeplitz_b) * 1.0
+            tail_a, tail_b = (toeplitz_a != 0) * 1.0, (toeplitz_b != 0) * 1.0
             live = (dev_a @ (dev_b + tail_b) + tail_a @ dev_b) > 0
             live[:h_rows, :h_cols] = True
-        bands = {}
-        for k in range(-(ka + kb), ka + kb + 1):
-            tail = complex(tails[k + ka + kb])
-            prefix = ()
-            if rows and cols:
-                mask = np.diagonal(live, offset=-k)
-                hits = np.flatnonzero(mask)
-                if len(hits):
-                    stop = hits[-1] + 1
-                    diag = np.diagonal(dense, offset=-k)[:stop]
-                    prefix = tuple(np.where(mask[:stop], diag, tail).tolist())
-            if prefix or tail != 0:
-                bands[k] = DiagonalDescriptor(prefix, tail)
-
-        terms = []
-        for t in other.rank_terms:                      # (band of self) @ term
-            terms.append(FiniteRankTerm(tuple(self._band_apply(t.left)), t.right))
-        for t in self.rank_terms:                       # term @ (band of other)
-            terms.append(FiniteRankTerm(
-                t.left, tuple(other._band_adjoint_apply(t.right))))
-        for ta in self.rank_terms:                      # term @ term
-            for tb in other.rank_terms:
-                m = min(len(tb.left), len(ta.right))
-                coeff = complex(np.vdot(ta.right[:m], tb.left[:m]))
-                terms.append(FiniteRankTerm(tuple(coeff * v for v in ta.left),
-                                            tb.right))
-        return StructuredOperator(bands, tuple(terms))
+            window[:rows, :cols][live] = (a @ b)[live]
+        return StructuredOperator._of(tails, window)
 
     def __matmul__(self, other):
         return self.compose(other)
 
     # -- dense views ---------------------------------------------------------
 
-    def _tail_vector(self) -> np.ndarray:
-        """Tails at offsets -bandwidth..bandwidth (the Laurent coefficients)."""
-        w = self.bandwidth
-        out = np.zeros(2 * w + 1, dtype=complex)
-        for k, d in self.bands.items():
-            out[k + w] = d.tail
-        return out
-
-    def _deviation_extent(self):
-        """(rows, cols) of the smallest leading window holding every prefix
-        entry; (0, 0) for a pure Toeplitz band part."""
-        rows = max((len(d.prefix) + max(k, 0) for k, d in self.bands.items()
-                    if d.prefix), default=0)
-        cols = max((len(d.prefix) + max(-k, 0) for k, d in self.bands.items()
-                    if d.prefix), default=0)
-        return rows, cols
-
-    def _window_diagonals(self, rows: int, cols: int):
-        """(descriptor, flat start, length) of each band that meets the
-        leading rows-by-cols window; a diagonal is the flat slice
-        ``start : start + length * (cols + 1) : cols + 1``."""
-        for k, d in self.bands.items():
-            r0, c0 = max(k, 0), max(-k, 0)
-            length = min(rows - r0, cols - c0)
-            if length > 0:
-                yield d, r0 * cols + c0, length
-
-    def _band_block(self, rows: int, cols: int) -> np.ndarray:
-        """Band part (rank terms excluded) on the leading rows-by-cols window."""
-        out = np.zeros((rows, cols), dtype=complex)
-        flat, step = out.reshape(-1), cols + 1
-        for d, start, length in self._window_diagonals(rows, cols):
-            flat[start: start + length * step: step] = d.values(length)
-        return out
-
-    def _support_masks(self, rows: int, cols: int):
-        """0/1 float masks of the prefix entries and of the nonzero-tail
-        diagonals on a rows-by-cols window, ready for counting matmuls."""
-        dev = np.zeros((rows, cols))
-        tail = np.zeros((rows, cols))
-        dev_flat, tail_flat, step = dev.reshape(-1), tail.reshape(-1), cols + 1
-        for d, start, length in self._window_diagonals(rows, cols):
-            p = min(len(d.prefix), length)
-            dev_flat[start: start + p * step: step] = 1.0
-            if d.tail != 0:
-                tail_flat[start: start + length * step: step] = 1.0
-        return dev, tail
-
-    def _rank_block(self, s: int) -> np.ndarray:
-        """Sum of the rank terms on the leading s-by-s window."""
-        left = np.zeros((s, len(self.rank_terms)), dtype=complex)
-        right = np.zeros((s, len(self.rank_terms)), dtype=complex)
-        for r, t in enumerate(self.rank_terms):
-            left[: min(s, len(t.left)), r] = t.left[: s]
-            right[: min(s, len(t.right)), r] = t.right[: s]
-        return left @ right.conj().T
-
     def truncate(self, n: int) -> np.ndarray:
         """Leading n-by-n corner as a dense complex matrix."""
         if n < 1:
             raise ValueError("truncation size must be >= 1")
-        out = self._band_block(n, n)
-        s = min(n, self.rank_support)
-        out[:s, :s] += self._rank_block(s)
-        return out
+        return self._block(n, n)
 
     def lower_band(self, n: int) -> np.ndarray:
         """Leading n-by-n corner in LAPACK lower band storage.
 
-        Row u holds the u-th subdiagonal: ``out[u, j] = T[j + u, j]``.  The
-        width is max(bandwidth, rank_support - 1), capped at n - 1, so the
-        rank terms fold into the band.  Only the lower triangle is stored,
+        Row u holds the u-th subdiagonal: ``out[u, j] = T[j + u, j]``, for u
+        up to min(bandwidth, n - 1).  Only the lower triangle is stored,
         which describes the corner exactly when T is self-adjoint.
         """
         if n < 1:
             raise ValueError("truncation size must be >= 1")
-        width = min(max(self.bandwidth, self.rank_support - 1), n - 1)
+        width = min(self.bandwidth, n - 1)
+        w, m = len(self.tails) // 2, min(len(self.window), n)
         out = np.zeros((width + 1, n), dtype=complex)
-        for k, d in self.bands.items():
-            if 0 <= k <= width:
-                out[k, : n - k] = d.values(n - k)
-        s = min(n, self.rank_support)
-        corner = self._rank_block(s)
-        for u in range(s):
-            out[u, : s - u] += np.diagonal(corner, offset=-u)
+        for u in range(width + 1):
+            if u <= w:
+                out[u, : n - u] = self.tails[w + u]
+            out[u, : max(m - u, 0)] = np.diagonal(self.window[:m, :m], -u)
         return out
 
     def is_zero(self, tol: float = 0.0) -> bool:
-        """Entrywise zero test; exact when tol == 0.
-
-        Checks all band tails plus one corner truncation that covers every
-        prefix entry and the full rank-term support, so cancellations between
-        bands and rank terms are detected.
-        """
+        """Entrywise zero test on the tails and the window; exact when
+        tol == 0."""
         if tol < 0:
             raise ValueError("tolerance must be >= 0")
-        if any(abs(d.tail) > tol for d in self.bands.values()):
-            return False
-        n = self.corner_size + self.bandwidth + 1
-        return bool(np.all(np.abs(self.truncate(n)) <= tol))
+        return self.magnitude() <= tol
 
     def magnitude(self) -> float:
-        """Crude scale bound: max entry magnitude over tails and the corner."""
-        scale = max((abs(d.tail) for d in self.bands.values()), default=0.0)
-        n = self.corner_size + self.bandwidth + 1
-        return max(scale, float(np.max(np.abs(self.truncate(n)))))
+        """Crude scale bound: max entry magnitude over tails and the window."""
+        return float(max(np.max(np.abs(self.tails)),
+                         np.max(np.abs(self.window), initial=0.0)))
 
 
 # -- module-level operation names -------------------------------------------
@@ -442,7 +411,7 @@ def is_zero(t: StructuredOperator, tol: float = 0.0) -> bool:
 
 
 def self_commutator(t: StructuredOperator) -> StructuredOperator:
-    """T*T - TT*, self-adjoint by construction (verified on the corner)."""
+    """T*T - TT*, self-adjoint by construction (verified on the window)."""
     def compute():
         d = gram(t) - t.compose(t.adjoint())
         if selfadjoint_defect(d) > 1e-12 * max(1.0, d.magnitude()):  # pragma: no cover
@@ -458,13 +427,11 @@ def gram(t: StructuredOperator) -> StructuredOperator:
 
 def selfadjoint_defect(t: StructuredOperator) -> float:
     """Largest entry of T - T*, without building T* or the difference:
-    |a_k - conj(a_-k)| over the tails, and |M - M^H| on the leading window
-    of size corner_size + bandwidth + 1, past which every entry of T - T*
-    is a tail."""
-    tails = t._tail_vector()
-    window = t.truncate(t.corner_size + t.bandwidth + 1)
-    return max(float(np.max(np.abs(tails - tails[::-1].conj()))),
-               float(np.max(np.abs(window - window.conj().T))))
+    |a_k - conj(a_-k)| over the tails, and |W - W^H| on the window, past
+    which every entry of T - T* is a tail."""
+    tails, window = t.tails, t.window
+    return float(max(np.max(np.abs(tails - tails[::-1].conj())),
+                     np.max(np.abs(window - window.conj().T), initial=0.0)))
 
 
 def is_selfadjoint(t: StructuredOperator, tol: float = 0.0) -> bool:
@@ -473,40 +440,45 @@ def is_selfadjoint(t: StructuredOperator, tol: float = 0.0) -> bool:
 
 # -- constructors ------------------------------------------------------------
 
+def toeplitz(coeffs: dict) -> StructuredOperator:
+    """Pure band operator from Laurent coefficients {offset: value}."""
+    w = max((abs(int(k)) for k in coeffs), default=0)
+    tails = np.zeros(2 * w + 1, dtype=complex)
+    for k, c in coeffs.items():
+        tails[int(k) + w] = _coerce(c)
+    return StructuredOperator._of(tails, np.zeros((0, 0)))
+
+
 def zero() -> StructuredOperator:
-    return StructuredOperator({})
+    return toeplitz({})
 
 
 def identity() -> StructuredOperator:
-    return StructuredOperator({0: DiagonalDescriptor((), 1.0)})
+    return toeplitz({0: 1.0})
 
 
 def constant_diagonal(c) -> StructuredOperator:
-    return StructuredOperator({0: DiagonalDescriptor((), c)})
+    return toeplitz({0: c})
 
 
 def diagonal(prefix, tail) -> StructuredOperator:
-    return StructuredOperator({0: DiagonalDescriptor(tuple(prefix), tail)})
+    return StructuredOperator._of([_coerce(tail)],
+                                  np.diag(np.asarray(prefix, dtype=complex)))
 
 
 def right_shift() -> StructuredOperator:
-    return StructuredOperator({1: DiagonalDescriptor((), 1.0)})
+    return toeplitz({1: 1.0})
 
 
 def weighted_shift(weight_prefix, weight_tail) -> StructuredOperator:
     """Shift e_m -> w_m e_{m+1} with eventually constant weights."""
-    return StructuredOperator({1: DiagonalDescriptor(tuple(weight_prefix),
-                                                     weight_tail)})
-
-
-def toeplitz(coeffs: dict) -> StructuredOperator:
-    """Pure band operator from Laurent coefficients {offset: value}."""
-    return StructuredOperator({k: DiagonalDescriptor((), c)
-                               for k, c in coeffs.items()})
+    weights = np.asarray(weight_prefix, dtype=complex)
+    return StructuredOperator._of([0, 0, _coerce(weight_tail)],
+                                  np.diag(weights, -1))
 
 
 def rank_one(left, right) -> StructuredOperator:
-    return StructuredOperator({}, (FiniteRankTerm(tuple(left), tuple(right)),))
+    return StructuredOperator({}, ((left, right),))
 
 
 def from_dense_corner(matrix) -> StructuredOperator:
@@ -514,21 +486,17 @@ def from_dense_corner(matrix) -> StructuredOperator:
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("corner matrix must be square")
-    n = m.shape[0]
-    bands = {}
-    for k in range(-(n - 1), n):
-        diag = np.diagonal(m, offset=-k)  # numpy offset is column - row
-        bands[k] = DiagonalDescriptor(tuple(diag), 0.0)
-    return StructuredOperator(bands)
+    return StructuredOperator._of([0], m)
 
 
 def embed_at(t: StructuredOperator, start: int) -> StructuredOperator:
-    """Shift an operator down the diagonal: entry (i, j) -> (i+start, j+start)."""
+    """Shift an operator down the diagonal: entry (i, j) -> (i+start, j+start).
+
+    The entries with min(i, j) < start are zero, also on the tail diagonals.
+    """
     if start < 0:
         raise ValueError("start must be >= 0")
-    bands = {k: DiagonalDescriptor((0j,) * start + d.prefix, d.tail)
-             for k, d in t.bands.items()}
-    terms = tuple(FiniteRankTerm((0j,) * start + t_.left, (0j,) * start + t_.right)
-                  for t_ in t.rank_terms)
-    return StructuredOperator(bands, terms)
-
+    m = max(len(t.window), len(t.tails) // 2)
+    window = np.zeros((start + m, start + m), dtype=complex)
+    window[start:, start:] = t._block(m, m)
+    return StructuredOperator._of(t.tails, window)

@@ -89,9 +89,10 @@ class LaurentSymbol:
 
 
 def symbol(t: StructuredOperator) -> LaurentSymbol:
-    """Tail coefficients per band offset; prefixes and rank terms are finite
-    rank and do not contribute."""
-    return LaurentSymbol({k: d.tail for k, d in sorted(t.bands.items())})
+    """The tail coefficients; the window's deviations are finite rank and
+    do not contribute."""
+    w = len(t.tails) // 2
+    return LaurentSymbol(dict(zip(range(-w, w + 1), t.tails.tolist())))
 
 
 def symbol_curve(s: LaurentSymbol, m: int) -> np.ndarray:

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -259,3 +262,40 @@ def test_toeplitz_builder():
     t = toeplitz({1: 1.0, -1: 1.0})
     m = t.truncate(4)
     np.testing.assert_array_equal(m, np.eye(4, k=1) + np.eye(4, k=-1))
+
+
+# -- the (tails, window) representation ------------------------------------------
+
+def test_rank_terms_fold_into_the_window():
+    assert diagonal((1.0,), 0.0) == rank_one((1.0,), (1.0,))
+    t = rank_one((1.0, 2.0), (0.0, 1j))
+    assert t.rank_terms == ()
+    assert StructuredOperator(dict(t.bands)) == t
+    np.testing.assert_array_equal(t.window, [[0, -1j], [0, -2j]])
+
+
+def test_structure_comes_from_the_window():
+    # tails a_1 = 1; the window deviates at (0, 0) and (3, 1)
+    t = StructuredOperator({1: ((), 1.0), 0: ((5.0,), 0.0), 2: ((0.0, 4.0), 0.0)})
+    assert t.tails.tolist() == [0, 0, 1]
+    assert t.window.shape == (4, 4)
+    assert (t.bandwidth, t.corner_size) == (2, 2)
+
+
+def test_arrays_are_read_only():
+    t = defect_shift()
+    with pytest.raises(ValueError):
+        t.window[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        t.tails[0] = 1.0
+    with pytest.raises(AttributeError):
+        t.window = np.zeros((1, 1))
+
+
+def test_pickles_and_copies_carry_no_memo():
+    t = defect_shift()
+    gram(t)
+    assert t._derived
+    for again in (pickle.loads(pickle.dumps(t)), copy.copy(t), copy.deepcopy(t)):
+        assert again == t and not again._derived
+        assert not again.window.flags.writeable

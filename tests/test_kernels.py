@@ -74,7 +74,7 @@ def test_compose_identity_is_bitwise(t):
                            max_size=12))
 def test_apply_matches_truncation(t, x):
     x = np.asarray(x, dtype=complex)
-    n = max(len(x) + t.bandwidth, t.rank_support, 1)
+    n = max(len(x), t.corner_size) + t.bandwidth
     dense = t.truncate(n)[:, : len(x)] @ x
     got = t.apply(x)
     out = np.zeros(n, dtype=complex)
@@ -89,7 +89,7 @@ def test_lower_band_holds_the_truncation(t):
     n = g.corner_size + g.bandwidth + 5
     band = g.lower_band(n)
     dense = g.truncate(n)
-    assert band.shape[0] - 1 == min(max(g.bandwidth, g.rank_support - 1), n - 1)
+    assert band.shape[0] - 1 == min(g.bandwidth, n - 1)
     for u in range(band.shape[0]):
         np.testing.assert_allclose(band[u, : n - u], np.diagonal(dense, -u),
                                    rtol=0, atol=1e-13 * max(1.0, g.magnitude()))

@@ -106,6 +106,20 @@ def test_round_trip_with_rank_terms_and_params(tmp_path):
     assert again.operator == spec.operator and again.params == spec.params
 
 
+def test_rank_terms_reparse_as_bands():
+    # the rank term is added into the window, so it comes back as prefixes
+    text = json.dumps({
+        "name": "custom",
+        "bands": [{"offset": 0, "prefix": [[1, 0]], "tail": [0.5, 0.0]}],
+        "rank_terms": [{"left": [[1, 0], [0, 2]], "right": [[0, -1]]}],
+    })
+    spec = parse_spec_text(text)
+    again = parse_spec_text(serialize_spec(spec))
+    assert again.operator == spec.operator
+    assert again.operator.rank_terms == () and spec.operator.rank_terms == ()
+    assert json.loads(serialize_spec(spec))["rank_terms"] == []
+
+
 # -- command line -----------------------------------------------------------------
 
 def test_cli_classify_exit_code_and_structured_output(capsys):

@@ -25,6 +25,16 @@ def operators(pool_bases):
                for make in GENERATORS for seed in range(25)])
 
 
+def test_commutator_symbol_is_exactly_zero(operators):
+    # T*T and TT* get their tails from one np.convolve call order, so the
+    # tails of [T*, T] cancel exactly and it is a finite corner; also on
+    # banded-plus-corner sums, whose corner meets the Hankel terms
+    sums = [suites.random_banded_symbol(rng, 3) + suites.random_normal_corner(rng)
+            for rng in (np.random.default_rng([11, seed]) for seed in range(200))]
+    for t in operators + sums:
+        assert symbol(self_commutator(t)).coeffs == {}
+
+
 def flux(t):
     """sum_k k |a_k|^2 and the scale sum_k |k| |a_k|^2 of its terms."""
     coeffs = symbol(t).coeffs
