@@ -11,20 +11,20 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
 from .core import (StructuredOperator, constant_diagonal, gram, is_selfadjoint,
                    selfadjoint_defect, self_commutator, toeplitz)
 from .errors import NotHyponormal, NotStabilized
-from .numerics import (TRUNC_CAP, _auto_trunc, _clusters_match,
-                       cluster_values, discrete_eigs_below, min_modulus,
-                       operator_norm, positive_truncations, positivity_verdict)
-from .symbols import (EssentialCurve, SpectralSummary, _WindingRaster,
-                      _winding_raster, constant_value, modulus_constant,
-                      polygon_winding, spectral_area, symbol,
-                      symbol_min_modulus, winding_regions)
+from .numerics import (TRUNC_CAP, _auto_trunc, cluster_values,
+                       discrete_eigs_below, min_modulus, operator_norm,
+                       positive_truncations, positivity_verdict,
+                       schur_eigenvalues)
+from .symbols import (EssentialCurve, SpectralSummary, _curve_distance,
+                      _WindingRaster, _winding_raster, _zero_winding_region,
+                      constant_value, modulus_constant, spectral_area, symbol,
+                      symbol_min_modulus, winding, winding_regions)
 
 
 class Verdict(enum.Enum):
@@ -169,27 +169,49 @@ def check_an(t: StructuredOperator, tol: float = 1e-8,
     return res
 
 
-# -- truncation eigenvalue counting for normal operators ----------------------
+# -- isolated eigenvalues ------------------------------------------------------
 
-def _region_clusters(t: StructuredOperator, keep, trunc: int | None,
-                     tol: float, hermitian: bool):
-    """Stabilized clusters of truncation eigenvalues selected by ``keep``, an
-    elementwise predicate on an array of eigenvalues.
+def _off_curve(sym, z: np.ndarray, clearance: float) -> np.ndarray:
+    """Mask of the points z at winding 0 and farther than ``clearance`` from
+    the curve."""
+    return np.array([_curve_distance(sym, v) > clearance and winding(sym, v) == 0
+                     for v in z], dtype=bool)
 
-    Eigenvalues are filtered before the n / 2n comparison so that essential
-    clusters (whose multiplicity grows with n) do not block stabilization.
+
+def _region_clusters(t: StructuredOperator, keep=None, tol: float = 1e-8,
+                     raster: _WindingRaster | None = None):
+    """The isolated eigenvalues of T at winding 0 off the curve, as
+    ((value, multiplicity), ...) selected by ``keep`` (an elementwise
+    predicate on an array of values), and whether the list is certified.
+
+    Past m = len(window), T is exactly T(a).  When the tails are one-sided
+    (p = 0 or q = 0), T is block triangular, so these are the eigenvalues
+    of the window (none for an empty window, by Coburn's lemma), listed
+    with their clusters when farther than the clearance
+    1e-6 max(1, ||T||) from the curve; the list is exact.  Otherwise they
+    are the zeros of the corner's Schur complement inside the region that
+    ``_zero_winding_region`` cuts from the square of half-side 1.05 ||T||
+    (``numerics.schur_eigenvalues``); ``raster`` is the symbol's winding
+    raster when the caller already has one.
     """
-    n = trunc if trunc is not None else _auto_trunc(t)
-
-    def at(size):
-        m = t.truncate(size)
-        vals = np.linalg.eigvalsh(m) if hermitian else np.linalg.eigvals(m)
-        return cluster_values([complex(v) for v in vals[keep(vals)]],
-                              100.0 * tol)
-
-    a = at(n)
-    b = at(2 * n)
-    return b, _clusters_match(a, b, tol)
+    sym = symbol(t)
+    offsets = np.flatnonzero(t.tails) - len(t.tails) // 2
+    norm = operator_norm(t)
+    clearance = 1e-6 * max(1.0, norm)
+    if not len(t.window) or offsets.min(initial=0) >= 0 or offsets.max(initial=0) <= 0:
+        vals = np.linalg.eigvals(t.window)
+        vals = vals[_off_curve(sym, vals, clearance)]
+        if keep is not None:
+            vals = vals[keep(vals)]
+        return cluster_values([complex(v) for v in vals], 100.0 * tol), True
+    if raster is None:
+        raster = _winding_raster(sym)
+    loops, contains = _zero_winding_region(sym, raster, 1.05 * norm, clearance)
+    found, certified = schur_eigenvalues(t, loops, contains, max(1.0, norm))
+    if keep is not None:
+        mask = keep(np.array([v for v, _ in found], dtype=complex))
+        found = tuple(c for c, k in zip(found, mask) if k)
+    return found, certified
 
 
 @dataclass(frozen=True)
@@ -221,8 +243,7 @@ def check_an_normal_equivalence(t: StructuredOperator, tol: float = 1e-8,
         spectral = circles = Verdict.NO
         interior, radii = (), ()
     else:
-        clusters, stable = _region_clusters(
-            t, lambda z: abs(z) < alpha - tol, trunc, tol, hermitian=False)
+        clusters, stable = _region_clusters(t, lambda z: abs(z) < alpha - tol, tol)
         interior = clusters
         spectral = Verdict.YES if stable else Verdict.UNDETERMINED
         radii = cluster_values([abs(c) for c, _ in clusters], 100.0 * tol) \
@@ -245,8 +266,8 @@ class SelfadjointANRecord:
     reason: str = ""
 
 
-def check_an_selfadjoint(t: StructuredOperator, tol: float = 1e-8,
-                         trunc: int | None = None) -> SelfadjointANRecord:
+def check_an_selfadjoint(t: StructuredOperator,
+                         tol: float = 1e-8) -> SelfadjointANRecord:
     """Self-adjoint specialization: essential spectrum inside {-alpha, alpha}
     and finitely many spectrum points in the open interval between them."""
     if check_selfadjoint(t, max(tol, 1e-10)).verdict is not Verdict.YES:
@@ -258,18 +279,19 @@ def check_an_selfadjoint(t: StructuredOperator, tol: float = 1e-8,
                                    reason="essential spectrum is a nondegenerate interval")
     alpha = abs(c)
     clusters, stable = _region_clusters(
-        t, lambda z: abs(z) < alpha - tol, trunc, tol, hermitian=True)
+        t, lambda z: (abs(z) < alpha - tol) | (abs(abs(z) - alpha) <= tol), tol)
     verdict = Verdict.YES if stable else Verdict.UNDETERMINED
-    # points on {-alpha, alpha} belong to the essential set; list the distinct
-    # values seen there without (meaningless) multiplicities
-    n = trunc if trunc is not None else _auto_trunc(t)
-    vals = np.linalg.eigvalsh(t.truncate(n))
-    boundary = cluster_values(
-        [float(v) for v in vals if abs(abs(v) - alpha) <= tol], 100.0 * tol)
+    interior = [(v, m) for v, m in clusters if abs(v) < alpha - tol]
+    # points on {-alpha, alpha} belong to the essential set, the essential
+    # point c itself included; list the distinct values without (meaningless)
+    # multiplicities
+    boundary = cluster_values([float(c.real)] + [float(v.real) for v, m in clusters
+                                                 if abs(v) >= alpha - tol],
+                              100.0 * tol)
     return SelfadjointANRecord(
         True, verdict, alpha,
-        tuple((float(v.real), m) for v, m in clusters),
-        tuple(float(np.real(v)) for v, _ in boundary))
+        tuple((float(v.real), m) for v, m in interior),
+        tuple(float(v) for v, _ in boundary))
 
 
 @dataclass(frozen=True)
@@ -281,8 +303,7 @@ class AMRecord:
     reason: str = ""
 
 
-def check_am_normal(t: StructuredOperator, tol: float = 1e-8,
-                    trunc: int | None = None) -> AMRecord:
+def check_am_normal(t: StructuredOperator, tol: float = 1e-8) -> AMRecord:
     """Normal absolutely-minimum-attaining test: essential spectrum on a
     circle of radius beta and finitely many spectrum points outside it."""
     if check_normal(t, max(tol, 1e-10)).verdict is not Verdict.YES:
@@ -292,8 +313,7 @@ def check_am_normal(t: StructuredOperator, tol: float = 1e-8,
     if beta is None:
         return AMRecord(True, Verdict.NO, None, (),
                         reason="essential spectrum is not a circle")
-    clusters, stable = _region_clusters(
-        t, lambda z: abs(z) > beta + tol, trunc, tol, hermitian=False)
+    clusters, stable = _region_clusters(t, lambda z: abs(z) > beta + tol, tol)
     verdict = Verdict.YES if stable else Verdict.UNDETERMINED
     return AMRecord(True, verdict, beta, tuple(clusters))
 
@@ -448,7 +468,7 @@ def classify(t: StructuredOperator, trunc: int | None = None,
     an = check_an(t, tol_an, trunc)
     witnesses.append(("absolutely_norm_attaining", an.witness))
 
-    am = check_am_normal(t, tol_an, trunc)
+    am = check_am_normal(t, tol_an)
     # is_AM_normal asks for membership in the *normal* AM class, so a
     # non-normal operator is a definite no, not an undetermined one
     am_verdict = am.verdict if am.applicable else Verdict.NO
@@ -465,36 +485,13 @@ def classify(t: StructuredOperator, trunc: int | None = None,
          "paranormal": tol_paranormal, "an": tol_an})
 
 
-def _isolated(z: np.ndarray, raster: _WindingRaster, curve_pts: np.ndarray,
-              clearance: float) -> np.ndarray:
-    """Mask of the points z farther than ``clearance`` from every edge of the
-    closed polygon through ``curve_pts`` and around which it winds zero
-    times.
-
-    Points deep inside a component of ``raster`` read its winding; the rest
-    are tested one by one on the polygon."""
-    decided, winding = raster.deep_windings(z, clearance)
-    keep = decided & (winding == 0)
-    edges = np.roll(curve_pts, -1) - curve_pts
-    length2 = np.maximum(edges.real ** 2 + edges.imag ** 2, np.finfo(float).tiny)
-    for i in np.flatnonzero(~decided):
-        q = complex(z[i])
-        # the point of each edge nearest q: its projection, clipped to the edge
-        s = np.clip(((q - curve_pts) * edges.conj()).real / length2, 0.0, 1.0)
-        keep[i] = (float(np.min(np.abs(curve_pts + s * edges - q))) > clearance
-                   and polygon_winding(curve_pts, q) == 0)
-    return keep
-
-
 def spectral_summary(t: StructuredOperator, samples: int = 1024,
-                     resolution: int = 512, trunc: int | None = None,
-                     tol: float = 1e-8) -> SpectralSummary:
+                     resolution: int = 512, tol: float = 1e-8) -> SpectralSummary:
     """Assemble the full spectral report for an operator.
 
-    The isolated eigenvalues are the stabilized truncation clusters off the
-    curve around which the 4096-point curve polygon winds zero times.  When
-    the clusters at n and 2n disagree, none are listed and
-    ``eigenvalues_stabilized`` is False."""
+    The isolated eigenvalues are those of ``_region_clusters``, read from the
+    raster that also gives the area.  When their list is not certified, none
+    are listed and ``eigenvalues_stabilized`` is False."""
     sym = symbol(t)
     curve = EssentialCurve.sampled(sym, samples)
     raster = _winding_raster(sym, resolution)
@@ -503,9 +500,7 @@ def spectral_summary(t: StructuredOperator, samples: int = 1024,
     me = symbol_min_modulus(sym)
     m_modulus = min(min_modulus(t), me)  # guard float rounding on the invariant
 
-    keep = partial(_isolated, raster=raster, curve_pts=sym.on_circle(4096),
-                   clearance=1e-6 * max(1.0, norm_upper))
-    clusters, stable = _region_clusters(t, keep, trunc, tol, hermitian=False)
+    clusters, stable = _region_clusters(t, None, tol, raster)
     eigenvalues = tuple(clusters) if stable else ()
     weyl = tuple(c for c in regions.components if c.winding != 0)
     return SpectralSummary(curve, curve.is_circle, weyl, eigenvalues,

@@ -168,8 +168,7 @@ def cmd_classify(args) -> int:
     report = classify(spec.operator, trunc=params.get("trunc"),
                       tol_an=params["tol"])
     summary = spectral_summary(spec.operator, samples=params["samples"],
-                               resolution=params["resolution"],
-                               trunc=params.get("trunc"), tol=params["tol"])
+                               resolution=params["resolution"], tol=params["tol"])
     if args.format == "structured" or args.out:
         text = json.dumps(report_document(
             params | {"spec": spec.name, "seed": args.seed}, started,
@@ -207,8 +206,7 @@ def cmd_spectrum(args) -> int:
     spec = resolve_spec(args.spec)
     params = _collect_params(args, spec)
     summary = spectral_summary(spec.operator, samples=params["samples"],
-                               resolution=params["resolution"],
-                               trunc=params.get("trunc"), tol=params["tol"])
+                               resolution=params["resolution"], tol=params["tol"])
     levels, stabilized = discrete_singular_levels(spec.operator,
                                                   tol=params["tol"],
                                                   trunc=params.get("trunc"))

@@ -1,4 +1,4 @@
-"""Desk-scale numerics on truncations.
+"""Desk-scale numerics on truncations and on the finite corner.
 
 Eigenvalue extraction below the essential level relies on two facts about the
 representable class: truncations of a self-adjoint operator have spectrum
@@ -9,6 +9,10 @@ rigorous enclosure is attempted; an unstable family is reported as such
 rather than counted.  Whether a truncation has any eigenvalue below a level
 is decided by a banded Cholesky factorization, so eigenvalues are computed
 only when something lies below.
+
+Isolated eigenvalues of a non-normal T(a) + K at winding 0 need no
+truncation: they are the zeros of a Schur complement on the corner
+(``schur_eigenvalues``), counted by the argument principle.
 """
 
 from __future__ import annotations
@@ -20,10 +24,12 @@ from scipy.linalg import cholesky_banded, eig_banded
 
 from .core import StructuredOperator, gram, memoized, selfadjoint_defect
 from .errors import ConvergenceFailure, DimensionMismatch, NotHermitian, NotStabilized
-from .symbols import _laurent_roots, symbol, symbol_max_modulus
+from .symbols import (_laurent_roots, _wiener_hopf_block, symbol,
+                      symbol_max_modulus)
 
 TRUNC_CAP = 4096
 MERGE_FACTOR = 100.0        # eigenvalues within 100*tol are one cluster
+ROUNDING_MULTIPLE = 8.0     # eigenvalues of T*T within 8 eps * scale of 0 are 0
 
 
 @dataclass(frozen=True)
@@ -231,6 +237,156 @@ def _discrete_eigs_below(t, bound, tol, n, cap) -> DiscreteEigenReport:
     return DiscreteEigenReport(current, False, last_pair, near)
 
 
+def _loop_turns(log_f, loops, budget: int = 2 ** 15):
+    """Total winding around 0 of a function along closed polygons, or None.
+
+    ``log_f`` maps an array of points to log f there (any branch; NaN
+    where f cannot be evaluated).  Each loop starts with 128 points evenly
+    spaced in arc length, and every gap across which log f changes by more
+    than pi/4 (phase wrapped to (-pi, pi]) is halved, all loops in one batch
+    per round, until none does.  None means a NaN or more than ``budget``
+    points in all."""
+    paths = []
+    for v in loops:
+        lengths = np.abs(np.roll(v, -1) - v)
+        paths.append((v, np.concatenate([[0.0], np.cumsum(lengths)]), lengths))
+
+    def points(path, s):
+        v, cum, lengths = path
+        i = np.clip(np.searchsorted(cum, s, side="right") - 1, 0, len(v) - 1)
+        return v[i] + (s - cum[i]) / lengths[i] * (np.roll(v, -1)[i] - v[i])
+
+    params = [np.zeros(0)] * len(paths)
+    values = [np.zeros(0, dtype=complex)] * len(paths)
+    new = [np.linspace(0.0, cum[-1], 128, endpoint=False) for _, cum, _ in paths]
+    total = 0
+    while any(len(s) for s in new):
+        total += sum(len(s) for s in new)
+        if total > budget:
+            return None
+        got = log_f(np.concatenate([points(path, s) for path, s in zip(paths, new)]))
+        if np.isnan(got).any():
+            return None
+        turns = 0.0
+        for i, path in enumerate(paths):
+            got_i, got = got[: len(new[i])], got[len(new[i]):]
+            order = np.argsort(np.concatenate([params[i], new[i]]))
+            params[i] = np.concatenate([params[i], new[i]])[order]
+            values[i] = np.concatenate([values[i], got_i])[order]
+            step = np.roll(values[i], -1) - values[i]
+            phase = (step.imag + np.pi) % (2 * np.pi) - np.pi
+            turns += np.sum(phase) / (2 * np.pi)
+            gaps = np.flatnonzero(np.hypot(step.real, phase) > np.pi / 4)
+            ends = np.append(params[i][1:], path[1][-1])
+            new[i] = 0.5 * (params[i][gaps] + ends[gaps])
+    return turns
+
+
+def schur_eigenvalues(t: StructuredOperator, loops, contains, scale: float):
+    """Eigenvalues of T = T(a) + K, a with both positive and negative
+    offsets, inside a region D at winding 0 given by its boundary ``loops``
+    (D on their left) and its membership mask ``contains``.
+
+    Past m = len(window), T is exactly T(a), so lam at winding 0 is an
+    eigenvalue iff the m-by-m Schur complement
+    S(lam) = (T - lam)[:m, :m] - Q G(lam) R is singular, with
+    Q = T[:m, m:m+q], R = T[m:m+p, :m] and G(lam) the leading q-by-p block
+    of T(a - lam)^(-1) (``_wiener_hopf_block``).  Newton on det S refines
+    the eigenvalues at winding 0 of a section of size m + 8 (p + q) into
+    zeros, and the argument principle on det S, divided by the zeros found,
+    counts the zeros still missing in D; when some are, the seeds come once
+    more from a section four times as large.  A zero is simple unless the
+    count asks for more, and then each zero's multiplicity is counted on a
+    small circle around it.  The scale ``scale`` sets Newton's difference
+    step and stopping rule.
+
+    Returns (((value, multiplicity), ...) sorted by real then imaginary
+    part, certified), where certified says the multiplicities add up to
+    the count."""
+    m = len(t.window)
+    w = len(t.tails) // 2
+    offsets = np.flatnonzero(t.tails) - w
+    p, q = int(offsets.max()), int(-offsets.min())
+    window = t.window
+    q_block = t._block(m, m + q)[:, m:]
+    r_block = t._block(m + p, m)[m:, :]
+    eye = np.eye(m)
+
+    def schur(lam, g):
+        return window - lam[:, None, None] * eye - q_block @ g @ r_block
+
+    def log_det(lam):
+        g, ok = _wiener_hopf_block(t.tails, lam)
+        out = np.empty(lam.size, dtype=complex)
+        chunk = max(1, 2 ** 17 // (m * m))     # at most 2 MB of matrices at once
+        for lo in range(0, lam.size, chunk):
+            part = slice(lo, lo + chunk)
+            sign, logabs = np.linalg.slogdet(schur(lam[part], g[part]))
+            out[part] = logabs + 1j * np.angle(sign)
+        out[~ok] = np.nan
+        return out
+
+    h = 1e-8 * scale
+
+    def newton(lam):
+        for _ in range(50):
+            g, ok = _wiener_hopf_block(t.tails, [lam, lam + h, lam - h])
+            if not ok.all():
+                return None
+            slope = -eye - q_block @ ((g[1] - g[2]) / (2 * h)) @ r_block
+            try:
+                step = 1.0 / np.trace(np.linalg.solve(schur(np.array([lam]), g[:1])[0],
+                                                      slope))
+            except np.linalg.LinAlgError:       # S(lam) exactly singular
+                return lam
+            lam -= step
+            if abs(step) <= 1e-12 * scale:
+                return lam
+        return None
+
+    zeros = np.zeros(0, dtype=complex)
+    window_eigs = np.linalg.eigvals(window)
+    outside = window_eigs[~contains(window_eigs)]
+    # a zero near the curve has a slowly decaying eigenvector, which a small
+    # section may not resolve: when the count shows zeros missing, the seeds
+    # come once more from a section four times as large
+    for size in (m + 8 * (p + q), 4 * (m + 8 * (p + q))):
+        seeds = np.linalg.eigvals(t.truncate(size))
+        for seed in seeds[_wiener_hopf_block(t.tails, seeds)[1]]:   # at winding 0
+            z = newton(complex(seed))
+            if z is not None and np.all(np.abs(zeros - z) > 1e-7 * scale):
+                zeros = np.append(zeros, z)
+        zeros = zeros[np.lexsort((zeros.imag, zeros.real))]
+        inside = zeros[contains(zeros)]
+        # det S ~ (-lam)^m far out.  Divided by (lam - z) for every zero z
+        # found and by (lam - mu) for every eigenvalue mu of the window
+        # outside D, it winds around D once per zero missed: the divisor
+        # winds once around each zero found in D and not at all around
+        # points outside D.  The division also flattens the phase near the
+        # zeros found and along the square, so that few samples follow it.
+        roots = np.concatenate([zeros, outside])
+
+        def deflated(lam):
+            return log_det(lam) - np.sum(np.log(lam[:, None] - roots), axis=1)
+
+        missing = _loop_turns(deflated, loops)
+        if missing is None:
+            return tuple((z, 1) for z in inside), False
+        missing = round(missing)
+        if missing == 0:
+            return tuple((z, 1) for z in inside), True
+    found = []
+    for z in inside:
+        gap = min([abs(z - y) for y in zeros if y != z], default=np.inf)
+        circle = z + min(1e-4 * scale, 0.4 * gap) * np.exp(2j * np.pi * np.arange(16) / 16)
+        turns = _loop_turns(log_det, [circle]) if contains(circle).all() else None
+        if turns is None:
+            return tuple((z, 1) for z in inside), False
+        found.append((z, round(turns)))
+    return tuple(found), (all(k >= 1 for _, k in found)
+                          and sum(k - 1 for _, k in found) == missing)
+
+
 def symbol_min_modulus_signed(sym) -> float:
     """Minimum of a real symbol over the circle (signed, not |a|), read at
     the projected roots of sum k c_k z^k, its critical points."""
@@ -277,7 +433,9 @@ def _operator_norm(t, tol, n, cap) -> float:
 
 def min_modulus(t: StructuredOperator, tol: float = 1e-8,
                 n: int | None = None) -> float:
-    """Minimum modulus m(T): sqrt of the bottom of spectrum(T*T)."""
+    """Minimum modulus m(T): sqrt of the bottom of spectrum(T*T), read as 0
+    when that bottom is at most ROUNDING_MULTIPLE * eps * max(1, magnitude
+    of T*T)."""
     g = gram(t)
     ess = symbol_min_modulus_signed(symbol(g))
     report = discrete_eigs_below(g, ess, tol=tol, n=n)
@@ -286,7 +444,11 @@ def min_modulus(t: StructuredOperator, tol: float = 1e-8,
                             "did not stabilize")
     bottom = min([ess] + [v.real if isinstance(v, complex) else v
                           for v, _ in report.eigenvalues])
-    return float(np.sqrt(max(0.0, bottom)))
+    # the banded solver leaves a zero bottom anywhere within a few
+    # eps * scale of 0, and the square root would lift that to ~1e-8
+    if bottom <= ROUNDING_MULTIPLE * np.finfo(float).eps * max(1.0, g.magnitude()):
+        return 0.0
+    return float(np.sqrt(bottom))
 
 
 def positive_truncations(band_at, tol: float, scale: float, n: int,

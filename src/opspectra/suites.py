@@ -12,11 +12,12 @@ import numpy as np
 from .classify import (Verdict, check_am_normal, check_an,
                        check_an_normal_equivalence, check_hyponormal,
                        check_normal, classify, paranormal_pair_normality,
-                       putnam_check, weyl_normality_criterion)
+                       putnam_check, spectral_summary, weyl_normality_criterion)
 from .core import (StructuredOperator, constant_diagonal, diagonal, embed_at,
                    from_dense_corner, right_shift, toeplitz, weighted_shift)
 from .specfiles import BUNDLED, load_bundled
-from .symbols import fredholm_index, index_by_truncation, symbol
+from .symbols import (_curve_distance, fredholm_index, index_by_truncation,
+                      symbol, winding)
 
 
 def _complex(rng, scale=1.0):
@@ -109,6 +110,18 @@ def random_banded_symbol(rng, max_bandwidth: int = 2) -> StructuredOperator:
     if not coeffs:
         coeffs[1] = 1.0 + 0j
     return toeplitz(coeffs)
+
+
+def random_toeplitz_corner(rng, max_bandwidth: int = 3,
+                           max_corner: int = 12) -> StructuredOperator:
+    """Generic non-normal T(a) + K: a Laurent tail with every offset from
+    -k to k (k from 1 to max_bandwidth) and a dense complex corner of size
+    4 to max_corner."""
+    k = int(rng.integers(1, max_bandwidth + 1))
+    coeffs = {off: _complex(rng) for off in range(-k, k + 1)}
+    n = int(rng.integers(4, max_corner + 1))
+    head = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / np.sqrt(n)
+    return toeplitz(coeffs) + from_dense_corner(head)
 
 
 # -- exact oracle for diagonal operators --------------------------------------
@@ -233,7 +246,7 @@ def suite_diagonal_oracle(seed: int = 0, count: int = 500, trunc: int = 64):
         if not (eq.applicable and eq.agree and eq.an.value == oracle["an"]
                 and _points_match(eq.interior_points, oracle["interior"])):
             ok, detail = False, detail + f" equivalence={eq}"
-        am = check_am_normal(op, trunc=trunc)
+        am = check_am_normal(op)
         if not (am.applicable and am.verdict.value == oracle["am"]
                 and _points_match(am.annulus_points, oracle["annulus"])):
             ok, detail = False, detail + f" am={am.verdict}"
@@ -280,6 +293,35 @@ def suite_index_crossval(seed: int = 0, symbols_count: int = 20,
     return results
 
 
+def suite_isolated_eigenvalues(seed: int = 0, count: int = 8, n: int = 512):
+    """The isolated eigenvalues of ``spectral_summary`` against a dense
+    n-section, on random T(a) + K: each one listed lies within 1e-6 scale
+    of a section eigenvalue, and every section eigenvalue at winding 0
+    farther than 0.1 scale from the curve is listed (scale = max(1, ||T||)).
+    An uncertified list fails."""
+    rng = np.random.default_rng(seed)
+    results = []
+    for i in range(count):
+        op = random_toeplitz_corner(rng)
+        summary = spectral_summary(op, samples=256)
+        scale = max(1.0, summary.norm_upper)
+        sym = symbol(op)
+        listed = np.array([v for v, _ in summary.eigenvalues], dtype=complex)
+        section = np.linalg.eigvals(op.truncate(n))
+        unmatched = [v for v in listed if np.min(np.abs(section - v)) > 1e-6 * scale]
+        missed = []
+        for v in section:
+            if (_curve_distance(sym, v) > 0.1 * scale and winding(sym, v) == 0
+                    and np.min(np.abs(listed - v), initial=np.inf) > 1e-6 * scale):
+                missed.append(v)
+        ok = summary.eigenvalues_stabilized and not unmatched and not missed
+        results.append((f"isolated_eigenvalues:{i}", ok,
+                        f"certified={summary.eigenvalues_stabilized} "
+                        f"listed={len(listed)} unmatched={len(unmatched)} "
+                        f"missed={len(missed)}"))
+    return results
+
+
 def suite_paranormal_pair(seed: int = 0, count: int = 20, trunc: int = 64):
     """Paranormal pairs with the AN property must be normal (both variants)."""
     rng = np.random.default_rng(seed)
@@ -321,6 +363,7 @@ def run_all(seed: int = 0, quick: bool = True):
     out += suite_putnam(seed, count=5 * scale, resolution=256 if quick else 512)
     out += suite_diagonal_oracle(seed, count=60 * scale)
     out += suite_index_crossval(seed, symbols_count=4 * scale, n=256 if quick else 512)
+    out += suite_isolated_eigenvalues(seed, count=2 * scale)
     out += suite_paranormal_pair(seed, count=5 * scale)
     out += suite_weyl(seed, count=5 * scale)
     return out

@@ -16,8 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import ndimage
+from scipy.linalg import eig_banded
 
-from .core import StructuredOperator
+from .core import StructuredOperator, gram
 from .errors import EssentialPoint, PointOnCurve
 
 _TWO_PI = 2.0 * math.pi
@@ -141,6 +142,58 @@ def winding(s: LaurentSymbol, lam) -> int:
     return int(np.count_nonzero(np.abs(roots) < 1.0)) + min(shifted.coeffs)
 
 
+def _geometric_product(ratios: np.ndarray, n: int) -> np.ndarray:
+    """The first n power-series coefficients of prod_i 1 / (1 - rho_i x),
+    one row per row of ``ratios``."""
+    out = np.zeros((len(ratios), n), dtype=complex)
+    out[:, 0] = 1.0
+    for rho in ratios.T:
+        for k in range(1, n):           # multiply by 1 + rho x + rho^2 x^2 ...
+            out[:, k] += rho * out[:, k - 1]
+    return out
+
+
+def _wiener_hopf_block(tails: np.ndarray, lam) -> tuple:
+    """The q-by-p leading block G(lam) of T(a - lam)^(-1), for every lam.
+
+    p and q are the largest positive and negative offsets of ``tails`` (both
+    at least 1).  At winding 0, z^q (a(z) - lam) has q roots r_i in the disc
+    and p roots s_j outside it, so a - lam = a_+ a_- with
+    a_+ = a_p prod (z - s_j) and a_- = prod (1 - r_i / z), and Widom's
+    formula gives T(a - lam) = T(a_-) T(a_+) and
+    T(a - lam)^(-1) = T(1/a_+) T(1/a_-) exactly.  The block is L U, with L
+    the lower triangular Toeplitz matrix of the first q coefficients of
+    1/a_+ and U the upper triangular one of the first p coefficients of
+    1/a_- (in powers of 1/z).
+
+    Returns (G, ok), G of shape (len(lam), q, p); ok is False where the
+    roots do not split q : p, i.e. where lam is not at winding 0 or lies on
+    the curve, and G is meaningless there.  The roots of all the
+    polynomials come from one batched eigenvalue call on companion
+    matrices."""
+    w = len(tails) // 2
+    offsets = np.flatnonzero(tails) - w
+    p, q = int(offsets.max()), int(-offsets.min())
+    lam = np.asarray(lam, dtype=complex).ravel()
+    poly = tails[w - q: w + p + 1][::-1]          # a_p first, a_-q last
+    d = p + q
+    companion = np.zeros((lam.size, d, d), dtype=complex)
+    companion[:, 0, :] = -poly[1:] / poly[0]
+    companion[:, 0, p - 1] += lam / poly[0]        # a_0 - lam
+    companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+    roots = np.linalg.eigvals(companion)
+    roots = np.take_along_axis(roots, np.argsort(np.abs(roots), axis=1), axis=1)
+    ok = (np.abs(roots[:, q - 1]) < 1.0) & (np.abs(roots[:, q]) > 1.0)
+    inner, outer = roots[:, :q], roots[:, q:]
+    b = _geometric_product(1.0 / outer, q) / (poly[0] * np.prod(-outer, axis=1))[:, None]
+    c = _geometric_product(inner, p)
+    lag = np.arange(q)[:, None] - np.arange(q)                 # i - l
+    lower = np.where(lag >= 0, b[:, np.clip(lag, 0, None)], 0)
+    lead = np.arange(p) - np.arange(q)[:, None]                # j - l
+    upper = np.where(lead >= 0, c[:, np.clip(lead, 0, p - 1)], 0)
+    return lower @ upper, ok
+
+
 def polygon_winding(points: np.ndarray, q: complex) -> int:
     """Exact winding of the closed sampled polygon around q (crossing count)."""
     x = points.real - q.real
@@ -178,14 +231,25 @@ def kernel_count_by_truncation(t: StructuredOperator, n: int = 512,
     """Numerical dim N(T) from the tall rectangular section.
 
     The (n + bandwidth) x n section captures every row that the first n
-    columns can touch, so its near-kernel counts decaying kernel vectors.
+    columns can touch, so its near-kernel counts decaying kernel vectors:
+    the singular values s <= rel_threshold * max(1, s_max).  Its Gram
+    matrix is exactly the leading n x n corner of T*T, so the squares mu
+    of those singular values are counted in its lower band storage: a
+    banded Cholesky factorization shows when none lies at or below the
+    level, and ``eig_banded`` counts them otherwise.  The zero operator
+    has kernel dimension n.
     """
-    k = t.bandwidth
-    tall = t.truncate(n + k)[:, :n] if k else t.truncate(n)
-    svals = np.linalg.svd(tall, compute_uv=False)
-    if svals.size == 0 or svals[0] == 0:
+    from .numerics import _all_above
+    band = gram(t).lower_band(n)
+    top = eig_banded(band, lower=True, eigvals_only=True, select="i",
+                     select_range=(n - 1, n - 1))[0]
+    if top <= 0:
         return n
-    return int(np.count_nonzero(svals <= rel_threshold * max(1.0, svals[0])))
+    level = (rel_threshold * max(1.0, math.sqrt(top))) ** 2
+    if _all_above(band, level):
+        return 0
+    return len(eig_banded(band, lower=True, eigvals_only=True, select="v",
+                          select_range=(-np.inf, level)))
 
 
 def index_by_truncation(t: StructuredOperator, lam, n: int = 512) -> int:
@@ -274,6 +338,12 @@ def symbol_max_modulus(s: LaurentSymbol) -> float:
     return _refined_extremum(s, want_max=True)
 
 
+def _curve_distance(s: LaurentSymbol, lam) -> float:
+    """The distance from lam to the curve a(T): min |a - lam| on the circle."""
+    return symbol_min_modulus(
+        LaurentSymbol({**s.coeffs, 0: s.coeffs.get(0, 0j) - complex(lam)}))
+
+
 def ess_min_modulus(t: StructuredOperator) -> float:
     """Essential minimum modulus: min of |a| on the circle.
 
@@ -309,14 +379,15 @@ class AreaEstimate:
 
 @dataclass(frozen=True)
 class _WindingRaster:
-    """The area raster of a symbol curve, kept for winding lookups.
+    """The area raster of a symbol curve, kept for the region in which
+    isolated eigenvalues are sought (``_zero_winding_region``).
 
     ``labels`` numbers the 4-connected off-curve components (0 on the curve),
     ``depth`` is each cell's chessboard distance in cells to the nearest curve
     cell, and ``label_winding`` the winding of each label (0 for components
     that touch the border).  ``safe_depth`` is None when there is no raster
     (segment or sub-rounding curves) or when the gap test failed at
-    ``max_curve_samples``; the lookup then decides nothing."""
+    ``max_curve_samples``."""
 
     estimate: AreaEstimate
     origin: complex = 0j
@@ -325,32 +396,6 @@ class _WindingRaster:
     depth: np.ndarray | None = None
     label_winding: np.ndarray | None = None
     safe_depth: int | None = None
-
-    def deep_windings(self, z: np.ndarray, clearance: float):
-        """Returns (decided, winding) for the points z.
-
-        A point is decided when it lies in the box, in a cell deeper than
-        ``safe_depth``, and the cells are larger than ``clearance``.  Such a
-        point lies more than reach plus one cell from every curve cell, so
-        the raster's refined polygon deforms into the 4096-point polygon
-        ``on_circle(4096)`` without crossing it, and both wind around it as
-        around the representative of its label.  It also lies farther than
-        ``clearance`` from every edge of either polygon."""
-        z = np.asarray(z, dtype=complex)
-        decided = np.zeros(z.shape, dtype=bool)
-        winding = np.zeros(z.shape, dtype=int)
-        if self.safe_depth is None or min(self.cell) <= clearance:
-            return decided, winding
-        size = self.labels.shape[0]
-        fx = (z.real - self.origin.real) / self.cell[0]
-        fy = (z.imag - self.origin.imag) / self.cell[1]
-        inside = np.flatnonzero((fx >= 0) & (fx < size) & (fy >= 0) & (fy < size))
-        ix, iy = fx[inside].astype(int), fy[inside].astype(int)
-        deep = self.depth[iy, ix] > self.safe_depth
-        found = inside[deep]
-        decided[found] = True
-        winding[found] = self.label_winding[self.labels[iy[deep], ix[deep]]]
-        return decided, winding
 
 
 def _winding_raster(s: LaurentSymbol, resolution: int = 512,
@@ -443,6 +488,119 @@ def _winding_raster(s: LaurentSymbol, resolution: int = 512,
                             cell_diag, resolution)
     return _WindingRaster(estimate, complex(xmin, ymin), (cw, ch), labels,
                           depth, label_winding, safe_depth)
+
+
+def _cell_loops(keep: np.ndarray) -> list:
+    """The boundary of the True cells of ``keep`` (rows are y, columns x;
+    the outermost ring must be True) as closed loops of integer grid
+    vertices x + iy, each oriented with the True cells on its left.
+
+    Where two True cells touch only at a corner, the loop turns left there;
+    any pairing of the edges at such a corner gives the same total phase."""
+    edges = []                  # (x0, y0, dx, dy) for each unit edge
+    below, above = keep[:-1, :], keep[1:, :]
+    for mask, x0, dx in ((below & ~above, 1, -1), (~below & above, 0, 1)):
+        y, x = np.nonzero(mask)
+        edges.append(np.stack([x + x0, y + 1, np.full_like(x, dx),
+                               np.zeros_like(x)], axis=1))
+    left, right = keep[:, :-1], keep[:, 1:]
+    for mask, y0, dy in ((left & ~right, 0, 1), (~left & right, 1, -1)):
+        y, x = np.nonzero(mask)
+        edges.append(np.stack([x + 1, y + y0, np.zeros_like(x),
+                               np.full_like(x, dy)], axis=1))
+    e = np.concatenate(edges)
+    if not len(e):
+        return []
+    width = keep.shape[1] + 1
+    start = e[:, 1] * width + e[:, 0]
+    end = (e[:, 1] + e[:, 3]) * width + e[:, 0] + e[:, 2]
+    order = np.argsort(start, kind="stable")
+    first = np.searchsorted(start[order], end)
+    nxt = order[first]
+    # at a corner with two outgoing edges take the one turning left
+    two = np.flatnonzero(np.searchsorted(start[order], end, side="right") - first == 2)
+    alt = order[first[two] + 1]
+    turn_left = (e[alt, 2] == -e[two, 3]) & (e[alt, 3] == e[two, 2])
+    nxt[two[turn_left]] = alt[turn_left]
+    seen = np.zeros(len(e), dtype=bool)
+    loops = []
+    for k in range(len(e)):
+        chain = []
+        while not seen[k]:
+            seen[k] = True
+            chain.append(k)
+            k = nxt[k]
+        if chain:
+            c = np.array(chain)
+            turn = np.flatnonzero(np.any(e[c, 2:] != np.roll(e[c, 2:], 1, axis=0), axis=1))
+            loops.append(e[c[turn], 0] + 1j * e[c[turn], 1])
+    return loops
+
+
+def _zero_winding_region(s: LaurentSymbol, raster: _WindingRaster,
+                         half: float, margin: float):
+    """The region D where isolated eigenvalues are sought: the square
+    |Re z|, |Im z| < ``half`` without the raster cells that are not both at
+    winding 0 and at chessboard depth at least ``safe_depth`` (and 2).  Such
+    a cell lies at least ``reach`` from every curve cell, and its label
+    winding is the winding of the curve around it.  A curve without a raster
+    (segments, curves below rounding) is cut out instead as a box around
+    its 4096 samples, aligned with their longest chord and widened by
+    ``margin`` on every side.  The square must contain the curve; it is
+    widened when the raster box sticks out of it.
+
+    Returns (loops, contains): the boundary of D as closed polygons with D on
+    their left, and a function that maps points to a mask of membership."""
+    if raster.labels is not None:
+        box = raster.origin + raster.labels.shape[0] * complex(*raster.cell)
+        half = max(half, 1.05 * max(abs(raster.origin.real), abs(raster.origin.imag),
+                                    abs(box.real), abs(box.imag)))
+    square = half * np.array([-1 - 1j, 1 - 1j, 1 + 1j, -1 + 1j])
+
+    def in_square(z):
+        return (np.abs(z.real) < half) & (np.abs(z.imag) < half)
+
+    if raster.labels is None:
+        pts = s.on_circle(4096)
+        far = pts[np.argmax(np.abs(pts - pts[0]))]
+        tip = pts[np.argmax(np.abs(pts - far))]
+        axis = (tip - far) / abs(tip - far) if tip != far else 1.0
+        local = (pts - far) / axis
+        lo = complex(local.real.min() - margin, local.imag.min() - margin)
+        hi = complex(local.real.max() + margin, local.imag.max() + margin)
+        corners = np.array([lo, complex(lo.real, hi.imag), hi, complex(hi.real, lo.imag)])
+        hole = far + axis * corners                  # clockwise: D on the left
+
+        def contains(z):
+            u = (np.asarray(z, dtype=complex) - far) / axis
+            off = ((u.real < lo.real) | (u.real > hi.real)
+                   | (u.imag < lo.imag) | (u.imag > hi.imag))
+            return in_square(np.asarray(z, dtype=complex)) & off
+
+        return [square, hole], contains
+
+    size = raster.labels.shape[0]
+    good = np.zeros(raster.depth.shape, dtype=bool)
+    if raster.safe_depth is not None:
+        good = ((raster.depth >= max(raster.safe_depth, 2))
+                & (raster.label_winding[raster.labels] == 0))
+    keep = np.ones((size + 2, size + 2), dtype=bool)
+    keep[1:-1, 1:-1] = good
+    (cw, ch), origin = raster.cell, raster.origin
+    loops = [square] + [origin + (v.real - 1) * cw + 1j * (v.imag - 1) * ch
+                        for v in _cell_loops(keep)]
+
+    def contains(z):
+        z = np.asarray(z, dtype=complex)
+        fx = np.floor((z.real - origin.real) / cw)
+        fy = np.floor((z.imag - origin.imag) / ch)
+        inside = (fx >= 0) & (fx < size) & (fy >= 0) & (fy < size)
+        out = in_square(z) & ~inside
+        ix, iy = fx[inside].astype(int), fy[inside].astype(int)
+        out[inside] = good[iy, ix]
+        return out
+
+    return loops, contains
 
 
 def winding_regions(s: LaurentSymbol, resolution: int = 512,

@@ -132,7 +132,7 @@ def test_equivalence_refuses_non_normal():
 
 
 def test_selfadjoint_an_examples():
-    rec = check_an_selfadjoint(diagonal((0.0,), 1.0), trunc=64)
+    rec = check_an_selfadjoint(diagonal((0.0,), 1.0))
     assert rec.applicable and rec.verdict is Verdict.YES
     assert rec.alpha == pytest.approx(1.0, abs=1e-12)
     assert [(v, m) for v, m in rec.interior_points] == [(0.0, 1)]
@@ -140,19 +140,19 @@ def test_selfadjoint_an_examples():
     rec = check_an_selfadjoint(SELF_ADJOINT_BAND)
     assert rec.applicable and rec.verdict is Verdict.NO
 
-    rec = check_an_selfadjoint(diagonal((-1.0,), 1.0), trunc=64)
+    rec = check_an_selfadjoint(diagonal((-1.0,), 1.0))
     assert rec.verdict is Verdict.YES
     assert rec.interior_points == ()          # |-1| sits on the boundary
     assert any(abs(v + 1.0) <= 1e-8 for v in rec.boundary_points)
 
 
 def test_am_normal_examples():
-    rec = check_am_normal(identity(), trunc=64)
+    rec = check_am_normal(identity())
     assert rec.applicable and rec.verdict is Verdict.YES
     assert rec.beta == pytest.approx(1.0, abs=1e-12)
     assert rec.annulus_points == ()
 
-    rec = check_am_normal(diagonal((2.0,), 1.0), trunc=64)
+    rec = check_am_normal(diagonal((2.0,), 1.0))
     assert rec.verdict is Verdict.YES
     assert [(complex(v), m) for v, m in rec.annulus_points] == [(2.0 + 0j, 1)]
 
@@ -283,7 +283,7 @@ def test_classify_zero_operator():
 
 def test_spectral_summary_invariants():
     for op in (right_shift(), defect_shift(), diagonal((0.5j,), 1.0)):
-        summary = spectral_summary(op, samples=256, resolution=128, trunc=64)
+        summary = spectral_summary(op, samples=256, resolution=128)
         assert 0 <= summary.min_modulus <= summary.ess_min_modulus
         assert summary.ess_min_modulus <= summary.norm_upper + 1e-12
         assert summary.area >= 0
@@ -291,15 +291,14 @@ def test_spectral_summary_invariants():
 
 def test_spectral_summary_isolated_eigenvalues():
     summary = spectral_summary(diagonal((0.5j,), 1.0), samples=256,
-                               resolution=128, trunc=64)
+                               resolution=128)
     assert len(summary.eigenvalues) == 1
     value, mult = summary.eigenvalues[0]
     assert mult == 1 and abs(value - 0.5j) < 1e-9
 
 
 def test_spectral_summary_shift_has_no_isolated_points():
-    summary = spectral_summary(right_shift(), samples=256, resolution=128,
-                               trunc=64)
+    summary = spectral_summary(right_shift(), samples=256, resolution=128)
     assert summary.eigenvalues == ()
     assert summary.weyl_extra and summary.weyl_extra[0].winding == 1
 

@@ -1,5 +1,6 @@
-"""The winding raster behind winding_regions and the isolated-eigenvalue
-lookup of spectral_summary, each checked against a test-local oracle."""
+"""The winding raster behind winding_regions, and the raster lookup that
+the section oracle of ``reference_spectra`` uses for isolated eigenvalues,
+each checked against a test-local oracle."""
 
 import math
 
@@ -9,8 +10,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
+from reference_spectra import _isolated, deep_windings
 from opspectra import LaurentSymbol, suites, symbol, winding_regions
-from opspectra.classify import _isolated
 from opspectra.symbols import (AreaEstimate, RegionComponent, _winding_raster,
                                polygon_winding)
 
@@ -175,7 +176,7 @@ def _check_mask(s, raster, rng, clearance):
     got = _isolated(z, raster, curve_pts, clearance)
     want = [_isolated_reference(curve_pts, complex(q), clearance) for q in z]
     assert got.tolist() == want
-    return int(np.count_nonzero(raster.deep_windings(z, clearance)[0]))
+    return int(np.count_nonzero(deep_windings(raster, z, clearance)[0]))
 
 
 coefficient = st.complex_numbers(max_magnitude=1.5, allow_nan=False,
@@ -262,4 +263,4 @@ def test_lookup_decides_no_point_of_a_coarse_chord(coeffs):
     s = LaurentSymbol(coeffs)
     raster = _winding_raster(s, 512)
     for z in _coarse_chord_points(s, raster):
-        assert not raster.deep_windings(z, 0.0)[0].any()
+        assert not deep_windings(raster, z, 0.0)[0].any()
