@@ -27,6 +27,10 @@ from .symbols import (EssentialCurve, SpectralSummary, _curve_distance,
                       symbol_min_modulus, winding, winding_regions)
 
 
+# cells a side of the raster that bounds where isolated eigenvalues are sought
+REGION_RESOLUTION = 512
+
+
 class Verdict(enum.Enum):
     NO = "no"
     UNDETERMINED = "undetermined"
@@ -184,15 +188,20 @@ def _region_clusters(t: StructuredOperator, keep=None, tol: float = 1e-8,
     ((value, multiplicity), ...) selected by ``keep`` (an elementwise
     predicate on an array of values), and whether the list is certified.
 
-    Past m = len(window), T is exactly T(a).  When the tails are one-sided
-    (p = 0 or q = 0), T is block triangular, so these are the eigenvalues
-    of the window (none for an empty window, by Coburn's lemma), listed
-    with their clusters when farther than the clearance
-    1e-6 max(1, ||T||) from the curve; the list is exact.  Otherwise they
-    are the zeros of the corner's Schur complement inside the region that
-    ``_zero_winding_region`` cuts from the square of half-side 1.05 ||T||
-    (``numerics.schur_eigenvalues``); ``raster`` is the symbol's winding
-    raster when the caller already has one.
+    Both paths leave out the eigenvalues within the clearance
+    1e-6 max(1, ||T||) of the curve.  Past m = len(window), T is exactly
+    T(a).  When the tails are one-sided (p = 0 or q = 0), T is block
+    triangular, so these are the eigenvalues of the window (none for an
+    empty window, by Coburn's lemma), listed with their clusters; the list
+    is exact.  Otherwise they are the zeros of the corner's Schur
+    complement inside the region that ``_zero_winding_region`` cuts from
+    the square of half-side 1.05 ||T|| (``numerics.schur_eigenvalues``),
+    with a winding raster of ``REGION_RESOLUTION`` cells a side; that
+    region also leaves out a band at most two cell diagonals wide along the
+    curve, about 0.55 % of the curve's extent.  ``raster`` is the symbol's
+    raster when the caller already has one; it is used only at that
+    resolution.  A raster whose curve did not close gives an empty,
+    uncertified list.
     """
     sym = symbol(t)
     offsets = np.flatnonzero(t.tails) - len(t.tails) // 2
@@ -204,10 +213,12 @@ def _region_clusters(t: StructuredOperator, keep=None, tol: float = 1e-8,
         if keep is not None:
             vals = vals[keep(vals)]
         return cluster_values([complex(v) for v in vals], 100.0 * tol), True
-    if raster is None:
-        raster = _winding_raster(sym)
-    loops, contains = _zero_winding_region(sym, raster, 1.05 * norm, clearance)
-    found, certified = schur_eigenvalues(t, loops, contains, max(1.0, norm))
+    if raster is None or raster.estimate.resolution != REGION_RESOLUTION:
+        raster = _winding_raster(sym, REGION_RESOLUTION)
+    region = _zero_winding_region(sym, raster, 1.05 * norm, clearance)
+    if region is None:
+        return (), False
+    found, certified = schur_eigenvalues(t, *region, max(1.0, norm))
     if keep is not None:
         mask = keep(np.array([v for v, _ in found], dtype=complex))
         found = tuple(c for c, k in zip(found, mask) if k)
@@ -489,9 +500,10 @@ def spectral_summary(t: StructuredOperator, samples: int = 1024,
                      resolution: int = 512, tol: float = 1e-8) -> SpectralSummary:
     """Assemble the full spectral report for an operator.
 
-    The isolated eigenvalues are those of ``_region_clusters``, read from the
-    raster that also gives the area.  When their list is not certified, none
-    are listed and ``eigenvalues_stabilized`` is False."""
+    The isolated eigenvalues are those of ``_region_clusters``, which reads
+    the raster that also gives the area when ``resolution`` is
+    ``REGION_RESOLUTION`` and builds its own otherwise.  When their list is
+    not certified, none are listed and ``eigenvalues_stabilized`` is False."""
     sym = symbol(t)
     curve = EssentialCurve.sampled(sym, samples)
     raster = _winding_raster(sym, resolution)

@@ -30,6 +30,7 @@ from .symbols import (_laurent_roots, _wiener_hopf_block, symbol,
 TRUNC_CAP = 4096
 MERGE_FACTOR = 100.0        # eigenvalues within 100*tol are one cluster
 ROUNDING_MULTIPLE = 8.0     # eigenvalues of T*T within 8 eps * scale of 0 are 0
+LOOP_BUDGET = 2 ** 15       # most points at which _loop_turns evaluates
 
 
 @dataclass(frozen=True)
@@ -237,15 +238,15 @@ def _discrete_eigs_below(t, bound, tol, n, cap) -> DiscreteEigenReport:
     return DiscreteEigenReport(current, False, last_pair, near)
 
 
-def _loop_turns(log_f, loops, budget: int = 2 ** 15):
+def _loop_turns(log_f, loops):
     """Total winding around 0 of a function along closed polygons, or None.
 
     ``log_f`` maps an array of points to log f there (any branch; NaN
     where f cannot be evaluated).  Each loop starts with 128 points evenly
     spaced in arc length, and every gap across which log f changes by more
     than pi/4 (phase wrapped to (-pi, pi]) is halved, all loops in one batch
-    per round, until none does.  None means a NaN or more than ``budget``
-    points in all."""
+    per round, until none does.  None means a NaN or more than
+    ``LOOP_BUDGET`` points in all."""
     paths = []
     for v in loops:
         lengths = np.abs(np.roll(v, -1) - v)
@@ -262,7 +263,7 @@ def _loop_turns(log_f, loops, budget: int = 2 ** 15):
     total = 0
     while any(len(s) for s in new):
         total += sum(len(s) for s in new)
-        if total > budget:
+        if total > LOOP_BUDGET:
             return None
         got = log_f(np.concatenate([points(path, s) for path, s in zip(paths, new)]))
         if np.isnan(got).any():

@@ -112,14 +112,12 @@ def random_banded_symbol(rng, max_bandwidth: int = 2) -> StructuredOperator:
     return toeplitz(coeffs)
 
 
-def random_toeplitz_corner(rng, max_bandwidth: int = 3,
-                           max_corner: int = 12) -> StructuredOperator:
+def random_toeplitz_corner(rng) -> StructuredOperator:
     """Generic non-normal T(a) + K: a Laurent tail with every offset from
-    -k to k (k from 1 to max_bandwidth) and a dense complex corner of size
-    4 to max_corner."""
-    k = int(rng.integers(1, max_bandwidth + 1))
+    -k to k (k from 1 to 3) and a dense complex corner of size 4 to 12."""
+    k = int(rng.integers(1, 4))
     coeffs = {off: _complex(rng) for off in range(-k, k + 1)}
-    n = int(rng.integers(4, max_corner + 1))
+    n = int(rng.integers(4, 13))
     head = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / np.sqrt(n)
     return toeplitz(coeffs) + from_dense_corner(head)
 
@@ -293,9 +291,9 @@ def suite_index_crossval(seed: int = 0, symbols_count: int = 20,
     return results
 
 
-def suite_isolated_eigenvalues(seed: int = 0, count: int = 8, n: int = 512):
+def suite_isolated_eigenvalues(seed: int = 0, count: int = 8):
     """The isolated eigenvalues of ``spectral_summary`` against a dense
-    n-section, on random T(a) + K: each one listed lies within 1e-6 scale
+    512-section, on random T(a) + K: each one listed lies within 1e-6 scale
     of a section eigenvalue, and every section eigenvalue at winding 0
     farther than 0.1 scale from the curve is listed (scale = max(1, ||T||)).
     An uncertified list fails."""
@@ -307,7 +305,7 @@ def suite_isolated_eigenvalues(seed: int = 0, count: int = 8, n: int = 512):
         scale = max(1.0, summary.norm_upper)
         sym = symbol(op)
         listed = np.array([v for v, _ in summary.eigenvalues], dtype=complex)
-        section = np.linalg.eigvals(op.truncate(n))
+        section = np.linalg.eigvals(op.truncate(512))
         unmatched = [v for v in listed if np.min(np.abs(section - v)) > 1e-6 * scale]
         missed = []
         for v in section:

@@ -385,9 +385,10 @@ class _WindingRaster:
     ``labels`` numbers the 4-connected off-curve components (0 on the curve),
     ``depth`` is each cell's chessboard distance in cells to the nearest curve
     cell, and ``label_winding`` the winding of each label (0 for components
-    that touch the border).  ``safe_depth`` is None when there is no raster
-    (segment or sub-rounding curves) or when the gap test failed at
-    ``max_curve_samples``."""
+    that touch the border).  ``closed`` says the refined curve passed the
+    gap test (consecutive samples less than half a cell apart) before
+    ``max_curve_samples``; it is False when there is no raster (segment or
+    sub-rounding curves)."""
 
     estimate: AreaEstimate
     origin: complex = 0j
@@ -395,7 +396,7 @@ class _WindingRaster:
     labels: np.ndarray | None = None
     depth: np.ndarray | None = None
     label_winding: np.ndarray | None = None
-    safe_depth: int | None = None
+    closed: bool = False
 
 
 def _winding_raster(s: LaurentSymbol, resolution: int = 512,
@@ -415,7 +416,7 @@ def _winding_raster(s: LaurentSymbol, resolution: int = 512,
     empty = _WindingRaster(AreaEstimate(0.0, 0.0, (), 0, 0.0, resolution))
     if s.is_segment():
         return empty
-    coarse = pts = s.on_circle(4096)
+    pts = s.on_circle(4096)
     scale = max(1.0, s.magnitude())
     extent = max(np.ptp(pts.real), np.ptp(pts.imag))
     if extent <= 1e-13 * scale:     # a curve below the rounding of its shift
@@ -438,17 +439,6 @@ def _winding_raster(s: LaurentSymbol, resolution: int = 512,
         m *= 2
         pts = s.on_circle(m)
     curve_len = float(np.sum(np.abs(np.diff(np.append(pts, pts[0])))))
-    # Sample j * m / 4096 of the refined curve is coarse sample j exactly (m
-    # is 4096 times a power of 2).  reach bounds how far each block of
-    # refined samples strays from the start of its 4096-point chord; the
-    # block's end lies less than half a cell further.  Within that disc the
-    # refined path deforms into the chord, so the two polygons wind alike
-    # around every point more than reach + one cell from the curve cells.
-    safe_depth = None
-    if closed:
-        blocks = pts.reshape(coarse.size, -1)
-        reach = float(np.max(np.abs(blocks - coarse[:, None])))
-        safe_depth = math.ceil(reach / min(cw, ch)) + 1
 
     ix = np.clip(((pts.real - xmin) / cw).astype(int), 0, resolution - 1)
     iy = np.clip(((pts.imag - ymin) / ch).astype(int), 0, resolution - 1)
@@ -487,7 +477,7 @@ def _winding_raster(s: LaurentSymbol, resolution: int = 512,
     estimate = AreaEstimate(value, error, tuple(components), curve_cells,
                             cell_diag, resolution)
     return _WindingRaster(estimate, complex(xmin, ymin), (cw, ch), labels,
-                          depth, label_winding, safe_depth)
+                          depth, label_winding, closed)
 
 
 def _cell_loops(keep: np.ndarray) -> list:
@@ -539,19 +529,30 @@ def _cell_loops(keep: np.ndarray) -> list:
 
 def _zero_winding_region(s: LaurentSymbol, raster: _WindingRaster,
                          half: float, margin: float):
-    """The region D where isolated eigenvalues are sought: the square
-    |Re z|, |Im z| < ``half`` without the raster cells that are not both at
-    winding 0 and at chessboard depth at least ``safe_depth`` (and 2).  Such
-    a cell lies at least ``reach`` from every curve cell, and its label
-    winding is the winding of the curve around it.  A curve without a raster
-    (segments, curves below rounding) is cut out instead as a box around
-    its 4096 samples, aligned with their longest chord and widened by
-    ``margin`` on every side.  The square must contain the curve; it is
-    widened when the raster box sticks out of it.
+    """The region D where isolated eigenvalues are sought: points of the
+    square |Re z|, |Im z| < ``half`` at winding 0 and farther than
+    ``margin`` from the curve, less a thin band along the curve.
 
-    Returns (loops, contains): the boundary of D as closed polygons with D on
+    When the raster's cells are wider than 2 ``margin``, D is the square
+    without the raster cells that are not both at winding 0 and at
+    chessboard depth 2 or more.  The refined curve's samples lie less than
+    half a cell apart, so its polygon stays more than half a cell from every
+    such cell and winds around it as around the representative of its
+    label.  A point at winding 0 farther than two cell diagonals from the
+    curve lies in such a cell: the band left out is at most that wide.
+    Otherwise (segments, curves below rounding, cells of at most 2
+    ``margin``) the curve is cut out as a box around its 4096 samples,
+    aligned with their longest chord and widened by ``margin`` on every
+    side.  The square must contain the curve; it is widened when the raster
+    box sticks out of it.
+
+    Returns None when the raster's curve did not close (its gap test failed
+    at ``max_curve_samples``), as then no cell's winding is known.  Otherwise
+    returns (loops, contains): the boundary of D as closed polygons with D on
     their left, and a function that maps points to a mask of membership."""
     if raster.labels is not None:
+        if not raster.closed:
+            return None
         box = raster.origin + raster.labels.shape[0] * complex(*raster.cell)
         half = max(half, 1.05 * max(abs(raster.origin.real), abs(raster.origin.imag),
                                     abs(box.real), abs(box.imag)))
@@ -560,7 +561,7 @@ def _zero_winding_region(s: LaurentSymbol, raster: _WindingRaster,
     def in_square(z):
         return (np.abs(z.real) < half) & (np.abs(z.imag) < half)
 
-    if raster.labels is None:
+    if raster.labels is None or min(raster.cell) <= 2 * margin:
         pts = s.on_circle(4096)
         far = pts[np.argmax(np.abs(pts - pts[0]))]
         tip = pts[np.argmax(np.abs(pts - far))]
@@ -580,10 +581,7 @@ def _zero_winding_region(s: LaurentSymbol, raster: _WindingRaster,
         return [square, hole], contains
 
     size = raster.labels.shape[0]
-    good = np.zeros(raster.depth.shape, dtype=bool)
-    if raster.safe_depth is not None:
-        good = ((raster.depth >= max(raster.safe_depth, 2))
-                & (raster.label_winding[raster.labels] == 0))
+    good = (raster.depth >= 2) & (raster.label_winding[raster.labels] == 0)
     keep = np.ones((size + 2, size + 2), dtype=bool)
     keep[1:-1, 1:-1] = good
     (cw, ch), origin = raster.cell, raster.origin

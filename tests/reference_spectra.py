@@ -2,10 +2,8 @@
 
 Before the Schur-complement engine, ``classify._region_clusters`` took the
 eigenvalues of the dense n and 2n sections, kept those selected by a
-predicate, and accepted the clusters when both sizes agreed;
-``spectral_summary``'s predicate was ``_isolated``, a raster lookup with a
-per-point test on the 4096-point curve polygon for the points the raster
-left undecided.  Both live on here as independent oracles.
+predicate, and accepted the clusters when both sizes agreed.  That body
+lives on here as an independent oracle.
 """
 
 from __future__ import annotations
@@ -13,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from opspectra.numerics import _auto_trunc, _clusters_match, cluster_values
-from opspectra.symbols import polygon_winding
 
 
 def region_clusters_by_sections(t, keep, trunc=None, tol=1e-8, hermitian=False):
@@ -30,51 +27,3 @@ def region_clusters_by_sections(t, keep, trunc=None, tol=1e-8, hermitian=False):
     a = at(n)
     b = at(2 * n)
     return b, _clusters_match(a, b, tol)
-
-
-def deep_windings(raster, z: np.ndarray, clearance: float):
-    """Returns (decided, winding) for the points z.
-
-    A point is decided when it lies in the box, in a cell deeper than
-    ``safe_depth``, and the cells are larger than ``clearance``.  Such a
-    point lies more than reach plus one cell from every curve cell, so the
-    raster's refined polygon deforms into the 4096-point polygon
-    ``on_circle(4096)`` without crossing it, and both wind around it as
-    around the representative of its label.  It also lies farther than
-    ``clearance`` from every edge of either polygon."""
-    z = np.asarray(z, dtype=complex)
-    decided = np.zeros(z.shape, dtype=bool)
-    winding = np.zeros(z.shape, dtype=int)
-    if raster.safe_depth is None or min(raster.cell) <= clearance:
-        return decided, winding
-    size = raster.labels.shape[0]
-    fx = (z.real - raster.origin.real) / raster.cell[0]
-    fy = (z.imag - raster.origin.imag) / raster.cell[1]
-    inside = np.flatnonzero((fx >= 0) & (fx < size) & (fy >= 0) & (fy < size))
-    ix, iy = fx[inside].astype(int), fy[inside].astype(int)
-    deep = raster.depth[iy, ix] > raster.safe_depth
-    found = inside[deep]
-    decided[found] = True
-    winding[found] = raster.label_winding[raster.labels[iy[deep], ix[deep]]]
-    return decided, winding
-
-
-def _isolated(z: np.ndarray, raster, curve_pts: np.ndarray,
-              clearance: float) -> np.ndarray:
-    """Mask of the points z farther than ``clearance`` from every edge of the
-    closed polygon through ``curve_pts`` and around which it winds zero
-    times.
-
-    Points deep inside a component of ``raster`` read its winding; the rest
-    are tested one by one on the polygon."""
-    decided, winding = deep_windings(raster, z, clearance)
-    keep = decided & (winding == 0)
-    edges = np.roll(curve_pts, -1) - curve_pts
-    length2 = np.maximum(edges.real ** 2 + edges.imag ** 2, np.finfo(float).tiny)
-    for i in np.flatnonzero(~decided):
-        q = complex(z[i])
-        # the point of each edge nearest q: its projection, clipped to the edge
-        s = np.clip(((q - curve_pts) * edges.conj()).real / length2, 0.0, 1.0)
-        keep[i] = (float(np.min(np.abs(curve_pts + s * edges - q))) > clearance
-                   and polygon_winding(curve_pts, q) == 0)
-    return keep

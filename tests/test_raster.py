@@ -1,6 +1,6 @@
-"""The winding raster behind winding_regions, and the raster lookup that
-the section oracle of ``reference_spectra`` uses for isolated eigenvalues,
-each checked against a test-local oracle."""
+"""The winding raster behind winding_regions, checked against a test-local
+oracle, and the region ``_zero_winding_region`` cuts from it for isolated
+eigenvalues, checked against ``winding`` and ``_curve_distance``."""
 
 import math
 
@@ -10,10 +10,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from reference_spectra import _isolated, deep_windings
-from opspectra import LaurentSymbol, suites, symbol, winding_regions
-from opspectra.symbols import (AreaEstimate, RegionComponent, _winding_raster,
-                               polygon_winding)
+from opspectra import LaurentSymbol, PointOnCurve, suites, symbol, winding_regions
+from opspectra.symbols import (AreaEstimate, RegionComponent, _curve_distance,
+                               _winding_raster, _zero_winding_region,
+                               polygon_winding, winding)
 
 
 def _edt_winding_regions(s, resolution, max_curve_samples=2 ** 20):
@@ -132,7 +132,7 @@ def test_representative_is_the_first_deepest_cell_of_its_component(s):
         assert np.flatnonzero(deepest)[0] == ry * raster.labels.shape[1] + rx
 
 
-# -- the isolated() mask against the per-point predicate -----------------------
+# -- the region where isolated eigenvalues are sought --------------------------
 
 def _edge_distance(curve_pts, q):
     """Least distance from q to an edge of the closed polygon, each edge
@@ -145,10 +145,29 @@ def _edge_distance(curve_pts, q):
     return float(np.min(np.abs(a + s * d - q)))
 
 
-def _isolated_reference(curve_pts, q, clearance):
-    if _edge_distance(curve_pts, q) <= clearance:
-        return False
-    return polygon_winding(curve_pts, q) == 0
+def _winding_and_distance(s, z):
+    """Per point: whether the curve winds zero times around it, and its
+    distance to the curve.  Symbols of low degree use ``winding`` and
+    ``_curve_distance``; for high degree, whose roots are costly, the curve
+    is the polygon of 2^16 samples, whose chords stray from it by less than
+    a tenth of a 512 raster cell.  Coefficients below 1e-12 of the largest are
+    dropped first: they move the curve by far less than any clearance
+    tested, and ``winding`` miscounts the roots of a polynomial whose top
+    coefficient is that small."""
+    top = max(abs(c) for c in s.coeffs.values())
+    s = LaurentSymbol({k: c for k, c in s.coeffs.items() if abs(c) >= 1e-12 * top})
+    if max(max(s.coeffs), 0) - min(min(s.coeffs), 0) <= 8:
+        zero, dist = [], []
+        for q in z:
+            try:
+                zero.append(winding(s, q) == 0)
+            except PointOnCurve:
+                zero.append(False)
+            dist.append(_curve_distance(s, q))
+        return np.array(zero), np.array(dist)
+    fine = s.on_circle(2 ** 16)
+    return (np.array([polygon_winding(fine, complex(q)) == 0 for q in z]),
+            np.array([_edge_distance(fine, complex(q)) for q in z]))
 
 
 def _lookup_points(s, raster, rng, count=200):
@@ -170,13 +189,32 @@ def _lookup_points(s, raster, rng, count=200):
     return np.concatenate([box, near, outside])
 
 
-def _check_mask(s, raster, rng, clearance):
-    curve_pts = s.on_circle(4096)
-    z = _lookup_points(s, raster, rng)
-    got = _isolated(z, raster, curve_pts, clearance)
-    want = [_isolated_reference(curve_pts, complex(q), clearance) for q in z]
-    assert got.tolist() == want
-    return int(np.count_nonzero(deep_windings(raster, z, clearance)[0]))
+def _region(s, raster, clearance):
+    """``_zero_winding_region`` with a square that holds every test point."""
+    return _zero_winding_region(s, raster, 4.0 * max(1.0, s.magnitude()), clearance)
+
+
+def _check_region(s, raster, z, clearance):
+    """Every point of z in the region is at winding 0 and farther than the
+    clearance from the curve, and farther than 0.4 cell when the region
+    is cut cell by cell; then every point of z at winding 0 farther than
+    two cell diagonals from the curve is in it.  Returns the mask."""
+    inside = _region(s, raster, clearance)[1](z)
+    zero, dist = _winding_and_distance(s, z)
+    by_cells = raster.labels is not None and min(raster.cell) > 2 * clearance
+    least = max(clearance, 0.4 * min(raster.cell)) if by_cells else clearance
+    assert zero[inside].all()
+    assert (dist[inside] > least).all()
+    if by_cells:
+        band = 2 * math.hypot(*raster.cell)
+        assert inside[zero & (dist > band)].all()
+    return inside
+
+
+def _in_raster_box(raster, z):
+    far = raster.origin + raster.labels.shape[0] * complex(*raster.cell)
+    return ((z.real >= raster.origin.real) & (z.real < far.real)
+            & (z.imag >= raster.origin.imag) & (z.imag < far.imag))
 
 
 coefficient = st.complex_numbers(max_magnitude=1.5, allow_nan=False,
@@ -189,11 +227,17 @@ coefficient = st.complex_numbers(max_magnitude=1.5, allow_nan=False,
        st.sampled_from([1e-6, 1e-3]))
 def test_isolated_mask_matches_the_per_point_predicate(coeffs, resolution,
                                                        seed, clearance):
+    """The region's membership mask against ``winding`` and
+    ``_curve_distance`` on random symbols, rasters and clearances."""
     s = LaurentSymbol(coeffs)
     assume(not s.is_segment())
     raster = _winding_raster(s, resolution)
     assume(raster.labels is not None)
-    _check_mask(s, raster, np.random.default_rng(seed), clearance)
+    if not raster.closed:       # a flat curve that 2^20 samples do not close
+        assert _region(s, raster, clearance) is None
+        return
+    z = _lookup_points(s, raster, np.random.default_rng(seed))
+    _check_region(s, raster, z, clearance)
 
 
 @pytest.mark.parametrize("coeffs, resolution, max_samples, decides", [
@@ -202,28 +246,33 @@ def test_isolated_mask_matches_the_per_point_predicate(coeffs, resolution,
     # a star polygon: each coarse chord spans 17.6 degrees of the circle
     ({200: 1.0}, 512, 2 ** 20, True),
     ({1: 1.0, -1: 0.5j}, 512, 2 ** 20, True),
-    # the gap test fails at max_curve_samples: nothing is looked up
+    # the gap test fails at max_curve_samples: there is no region
     ({1: 1.0, 1500: 0.05}, 512, 4096, False),
-    # cells no larger than the clearance: nothing is looked up
+    # cells no wider than twice the clearance: the curve's whole box is cut out
     ({1: 1e-7, -2: 0.3e-7}, 256, 2 ** 20, False),
 ])
 def test_isolated_mask_on_fixed_symbols(coeffs, resolution, max_samples,
                                         decides):
+    """``decides`` says whether the region reaches into the raster box."""
     s = LaurentSymbol(coeffs)
     raster = _winding_raster(s, resolution, max_samples)
-    assert (raster.safe_depth is not None) == (max_samples > 4096)
+    assert raster.closed == (max_samples > 4096)
+    if not raster.closed:
+        assert _region(s, raster, 1e-6) is None
+        assert not decides
+        return
     for seed in range(3):
-        decided = _check_mask(s, raster, np.random.default_rng(seed), 1e-6)
-        assert (decided > 0) == decides
+        z = _lookup_points(s, raster, np.random.default_rng(seed), count=100)
+        inside = _check_region(s, raster, z, 1e-6)
+        assert inside[_in_raster_box(raster, z)].any() == decides
 
 
 def test_segment_symbol_has_no_raster_and_falls_back():
     s = LaurentSymbol({1: 1.0, -1: 1.0})
     raster = _winding_raster(s, 512)
-    assert raster.safe_depth is None
+    assert raster.labels is None and not raster.closed
     z = np.array([0.0, 0.5j, 3.0, 1.0 + 1e-9j])
-    assert _isolated(z, raster, s.on_circle(4096), 1e-6).tolist() == \
-        [_isolated_reference(s.on_circle(4096), complex(q), 1e-6) for q in z]
+    assert _region(s, raster, 1e-6)[1](z).tolist() == [False, True, True, False]
 
 
 def test_points_on_a_segment_curve_between_its_samples_are_not_isolated():
@@ -234,23 +283,20 @@ def test_points_on_a_segment_curve_between_its_samples_are_not_isolated():
     curve = s.on_circle(4096)
     middles = (0.5 * (curve + np.roll(curve, -1)))[960:1088]   # around 0
     assert float(np.min(np.abs(curve[:, None] - middles), axis=0).min()) > 1e-3
-    raster = _winding_raster(s, 512)
-    assert not _isolated(middles, raster, curve, 1e-6).any()
-    off = middles + 1e-3j
-    assert _isolated(off, raster, curve, 1e-6).all()
+    contains = _region(s, _winding_raster(s, 512), 1e-6)[1]
+    assert not contains(middles).any()
+    assert contains(middles + 1e-3j).all()
 
 
 def _coarse_chord_points(s, raster):
     """Points a quarter cell apart along every chord of the 4096-point
-    polygon, 256 chords at a time."""
+    polygon."""
     curve = s.on_circle(4096)
     ends = np.roll(curve, -1)
     steps = int(np.ceil(np.max(np.abs(ends - curve))
                         / (0.25 * min(raster.cell)))) + 1
     t = np.linspace(0.0, 1.0, steps + 1)
-    for lo in range(0, curve.size, 256):
-        chunk = slice(lo, lo + 256)
-        yield (curve[chunk, None] + t * (ends - curve)[chunk, None]).ravel()
+    return (curve[:, None] + t * (ends - curve)[:, None]).ravel()
 
 
 @pytest.mark.parametrize("coeffs", [
@@ -260,7 +306,13 @@ def _coarse_chord_points(s, raster):
     {200: 1.0}, {1: 1.0, 1500: 0.05}, {20: 1.0, -20: 1.0, 40: 1.0, -40: 1j},
 ])
 def test_lookup_decides_no_point_of_a_coarse_chord(coeffs):
+    """The chords of the 4096-point polygon pass within a fraction of a cell
+    of the curve or cut across it into other windings; no chord point is
+    put in the region wrongly (up to 64 of those in it are checked)."""
     s = LaurentSymbol(coeffs)
     raster = _winding_raster(s, 512)
-    for z in _coarse_chord_points(s, raster):
-        assert not deep_windings(raster, z, 0.0)[0].any()
+    z = _coarse_chord_points(s, raster)
+    inside = _region(s, raster, 1e-6)[1](z)
+    picked = np.random.default_rng(0).permutation(np.flatnonzero(inside))[:64]
+    zero, dist = _winding_and_distance(s, z[picked])
+    assert zero.all() and (dist > 0.4 * min(raster.cell)).all()

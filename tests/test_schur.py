@@ -12,7 +12,7 @@ from scipy.linalg import eig
 from conftest import load_perfbench
 from opspectra import (constant_diagonal, diagonal, embed_at,
                        from_dense_corner, gram, load_bundled, min_modulus,
-                       suites, symbol, toeplitz)
+                       spectral_summary, suites, symbol, toeplitz)
 from opspectra.classify import _region_clusters
 from opspectra.numerics import cluster_values, operator_norm
 from opspectra.symbols import (PointOnCurve, _curve_distance, _wiener_hopf_block,
@@ -190,6 +190,26 @@ def test_pollution_near_the_curve_is_not_listed():
     for v in near:
         hit = np.min(np.abs(listed - v)) <= 2e-4 * scale
         assert hit == any(v == k for k in kept)
+
+
+def test_raster_that_does_not_close_gives_an_uncertified_list():
+    """Sampled at 4096 points, the curve of pool base (1, 8, 1) fails the
+    raster's gap test at resolution 512: no cell's winding is known, so
+    nothing is certified, and the sound raster certifies the list."""
+    t = workloads.generic_base(1, 8, 1)
+    raster = _winding_raster(symbol(t), 512, 4096)
+    assert not raster.closed
+    assert _region_clusters(t, raster=raster) == ((), False)
+    found, certified = _region_clusters(t)
+    assert certified and found
+
+
+def test_the_listed_eigenvalues_do_not_depend_on_the_area_resolution():
+    t = workloads.generic_base(1, 16, 0)
+    coarse = spectral_summary(t, samples=256, resolution=128)
+    fine = spectral_summary(t, samples=256, resolution=512)
+    assert coarse.eigenvalues_stabilized and fine.eigenvalues_stabilized
+    assert coarse.eigenvalues == fine.eigenvalues == _region_clusters(t)[0]
 
 
 def test_region_clusters_resolves_for_the_tracer(pool_bases):
