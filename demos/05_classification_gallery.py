@@ -18,7 +18,7 @@ gallery["nilpotent corner"] = osp.from_dense_corner(
     np.array([[0.0, 0.0], [1.0, 0.0]]))
 
 for name, op in gallery.items():
-    r = osp.classify(op, trunc=64)
+    r = osp.classify(op)
     alpha = f"{r.alpha:.3f}" if r.alpha is not None else "-"
     print(f"{name:<22s} {r.is_normal.value:>8s} {r.is_hyponormal.value:>8s} "
           f"{r.is_paranormal.value:>8s} {r.is_AN.value:>8s} {alpha:>8s}")
@@ -30,7 +30,7 @@ rng = np.random.default_rng(0)
 for i in range(4):
     op = random_diagonal(rng, max_prefix=4)
     oracle = diagonal_oracle(op)
-    eq = osp.check_an_normal_equivalence(op, trunc=64)
+    eq = osp.check_an_normal_equivalence(op)
     print(f"  sample {i}: alpha={oracle['alpha']:.3f} "
           f"interior oracle={len(oracle['interior'])} "
           f"checker={sum(m for _, m in eq.interior_points)} "

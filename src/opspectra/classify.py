@@ -1,7 +1,8 @@
 """Membership tests and implication checks, each returning a verdict plus
 witnesses.
 
-Numerical positivity tests can fail to stabilize, so every verdict is
+A count on the corner is valid only where the roots of the symbol split
+off the circle, and a paranormality grid only falsifies, so every verdict is
 tri-state; "undetermined" is a first-class outcome and is never silently
 coerced to yes or no.
 """
@@ -17,14 +18,14 @@ import numpy as np
 from .core import (StructuredOperator, constant_diagonal, gram, is_selfadjoint,
                    selfadjoint_defect, self_commutator, toeplitz)
 from .errors import NotHyponormal, NotStabilized
-from .numerics import (TRUNC_CAP, _auto_trunc, cluster_values,
-                       discrete_eigs_below, min_modulus, operator_norm,
-                       positive_truncations, positivity_verdict,
+from .numerics import (_count_below, cluster_values, discrete_eigs_below,
+                       min_modulus, operator_norm, positivity_verdict,
                        schur_eigenvalues)
 from .symbols import (EssentialCurve, SpectralSummary, _curve_distance,
-                      _WindingRaster, _winding_raster, _zero_winding_region,
-                      constant_value, modulus_constant, spectral_area, symbol,
-                      symbol_min_modulus, winding, winding_regions)
+                      _tail_span, _WindingRaster, _winding_raster,
+                      _zero_winding_region, constant_value, modulus_constant,
+                      spectral_area, symbol, symbol_min_modulus, winding,
+                      winding_regions)
 
 
 # cells a side of the raster that bounds where isolated eigenvalues are sought
@@ -73,10 +74,9 @@ def check_normal(t: StructuredOperator, tol: float = 1e-8) -> CheckResult:
                        {"commutator_magnitude": mag})
 
 
-def check_hyponormal(t: StructuredOperator, tol: float = 1e-10,
-                     trunc: int | None = None) -> CheckResult:
+def check_hyponormal(t: StructuredOperator, tol: float = 1e-10) -> CheckResult:
     """Hyponormal iff T*T - TT* is positive."""
-    verdict, witness = positivity_verdict(self_commutator(t), tol, trunc)
+    verdict, witness = positivity_verdict(self_commutator(t), tol)
     return CheckResult(Verdict(verdict), witness)
 
 
@@ -94,16 +94,17 @@ def default_paranormal_grid(t: StructuredOperator, count: int = 32):
     return tuple(np.geomspace(lo, hi, count))
 
 
-def check_paranormal(t: StructuredOperator, grid=None, tol: float = 1e-10,
-                     trunc: int | None = None) -> CheckResult:
+def check_paranormal(t: StructuredOperator, grid=None,
+                     tol: float = 1e-10) -> CheckResult:
     """Grid test of the shifted-square positivity characterization.
 
     The operator q(s) = T*^2 T^2 - 2 s T*T + s^2 I must be positive for every
     s > 0; a finite grid is a sound falsifier but only a heuristic verifier,
     so the witness records exactly which shifts were tested.
 
-    The symbol of q(s) is (|a|^2 - s)^2 >= 0, so only the truncations can
-    show a negative eigenvalue.
+    The symbol of q(s) is (|a|^2 - s)^2 >= 0, so each shift is decided by
+    the count on the corner below -tol max(1, magnitude of q(s))
+    (``_count_below``); where that count is not valid, "undetermined".
     """
     if grid is None:
         grid = default_paranormal_grid(t)
@@ -121,27 +122,24 @@ def check_paranormal(t: StructuredOperator, grid=None, tol: float = 1e-10,
     gap = toeplitz(symbol(quartic).coeffs) - toeplitz(squared.coeffs)
     if gap.magnitude() > 1e-12 * max(1.0, squared.magnitude()):  # pragma: no cover
         raise AssertionError("symbol(T*^2 T^2) is not symbol(T*T)^2")
-    n = trunc if trunc is not None else _auto_trunc(quartic, quad)
     outcome = Verdict.YES
     failed_at = None
     for s in grid:
         q = quartic - quad.scaled(2.0 * s) + constant_diagonal(s * s)
-        verdict, _ = positive_truncations(q.lower_band, tol,
-                                          max(1.0, q.magnitude()), n, TRUNC_CAP)
-        if verdict == "no":
+        count, valid = _count_below(q, -tol * max(1.0, q.magnitude()))
+        if not valid:
+            outcome = Verdict.UNDETERMINED
+        elif count:
             outcome, failed_at = Verdict.NO, s
             break
-        if verdict == "undetermined":
-            outcome = Verdict.UNDETERMINED
     return CheckResult(outcome, {"grid": grid, "failed_at": failed_at})
 
 
 # -- absolutely norm attaining -----------------------------------------------
 
-def check_an_positive(p: StructuredOperator, tol: float = 1e-8,
-                      trunc: int | None = None) -> ANResult:
+def check_an_positive(p: StructuredOperator, tol: float = 1e-8) -> ANResult:
     """Positive operator test: singleton essential spectrum plus finitely
-    many (stabilized) eigenvalues below it."""
+    many eigenvalues below it."""
     if not is_selfadjoint(p, 1e-10 * max(1.0, p.magnitude())):
         raise ValueError("input must be self-adjoint (positive)")
     c = constant_value(symbol(p))
@@ -150,24 +148,23 @@ def check_an_positive(p: StructuredOperator, tol: float = 1e-8,
         dev = float(np.max(np.abs(pts - np.mean(pts))))
         return ANResult(Verdict.NO, None, {"symbol_deviation": dev})
     level = float(c.real)
-    report = discrete_eigs_below(p, bound=level, tol=tol, n=trunc)
+    report = discrete_eigs_below(p, bound=level, tol=tol)
     witness = {"level": level,
                "eigenvalues_below": tuple((float(np.real(v)), m)
                                           for v, m in report.eigenvalues),
                "near_boundary": report.near_boundary,
-               "sizes_used": report.sizes_used}
+               "corner": report.corner}
     if not report.stabilized:
         return ANResult(Verdict.UNDETERMINED, None, witness)
     return ANResult(Verdict.YES, level, witness)
 
 
-def check_an(t: StructuredOperator, tol: float = 1e-8,
-             trunc: int | None = None) -> ANResult:
+def check_an(t: StructuredOperator, tol: float = 1e-8) -> ANResult:
     """Absolutely norm attaining via the positivity transfer T in AN iff T*T in AN.
 
     alpha is the essential level of |T| (square root of the T*T level).
     """
-    res = check_an_positive(gram(t), tol, trunc)
+    res = check_an_positive(gram(t), tol)
     if res.verdict is Verdict.YES:
         return ANResult(Verdict.YES, math.sqrt(max(0.0, res.alpha)), res.witness)
     return res
@@ -204,10 +201,9 @@ def _region_clusters(t: StructuredOperator, keep=None, tol: float = 1e-8,
     uncertified list.
     """
     sym = symbol(t)
-    offsets = np.flatnonzero(t.tails) - len(t.tails) // 2
     norm = operator_norm(t)
     clearance = 1e-6 * max(1.0, norm)
-    if not len(t.window) or offsets.min(initial=0) >= 0 or offsets.max(initial=0) <= 0:
+    if not len(t.window) or 0 in _tail_span(t.tails):
         vals = np.linalg.eigvals(t.window)
         vals = vals[_off_curve(sym, vals, clearance)]
         if keep is not None:
@@ -240,14 +236,14 @@ class EquivalenceRecord:
     reason: str = ""
 
 
-def check_an_normal_equivalence(t: StructuredOperator, tol: float = 1e-8,
-                                trunc: int | None = None) -> EquivalenceRecord:
+def check_an_normal_equivalence(t: StructuredOperator,
+                                tol: float = 1e-8) -> EquivalenceRecord:
     """For normal T, evaluate the three equivalent characterizations
     independently and report whether they agree; refuses non-normal input."""
     if check_normal(t, max(tol, 1e-10)).verdict is not Verdict.YES:
         return EquivalenceRecord(applicable=False,
                                  reason="equivalence applies to normal operators only")
-    an = check_an(t, tol, trunc)
+    an = check_an(t, tol)
 
     alpha = modulus_constant(symbol(t))
     if alpha is None:
@@ -407,17 +403,19 @@ def paranormal_pair_normality(t: StructuredOperator, tol: float = 1e-8,
     """Both implication tests: (T, T* paranormal, T in AN) forces normality,
     and (T paranormal, T in AN, N(T) = N(T*)) forces normality.
 
-    Null spaces are compared through truncation null projections, a proxy
-    that can only strengthen the premises on shift-like operators.
+    Null spaces are compared through the null projections of the
+    ``trunc`` section, a proxy that can only strengthen the premises on
+    shift-like operators.
     """
-    p1 = check_paranormal(t, tol=max(tol, 1e-10), trunc=trunc).verdict
-    p2 = check_paranormal(t.adjoint(), tol=max(tol, 1e-10), trunc=trunc).verdict
-    an = check_an(t, trunc=trunc).verdict
+    p1 = check_paranormal(t, tol=max(tol, 1e-10)).verdict
+    p2 = check_paranormal(t.adjoint(), tol=max(tol, 1e-10)).verdict
+    an = check_an(t).verdict
     premises = all(v is Verdict.YES for v in (p1, p2, an))
     normal = check_normal(t, tol).verdict if premises else None
     holds = (normal is Verdict.YES) if premises else None
 
-    n = trunc if trunc is not None else _auto_trunc(t)
+    n = trunc if trunc is not None else max(64, 2 * t.corner_size
+                                            + 4 * t.bandwidth + 32)
     pn = _null_projection(t.truncate(n))
     pn_adj = _null_projection(t.adjoint().truncate(n))
     null_equal = bool(np.linalg.norm(pn - pn_adj, 2) <= max(tol, 1e-8))
@@ -452,7 +450,7 @@ class ClassificationReport:
                                         self.is_AN, self.is_AM_normal)
 
 
-def classify(t: StructuredOperator, trunc: int | None = None,
+def classify(t: StructuredOperator,
              tol_normal: float = 1e-8, tol_hyponormal: float = 1e-10,
              tol_paranormal: float = 1e-10, tol_an: float = 1e-8) -> ClassificationReport:
     """Run every membership test, reusing implications to stay consistent."""
@@ -467,16 +465,16 @@ def classify(t: StructuredOperator, trunc: int | None = None,
     if nr.verdict is Verdict.YES:
         hy = CheckResult(Verdict.YES, {"implied_by": "normal"})
     else:
-        hy = check_hyponormal(t, tol_hyponormal, trunc)
+        hy = check_hyponormal(t, tol_hyponormal)
     witnesses.append(("hyponormal", hy.witness))
 
     if hy.verdict is Verdict.YES:
         pa = CheckResult(Verdict.YES, {"implied_by": "hyponormal"})
     else:
-        pa = check_paranormal(t, tol=tol_paranormal, trunc=trunc)
+        pa = check_paranormal(t, tol=tol_paranormal)
     witnesses.append(("paranormal", pa.witness))
 
-    an = check_an(t, tol_an, trunc)
+    an = check_an(t, tol_an)
     witnesses.append(("absolutely_norm_attaining", an.witness))
 
     am = check_am_normal(t, tol_an)
@@ -521,12 +519,11 @@ def spectral_summary(t: StructuredOperator, samples: int = 1024,
                            bool(stable))
 
 
-def discrete_singular_levels(t: StructuredOperator, tol: float = 1e-8,
-                             trunc: int | None = None):
+def discrete_singular_levels(t: StructuredOperator, tol: float = 1e-8):
     """Moduli levels of |T| strictly below the essential level, via T*T."""
     g = gram(t)
     level = symbol_min_modulus(symbol(t)) ** 2
-    report = discrete_eigs_below(g, bound=level, tol=tol, n=trunc)
+    report = discrete_eigs_below(g, bound=level, tol=tol)
     levels = tuple((float(np.sqrt(max(0.0, np.real(v)))), m)
                    for v, m in report.eigenvalues)
     return levels, report.stabilized

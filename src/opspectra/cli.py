@@ -2,10 +2,10 @@
 
 Exit codes: 0 on clean completion, 2 when any verdict is undetermined,
 1 on errors (including usage errors).  Structured output is a single
-self-describing JSON document per run carrying every tolerance and
-truncation size used, so each verdict is reproducible.  It is encoded once,
-compact on one line (an ``indent`` would bypass the C encoder); the --out
-file of classify and decompose receives the same text.
+self-describing JSON document per run carrying every parameter, so each
+verdict is reproducible.  It is encoded once, compact on one line (an
+``indent`` would bypass the C encoder); the --out file of classify and
+decompose receives the same text.
 """
 
 from __future__ import annotations
@@ -165,8 +165,7 @@ def cmd_classify(args) -> int:
     started = datetime.datetime.now(datetime.timezone.utc)
     spec = resolve_spec(args.spec)
     params = _collect_params(args, spec)
-    report = classify(spec.operator, trunc=params.get("trunc"),
-                      tol_an=params["tol"])
+    report = classify(spec.operator, tol_an=params["tol"])
     summary = spectral_summary(spec.operator, samples=params["samples"],
                                resolution=params["resolution"], tol=params["tol"])
     if args.format == "structured" or args.out:
@@ -208,8 +207,7 @@ def cmd_spectrum(args) -> int:
     summary = spectral_summary(spec.operator, samples=params["samples"],
                                resolution=params["resolution"], tol=params["tol"])
     levels, stabilized = discrete_singular_levels(spec.operator,
-                                                  tol=params["tol"],
-                                                  trunc=params.get("trunc"))
+                                                  tol=params["tol"])
     csv_path = args.out or f"{spec.name}_curve.csv"
     write_curve_csv(csv_path, summary)
     if args.format == "structured":
@@ -304,13 +302,10 @@ def build_parser() -> _Parser:
                                  "of banded-plus-finite-rank operators on l2(N).")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_spec=True):
-        if with_spec:
-            p.add_argument("spec",
-                           help="path to an operator spec file, or one of: "
-                                + ", ".join(BUNDLED))
-        p.add_argument("--trunc", type=int, default=None,
-                       help="truncation size override")
+    def common(p):
+        p.add_argument("spec",
+                       help="path to an operator spec file, or one of: "
+                            + ", ".join(BUNDLED))
         p.add_argument("--tol", type=float, default=None,
                        help="tolerance override")
         p.add_argument("--samples", type=int, default=None,
@@ -326,7 +321,10 @@ def build_parser() -> _Parser:
 
     common(sub.add_parser("classify", help="run every membership test"))
     common(sub.add_parser("spectrum", help="emit curve CSV and spectral data"))
-    common(sub.add_parser("decompose", help="build and verify the block form"))
+    decompose = sub.add_parser("decompose", help="build and verify the block form")
+    common(decompose)
+    decompose.add_argument("--trunc", type=int, default=None,
+                           help="size of the section the block form is built on")
     verify = sub.add_parser("verify-suite",
                             help="run golden and randomized property suites")
     verify.add_argument("--seed", type=int, default=0)

@@ -26,7 +26,7 @@ class DimensionMismatch(OperatorLibraryError):
 
 
 class NotStabilized(OperatorLibraryError):
-    """Truncation results kept changing between sizes n and 2n up to the cap."""
+    """A spectral count could not be made at the working precision."""
 
 
 class NotHyponormal(OperatorLibraryError):

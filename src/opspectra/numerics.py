@@ -1,18 +1,12 @@
-"""Desk-scale numerics on truncations and on the finite corner.
+"""Desk-scale numerics on the finite corner: past m = len(window) an
+operator is exactly the Toeplitz operator of its symbol.
 
-Eigenvalue extraction below the essential level relies on two facts about the
-representable class: truncations of a self-adjoint operator have spectrum
-inside the numerical range of the full operator (no pollution below the
-bottom), and discrete eigenvalues below the essential minimum have localized
-eigenvectors, so an n vs 2n agreement check certifies stabilization.  No
-rigorous enclosure is attempted; an unstable family is reported as such
-rather than counted.  Whether a truncation has any eigenvalue below a level
-is decided by a banded Cholesky factorization, so eigenvalues are computed
-only when something lies below.
-
-Isolated eigenvalues of a non-normal T(a) + K at winding 0 need no
-truncation: they are the zeros of a Schur complement on the corner
-(``schur_eigenvalues``), counted by the argument principle.
+For self-adjoint H = T(b) + K and lam < min b, T(b - lam) is positive
+definite, so by Haynsworth's inertia additivity H has as many eigenvalues
+below lam as S(lam) = (H - lam)[:m, :m] - Q G(lam) Q* has negative ones,
+G(lam) the leading block of T(b - lam)^(-1) (``_count_below``).  Isolated
+eigenvalues of a non-normal T(a) + K at winding 0 are the zeros of the same
+Schur complement (``schur_eigenvalues``).
 """
 
 from __future__ import annotations
@@ -20,17 +14,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky_banded, eig_banded
+from scipy.linalg import cholesky_banded
 
 from .core import StructuredOperator, gram, memoized, selfadjoint_defect
 from .errors import ConvergenceFailure, DimensionMismatch, NotHermitian, NotStabilized
-from .symbols import (_laurent_roots, _wiener_hopf_block, symbol,
-                      symbol_max_modulus)
+from .symbols import _laurent_roots, _tail_span, _wiener_hopf_block, symbol
 
-TRUNC_CAP = 4096
+TRUNC_CAP = 4096            # largest dense matrix hermitian_eig accepts
 MERGE_FACTOR = 100.0        # eigenvalues within 100*tol are one cluster
 ROUNDING_MULTIPLE = 8.0     # eigenvalues of T*T within 8 eps * scale of 0 are 0
 LOOP_BUDGET = 2 ** 15       # most points at which _loop_turns evaluates
+FALSI_STEPS = 100           # most S(lam) evaluations per eigenvalue in _eigs_below
 
 
 @dataclass(frozen=True)
@@ -46,15 +40,14 @@ class EigenSystem:
 class DiscreteEigenReport:
     """Eigenvalues found strictly below the queried bound.
 
-    stabilized is False when the n and 2n truncation lists disagreed up to
-    the size cap; the best-effort list from the larger truncation is kept.
-    near_boundary counts eigenvalues within tol of the bound, which are
-    assigned to the essential level rather than listed.
-    """
+    stabilized is False when the roots of b - lam did not split at some lam
+    where S(lam) was evaluated, or an eigenvalue did not converge.  corner
+    is m, the size of S; near_boundary counts eigenvalues assigned to the
+    essential level rather than listed (see ``discrete_eigs_below``)."""
 
     eigenvalues: tuple          # ((value, multiplicity), ...)
     stabilized: bool
-    sizes_used: tuple
+    corner: int
     near_boundary: int = 0
 
 
@@ -155,24 +148,6 @@ def cluster_values(values, gap: float):
     return tuple((total / count, count) for total, count in clusters)
 
 
-def _clusters_match(a, b, tol: float) -> bool:
-    if len(a) != len(b):
-        return False
-    return all(abs(x[0] - y[0]) <= max(tol, 1e-12) * max(1.0, abs(x[0]))
-               and x[1] == y[1] for x, y in zip(a, b))
-
-
-def _auto_trunc(*ops: StructuredOperator) -> int:
-    """Starting truncation: always covers the finite corner with headroom,
-    never smaller than 64 even for trivial corners.  Given several operators,
-    it covers the largest corner and bandwidth among them, as a linear
-    combination of them generically needs."""
-    corner = max(t.corner_size for t in ops)
-    width = max(t.bandwidth for t in ops)
-    need = 2 * corner + 4 * width + 32
-    return int(min(max(64, need), TRUNC_CAP))
-
-
 def _all_above(band: np.ndarray, level: float) -> bool:
     """Whether every eigenvalue of the Hermitian matrix held in lower band
     storage exceeds ``level``: band - level*I has a banded Cholesky
@@ -186,23 +161,95 @@ def _all_above(band: np.ndarray, level: float) -> bool:
     return True
 
 
-def discrete_eigs_below(t: StructuredOperator, bound: float, tol: float = 1e-8,
-                        n: int | None = None, cap: int = TRUNC_CAP) -> DiscreteEigenReport:
-    """Eigenvalues of a positive (self-adjoint, real symbol) operator strictly
-    below ``bound``, certified by agreement of truncations at n and 2n.
-
-    Eigenvalues within tol of the bound are assigned to the essential level
-    and only counted in ``near_boundary``.  Each truncation goes to LAPACK in
-    lower band storage; when its Cholesky factorization shows every
-    eigenvalue above bound + tol, nothing is listed, and otherwise only the
-    eigenvalues up to bound + tol are computed.  The report is kept in t's
-    memo under its arguments.
-    """
-    return memoized(t, ("discrete_eigs_below", bound, tol, n, cap),
-                    lambda: _discrete_eigs_below(t, bound, tol, n, cap))
+def _corner_coupling(t: StructuredOperator):
+    """Q = T[:m, m:m+q] and R = T[m:m+p, :m], which couple the window to
+    the rest; p, q from ``_tail_span``."""
+    m = len(t.window)
+    p, q = _tail_span(t.tails)
+    return t._block(m, m + q)[:, m:], t._block(m + p, m)[m:, :]
 
 
-def _discrete_eigs_below(t, bound, tol, n, cap) -> DiscreteEigenReport:
+def _schur_spectra(h: StructuredOperator, lam):
+    """The ascending eigenvalues of S(lam) = (H - lam)[:m, :m] - Q G(lam) R
+    for self-adjoint H, one row per real lam, and where the roots of b - lam
+    split (elsewhere the row means nothing); G(lam) from
+    ``_wiener_hopf_block``.  With a constant symbol S(lam) = window - lam."""
+    lam = np.atleast_1d(np.asarray(lam, dtype=float))
+    s = h.window - lam[:, None, None] * np.eye(len(h.window))
+    ok = np.ones(lam.size, dtype=bool)
+    q_block, r_block = _corner_coupling(h)
+    if q_block.size and r_block.size:
+        g, ok = _wiener_hopf_block(h.tails, lam)
+        s = s - q_block @ g @ r_block
+    return np.linalg.eigvalsh(s), ok
+
+
+def _count_below(h: StructuredOperator, lam: float):
+    """(eigenvalues of self-adjoint H below lam, valid): the negative ones of
+    S(lam), valid where the roots of b - lam split, which needs lam < min b."""
+    mu, ok = _schur_spectra(h, lam)
+    return int(np.count_nonzero(mu[0] < 0)), bool(ok[0])
+
+
+def _eigs_below(h: StructuredOperator, level: float, first: int | None = None):
+    """The eigenvalues of self-adjoint H = T(b) + K below level < min b,
+    ascending (only the ``first`` lowest when given), and whether every S
+    was valid and every eigenvalue converged.  dS/dlam <= -I, so the j-th
+    eigenvalue of S(lam) falls with slope at most -1 and crosses 0 at the
+    j-th of H: regula falsi (Illinois) in the tightest bracket all
+    evaluations give finds it to a few rounding units of S."""
+    if not len(h.window) or 0 in _tail_span(h.tails):
+        vals = np.linalg.eigvalsh(h.window)
+        return vals[vals < level][:first], True
+    # |H| <= its largest absolute row sum, so lo lies below every eigenvalue
+    bound = float(np.abs(h.window).sum(axis=1).max() + np.abs(h.tails).sum())
+    lo = min(level, -bound) - bound
+    rounding = 4 * np.finfo(float).eps
+    lams = [lo, level]
+    mus, ok = _schur_spectra(h, lams)
+    if not ok.all():
+        return np.zeros(0), False
+    mus, found = list(mus), []
+    count = int(np.count_nonzero(mus[1] < 0))
+    for j in range(count if first is None else min(count, first)):
+        a, fa = max((x, mu[j]) for x, mu in zip(lams, mus) if mu[j] >= 0)
+        b, fb = min((x, mu[j]) for x, mu in zip(lams, mus) if mu[j] < 0)
+        side = 0
+        for _ in range(FALSI_STEPS):
+            x = b - fb * (b - a) / (fb - fa)
+            x = x if a < x < b else 0.5 * (a + b)
+            mu, valid = _schur_spectra(h, x)
+            if not valid[0]:
+                return np.sort(found), False
+            lams.append(x)
+            mus.append(mu[0])
+            fx = mu[0][j]
+            if (abs(fx) <= rounding * max(bound, np.abs(mu[0]).max())
+                    or b - a <= rounding * bound):
+                break
+            if fx >= 0:
+                a, fa, fb = x, fx, fb * (0.5 if side > 0 else 1.0)
+            else:
+                b, fb, fa = x, fx, fa * (0.5 if side < 0 else 1.0)
+            side = 1 if fx >= 0 else -1
+        else:
+            return np.sort(found), False
+        found.append(x)
+    return np.sort(found), True
+
+
+def discrete_eigs_below(t: StructuredOperator, bound: float,
+                        tol: float = 1e-8) -> DiscreteEigenReport:
+    """Eigenvalues of a self-adjoint operator with real symbol strictly
+    below ``bound`` <= ess + max(tol, 1e-10) scale, ess its essential level:
+    those below min(bound, ess) - tol in clusters, and in ``near_boundary``
+    the count of the rest below min(bound, ess - tol / 100).  The report is
+    kept in t's memo under its arguments."""
+    return memoized(t, ("discrete_eigs_below", bound, tol),
+                    lambda: _discrete_eigs_below(t, bound, tol))
+
+
+def _discrete_eigs_below(t, bound, tol) -> DiscreteEigenReport:
     sym = symbol(t)
     scale = max(1.0, t.magnitude())
     if not sym.is_real(1e-12):
@@ -212,30 +259,10 @@ def _discrete_eigs_below(t, bound, tol, n, cap) -> DiscreteEigenReport:
     ess_min = symbol_min_modulus_signed(sym)
     if bound > ess_min + max(tol, 1e-10) * scale:
         raise ValueError(f"bound {bound} exceeds the essential minimum {ess_min}")
-    if n is None:
-        n = _auto_trunc(t)
-
-    def eigs_at(size):
-        band = t.lower_band(size)
-        if _all_above(band, bound + tol):
-            return (), 0
-        vals = eig_banded(band, lower=True, eigvals_only=True,
-                          select="v", select_range=(-np.inf, bound + tol))
-        below = vals[vals < bound - tol]
-        near = int(np.count_nonzero((vals >= bound - tol) & (vals <= bound + tol)))
-        return cluster_values(below.tolist(), MERGE_FACTOR * tol), near
-
-    size = n
-    current, near = eigs_at(size)
-    last_pair = (size, size)
-    while 2 * size <= cap:
-        bigger, near = eigs_at(2 * size)
-        last_pair = (size, 2 * size)
-        if _clusters_match(current, bigger, tol):
-            return DiscreteEigenReport(bigger, True, last_pair, near)
-        current = bigger
-        size *= 2
-    return DiscreteEigenReport(current, False, last_pair, near)
+    vals, ok = _eigs_below(t, min(bound, ess_min - 0.01 * tol))
+    below = vals[vals < min(bound, ess_min) - tol]
+    return DiscreteEigenReport(cluster_values(below.tolist(), MERGE_FACTOR * tol),
+                               ok, len(t.window), len(vals) - len(below))
 
 
 def _loop_turns(log_f, loops):
@@ -305,12 +332,9 @@ def schur_eigenvalues(t: StructuredOperator, loops, contains, scale: float):
     part, certified), where certified says the multiplicities add up to
     the count."""
     m = len(t.window)
-    w = len(t.tails) // 2
-    offsets = np.flatnonzero(t.tails) - w
-    p, q = int(offsets.max()), int(-offsets.min())
+    p, q = _tail_span(t.tails)
     window = t.window
-    q_block = t._block(m, m + q)[:, m:]
-    r_block = t._block(m + p, m)[m:, :]
+    q_block, r_block = _corner_coupling(t)
     eye = np.eye(m)
 
     def schur(lam, g):
@@ -399,103 +423,46 @@ def symbol_min_modulus_signed(sym) -> float:
     return float(np.min(sym.evaluate(critical).real))
 
 
-def operator_norm(t: StructuredOperator, tol: float = 1e-8,
-                  n: int | None = None, cap: int = TRUNC_CAP) -> float:
-    """Operator norm via max(symbol modulus, largest truncation singular value).
-
-    The symbol supremum equals the essential norm and dominates the slowly
-    converging Toeplitz part; truncation singular values capture the discrete
-    part and increase monotonically to the norm.  The value is kept in t's
-    memo under the arguments.
-    """
-    return memoized(t, ("operator_norm", tol, n, cap),
-                    lambda: _operator_norm(t, tol, n, cap))
+def operator_norm(t: StructuredOperator, tol: float = 1e-8) -> float:
+    """Operator norm: sqrt of the top of T*T, the larger of max |a|^2 and
+    the lowest eigenvalue of -T*T below its essential level less
+    tol max(1, max |a|^2).  The value is kept in t's memo under tol."""
+    return memoized(t, ("operator_norm", tol), lambda: _operator_norm(t, tol))
 
 
-def _operator_norm(t, tol, n, cap) -> float:
-    ess = symbol_max_modulus(symbol(t))
-    if n is None:
-        n = _auto_trunc(t)
-
-    def candidate(size):
-        return max(ess, float(np.linalg.norm(t.truncate(size), 2)))
-
-    size = n
-    value = candidate(size)
-    while 2 * size <= cap:
-        nxt = candidate(2 * size)
-        if abs(nxt - value) <= tol * max(1.0, nxt):
-            return nxt
-        value = nxt
-        size *= 2
-    raise NotStabilized(
-        f"operator norm still changing at truncation {size} (last {value})")
+def _operator_norm(t, tol) -> float:
+    negated = gram(t).scaled(-1.0)
+    level = symbol_min_modulus_signed(symbol(negated))
+    top, _ = _eigs_below(negated, level - tol * max(1.0, abs(level)), first=1)
+    return float(np.sqrt(max(0.0, -level, *-top)))
 
 
-def min_modulus(t: StructuredOperator, tol: float = 1e-8,
-                n: int | None = None) -> float:
+def min_modulus(t: StructuredOperator, tol: float = 1e-8) -> float:
     """Minimum modulus m(T): sqrt of the bottom of spectrum(T*T), read as 0
     when that bottom is at most ROUNDING_MULTIPLE * eps * max(1, magnitude
     of T*T)."""
     g = gram(t)
     ess = symbol_min_modulus_signed(symbol(g))
-    report = discrete_eigs_below(g, ess, tol=tol, n=n)
+    report = discrete_eigs_below(g, ess, tol=tol)
     if not report.stabilized:
-        raise NotStabilized("discrete spectrum below the essential level "
-                            "did not stabilize")
-    bottom = min([ess] + [v.real if isinstance(v, complex) else v
-                          for v, _ in report.eigenvalues])
-    # the banded solver leaves a zero bottom anywhere within a few
+        raise NotStabilized("the roots of the symbol of T*T did not split "
+                            "below its essential level")
+    bottom = min([ess] + [v for v, _ in report.eigenvalues])
+    # the eigenvalues of S leave a zero bottom anywhere within a few
     # eps * scale of 0, and the square root would lift that to ~1e-8
     if bottom <= ROUNDING_MULTIPLE * np.finfo(float).eps * max(1.0, g.magnitude()):
         return 0.0
     return float(np.sqrt(bottom))
 
 
-def positive_truncations(band_at, tol: float, scale: float, n: int,
-                         cap: int):
-    """Tri-state positivity of a self-adjoint operator from its truncations.
-
-    ``band_at(size)`` returns the leading size-by-size corner in lower band
-    storage.  Every truncation is a compression of the operator, so by
-    Cauchy interlacing an eigenvalue below -tol*scale at any size proves
-    non-positivity: the answer is "no" at the first size that shows one,
-    without waiting for the n / 2n agreement.  Otherwise the eigenvalues
-    below -tol are clustered at sizes n, 2n, ... up to ``cap``, and two
-    consecutive lists that match give "yes".
-
-    Returns (verdict, value): the lowest eigenvalue of the deciding
-    truncation for "no", the most negative cluster (0.0 when none) for
-    "yes", and None for "undetermined".
-    """
-    size, previous = n, None
-    while True:
-        band = band_at(size)
-        if not _all_above(band, -tol * scale):
-            lowest = eig_banded(band, lower=True, eigvals_only=True,
-                                select="i", select_range=(0, 0))
-            return "no", float(lowest[0])
-        if _all_above(band, -tol):
-            clusters = ()
-        else:
-            vals = eig_banded(band, lower=True, eigvals_only=True,
-                              select="v", select_range=(-np.inf, -tol))
-            clusters = cluster_values(vals[vals < -tol].tolist(),
-                                      MERGE_FACTOR * tol)
-        if previous is not None and _clusters_match(previous, clusters, tol):
-            return "yes", min((v for v, _ in clusters), default=0.0)
-        if 2 * size > cap:
-            return "undetermined", None
-        size, previous = 2 * size, clusters
-
-
-def positivity_verdict(d: StructuredOperator, tol: float,
-                       n: int | None = None):
+def positivity_verdict(d: StructuredOperator, tol: float):
     """Tri-state positivity of a self-adjoint structured operator.
 
-    Returns (verdict, witness) with verdict in {"yes", "no", "undetermined"}.
-    The essential part is tested on the symbol, the discrete part on the
-    truncations of ``d`` by ``positive_truncations``.
+    Returns (verdict, witness) with verdict in {"yes", "no", "undetermined"}:
+    "no" when the symbol's minimum or an eigenvalue lies below -tol scale,
+    scale = max(1, magnitude of d).  most_negative_eigenvalue is the lowest
+    eigenvalue below min(-tol, symbol_min - tol) (0.0 when none);
+    "undetermined" means the roots of the symbol did not split there.
     """
     scale = max(1.0, d.magnitude())
     sym = symbol(d)
@@ -506,9 +473,11 @@ def positivity_verdict(d: StructuredOperator, tol: float,
     ess_min = symbol_min_modulus_signed(sym)
     if ess_min < -tol * scale:
         return "no", {"symbol_min": ess_min}
-    verdict, value = positive_truncations(
-        d.lower_band, tol, scale, n if n is not None else _auto_trunc(d),
-        TRUNC_CAP)
-    if verdict == "undetermined":
-        return verdict, {"symbol_min": ess_min, "reason": "not stabilized"}
-    return verdict, {"symbol_min": ess_min, "most_negative_eigenvalue": value}
+    lowest, ok = _eigs_below(d, min(-tol, ess_min - tol), first=1)
+    if not ok:
+        return "undetermined", {"symbol_min": ess_min,
+                                "reason": "roots of the symbol within rounding "
+                                          "of the circle"}
+    value = float(lowest[0]) if len(lowest) else 0.0
+    return ("no" if value < -tol * scale else "yes",
+            {"symbol_min": ess_min, "most_negative_eigenvalue": value})

@@ -8,13 +8,16 @@ fixed seed.
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import eig_banded
 
 from .classify import (Verdict, check_am_normal, check_an,
                        check_an_normal_equivalence, check_hyponormal,
                        check_normal, classify, paranormal_pair_normality,
                        putnam_check, spectral_summary, weyl_normality_criterion)
 from .core import (StructuredOperator, constant_diagonal, diagonal, embed_at,
-                   from_dense_corner, right_shift, toeplitz, weighted_shift)
+                   from_dense_corner, gram, right_shift, toeplitz,
+                   weighted_shift)
+from .numerics import discrete_eigs_below, symbol_min_modulus_signed
 from .specfiles import BUNDLED, load_bundled
 from .symbols import (_curve_distance, fredholm_index, index_by_truncation,
                       symbol, winding)
@@ -160,7 +163,7 @@ def _points_match(points, expected, tol=1e-7):
 
 # -- suites -------------------------------------------------------------------
 
-def suite_golden(trunc: int = 96):
+def suite_golden():
     """Expected classifications of the bundled operators."""
     expected = {
         "right_shift": ("no", "yes", 1.0),
@@ -173,7 +176,7 @@ def suite_golden(trunc: int = 96):
     results = []
     for name in BUNDLED:
         spec = load_bundled(name)
-        report = classify(spec.operator, trunc=trunc)
+        report = classify(spec.operator)
         normal, an, alpha = expected[name]
         ok = (report.is_normal.value == normal and report.is_AN.value == an)
         if alpha is not None:
@@ -185,7 +188,7 @@ def suite_golden(trunc: int = 96):
     return results
 
 
-def suite_compact_hyponormal(seed: int = 0, count: int = 200, trunc: int = 64):
+def suite_compact_hyponormal(seed: int = 0, count: int = 200):
     """Finite-rank operators that pass the hyponormality test must be normal."""
     rng = np.random.default_rng(seed)
     results = []
@@ -195,7 +198,7 @@ def suite_compact_hyponormal(seed: int = 0, count: int = 200, trunc: int = 64):
             op = random_normal_corner(rng)
         else:
             op = random_finite_rank(rng)
-        hy = check_hyponormal(op, tol=1e-10, trunc=trunc)
+        hy = check_hyponormal(op, tol=1e-10)
         if hy.verdict is not Verdict.YES:
             continue
         hyponormal_seen += 1
@@ -226,7 +229,7 @@ def suite_putnam(seed: int = 0, count: int = 50, resolution: int = 512):
     return results
 
 
-def suite_diagonal_oracle(seed: int = 0, count: int = 500, trunc: int = 64):
+def suite_diagonal_oracle(seed: int = 0, count: int = 500):
     """Classifier verdicts on random diagonals match the exact oracle."""
     rng = np.random.default_rng(seed)
     results = []
@@ -236,11 +239,11 @@ def suite_diagonal_oracle(seed: int = 0, count: int = 500, trunc: int = 64):
         oracle = diagonal_oracle(op)
         ok = True
         detail = ""
-        an = check_an(op, trunc=trunc)
+        an = check_an(op)
         if an.verdict.value != oracle["an"] or \
                 abs((an.alpha or np.inf) - oracle["alpha"]) > 1e-7:
             ok, detail = False, f"an={an.verdict} alpha={an.alpha}"
-        eq = check_an_normal_equivalence(op, trunc=trunc)
+        eq = check_an_normal_equivalence(op)
         if not (eq.applicable and eq.agree and eq.an.value == oracle["an"]
                 and _points_match(eq.interior_points, oracle["interior"])):
             ok, detail = False, detail + f" equivalence={eq}"
@@ -320,6 +323,40 @@ def suite_isolated_eigenvalues(seed: int = 0, count: int = 8):
     return results
 
 
+def against_section(g: StructuredOperator, settled: float, n: int):
+    """(report, unmatched, missed) for ``discrete_eigs_below(g, ess)`` and
+    the n-section of self-adjoint g, scale = max(1, magnitude of g): listed
+    eigenvalues ``settled`` scale or more below ess farther than 1e-8 scale
+    from the section's, and k-th section eigenvalues below ess - 1e-6 scale
+    with fewer than k listed up to 1e-8 scale above them (interlacing)."""
+    scale = max(1.0, g.magnitude())
+    ess = symbol_min_modulus_signed(symbol(g))
+    report = discrete_eigs_below(g, ess)
+    listed = np.array([v.real for v, m in report.eigenvalues for _ in range(m)])
+    section = eig_banded(g.lower_band(n), lower=True, eigvals_only=True,
+                         select="v", select_range=(-np.inf, ess))
+    unmatched = [v for v in listed[listed <= ess - settled * scale]
+                 if np.min(np.abs(section - v), initial=np.inf) > 1e-8 * scale]
+    missed = [v for k, v in enumerate(section[section < ess - 1e-6 * scale])
+              if np.count_nonzero(listed <= v + 1e-8 * scale) <= k]
+    return report, unmatched, missed
+
+
+def suite_eigs_below(seed: int = 0, count: int = 8):
+    """``against_section`` on T*T for random T(a) + K, with the 2048-section
+    matched from 0.01 scale below ess; unstabilized reports fail."""
+    rng = np.random.default_rng(seed)
+    results = []
+    for i in range(count):
+        report, unmatched, missed = against_section(
+            gram(random_toeplitz_corner(rng)), 1e-2, 2048)
+        results.append((f"eigs_below:{i}",
+                        report.stabilized and not unmatched and not missed,
+                        f"listed={sum(m for _, m in report.eigenvalues)} "
+                        f"unmatched={len(unmatched)} missed={len(missed)}"))
+    return results
+
+
 def suite_paranormal_pair(seed: int = 0, count: int = 20, trunc: int = 64):
     """Paranormal pairs with the AN property must be normal (both variants)."""
     rng = np.random.default_rng(seed)
@@ -362,6 +399,7 @@ def run_all(seed: int = 0, quick: bool = True):
     out += suite_diagonal_oracle(seed, count=60 * scale)
     out += suite_index_crossval(seed, symbols_count=4 * scale, n=256 if quick else 512)
     out += suite_isolated_eigenvalues(seed, count=2 * scale)
+    out += suite_eigs_below(seed, count=4 * scale)
     out += suite_paranormal_pair(seed, count=5 * scale)
     out += suite_weyl(seed, count=5 * scale)
     return out

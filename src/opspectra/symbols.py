@@ -24,6 +24,7 @@ from .errors import EssentialPoint, PointOnCurve
 _TWO_PI = 2.0 * math.pi
 _EPS = float(np.finfo(float).eps)
 _SEGMENT_TOL = 1e-12
+ROOT_RTOL = 8 * _EPS        # root finding drops coefficients this small, relative
 
 
 @dataclass(frozen=True)
@@ -105,28 +106,39 @@ def symbol_curve(s: LaurentSymbol, m: int) -> np.ndarray:
 
 # -- winding numbers ---------------------------------------------------------
 
+def _tail_span(tails) -> tuple:
+    """(p, q): the largest positive and negative offsets (or 0) of the
+    tails above ROOT_RTOL times the largest, as ``_laurent_roots`` keeps."""
+    size = np.abs(tails)
+    offsets = np.flatnonzero(size > ROOT_RTOL * size.max()) - len(tails) // 2
+    return int(max(offsets.max(initial=0), 0)), int(max(-offsets.min(initial=0), 0))
+
+
 def _laurent_roots(coeffs: dict):
-    """Roots of the polynomial z^(-min k) sum c_k z^k, from ``np.roots``,
-    and the same roots projected onto the unit circle.
+    """Roots of the polynomial z^(-lo) sum c_k z^k, from ``np.roots``; the
+    same roots projected onto the unit circle; and lo.  Coefficients at most
+    ROOT_RTOL times the largest are dropped first: that moves the symbol by
+    less than its rounding, while as a leading or trailing coefficient one
+    sends ``np.roots`` wrong.
 
     A value read at a projected root is a value the symbol takes on the
     circle, so a minimum over those points never lies below the true one
-    and no root needs to be filtered out.  Zero coefficients are dropped;
-    a single term has no roots."""
-    coeffs = {k: c for k, c in coeffs.items() if c != 0}
+    and no root needs to be filtered out.  A single term has no roots."""
+    top = max(abs(c) for c in coeffs.values())
+    coeffs = {k: c for k, c in coeffs.items() if abs(c) > ROOT_RTOL * top}
     lo, hi = min(coeffs), max(coeffs)
     poly = np.zeros(hi - lo + 1, dtype=complex)
     for k, c in coeffs.items():
         poly[hi - k] = c                # np.roots takes the top degree first
     roots = np.roots(poly)
     size = np.abs(roots)
-    return roots, np.divide(roots, size, out=np.ones_like(roots), where=size > 0)
+    return roots, np.divide(roots, size, out=np.ones_like(roots), where=size > 0), lo
 
 
 def winding(s: LaurentSymbol, lam) -> int:
     """Winding number of a - lam around 0: the number of roots of
     z^(-lo) (a - lam) inside the disc, plus lo, the lowest power with a
-    nonzero coefficient (argument principle).
+    coefficient that ``_laurent_roots`` keeps (argument principle).
 
     Raises PointOnCurve when a - lam is zero or when a - lam is within
     1e-14 * scale of 0 at some root projected onto the circle.
@@ -136,10 +148,10 @@ def winding(s: LaurentSymbol, lam) -> int:
     shifted = LaurentSymbol({**s.coeffs, 0: s.coeffs.get(0, 0j) - lam})
     if not shifted.coeffs:
         raise PointOnCurve(f"{lam} lies on the symbol curve")
-    roots, unit = _laurent_roots(shifted.coeffs)
+    roots, unit, lo = _laurent_roots(shifted.coeffs)
     if np.any(np.abs(shifted.evaluate(unit)) <= 1e-14 * scale):
         raise PointOnCurve(f"{lam} lies on the symbol curve")
-    return int(np.count_nonzero(np.abs(roots) < 1.0)) + min(shifted.coeffs)
+    return int(np.count_nonzero(np.abs(roots) < 1.0)) + lo
 
 
 def _geometric_product(ratios: np.ndarray, n: int) -> np.ndarray:
@@ -156,12 +168,11 @@ def _geometric_product(ratios: np.ndarray, n: int) -> np.ndarray:
 def _wiener_hopf_block(tails: np.ndarray, lam) -> tuple:
     """The q-by-p leading block G(lam) of T(a - lam)^(-1), for every lam.
 
-    p and q are the largest positive and negative offsets of ``tails`` (both
-    at least 1).  At winding 0, z^q (a(z) - lam) has q roots r_i in the disc
-    and p roots s_j outside it, so a - lam = a_+ a_- with
-    a_+ = a_p prod (z - s_j) and a_- = prod (1 - r_i / z), and Widom's
-    formula gives T(a - lam) = T(a_-) T(a_+) and
-    T(a - lam)^(-1) = T(1/a_+) T(1/a_-) exactly.  The block is L U, with L
+    p and q come from ``_tail_span`` (both at least 1).  At winding 0,
+    z^q (a(z) - lam) has q roots r_i in the disc and p roots s_j outside it,
+    so a - lam = a_+ a_- with a_+ = a_p prod (z - s_j) and
+    a_- = prod (1 - r_i / z), and Widom's formula gives
+    T(a - lam) = T(a_-) T(a_+) and T(a - lam)^(-1) = T(1/a_+) T(1/a_-) exactly.  The block is L U, with L
     the lower triangular Toeplitz matrix of the first q coefficients of
     1/a_+ and U the upper triangular one of the first p coefficients of
     1/a_- (in powers of 1/z).
@@ -172,8 +183,7 @@ def _wiener_hopf_block(tails: np.ndarray, lam) -> tuple:
     polynomials come from one batched eigenvalue call on companion
     matrices."""
     w = len(tails) // 2
-    offsets = np.flatnonzero(tails) - w
-    p, q = int(offsets.max()), int(-offsets.min())
+    p, q = _tail_span(tails)
     lam = np.asarray(lam, dtype=complex).ravel()
     poly = tails[w - q: w + p + 1][::-1]          # a_p first, a_-q last
     d = p + q

@@ -1,16 +1,38 @@
-"""Reference isolated eigenvalues from dense truncations.
+"""Reference spectra from dense and banded truncations.
 
-Before the Schur-complement engine, ``classify._region_clusters`` took the
+Before the Schur-complement engines, ``classify._region_clusters`` took the
 eigenvalues of the dense n and 2n sections, kept those selected by a
-predicate, and accepted the clusters when both sizes agreed.  That body
-lives on here as an independent oracle.
+predicate, and accepted the clusters when both sizes agreed, and
+``numerics.discrete_eigs_below`` did the same with banded sections below a
+level.  Those bodies live on here as independent oracles, with the
+starting size and the agreement rule they shared.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import eig_banded
 
-from opspectra.numerics import _auto_trunc, _clusters_match, cluster_values
+from opspectra.numerics import (MERGE_FACTOR, TRUNC_CAP, _all_above,
+                                cluster_values)
+
+
+def _clusters_match(a, b, tol: float) -> bool:
+    if len(a) != len(b):
+        return False
+    return all(abs(x[0] - y[0]) <= max(tol, 1e-12) * max(1.0, abs(x[0]))
+               and x[1] == y[1] for x, y in zip(a, b))
+
+
+def _auto_trunc(*ops) -> int:
+    """Starting truncation: always covers the finite corner with headroom,
+    never smaller than 64 even for trivial corners.  Given several operators,
+    it covers the largest corner and bandwidth among them, as a linear
+    combination of them generically needs."""
+    corner = max(t.corner_size for t in ops)
+    width = max(t.bandwidth for t in ops)
+    need = 2 * corner + 4 * width + 32
+    return int(min(max(64, need), TRUNC_CAP))
 
 
 def region_clusters_by_sections(t, keep, trunc=None, tol=1e-8, hermitian=False):
@@ -27,3 +49,26 @@ def region_clusters_by_sections(t, keep, trunc=None, tol=1e-8, hermitian=False):
     a = at(n)
     b = at(2 * n)
     return b, _clusters_match(a, b, tol)
+
+
+def eigs_below_by_sections(t, bound, tol=1e-8, n=None, cap=TRUNC_CAP):
+    """Clusters of the eigenvalues of the self-adjoint t below bound - tol
+    from its banded sections at sizes n, 2n, ... up to ``cap``, until two
+    consecutive lists agree.  Returns (clusters, agreed, (size, 2 size))."""
+    size = n if n is not None else _auto_trunc(t)
+
+    def eigs_at(size):
+        band = t.lower_band(size)
+        if _all_above(band, bound + tol):
+            return ()
+        vals = eig_banded(band, lower=True, eigvals_only=True,
+                          select="v", select_range=(-np.inf, bound + tol))
+        return cluster_values(vals[vals < bound - tol].tolist(), MERGE_FACTOR * tol)
+
+    current = eigs_at(size)
+    while 2 * size <= cap:
+        bigger = eigs_at(2 * size)
+        if _clusters_match(current, bigger, tol):
+            return bigger, True, (size, 2 * size)
+        current, size = bigger, 2 * size
+    return current, False, (size // 2, size)

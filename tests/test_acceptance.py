@@ -125,7 +125,7 @@ def test_putnam_suite():
 
     for name in BUNDLED:
         op = load_bundled(name).operator
-        assert check_hyponormal(op, trunc=64).verdict is Verdict.YES, name
+        assert check_hyponormal(op).verdict is Verdict.YES, name
         rec = putnam_check(op, resolution=512, assume_hyponormal=True)
         assert rec.commutator_norm <= rec.area_over_pi \
             + rec.grid_error_over_pi + 1e-6, name
@@ -146,7 +146,7 @@ def test_compact_hyponormal_implies_normal():
     for i in range(200):
         op = random_normal_corner(rng) if i % 2 == 0 else random_finite_rank(rng)
         assert not symbol(op).coeffs, "generator must produce finite rank"
-        if check_hyponormal(op, tol=1e-10, trunc=64).verdict is Verdict.YES:
+        if check_hyponormal(op, tol=1e-10).verdict is Verdict.YES:
             hyponormal_count += 1
             assert check_normal(op, tol=1e-8).verdict is Verdict.YES, i
     assert hyponormal_count >= 50  # the normal half must be recognized
@@ -155,7 +155,7 @@ def test_compact_hyponormal_implies_normal():
 @criterion("diagonal oracle: 500 seeded diagonals classified identically "
            "to the exact brute-force oracle")
 def test_diagonal_oracle_agreement():
-    results = suite_diagonal_oracle(seed=SEED + 2, count=500, trunc=64)
+    results = suite_diagonal_oracle(seed=SEED + 2, count=500)
     failures = [r for r in results if not r[1]]
     assert not failures, failures[:5]
     summary = results[-1]
@@ -234,5 +234,5 @@ def _oracle_smoke():
 
 def test_oracle_helper_is_sane():
     _oracle_smoke()
-    res = check_an(diagonal((0.5, 2.0), 1.0), trunc=64)
+    res = check_an(diagonal((0.5, 2.0), 1.0))
     assert res.verdict is Verdict.YES and res.alpha == 1.0

@@ -42,7 +42,7 @@ def test_check_paranormal_isometry():
 
 def test_check_paranormal_consistent_with_hyponormal():
     for op in (defect_shift(), load_bundled("nilpotent_head_shift").operator):
-        assert check_paranormal(op, trunc=64).verdict is Verdict.YES
+        assert check_paranormal(op).verdict is Verdict.YES
 
 
 def test_check_paranormal_rejects_nilpotent():
@@ -108,7 +108,7 @@ def test_isometries_are_norm_attaining():
 
 def test_equivalence_on_diagonal():
     op = diagonal((0.5j, -0.5), 1.0)
-    rec = check_an_normal_equivalence(op, trunc=64)
+    rec = check_an_normal_equivalence(op)
     assert rec.applicable and rec.agree
     assert rec.an is Verdict.YES
     assert rec.alpha == pytest.approx(1.0, abs=1e-12)
@@ -118,7 +118,7 @@ def test_equivalence_on_diagonal():
 
 
 def test_equivalence_on_identity():
-    rec = check_an_normal_equivalence(identity(), trunc=64)
+    rec = check_an_normal_equivalence(identity())
     assert rec.applicable and rec.agree and rec.interior_points == ()
     assert rec.alpha == pytest.approx(1.0, abs=1e-12)
 
@@ -238,8 +238,8 @@ def test_verdict_chain_never_reversed():
     rank = {Verdict.NO: 0, Verdict.UNDETERMINED: 1, Verdict.YES: 2}
     for op in ops:
         nr = check_normal(op).verdict
-        hy = check_hyponormal(op, trunc=64).verdict
-        pa = check_paranormal(op, trunc=64).verdict
+        hy = check_hyponormal(op).verdict
+        pa = check_paranormal(op).verdict
         assert not (rank[nr] == 2 and rank[hy] == 0)
         assert not (rank[hy] == 2 and rank[pa] == 0)
 
@@ -248,7 +248,7 @@ def test_compact_hyponormal_implies_normal_small_sample():
     rng = np.random.default_rng(7)
     for _ in range(20):
         op = random_normal_corner(rng)
-        if check_hyponormal(op, tol=1e-10, trunc=64).verdict is Verdict.YES:
+        if check_hyponormal(op, tol=1e-10).verdict is Verdict.YES:
             assert check_normal(op, tol=1e-8).verdict is Verdict.YES
 
 
@@ -266,9 +266,9 @@ def test_classify_report_consistency():
 
 
 def test_classify_alpha_present_iff_an():
-    yes = classify(diagonal((0.5,), 1.0), trunc=64)
+    yes = classify(diagonal((0.5,), 1.0))
     assert yes.is_AN is Verdict.YES and yes.alpha is not None
-    no = classify(SELF_ADJOINT_BAND, trunc=64)
+    no = classify(SELF_ADJOINT_BAND)
     assert no.is_AN is Verdict.NO and no.alpha is None
 
 
@@ -307,4 +307,4 @@ def test_shifting_by_scalar_preserves_hyponormality():
     rng = np.random.default_rng(1)
     op = random_hyponormal(rng)
     shifted = op + constant_diagonal(0.3 - 0.7j)
-    assert check_hyponormal(shifted, trunc=64).verdict is Verdict.YES
+    assert check_hyponormal(shifted).verdict is Verdict.YES

@@ -1,26 +1,24 @@
 """The array kernels against dense references on non-dyadic operators.
 
-``compose`` is checked against the dense product of truncations, and the
-banded ``discrete_eigs_below`` against a dense ``eigvalsh`` reference that
-keeps the earlier full-spectrum implementation of the same n / 2n rule.  The
-Cholesky positivity certificate is checked against ``eigvalsh``, and
-``positivity_verdict`` and ``check_paranormal`` against the earlier
-shifted-operator implementations built on those references.
+``compose`` is checked against the dense product of truncations, and
+``discrete_eigs_below`` and ``positivity_verdict`` one-sidedly against
+sections: a section is a compression, so each of its eigenvalues bounds the
+operator's from above.  The Cholesky positivity certificate is checked
+against ``eigvalsh``, and ``check_paranormal`` against the earlier
+shifted-operator implementation.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eig_banded
 
 from opspectra import (StructuredOperator, check_paranormal, constant_diagonal,
-                       diagonal, discrete_eigs_below, gram, identity,
-                       self_commutator)
-from opspectra import numerics, suites
+                       diagonal, gram, identity, self_commutator)
+from opspectra import suites
 from opspectra.classify import Verdict, default_paranormal_grid
-from opspectra.numerics import (MERGE_FACTOR, TRUNC_CAP, DiscreteEigenReport,
-                                _all_above, _auto_trunc, _clusters_match,
-                                cluster_values, positivity_verdict,
+from opspectra.numerics import (_all_above, positivity_verdict,
                                 symbol_min_modulus_signed)
 from opspectra.symbols import symbol
 
@@ -98,46 +96,14 @@ def test_lower_band_holds_the_truncation(t):
 
 # -- discrete_eigs_below -------------------------------------------------------------
 
-def dense_eigs_below(t, bound, tol=1e-8, n=None, cap=TRUNC_CAP):
-    """Reference: the full dense spectrum of each truncation, filtered."""
-    if n is None:
-        n = _auto_trunc(t)
-
-    def eigs_at(size):
-        vals = np.linalg.eigvalsh(t.truncate(size))
-        below = vals[vals < bound - tol]
-        near = int(np.count_nonzero((vals >= bound - tol) & (vals <= bound + tol)))
-        return cluster_values(below.tolist(), MERGE_FACTOR * tol), near
-
-    size = n
-    current, near = eigs_at(size)
-    last_pair = (size, size)
-    while 2 * size <= cap:
-        bigger, near = eigs_at(2 * size)
-        last_pair = (size, 2 * size)
-        if _clusters_match(current, bigger, tol):
-            return DiscreteEigenReport(bigger, True, last_pair, near)
-        current = bigger
-        size *= 2
-    return DiscreteEigenReport(current, False, last_pair, near)
-
-
 @settings(max_examples=40, deadline=None)
 @given(operators)
 def test_banded_eigs_match_dense_reference(t):
-    tol = 1e-8
-    g = gram(t)
-    bound = symbol_min_modulus_signed(symbol(g))
-    cap = 512                      # keeps the dense reference quick
-    got = discrete_eigs_below(g, bound, tol=tol, cap=cap)
-    want = dense_eigs_below(g, bound, tol=tol, cap=cap)
-    assert got.stabilized == want.stabilized
-    assert got.near_boundary == want.near_boundary
-    assert got.sizes_used == want.sizes_used
-    assert len(got.eigenvalues) == len(want.eigenvalues)
-    for (x, m), (y, k) in zip(got.eigenvalues, want.eigenvalues):
-        assert m == k
-        assert abs(x - y) <= MERGE_FACTOR * tol
+    """One-sided against the 512-section (``suites.against_section``): every
+    eigenvalue listed at least 0.1 scale below the essential level matches a
+    section eigenvalue, and none below it less 1e-6 scale is missing."""
+    report, unmatched, missed = suites.against_section(gram(t), 0.1, 512)
+    assert report.stabilized and not unmatched and not missed
 
 
 # -- positivity ----------------------------------------------------------------
@@ -159,36 +125,26 @@ def test_all_above_matches_eigvalsh(n, width, seed):
     assert not _all_above(band, lowest + margin)
 
 
-def positivity_reference(d, tol, cap):
-    """The earlier positivity_verdict: shift d above zero and list the
-    eigenvalues below the shift with the dense n / 2n reference."""
+def assert_same_positivity(d, tol=1e-10, n=512):
+    """positivity_verdict against the lowest eigenvalue sigma of the
+    n-section, scale = max(1, magnitude of d).  The section is a compression,
+    so by interlacing sigma lies at or above d's lowest eigenvalue: sigma
+    below -tol scale forces "no", and the lowest eigenvalue of a "no" lies
+    at or below sigma.  With a constant symbol the section holds the whole
+    window, and the verdict and the witness are those of the section."""
+    verdict, witness = positivity_verdict(d, tol)
     scale = max(1.0, d.magnitude())
-    ess_min = symbol_min_modulus_signed(symbol(d))
-    if ess_min < -tol * scale:
-        return "no", {"symbol_min": ess_min}
-    shift = 1.0 + max(0.0, -ess_min)
-    report = dense_eigs_below(d + constant_diagonal(shift), shift, tol=tol,
-                              cap=cap)
-    negatives = [v - shift for v, _ in report.eigenvalues]
-    worst = min(negatives, default=0.0)
-    if negatives and worst < -tol * scale:
-        return "no", {"symbol_min": ess_min, "most_negative_eigenvalue": worst}
-    if not report.stabilized:
-        return "undetermined", {"symbol_min": ess_min, "reason": "not stabilized"}
-    return "yes", {"symbol_min": ess_min, "most_negative_eigenvalue": worst}
-
-
-def assert_same_positivity(d, tol=1e-10, cap=512):
-    """The truncation cap is lowered for both sides, to keep the dense
-    reference quick; positivity_verdict reads it at call time."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(numerics, "TRUNC_CAP", cap)
-        got, witness = positivity_verdict(d, tol)
-        want, reference = positivity_reference(d, tol, cap)
-    assert got == want
-    if got == "yes":
-        assert abs(witness["most_negative_eigenvalue"]
-                   - reference["most_negative_eigenvalue"]) <= MERGE_FACTOR * tol
+    vals = eig_banded(d.lower_band(n), lower=True, eigvals_only=True)
+    if vals[0] < -tol * scale - 1e-12 * scale:
+        assert verdict == "no"
+    if verdict == "no" and "most_negative_eigenvalue" in witness:
+        assert witness["most_negative_eigenvalue"] <= vals[0] + 1e-12 * scale
+    if set(symbol(d).coeffs) <= {0} and n > len(d.window):
+        assert verdict == ("no" if vals[0] < -tol * scale else "yes")
+        below = vals[vals < min(-tol, symbol_min_modulus_signed(symbol(d)) - tol)]
+        want = below[0] if len(below) else 0.0
+        assert abs(witness.get("most_negative_eigenvalue", want) - want) \
+            <= 1e-12 * scale
 
 
 @settings(max_examples=40, deadline=None)
@@ -206,9 +162,11 @@ def test_positivity_of_paranormal_shift_matches_reference(t, s):
 
 @pytest.mark.parametrize("low", [-5e-11, -5e-10, -5e-9, 0.0, 0.3])
 def test_positivity_thresholds_match_reference(low):
-    # scale 10: the early "no" needs an eigenvalue below -tol * 10, while
-    # eigenvalues in [-tol * 10, -tol] are listed and stabilize to "yes"
+    # scale 10: "no" needs an eigenvalue below -tol * 10, while one in
+    # [-tol * 10, -tol) is the witness of a "yes"
     assert_same_positivity(diagonal((low, 1.0), 10.0))
+    assert positivity_verdict(diagonal((low, 1.0), 10.0), 1e-10)[0] \
+        == ("no" if low == -5e-9 else "yes")
 
 
 def paranormal_reference(t, grid, tol=1e-10):

@@ -1,14 +1,21 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eig_banded
 
-from opspectra import (DimensionMismatch, NotHermitian, diagonal,
-                       discrete_eigs_below, gram, hermitian_eig, identity,
-                       isometry_extension, min_modulus, operator_norm,
-                       right_shift, svd_polar, toeplitz, zero)
-from opspectra.numerics import cluster_values, positivity_verdict
+from conftest import load_perfbench
+from opspectra import (DimensionMismatch, NotHermitian, check_an,
+                       constant_diagonal, diagonal, discrete_eigs_below, gram,
+                       hermitian_eig, identity, isometry_extension,
+                       min_modulus, operator_norm, right_shift, suites,
+                       svd_polar, symbol, toeplitz, zero)
+from opspectra.numerics import (_count_below, cluster_values,
+                                positivity_verdict, symbol_min_modulus_signed)
 from opspectra.specfiles import load_bundled
+from reference_spectra import eigs_below_by_sections
 
 
 def char_poly_roots_3x3(m):
@@ -265,3 +272,56 @@ def test_distant_prefix_structure_is_not_missed():
     rep = discrete_eigs_below(low, 1.0)
     assert rep.stabilized
     assert [(float(np.real(v)), m) for v, m in rep.eigenvalues] == [(0.25, 1)]
+
+
+# -- the count on the corner ------------------------------------------------------
+
+def test_eigenvalue_below_the_essential_level_that_sections_miss():
+    # gram(T) has an eigenvalue 6.3e-5 below its essential level, whose
+    # eigenvector decays so slowly that the sections 88 and 176 agree on none
+    t = suites.random_toeplitz_corner(np.random.default_rng(177))
+    g = gram(t)
+    ess = symbol_min_modulus_signed(symbol(g))
+    assert ess == pytest.approx(7.38653e-5, rel=1e-5)
+    oracle = eig_banded(g.lower_band(8192), lower=True, eigvals_only=True,
+                        select="v", select_range=(-np.inf, ess))
+    assert oracle == pytest.approx([1.13439e-5], rel=1e-5)
+    rep = discrete_eigs_below(g, ess)
+    assert rep.stabilized and len(rep.eigenvalues) == 1
+    value, mult = rep.eigenvalues[0]
+    assert value == pytest.approx(oracle[0], abs=1e-10) and mult == 1
+    assert min_modulus(t) == pytest.approx(math.sqrt(oracle[0]), rel=1e-5)
+    assert eigs_below_by_sections(g, ess) == ((), True, (88, 176))
+
+
+def test_paranormal_shift_with_an_eigenvalue_the_sections_miss():
+    # pool base (2, 8, 1): q(s) has an eigenvalue near -6.9e-8, below
+    # -tol * scale = -6.89e-9, that the sections 104 and 208 do not show
+    t = load_perfbench("workloads").generic_base(2, 8, 1)
+    s = 0.015462412962404925
+    q = gram(t @ t) - gram(t).scaled(2 * s) + constant_diagonal(s * s)
+    scale = max(1.0, q.magnitude())
+    assert -1e-10 * scale == pytest.approx(-6.89e-9, rel=1e-3)
+    verdict, witness = positivity_verdict(q, 1e-10)
+    assert verdict == "no"
+    assert _count_below(q, -1e-10 * scale) == (1, True)
+    section = eig_banded(q.lower_band(2048), lower=True, eigvals_only=True,
+                         select="i", select_range=(0, 0))[0]
+    assert section == pytest.approx(-6.88e-8, rel=1e-2)
+    assert witness["most_negative_eigenvalue"] <= section
+
+
+def test_near_boundary_counts_no_copies_of_the_essential_level():
+    assert discrete_eigs_below(identity(), 1.0).near_boundary == 0
+    assert check_an(diagonal((0.5, 2.0), 1.0)).witness["near_boundary"] == 0
+
+
+def test_count_ignores_an_outer_tail_below_rounding():
+    g = gram(suites.random_toeplitz_corner(np.random.default_rng(177)))
+    w = len(g.tails) // 2
+    padded = g + toeplitz({w + 1: 1e-30, -w - 1: 1e-30})
+    assert len(padded.tails) == len(g.tails) + 2
+    ess = symbol_min_modulus_signed(symbol(g))
+    for lam in (-1.0, 0.5 * ess, ess - 1e-10):
+        assert _count_below(padded, lam) == _count_below(g, lam)
+    assert _count_below(g, ess - 1e-10) == (1, True)

@@ -71,6 +71,16 @@ def test_wiener_hopf_block_is_the_leading_block_of_the_inverse(seed):
     assert checked
 
 
+def test_wiener_hopf_block_drops_outer_tails_below_rounding():
+    tails = np.array([0.3 - 0.2j, 1.0, 2.5, 0.7j, 0.2])
+    lams = np.array([6.0, -4.0 + 3.0j, 5.0j])
+    g, ok = _wiener_hopf_block(tails, lams)
+    padded, padded_ok = _wiener_hopf_block(np.concatenate([[1e-30], tails, [2e-30j]]),
+                                           lams)
+    assert ok.all() and padded_ok.all()
+    np.testing.assert_allclose(padded, g, rtol=0, atol=1e-14 * np.max(np.abs(g)))
+
+
 @pytest.mark.parametrize("key", [(1, 8, 0), (1, 8, 1), (1, 16, 0), (1, 16, 1)])
 def test_bandwidth_one_pencil(key):
     """For p = q = 1, lam = a(r) with r the root inside the disc, and

@@ -126,7 +126,7 @@ def test_rank_terms_reparse_as_bands():
 
 def test_cli_classify_exit_code_and_structured_output(capsys):
     code = main(["classify", "right_shift", "--format", "structured",
-                 "--resolution", "128", "--samples", "256", "--trunc", "64"])
+                 "--resolution", "128", "--samples", "256"])
     out = capsys.readouterr().out
     doc = json.loads(out)
     assert code == 0
@@ -140,7 +140,7 @@ def test_cli_classify_exit_code_and_structured_output(capsys):
 
 
 def test_cli_classify_text_output(capsys):
-    code = main(["classify", "unitary_diag", "--trunc", "64",
+    code = main(["classify", "unitary_diag",
                  "--resolution", "128", "--samples", "256"])
     out = capsys.readouterr().out
     assert code == 0
@@ -149,7 +149,7 @@ def test_cli_classify_text_output(capsys):
 
 def test_cli_determinism_modulo_timestamps(capsys):
     args = ["classify", "defect_shift", "--format", "structured",
-            "--trunc", "64", "--resolution", "128", "--samples", "256"]
+            "--resolution", "128", "--samples", "256"]
     main(args)
     first = json.loads(capsys.readouterr().out)
     main(args)
@@ -162,7 +162,7 @@ def test_cli_determinism_modulo_timestamps(capsys):
 def test_cli_spectrum_writes_curve_csv(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code = main(["spectrum", "defect_shift", "--samples", "256",
-                 "--resolution", "128", "--trunc", "64"])
+                 "--resolution", "128"])
     out = capsys.readouterr().out
     assert code == 0
     path = tmp_path / "defect_shift_curve.csv"
@@ -240,14 +240,14 @@ def test_cli_undetermined_maps_to_exit_two(capsys, monkeypatch):
     import opspectra.cli as cli_module
     monkeypatch.setattr(cli_module, "classify",
                         lambda *a, **k: undetermined)
-    code = main(["classify", "unitary_diag", "--trunc", "64",
+    code = main(["classify", "unitary_diag",
                  "--resolution", "128", "--samples", "256"])
     assert code == 2
 
 
 def test_cli_out_file(tmp_path, capsys):
     out = tmp_path / "report.json"
-    code = main(["classify", "right_shift", "--trunc", "64",
+    code = main(["classify", "right_shift",
                  "--resolution", "128", "--samples", "256",
                  "--out", str(out)])
     capsys.readouterr()
@@ -295,14 +295,18 @@ def test_matrix_entries_match_per_entry_pairs():
         assert repr(got["entries"]) == repr(expected)   # repr keeps -0.0
 
 
-CLI_SMALL = ["--trunc", "64", "--resolution", "128", "--samples", "256"]
+CLI_SMALL = ["--resolution", "128", "--samples", "256"]
+
+
+def small(command):
+    return CLI_SMALL + (["--trunc", "64"] if command == "decompose" else [])
 
 
 @pytest.mark.parametrize("command", ["classify", "spectrum", "decompose"])
 def test_structured_document_is_one_line(command, capsys, tmp_path,
                                          monkeypatch):
     monkeypatch.chdir(tmp_path)
-    main([command, "defect_shift", "--format", "structured"] + CLI_SMALL)
+    main([command, "defect_shift", "--format", "structured"] + small(command))
     out = capsys.readouterr().out
     assert out.endswith("\n") and out.count("\n") == 1
     assert json.loads(out)["provenance"]["tool"] == "opspectra"
@@ -312,14 +316,14 @@ def test_structured_document_is_one_line(command, capsys, tmp_path,
 def test_out_file_is_the_structured_stdout(command, capsys, tmp_path):
     path = tmp_path / "doc.json"
     code = main([command, "defect_shift", "--format", "structured",
-                 "--out", str(path)] + CLI_SMALL)
+                 "--out", str(path)] + small(command))
     assert code == 0
     assert path.read_text(encoding="utf-8") == capsys.readouterr().out[:-1]
 
 
 def test_decompose_text_out_file_is_the_full_document(capsys, tmp_path):
     path = tmp_path / "doc.json"
-    main(["decompose", "defect_shift", "--out", str(path)] + CLI_SMALL)
+    main(["decompose", "defect_shift", "--out", str(path)] + small("decompose"))
     capsys.readouterr()
     doc = json.loads(path.read_text(encoding="utf-8"))
     assert set(doc) == {"provenance", "decomposition", "verification",

@@ -52,6 +52,13 @@ def test_winding_examples():
     assert winding(LaurentSymbol({-1: 1.0}), 0) == -1
 
 
+def test_winding_drops_coefficients_below_rounding():
+    # kept, a coefficient 1e-48 of the others is np.roots' leading or
+    # trailing one and sends the other roots wrong
+    assert winding(LaurentSymbol({2: 1, 3: 2.6e-48}), 1.2) == 0
+    assert winding(LaurentSymbol({-2: 1, 1: 2.6e-48}), 0.5) == -2
+
+
 def test_winding_raises_on_curve():
     with pytest.raises(PointOnCurve):
         winding(LaurentSymbol({1: 1.0}), 1.0)
