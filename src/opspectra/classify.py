@@ -69,9 +69,8 @@ def check_selfadjoint(t: StructuredOperator, tol: float = 1e-10) -> CheckResult:
 def check_normal(t: StructuredOperator, tol: float = 1e-8) -> CheckResult:
     """Normal iff the self-commutator vanishes entrywise within tol."""
     d = self_commutator(t)
-    mag = d.magnitude()
     return CheckResult(Verdict.YES if d.is_zero(tol) else Verdict.NO,
-                       {"commutator_magnitude": mag})
+                       {"commutator_magnitude": d.magnitude()})
 
 
 def check_hyponormal(t: StructuredOperator, tol: float = 1e-10) -> CheckResult:
@@ -122,8 +121,7 @@ def check_paranormal(t: StructuredOperator, grid=None,
     gap = toeplitz(symbol(quartic).coeffs) - toeplitz(squared.coeffs)
     if gap.magnitude() > 1e-12 * max(1.0, squared.magnitude()):  # pragma: no cover
         raise AssertionError("symbol(T*^2 T^2) is not symbol(T*T)^2")
-    outcome = Verdict.YES
-    failed_at = None
+    outcome, failed_at = Verdict.YES, None
     for s in grid:
         q = quartic - quad.scaled(2.0 * s) + constant_diagonal(s * s)
         count, valid = _count_below(q, -tol * max(1.0, q.magnitude()))

@@ -210,8 +210,7 @@ def _eigs_below(h: StructuredOperator, level: float, first: int | None = None):
     if not ok.all():
         return np.zeros(0), False
     mus, found = list(mus), []
-    count = int(np.count_nonzero(mus[1] < 0))
-    for j in range(count if first is None else min(count, first)):
+    for j in range(int(np.count_nonzero(mus[1] < 0)))[:first]:
         a, fa = max((x, mu[j]) for x, mu in zip(lams, mus) if mu[j] >= 0)
         b, fb = min((x, mu[j]) for x, mu in zip(lams, mus) if mu[j] < 0)
         side = 0
@@ -333,12 +332,11 @@ def schur_eigenvalues(t: StructuredOperator, loops, contains, scale: float):
     the count."""
     m = len(t.window)
     p, q = _tail_span(t.tails)
-    window = t.window
     q_block, r_block = _corner_coupling(t)
     eye = np.eye(m)
 
     def schur(lam, g):
-        return window - lam[:, None, None] * eye - q_block @ g @ r_block
+        return t.window - lam[:, None, None] * eye - q_block @ g @ r_block
 
     def log_det(lam):
         g, ok = _wiener_hopf_block(t.tails, lam)
@@ -370,7 +368,7 @@ def schur_eigenvalues(t: StructuredOperator, loops, contains, scale: float):
         return None
 
     zeros = np.zeros(0, dtype=complex)
-    window_eigs = np.linalg.eigvals(window)
+    window_eigs = np.linalg.eigvals(t.window)
     outside = window_eigs[~contains(window_eigs)]
     # a zero near the curve has a slowly decaying eigenvector, which a small
     # section may not resolve: when the count shows zeros missing, the seeds
@@ -426,14 +424,18 @@ def symbol_min_modulus_signed(sym) -> float:
 def operator_norm(t: StructuredOperator, tol: float = 1e-8) -> float:
     """Operator norm: sqrt of the top of T*T, the larger of max |a|^2 and
     the lowest eigenvalue of -T*T below its essential level less
-    tol max(1, max |a|^2).  The value is kept in t's memo under tol."""
+    tol max(1, max |a|^2).  The value is kept in t's memo under tol; raises
+    NotStabilized where the roots of the symbol do not split."""
     return memoized(t, ("operator_norm", tol), lambda: _operator_norm(t, tol))
 
 
 def _operator_norm(t, tol) -> float:
     negated = gram(t).scaled(-1.0)
     level = symbol_min_modulus_signed(symbol(negated))
-    top, _ = _eigs_below(negated, level - tol * max(1.0, abs(level)), first=1)
+    top, ok = _eigs_below(negated, level - tol * max(1.0, abs(level)), first=1)
+    if not ok:
+        raise NotStabilized("the roots of the symbol of T*T did not split "
+                            "above its essential level")
     return float(np.sqrt(max(0.0, -level, *-top)))
 
 
@@ -476,8 +478,8 @@ def positivity_verdict(d: StructuredOperator, tol: float):
     lowest, ok = _eigs_below(d, min(-tol, ess_min - tol), first=1)
     if not ok:
         return "undetermined", {"symbol_min": ess_min,
-                                "reason": "roots of the symbol within rounding "
-                                          "of the circle"}
+                                "reason": "roots of the symbol did not split "
+                                          "off the circle"}
     value = float(lowest[0]) if len(lowest) else 0.0
     return ("no" if value < -tol * scale else "yes",
             {"symbol_min": ess_min, "most_negative_eigenvalue": value})

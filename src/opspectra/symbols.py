@@ -171,17 +171,17 @@ def _wiener_hopf_block(tails: np.ndarray, lam) -> tuple:
     p and q come from ``_tail_span`` (both at least 1).  At winding 0,
     z^q (a(z) - lam) has q roots r_i in the disc and p roots s_j outside it,
     so a - lam = a_+ a_- with a_+ = a_p prod (z - s_j) and
-    a_- = prod (1 - r_i / z), and Widom's formula gives
-    T(a - lam) = T(a_-) T(a_+) and T(a - lam)^(-1) = T(1/a_+) T(1/a_-) exactly.  The block is L U, with L
-    the lower triangular Toeplitz matrix of the first q coefficients of
-    1/a_+ and U the upper triangular one of the first p coefficients of
-    1/a_- (in powers of 1/z).
+    a_- = prod (1 - r_i / z), and Widom's formula gives T(a - lam) =
+    T(a_-) T(a_+) and T(a - lam)^(-1) = T(1/a_+) T(1/a_-) exactly.  The
+    block is L U, with L the lower triangular Toeplitz matrix of the first
+    q coefficients of 1/a_+ and U the upper triangular one of the first p
+    coefficients of 1/a_- (in powers of 1/z).
 
     Returns (G, ok), G of shape (len(lam), q, p); ok is False where the
-    roots do not split q : p, i.e. where lam is not at winding 0 or lies on
-    the curve, and G is meaningless there.  The roots of all the
-    polynomials come from one batched eigenvalue call on companion
-    matrices."""
+    computed roots do not split q : p strictly (no margin), i.e. where lam
+    is not at winding 0 or lies on the curve, and G is meaningless there.
+    The roots of all the polynomials come from one batched eigenvalue call
+    on companion matrices."""
     w = len(tails) // 2
     p, q = _tail_span(tails)
     lam = np.asarray(lam, dtype=complex).ravel()

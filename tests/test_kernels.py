@@ -99,10 +99,11 @@ def test_lower_band_holds_the_truncation(t):
 @settings(max_examples=40, deadline=None)
 @given(operators)
 def test_banded_eigs_match_dense_reference(t):
-    """One-sided against the 512-section (``suites.against_section``): every
-    eigenvalue listed at least 0.1 scale below the essential level matches a
-    section eigenvalue, and none below it less 1e-6 scale is missing."""
-    report, unmatched, missed = suites.against_section(gram(t), 0.1, 512)
+    """Against the 2048-section (``suites.against_section``): the k-th
+    eigenvalue listed 0.01 scale or more below the essential level is the
+    section's k-th, multiplicities counted, and no section eigenvalue below
+    that level less 1e-6 scale is missing."""
+    report, unmatched, missed = suites.against_section(gram(t))
     assert report.stabilized and not unmatched and not missed
 
 
@@ -125,22 +126,29 @@ def test_all_above_matches_eigvalsh(n, width, seed):
     assert not _all_above(band, lowest + margin)
 
 
-def assert_same_positivity(d, tol=1e-10, n=512):
-    """positivity_verdict against the lowest eigenvalue sigma of the
-    n-section, scale = max(1, magnitude of d).  The section is a compression,
-    so by interlacing sigma lies at or above d's lowest eigenvalue: sigma
-    below -tol scale forces "no", and the lowest eigenvalue of a "no" lies
-    at or below sigma.  With a constant symbol the section holds the whole
-    window, and the verdict and the witness are those of the section."""
+def assert_same_positivity(d, tol=1e-10):
+    """positivity_verdict against the eigenvalues below 0 of the
+    2048-section, sigma the lowest (0.0 when none), scale = max(1, magnitude
+    of d).  The section is a compression, so by interlacing sigma lies at or
+    above d's lowest eigenvalue: sigma below -tol scale forces "no", and the
+    witness of a "no" lies at or below sigma; from 0.01 scale below 0 the
+    section has settled, and the witness is one of its eigenvalues.  With a
+    constant symbol the section holds the whole window, and the verdict and
+    the witness are those of the section."""
     verdict, witness = positivity_verdict(d, tol)
     scale = max(1.0, d.magnitude())
-    vals = eig_banded(d.lower_band(n), lower=True, eigvals_only=True)
-    if vals[0] < -tol * scale - 1e-12 * scale:
+    vals = eig_banded(d.lower_band(2048), lower=True, eigvals_only=True,
+                      select="v", select_range=(-np.inf, 0.0))
+    sigma = min(vals, default=0.0)
+    if sigma < -tol * scale - 1e-12 * scale:
         assert verdict == "no"
     if verdict == "no" and "most_negative_eigenvalue" in witness:
-        assert witness["most_negative_eigenvalue"] <= vals[0] + 1e-12 * scale
-    if set(symbol(d).coeffs) <= {0} and n > len(d.window):
-        assert verdict == ("no" if vals[0] < -tol * scale else "yes")
+        value = witness["most_negative_eigenvalue"]
+        assert value <= sigma + 1e-12 * scale
+        if value <= -0.01 * scale:
+            assert np.min(np.abs(vals - value)) <= 1e-8 * scale
+    if set(symbol(d).coeffs) <= {0}:
+        assert verdict == ("no" if sigma < -tol * scale else "yes")
         below = vals[vals < min(-tol, symbol_min_modulus_signed(symbol(d)) - tol)]
         want = below[0] if len(below) else 0.0
         assert abs(witness.get("most_negative_eigenvalue", want) - want) \
@@ -194,3 +202,6 @@ def test_check_paranormal_matches_per_shift_reference(t):
         want, failed_at = paranormal_reference(op, grid)
         assert res.verdict is want
         assert res.witness["failed_at"] == failed_at
+        if failed_at is not None:
+            assert_same_positivity(gram(op @ op) + gram(op).scaled(-2.0 * failed_at)
+                                   + constant_diagonal(failed_at ** 2))

@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 from scipy.linalg import eig_banded
 
 from conftest import load_perfbench
-from opspectra import (DimensionMismatch, NotHermitian, check_an,
+from opspectra import (DimensionMismatch, NotHermitian, NotStabilized, check_an,
                        constant_diagonal, diagonal, discrete_eigs_below, gram,
                        hermitian_eig, identity, isometry_extension,
                        min_modulus, operator_norm, right_shift, suites,
                        svd_polar, symbol, toeplitz, zero)
+from opspectra import numerics
 from opspectra.numerics import (_count_below, cluster_values,
                                 positivity_verdict, symbol_min_modulus_signed)
 from opspectra.specfiles import load_bundled
@@ -222,6 +223,15 @@ def test_operator_norm_examples():
 def test_operator_norm_dominated_by_symbol():
     # tridiagonal symbol norm 2 is reached by the symbol bound immediately
     assert operator_norm(toeplitz({1: 1.0, -1: 1.0})) == pytest.approx(2.0, abs=1e-12)
+
+
+def test_operator_norm_raises_where_the_roots_do_not_split(monkeypatch):
+    block = numerics._wiener_hopf_block
+    monkeypatch.setattr(numerics, "_wiener_hopf_block",
+                        lambda tails, lam: (block(tails, lam)[0], np.zeros(np.size(lam), bool)))
+    # T*T = T(1.25 + 0.5 (z + 1/z)) plus a 1 x 1 corner: two-sided tails
+    with pytest.raises(NotStabilized):
+        operator_norm(toeplitz({0: 1.0, -1: 0.5}))
 
 
 def test_min_modulus_examples():
