@@ -19,8 +19,7 @@ from .symbols import (AreaEstimate, EssentialCurve, LaurentSymbol,
                       spectral_area, symbol, symbol_curve, winding,
                       winding_regions)
 from .numerics import (DiscreteEigenReport, EigenSystem, discrete_eigs_below,
-                       hermitian_eig, isometry_extension, min_modulus,
-                       operator_norm, svd_polar)
+                       hermitian_eig, min_modulus, operator_norm, svd_polar)
 from .classify import (ANResult, CheckResult, ClassificationReport, Verdict,
                        check_am_normal, check_an, check_an_normal_equivalence,
                        check_an_positive, check_an_selfadjoint,

@@ -20,7 +20,7 @@ from .core import (StructuredOperator, constant_diagonal, gram, is_selfadjoint,
 from .errors import NotHyponormal, NotStabilized
 from .numerics import (_count_below, cluster_values, discrete_eigs_below,
                        min_modulus, operator_norm, positivity_verdict,
-                       schur_eigenvalues)
+                       schur_eigenvalues, symbol_min_modulus_signed)
 from .symbols import (EssentialCurve, SpectralSummary, _curve_distance,
                       _tail_span, _WindingRaster, _winding_raster,
                       _zero_winding_region, constant_value, modulus_constant,
@@ -518,9 +518,10 @@ def spectral_summary(t: StructuredOperator, samples: int = 1024,
 
 
 def discrete_singular_levels(t: StructuredOperator, tol: float = 1e-8):
-    """Moduli levels of |T| strictly below the essential level, via T*T."""
+    """Moduli levels of |T| strictly below the essential level, via T*T
+    (keyed in its memo as ``min_modulus`` keys it)."""
     g = gram(t)
-    level = symbol_min_modulus(symbol(t)) ** 2
+    level = symbol_min_modulus_signed(symbol(g))
     report = discrete_eigs_below(g, bound=level, tol=tol)
     levels = tuple((float(np.sqrt(max(0.0, np.real(v)))), m)
                    for v, m in report.eigenvalues)

@@ -94,7 +94,8 @@ def decomposition_to_dict(dec: BlockDecomposition) -> dict:
         "h0_blocks": [{"lambda": b.level, "dim": b.dim,
                        "U": _matrix(b.unitary)} for b in dec.h0_blocks],
         "h1_dim": dec.h1_dim,
-        "S1": _matrix(dec.S1),
+        "S1": {"tails": [_pair(z) for z in dec.S1.tails],
+               "window": _matrix(dec.S1.window)},
         "A": _matrix(dec.A),
         "h2_blocks": [{"delta": lv, "dim": d} for lv, d in dec.h2_blocks],
         "S2": _matrix(dec.S2),
@@ -243,7 +244,7 @@ def cmd_decompose(args) -> int:
     started = datetime.datetime.now(datetime.timezone.utc)
     spec = resolve_spec(args.spec)
     params = _collect_params(args, spec)
-    n = params.get("trunc", 128)
+    n = params.get("trunc")
     dec = structure_decompose(spec.operator, n=n, tol=params["tol"])
     record = verify_decomposition(dec, spec.operator, n=n,
                                   tol=max(params["tol"], 1e-6))
@@ -255,7 +256,7 @@ def cmd_decompose(args) -> int:
         doc["verification"] = {"residuals": _jsonable(record.residuals),
                                "a_norm": record.a_norm, "ok": record.ok}
         doc["normality_from_blocks"] = {"verdict": blocks.verdict.value,
-                                        "interior_defect": blocks.interior_defect,
+                                        "isometry_defect": blocks.isometry_defect,
                                         "corank": blocks.corank}
         doc["spectrum_inclusion"] = {"checked": inclusion.checked,
                                      "violators": [_pair(v) for v in
@@ -264,11 +265,14 @@ def cmd_decompose(args) -> int:
     if args.format == "structured":
         print(text)
     else:
-        print(f"operator: {spec.name} (truncation {dec.trunc})")
+        print(f"operator: {spec.name}")
         print(f"  essential level alpha  {dec.alpha:.12g}  case {dec.case_label}")
         for b in dec.h0_blocks:
             print(f"  H0 block: lambda={b.level:.10g} dim={b.dim}")
-        print(f"  H1 dim {dec.h1_dim}")
+        print(f"  H1: {dec.null_dim} corner null vectors, then e_j for "
+              f"j >= {len(dec.basis)}")
+        if dec.h1_dim is not None:
+            print(f"  H1 dim {dec.h1_dim} within C^{dec.trunc}")
         for lv, d in dec.h2_blocks:
             print(f"  H2 block: delta={lv:.10g} dim={d}")
         print(f"  ||A|| = {record.a_norm:.10g}")
@@ -324,7 +328,8 @@ def build_parser() -> _Parser:
     decompose = sub.add_parser("decompose", help="build and verify the block form")
     common(decompose)
     decompose.add_argument("--trunc", type=int, default=None,
-                           help="size of the section the block form is built on")
+                           help="count dim H1 within C^TRUNC (default: none, "
+                                "H1 is infinite-dimensional)")
     verify = sub.add_parser("verify-suite",
                             help="run golden and randomized property suites")
     verify.add_argument("--seed", type=int, default=0)

@@ -1,11 +1,23 @@
-"""Block decomposition of hyponormal norm-attaining operators at a truncation.
+"""Block decomposition of hyponormal absolutely norm attaining operators.
 
-For operators in the representable class, T*T equals (essential level)^2 times
-the identity plus a finite-rank part, so every eigenvector for an eigenvalue
-away from the essential level is supported exactly in a finite corner.  The
-corner is diagonalized once; the essential eigenspace basis keeps the natural
-coordinate tail so that the isometry defect of the compressed shift stays in
-the last columns, where interior-block tests can ignore it.
+The structure theorem writes such an operator as
+
+    T = (+)_i lambda_i U_i  (+)  [[alpha S1, A], [0, S2]]  on  H0 (+) H1 (+) H2,
+
+with every U_i unitary, S1 an isometry, and H0, H2 finite-dimensional.  In
+the representable class T*T = alpha^2 I + F, with F inside the leading M x M
+window B of T*T.  So every block is finite or structured:
+
+- H0 and H2 are spanned by the eigenvectors of B - alpha^2 above and below 0;
+- H1 is spanned by the r null vectors of B - alpha^2 and e_M, e_(M+1), ...;
+- in that basis, S1 = T|H1 / alpha is a StructuredOperator with tails a/alpha;
+- A and S2 are finite matrices.
+
+With E = diag(V, I), V the ordered corner eigenvectors, every block entry
+that is not a tail of S1 is an entry of the leading L x L section of E* T E,
+L = max(M, len(t.window)) + 2 bandwidth + 1: outside it, E* T E only
+couples e_j to e_k for j, k >= M, through the tails of T.  Nothing is
+truncated.
 """
 
 from __future__ import annotations
@@ -16,9 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import Verdict, check_an, check_hyponormal, check_normal
-from .core import StructuredOperator, gram
-from .errors import NotHyponormal, NotNormAttainingClass, TemplateMismatch
+from .core import StructuredOperator, gram, identity
+from .errors import (DimensionMismatch, NotHyponormal, NotNormAttainingClass,
+                     TemplateMismatch)
 from .numerics import hermitian_eig
+from .symbols import symbol, winding
 
 CASE_NORM = "lambda_equals_norm"
 CASE_EIGEN_INF = "case1"
@@ -35,25 +49,30 @@ class H0Block:
 
 @dataclass(frozen=True)
 class BlockDecomposition:
-    """Truncated block data of the structure decomposition.
+    """Exact block data of the structure decomposition.
 
-    Block invariants (checked by verify_decomposition):
-    every H0 unitary is unitary within tol; S1 is isometric on the interior
-    columns; S1* A = 0; A*A + S2*S2 equals the direct sum of delta_j^2 times
-    identities on the H2 level blocks.
+    ``basis`` is the M x M unitary of corner eigenvectors, its columns
+    ordered H0 (by level, descending), the null vectors, H2 (ascending).
+    ``S1`` acts on H1 in the basis [null vectors, e_M, e_(M+1), ...]; ``A``
+    maps H2 into the leading rows of that basis.  ``h1_dim`` is
+    dim(H1 within C^trunc) when a section size ``trunc`` was given, else
+    None (H1 is infinite-dimensional).
+
+    Block invariants (checked by verify_decomposition): every H0 unitary is
+    unitary within tol; S1 is an isometry; S1* A = 0; A*A + S2*S2 equals the
+    direct sum of delta_j^2 times identities on the H2 level blocks.
     """
 
     alpha: float
     h0_blocks: tuple
-    h1_dim: int
-    S1: np.ndarray
+    h1_dim: int | None
+    S1: StructuredOperator
     A: np.ndarray
     h2_blocks: tuple
     S2: np.ndarray
     basis: np.ndarray
     case_label: str
-    trunc: int
-    bandwidth: int
+    trunc: int | None
 
     @property
     def h0_dim(self) -> int:
@@ -63,13 +82,35 @@ class BlockDecomposition:
     def h2_dim(self) -> int:
         return sum(d for _, d in self.h2_blocks)
 
+    @property
+    def null_dim(self) -> int:
+        """r, the number of corner null vectors at the head of H1."""
+        return len(self.basis) - self.h0_dim - self.h2_dim
 
-def structure_decompose(t: StructuredOperator, n: int = 128,
+
+def _section(t: StructuredOperator, basis: np.ndarray, h0_dim: int,
+             null_dim: int):
+    """The leading L x L section of E* T E with E's columns in block order
+    (H0, H1 = [null vectors, e_M, ..., e_(L-1)], H2), and the size of its
+    H1 block."""
+    m = len(basis)
+    size = max(m, len(t.window)) + 2 * t.bandwidth + 1
+    split, tail = h0_dim + null_dim, size - m
+    e = np.zeros((size, size), dtype=complex)
+    e[:m, :split] = basis[:, :split]
+    e[m:, split:split + tail] = np.eye(tail)
+    e[:m, split + tail:] = basis[:, split:]
+    return e.conj().T @ t.truncate(size) @ e, null_dim + tail
+
+
+def structure_decompose(t: StructuredOperator, n: int | None = None,
                         tol: float = 1e-8) -> BlockDecomposition:
-    """Build the three-space block form of a hyponormal AN operator.
+    """Build the exact block form of a hyponormal AN operator.
 
     The essential level alpha comes from the (exact) constant symbol level of
-    T*T; corner eigenvectors only assign directions to levels.
+    T*T; the eigenvectors of its M x M window only assign directions to
+    levels.  ``n`` only names a section C^n in which ``h1_dim`` is counted;
+    it must cover the window.
     """
     hy = check_hyponormal(t)
     if hy.verdict is not Verdict.YES:
@@ -82,28 +123,17 @@ def structure_decompose(t: StructuredOperator, n: int = 128,
     level2 = alpha * alpha
 
     p = gram(t)
-    corner = max(p.corner_size, t.corner_size) + max(p.bandwidth, t.bandwidth) + 1
-    if n < 2 * corner + 8:
-        raise ValueError(
-            f"truncation {n} too small for corner {corner}; use n >= {2 * corner + 8}")
-
-    scale2 = max(1.0, p.magnitude())
-    assign = max(tol, 1e-12) * scale2
-    # past the corner T*T is level2 * I (its symbol is constant), so a larger
-    # corner adds only eigenvalues at 0 of T*T - level2 * I
-    gc = p.truncate(corner) - level2 * np.eye(corner)
-    es = hermitian_eig(0.5 * (gc + gc.conj().T), tol=1e-8)
-    gamma, vecs = es.values, es.vectors
-
-    null_idx = [i for i, g in enumerate(gamma) if abs(g) <= assign]
-    up_idx = [i for i, g in enumerate(gamma) if g > assign]
-    down_idx = [i for i, g in enumerate(gamma) if g < -assign]
-
-    def embed(cols):
-        out = np.zeros((n, len(cols)), dtype=complex)
-        for j, i in enumerate(cols):
-            out[:corner, j] = vecs[:, i]
-        return out
+    m = len(p.window)
+    if n is not None and n < m:
+        raise DimensionMismatch(
+            f"section {n} is smaller than the {m} x {m} window of T*T")
+    assign = max(tol, 1e-12) * max(1.0, p.magnitude())
+    gamma, vecs = np.zeros(0), np.zeros((0, 0), dtype=complex)
+    if m:
+        # past the window T*T is level2 * I (its symbol is constant)
+        gc = p.window - level2 * np.eye(m)
+        es = hermitian_eig(0.5 * (gc + gc.conj().T), tol=1e-8)
+        gamma, vecs = es.values, es.vectors
 
     def grouped(idx, descending):
         pairs = sorted((math.sqrt(max(0.0, level2 + float(gamma[i]))), i)
@@ -120,26 +150,19 @@ def structure_decompose(t: StructuredOperator, n: int = 128,
         out.sort(key=lambda g: -g[0] if descending else g[0])
         return out
 
-    h0_groups = grouped(up_idx, descending=True)
-    h2_groups = grouped(down_idx, descending=False)
+    h0_groups = grouped([i for i, g in enumerate(gamma) if g > assign], True)
+    h2_groups = grouped([i for i, g in enumerate(gamma) if g < -assign], False)
+    null_idx = [i for i, g in enumerate(gamma) if abs(g) <= assign]
+    basis = vecs[:, [i for _, mem in h0_groups for i in mem] + null_idx
+                 + [i for _, mem in h2_groups for i in mem]]
+    h0_dim = sum(len(mem) for _, mem in h0_groups)
 
-    h0_cols = [embed(members) for _, members in h0_groups]
-    h1_cols = np.hstack([embed(null_idx),
-                         np.eye(n, dtype=complex)[:, corner:]])
-    h2_cols = [embed(members) for _, members in h2_groups]
-
-    pieces = h0_cols + [h1_cols] + h2_cols
-    basis = np.hstack(pieces)
-    sizes = [c.shape[1] for c in pieces]
-    starts = np.concatenate([[0], np.cumsum(sizes)])
-    n_h0 = len(h0_groups)
-    h1_pos = n_h0
-    d1 = sizes[h1_pos]
-
-    m = t.truncate(n)
-    b = basis.conj().T @ m @ basis
-    scale = max(1.0, float(np.linalg.norm(m, 2)))
-    gate = max(tol, 1e-8) * scale
+    b, d1 = _section(t, basis, h0_dim, len(null_idx))
+    sizes = ([len(mem) for _, mem in h0_groups] + [d1]
+             + [len(mem) for _, mem in h2_groups])
+    starts = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
+    h1_pos = len(h0_groups)
+    gate = max(tol, 1e-8) * max(1.0, float(np.linalg.norm(b, 2)))
 
     def block(i, j):
         return b[starts[i]:starts[i + 1], starts[j]:starts[j + 1]]
@@ -147,19 +170,15 @@ def structure_decompose(t: StructuredOperator, n: int = 128,
     # template: H0 groups are reducing and mutually orthogonal; everything
     # below the (H1, H2) column stack vanishes
     offenders = {}
-    total = len(sizes)
-    for i in range(total):
-        for j in range(total):
+    for i in range(len(sizes)):
+        for j in range(len(sizes)):
             # allowed: diagonal blocks, the A strip (H1 rows over H2
             # columns), and anything inside the H2 square (S2 may couple
             # its level groups)
-            on_template = (i == j
-                           or (i == h1_pos and j > h1_pos)
-                           or (i > h1_pos and j > h1_pos))
-            if on_template:
+            if i == j or (i >= h1_pos and j > h1_pos):
                 continue
             sub = block(i, j)
-            norm = float(np.linalg.norm(sub, 2)) if min(sub.shape) else 0.0
+            norm = float(np.linalg.norm(sub, 2)) if sub.size else 0.0
             if norm > gate:
                 offenders[(i, j)] = norm
     if offenders:
@@ -168,8 +187,7 @@ def structure_decompose(t: StructuredOperator, n: int = 128,
 
     h0_blocks = []
     for k, (level, members) in enumerate(h0_groups):
-        sub = block(k, k)
-        u = sub / level if level > 0 else sub
+        u = block(k, k) / level
         defect = float(np.linalg.norm(u.conj().T @ u - np.eye(len(members)), 2))
         if defect > max(100.0 * tol, 1e-8):
             raise TemplateMismatch(
@@ -177,23 +195,19 @@ def structure_decompose(t: StructuredOperator, n: int = 128,
                 f"(defect {defect:.3e})", {("h0", k): defect})
         h0_blocks.append(H0Block(level, len(members), u))
 
-    s1 = block(h1_pos, h1_pos) / alpha if alpha > 1e-14 else \
-        np.zeros((d1, d1), dtype=complex)
-    if h2_groups:
-        a_block = np.hstack([block(h1_pos, h1_pos + 1 + j)
-                             for j in range(len(h2_groups))])
-        s2 = np.block([[block(h1_pos + 1 + i, h1_pos + 1 + j)
-                        for j in range(len(h2_groups))]
-                       for i in range(len(h2_groups))])
-    else:
-        a_block = np.zeros((d1, 0), dtype=complex)
-        s2 = np.zeros((0, 0), dtype=complex)
-
-    case = CASE_NORM if not h0_blocks else CASE_EIGEN_INF
+    # with alpha = 0, T vanishes on H1 and any isometry serves as S1
+    s1 = (StructuredOperator._of(t.tails / alpha, block(h1_pos, h1_pos) / alpha)
+          if alpha > 1e-14 else identity())
+    h2 = range(h1_pos + 1, len(sizes))
+    a_block = np.hstack([block(h1_pos, j) for j in h2]
+                        or [np.zeros((d1, 0), dtype=complex)])
+    s2 = (np.block([[block(i, j) for j in h2] for i in h2]) if h2_groups
+          else np.zeros((0, 0), dtype=complex))
+    # dim(H1 within C^n) = n - dim H0 - dim H2 = n - m + r
     return BlockDecomposition(
-        alpha, tuple(h0_blocks), d1, s1, a_block,
-        tuple((lv, len(members)) for lv, members in h2_groups),
-        s2, basis, case, n, t.bandwidth)
+        alpha, tuple(h0_blocks), None if n is None else n - m + len(null_idx),
+        s1, a_block, tuple((lv, len(members)) for lv, members in h2_groups),
+        s2, basis, CASE_EIGEN_INF if h0_blocks else CASE_NORM, n)
 
 
 @dataclass(frozen=True)
@@ -209,98 +223,78 @@ class VerificationRecord:
 
 def verify_decomposition(dec: BlockDecomposition, t: StructuredOperator,
                          n: int | None = None, tol: float = 1e-6) -> VerificationRecord:
-    """Re-check every block invariant; failures are reported as residuals."""
-    n = n if n is not None else dec.trunc
-    if n != dec.trunc:
-        raise ValueError("decomposition was produced at a different truncation")
-    m = t.truncate(n)
-    scale = max(1.0, float(np.linalg.norm(m, 2)))
-    res = {}
+    """Re-check every block invariant; failures are reported as residuals.
 
+    ``reconstruction`` compares the blocks, placed in the zero template,
+    with the L x L section of E* T E, which holds every entry of T outside
+    H1's Toeplitz part; ``s1_isometry`` is the largest entry of S1*S1 - I,
+    computed exactly on the structured S1.
+    """
+    if n is not None and n != dec.trunc:
+        raise ValueError("decomposition was produced for a different section")
     basis = dec.basis
-    res["basis_orthonormality"] = float(
-        np.linalg.norm(basis.conj().T @ basis - np.eye(n), 2))
+    b, d1 = _section(t, basis, dec.h0_dim, dec.null_dim)
+    scale = max(1.0, float(np.linalg.norm(b, 2)))
+    res = {"basis_orthonormality": float(np.linalg.norm(
+        basis.conj().T @ basis - np.eye(len(basis)), 2)) if len(basis) else 0.0}
 
-    # reconstruction through the zeroed template
-    b = basis.conj().T @ m @ basis
     template = np.zeros_like(b)
-    blocks = [blk.dim for blk in dec.h0_blocks] + [dec.h1_dim] + \
-        [d for _, d in dec.h2_blocks]
-    starts = np.concatenate([[0], np.cumsum(blocks)]).astype(int)
-    n_h0 = len(dec.h0_blocks)
-    h1_lo, h1_hi = starts[n_h0], starts[n_h0 + 1]
-    for k in range(n_h0):
-        lo, hi = starts[k], starts[k + 1]
-        template[lo:hi, lo:hi] = b[lo:hi, lo:hi]
-    template[h1_lo:h1_hi, h1_lo:] = b[h1_lo:h1_hi, h1_lo:]
-    template[h1_hi:, h1_hi:] = b[h1_hi:, h1_hi:]
-    res["reconstruction"] = float(
-        np.linalg.norm(basis @ template @ basis.conj().T - m, 2)) / scale
-
+    lo = 0
     for k, blk in enumerate(dec.h0_blocks):
+        template[lo:lo + blk.dim, lo:lo + blk.dim] = blk.level * blk.unitary
         res[f"h0_{k}_unitarity"] = float(np.linalg.norm(
             blk.unitary.conj().T @ blk.unitary - np.eye(blk.dim), 2))
+        lo += blk.dim
+    hi = lo + d1
+    s1 = dec.S1.truncate(d1)
+    template[lo:hi, lo:hi] = dec.alpha * s1
+    template[lo:hi, hi:] = dec.A
+    template[hi:, hi:] = dec.S2
+    res["reconstruction"] = float(np.linalg.norm(b - template, 2))
 
-    d1 = dec.h1_dim
-    cut = max(0, d1 - max(1, dec.bandwidth))
-    if d1 and dec.alpha > 1e-14:
-        e = dec.S1.conj().T @ dec.S1 - np.eye(d1)
-        res["s1_isometry_interior"] = float(np.linalg.norm(e[:cut, :cut], 2))
-    else:
-        res["s1_isometry_interior"] = 0.0
-
-    if dec.A.size:
-        res["s1_star_a"] = float(np.linalg.norm(dec.S1.conj().T @ dec.A, 2))
-    else:
-        res["s1_star_a"] = 0.0
+    res["s1_isometry"] = (gram(dec.S1) - identity()).magnitude()
+    # the section's A vanishes past row r + bandwidth < d1 - bandwidth (and
+    # reconstruction holds dec.A to it), so S1's leading d1 x d1 block gives
+    # all of S1* A
+    res["s1_star_a"] = float(np.linalg.norm(s1.conj().T @ dec.A, 2)) \
+        if dec.A.size else 0.0
 
     d2 = dec.h2_dim
     if d2:
-        target = np.zeros((d2, d2), dtype=complex)
-        pos = 0
-        for level, dim in dec.h2_blocks:
-            target[pos:pos + dim, pos:pos + dim] = (level * level) * np.eye(dim)
-            pos += dim
+        target = np.diag(np.concatenate([np.full(dim, level * level)
+                                         for level, dim in dec.h2_blocks]))
         gram_h2 = dec.A.conj().T @ dec.A + dec.S2.conj().T @ dec.S2
         res["h2_gram"] = float(np.linalg.norm(gram_h2 - target, 2))
     else:
         res["h2_gram"] = 0.0
 
     a_norm = float(np.linalg.norm(dec.A, 2)) if dec.A.size else 0.0
-    ok = all(v <= tol * max(1.0, scale) for v in res.values())
+    ok = all(v <= tol * scale for v in res.values())
     return VerificationRecord(res, a_norm, ok)
 
 
 @dataclass(frozen=True)
 class BlockNormalityRecord:
     verdict: Verdict
-    interior_defect: float
+    isometry_defect: float
     corank: int
     cross_check: Verdict | None
 
 
 def normality_from_blocks(dec: BlockDecomposition, tol: float = 1e-8,
                           operator: StructuredOperator | None = None) -> BlockNormalityRecord:
-    """Normal iff the essential-level compression is unitary.
+    """Normal iff the isometry S1 is unitary, iff its co-rank
+    dim ker S1* = -index(S1) = winding(a / alpha, 0) is 0.
 
-    A truncated proper isometry looks unitary except at the boundary, so the
-    defect is measured on the interior block and combined with a co-rank
-    estimate from the singular values of the full block; co-rank zero plus a
-    clean interior is the unitary verdict.
+    ``isometry_defect`` is the largest entry of S1*S1 - I; the verdict is
+    "yes" when the co-rank is 0 and that defect is within tol.
     """
     cross = check_normal(operator, max(tol, 1e-8)).verdict if operator is not None else None
-    d1 = dec.h1_dim
-    if d1 == 0 or dec.alpha <= 1e-14:
-        return BlockNormalityRecord(Verdict.YES, 0.0, 0, cross)
-    bw = max(1, dec.bandwidth)
-    lo, hi = bw, max(bw, d1 - bw)
-    e = np.eye(d1) - dec.S1 @ dec.S1.conj().T
-    interior = float(np.linalg.norm(e[lo:hi, lo:hi], 2)) if hi > lo else 0.0
-    svals = np.linalg.svd(dec.S1, compute_uv=False)
-    corank = int(np.count_nonzero(svals < 0.5))
-    verdict = Verdict.YES if (interior <= max(tol, 1e-8) and corank == 0) \
+    defect = (gram(dec.S1) - identity()).magnitude()
+    corank = winding(symbol(dec.S1), 0.0)
+    verdict = Verdict.YES if corank == 0 and defect <= max(tol, 1e-8) \
         else Verdict.NO
-    return BlockNormalityRecord(verdict, interior, corank, cross)
+    return BlockNormalityRecord(verdict, defect, corank, cross)
 
 
 @dataclass(frozen=True)
@@ -311,19 +305,16 @@ class InclusionRecord:
 
 
 def spectrum_inclusion_check(t: StructuredOperator, dec: BlockDecomposition,
-                             n: int | None = None, tol: float = 1e-6) -> InclusionRecord:
-    """Truncation eigenvalues must sit in the closed alpha-disc or on one of
-    the upper-level circles (inflated by tol); stragglers are reported as
-    truncation artifacts."""
-    n = n if n is not None else dec.trunc
-    vals = np.linalg.eigvals(t.truncate(n))
-    upper = [blk.level for blk in dec.h0_blocks]
-    violators = []
-    for v in vals:
-        r = abs(v)
-        if r <= dec.alpha + tol:
-            continue
-        if any(abs(r - lv) <= tol for lv in upper):
-            continue
-        violators.append(complex(v))
-    return InclusionRecord(len(vals), tuple(violators), not violators)
+                             tol: float = 1e-6) -> InclusionRecord:
+    """The finite spectra the triangular form allows: lambda_i eig(U_i) on
+    the circle of radius lambda_i, and eig(S2) in the closed alpha-disc,
+    each within tol max(1, magnitude of T).  The spectrum of alpha S1 lies
+    in that disc because S1 is an isometry."""
+    slack = tol * max(1.0, t.magnitude())
+    violators = [complex(v) for blk in dec.h0_blocks
+                 for v in blk.level * np.linalg.eigvals(blk.unitary)
+                 if abs(abs(v) - blk.level) > slack]
+    violators += [complex(v) for v in np.linalg.eigvals(dec.S2)
+                  if abs(v) > dec.alpha + slack]
+    return InclusionRecord(dec.h0_dim + dec.h2_dim, tuple(violators),
+                           not violators)

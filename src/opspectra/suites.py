@@ -17,6 +17,8 @@ from .classify import (Verdict, check_am_normal, check_an,
 from .core import (StructuredOperator, constant_diagonal, diagonal, embed_at,
                    from_dense_corner, gram, right_shift, toeplitz,
                    weighted_shift)
+from .decompose import (normality_from_blocks, structure_decompose,
+                        verify_decomposition)
 from .numerics import discrete_eigs_below, symbol_min_modulus_signed
 from .specfiles import BUNDLED, load_bundled
 from .symbols import (_curve_distance, fredholm_index, index_by_truncation,
@@ -164,27 +166,34 @@ def _points_match(points, expected, tol=1e-7):
 # -- suites -------------------------------------------------------------------
 
 def suite_golden():
-    """Expected classifications of the bundled operators."""
+    """Expected classifications of the bundled operators; each AN one is
+    also decomposed, its blocks verified, and the co-rank of S1 (the
+    winding of the symbol about 0) and its normality verdict compared."""
     expected = {
-        "right_shift": ("no", "yes", 1.0),
-        "defect_shift": ("no", "yes", 1.0),
-        "nilpotent_head_shift": ("no", "yes", 2.0),
-        "diagonal_head_shift": ("no", "yes", 3.0),
-        "unitary_diag": ("yes", "yes", 1.0),
-        "selfadjoint_band": ("yes", "no", None),
+        "right_shift": ("no", "yes", 1.0, 1),
+        "defect_shift": ("no", "yes", 1.0, 1),
+        "nilpotent_head_shift": ("no", "yes", 2.0, 1),
+        "diagonal_head_shift": ("no", "yes", 3.0, 1),
+        "unitary_diag": ("yes", "yes", 1.0, 0),
+        "selfadjoint_band": ("yes", "no", None, None),
     }
     results = []
     for name in BUNDLED:
-        spec = load_bundled(name)
-        report = classify(spec.operator)
-        normal, an, alpha = expected[name]
+        op = load_bundled(name).operator
+        report = classify(op)
+        normal, an, alpha, corank = expected[name]
         ok = (report.is_normal.value == normal and report.is_AN.value == an)
+        detail = (f"normal={report.is_normal} an={report.is_AN} "
+                  f"alpha={report.alpha}")
         if alpha is not None:
             ok = ok and report.alpha is not None and abs(report.alpha - alpha) < 1e-9
+            dec = structure_decompose(op)
+            blocks = normality_from_blocks(dec)
+            ok = (ok and verify_decomposition(dec, op).ok
+                  and blocks.verdict.value == normal and blocks.corank == corank)
+            detail += f" blocks={blocks.verdict} corank={blocks.corank}"
         ok = ok and report.is_hyponormal is not Verdict.NO
-        results.append((f"golden:{name}", ok,
-                        f"normal={report.is_normal} an={report.is_AN} "
-                        f"alpha={report.alpha}"))
+        results.append((f"golden:{name}", ok, detail))
     return results
 
 

@@ -3,12 +3,15 @@ import dataclasses
 import numpy as np
 import pytest
 
-from opspectra import (NotHyponormal, NotNormAttainingClass, Verdict,
-                       diagonal, embed_at, from_dense_corner,
+from opspectra import (DimensionMismatch, NotHyponormal,
+                       NotNormAttainingClass, Verdict, diagonal, embed_at,
+                       from_dense_corner, gram, identity,
                        normality_from_blocks, right_shift,
                        spectrum_inclusion_check, structure_decompose,
-                       toeplitz, verify_decomposition)
+                       toeplitz, verify_decomposition, weighted_shift)
 from opspectra.specfiles import load_bundled
+from opspectra.suites import random_an_hyponormal, random_diagonal
+from reference_decompose import section_decompose, section_normality
 
 
 def defect_shift():
@@ -23,8 +26,11 @@ def test_defect_shift_block_pattern():
     assert dec.h1_dim == 62
     assert dec.h2_blocks == ((0.5, 2),)
     assert np.linalg.norm(dec.A, 2) == pytest.approx(0.5, abs=1e-12)
-    # S1 is the truncated shift in the natural tail basis
-    np.testing.assert_allclose(dec.S1, np.eye(62, k=-1), atol=1e-12)
+    # S1 is the shift in the natural tail basis, an isometry exactly
+    assert dec.S1 == right_shift()
+    assert gram(dec.S1) == identity()
+    # the basis is the unitary of the 2 x 2 window of T*T
+    assert dec.basis.shape == (2, 2)
     # S2 has the level pair {1/2, 0}
     np.testing.assert_allclose(np.sort(np.abs(np.linalg.eigvals(dec.S2))),
                                [0.0, 0.5], atol=1e-12)
@@ -44,12 +50,16 @@ def test_monotone_stability_of_residuals():
     t = defect_shift()
     res64 = verify_decomposition(structure_decompose(t, n=64), t, 64)
     res128 = verify_decomposition(structure_decompose(t, n=128), t, 128)
-    assert res128.max_residual <= 10 * max(res64.max_residual, 1e-12)
+    # n only counts dim H1 within C^n: the blocks and residuals ignore it
+    assert res128.residuals == res64.residuals
+    assert res128.max_residual <= 1e-12
 
 
 def test_basis_orthonormality():
     dec = structure_decompose(defect_shift(), n=64)
-    assert np.linalg.norm(dec.basis.conj().T @ dec.basis - np.eye(64), 2) <= 1e-10
+    m = len(gram(defect_shift()).window)
+    assert dec.basis.shape == (m, m)
+    assert np.linalg.norm(dec.basis.conj().T @ dec.basis - np.eye(m), 2) <= 1e-12
 
 
 def test_nilpotent_head_block():
@@ -87,7 +97,8 @@ def test_pure_shift_decomposition():
     dec = structure_decompose(right_shift(), n=64)
     assert dec.alpha == 1.0
     assert dec.h0_blocks == () and dec.h2_blocks == ()
-    np.testing.assert_allclose(dec.S1, np.eye(64, k=-1), atol=1e-14)
+    assert dec.S1 == right_shift()
+    assert dec.basis.shape == (0, 0) and dec.h1_dim == 64
 
 
 def test_upper_level_block_is_scaled_unitary():
@@ -122,7 +133,7 @@ def test_normality_verdicts_from_blocks():
 def test_corank_counts_shift_deficiency():
     dec = structure_decompose(defect_shift(), n=64)
     rec = normality_from_blocks(dec)
-    assert rec.corank == 1 and rec.interior_defect <= 1e-12
+    assert rec.corank == 1 and rec.isometry_defect == 0.0
 
 
 def test_corrupted_a_block_is_flagged():
@@ -147,17 +158,24 @@ def test_requires_norm_attaining_class():
 
 
 def test_truncation_too_small():
-    with pytest.raises(ValueError):
-        structure_decompose(defect_shift(), n=8)
+    # the section must cover the 2 x 2 window of T*T
+    with pytest.raises(DimensionMismatch):
+        structure_decompose(defect_shift(), n=1)
+    assert structure_decompose(defect_shift(), n=2).h1_dim == 0
 
 
 def test_spectrum_inclusion():
-    for name in ("defect_shift", "unitary_diag", "nilpotent_head_shift"):
+    for name, checked in (("defect_shift", 2), ("unitary_diag", 0),
+                          ("nilpotent_head_shift", 2)):
         t = load_bundled(name).operator
         dec = structure_decompose(t, n=64)
         rec = spectrum_inclusion_check(t, dec)
         assert rec.all_inside, (name, rec.violators)
-        assert rec.checked == 64
+        assert rec.checked == checked == dec.h0_dim + dec.h2_dim
+    # an S2 eigenvalue outside the alpha-disc is reported
+    t = defect_shift()
+    bad = dataclasses.replace(structure_decompose(t), S2=np.diag([2.0, 0.0]))
+    assert spectrum_inclusion_check(t, bad).violators == (2.0,)
 
 
 def test_compact_operator_decomposition():
@@ -198,7 +216,7 @@ def test_upper_clusters_are_ordered_descending():
 
 
 def test_decomposition_round_trip_on_random_an_family():
-    from opspectra.suites import random_an_hyponormal
+    from opspectra.suites import random_an_hyponormal, random_diagonal
     rng = np.random.default_rng(11)
     for i in range(25):
         t = random_an_hyponormal(rng)
@@ -211,3 +229,94 @@ def test_decomposition_round_trip_on_random_an_family():
             assert blk.level > dec.alpha
         for level, _ in dec.h2_blocks:
             assert level < dec.alpha
+
+
+def test_large_corner_shift_decomposes():
+    # a 200-weight head gives T*T a 200 x 200 window; nothing is sized past
+    # the L-section
+    t = weighted_shift(tuple(np.linspace(0.1, 0.9, 200)), 1.0)
+    dec = structure_decompose(t)
+    assert dec.h1_dim is None and dec.basis.shape == (200, 200)
+    assert verify_decomposition(dec, t).ok
+    rec = normality_from_blocks(dec)
+    assert rec.verdict is Verdict.NO and rec.corank == 1
+
+
+def test_blocks_use_only_the_corner_and_the_l_section(monkeypatch):
+    import opspectra.core as core
+    import opspectra.decompose as decompose
+    sizes, eig_shapes = [], []
+    truncate, eig = core.StructuredOperator.truncate, decompose.hermitian_eig
+    monkeypatch.setattr(core.StructuredOperator, "truncate",
+                        lambda self, n: sizes.append(n) or truncate(self, n))
+    monkeypatch.setattr(decompose, "hermitian_eig",
+                        lambda m, **kw: eig_shapes.append(m.shape) or eig(m, **kw))
+    for name in ("right_shift", "defect_shift", "diagonal_head_shift",
+                 "unitary_diag"):
+        t = load_bundled(name).operator
+        m = len(gram(t).window)
+        size = max(m, len(t.window)) + 2 * t.bandwidth + 1
+        sizes.clear()
+        eig_shapes.clear()
+        dec = structure_decompose(t, n=64)
+        verify_decomposition(dec, t, 64)
+        normality_from_blocks(dec)
+        spectrum_inclusion_check(t, dec)
+        assert sizes and max(sizes) <= size, (name, sizes)
+        assert eig_shapes == ([(m, m)] if m else []), name
+
+
+def _section_size(t):
+    p = gram(t)
+    corner = max(p.corner_size, t.corner_size) + max(p.bandwidth, t.bandwidth) + 1
+    return max(64, 2 * corner + 8)
+
+
+def _same_points(a, b, tol):
+    return len(a) == len(b) and all(
+        np.min(np.abs(np.asarray(b) - z)) <= tol for z in a)
+
+
+def test_exact_blocks_match_section_oracle():
+    theta = 0.83
+    rng = np.random.default_rng(42)
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    phases = np.diag([2 * np.exp(1j * theta), 2 * np.exp(-1j * theta), 0.5])
+    cases = [load_bundled(name).operator for name in
+             ("right_shift", "defect_shift", "nilpotent_head_shift",
+              "diagonal_head_shift", "unitary_diag")]
+    cases += [from_dense_corner(np.diag([2.0, 1.0])),
+              from_dense_corner(q @ phases @ q.conj().T) + embed_at(right_shift(), 3),
+              diagonal((3.0, 1.5, 2.0), 1.0),
+              from_dense_corner(np.array([[3.0]])) + embed_at(defect_shift(), 1),
+              # corner null vectors at the head of H1 (r = 1)
+              diagonal((np.exp(1j), 0.5), 1.0),
+              from_dense_corner(q @ np.diag([np.exp(0.4j), 2.0, 0.3]) @ q.conj().T)
+              + embed_at(weighted_shift((0.5,), 1.0), 3)]
+    rng = np.random.default_rng(20240)
+    cases += [random_an_hyponormal(rng) for _ in range(200)]
+    # normal diagonals, often with corner null vectors (|d_i| = |tail|)
+    cases += [random_diagonal(rng) for _ in range(40)]
+    for i, t in enumerate(cases):
+        dec = structure_decompose(t)
+        sec = section_decompose(t, n=_section_size(t))
+        assert dec.alpha == sec.alpha, i
+        for got, want in (([(b.level, b.dim) for b in dec.h0_blocks],
+                           [(lv, len(u)) for lv, u in sec.h0_blocks]),
+                          (dec.h2_blocks, sec.h2_blocks)):
+            assert [d for _, d in got] == [d for _, d in want], i
+            np.testing.assert_allclose([lv for lv, _ in got],
+                                       [lv for lv, _ in want], atol=1e-9)
+        a_norm = np.linalg.norm(dec.A, 2) if dec.A.size else 0.0
+        a_ref = np.linalg.norm(sec.A, 2) if sec.A.size else 0.0
+        assert abs(a_norm - a_ref) <= 1e-9, i
+        gram_h2 = dec.A.conj().T @ dec.A + dec.S2.conj().T @ dec.S2
+        gram_ref = sec.A.conj().T @ sec.A + sec.S2.conj().T @ sec.S2
+        np.testing.assert_allclose(gram_h2, gram_ref, atol=1e-9)
+        assert _same_points(np.linalg.eigvals(dec.S2), np.linalg.eigvals(sec.S2),
+                            1e-6), i
+        rec = normality_from_blocks(dec)
+        unitary, corank = section_normality(sec)
+        assert (rec.verdict is Verdict.YES) == unitary, i
+        assert rec.corank == corank, i
+        assert rec.isometry_defect <= 1e-12 and verify_decomposition(dec, t).ok, i

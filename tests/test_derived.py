@@ -4,6 +4,7 @@ result, saves the repeated algebra, and leaves identity, equality, repr and
 pickling of the operator as they were."""
 
 import gc
+import json
 import math
 import pickle
 import sys
@@ -144,6 +145,35 @@ def test_derived_values_are_computed_once_per_operator():
     assert discrete_eigs_below(g, bound) is discrete_eigs_below(g, bound)
     # an equal operator has its own memo
     assert gram(generic()) is not gram(t)
+
+
+def test_summary_and_singular_levels_share_one_count(monkeypatch):
+    # min_modulus and discrete_singular_levels key the memo on the same
+    # essential level of T*T, so the second reads the first's report
+    from opspectra import numerics
+    from opspectra.classify import discrete_singular_levels
+    from opspectra.specfiles import load_bundled
+    from conftest import PERFBENCH
+    calls = []
+    count = numerics._discrete_eigs_below
+    monkeypatch.setattr(numerics, "_discrete_eigs_below",
+                        lambda *a: calls.append(a) or count(*a))
+    # generic(): min |a|^2 and the minimum of the symbol of T*T differ in
+    # their last bits
+    u = generic()
+    spectral_summary(u, **SMALL)
+    discrete_singular_levels(u)
+    assert len(calls) == 1
+    t = load_bundled("selfadjoint_band").operator
+    spectral_summary(t, **SMALL)
+    levels, stabilized = discrete_singular_levels(t)
+    assert len(calls) == 2
+    golden = json.loads((PERFBENCH / "golden_cli.json").read_text())
+    want = golden["spectrum/selfadjoint_band/structured"]["fields"]
+    assert stabilized is want["stabilized"]
+    assert len(levels) == len(want["levels"])
+    for (value, mult), (gv, gm) in zip(levels, want["levels"]):
+        assert abs(value - gv) <= 1e-6 and mult == gm
 
 
 def test_an_exception_stores_nothing():

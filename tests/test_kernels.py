@@ -10,7 +10,7 @@ shifted-operator implementation.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eig_banded
 
@@ -193,6 +193,10 @@ def paranormal_reference(t, grid, tol=1e-10):
 
 @settings(max_examples=30, deadline=None)
 @given(operators)
+# an eigenvalue 2.5e-9 below an essential level 0, where the computed
+# S(lam) is Hermitian only to 7e-8: counts and witnesses need its Hermitian part
+@example(t=_mixed(np.random.default_rng(1207)))
+@example(t=suites.random_banded_symbol(np.random.default_rng(1207)))
 def test_check_paranormal_matches_per_shift_reference(t):
     for op in (t, t.adjoint()):
         grid = default_paranormal_grid(op)

@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 from scipy.linalg import eig_banded
 
 from conftest import load_perfbench
-from opspectra import (DimensionMismatch, NotHermitian, NotStabilized, check_an,
+from opspectra import (NotHermitian, NotStabilized, check_an,
                        constant_diagonal, diagonal, discrete_eigs_below, gram,
-                       hermitian_eig, identity, isometry_extension,
-                       min_modulus, operator_norm, right_shift, suites,
-                       svd_polar, symbol, toeplitz, zero)
+                       hermitian_eig, identity, min_modulus, operator_norm,
+                       right_shift, suites, svd_polar, symbol, toeplitz, zero)
 from opspectra import numerics
 from opspectra.numerics import (_count_below, cluster_values,
                                 positivity_verdict, symbol_min_modulus_signed)
@@ -104,44 +103,6 @@ def test_svd_polar_reconstruction(seed):
     assert np.min(evals) >= -1e-10
     # V*V acts as identity on range(P)
     assert np.linalg.norm(v.conj().T @ v @ p - p, 2) <= 1e-9 * np.linalg.norm(m, 2)
-
-
-# -- isometry_extension ------------------------------------------------------------
-
-def test_isometry_extension_identity():
-    np.testing.assert_allclose(isometry_extension(np.eye(3)), np.eye(3))
-
-
-def test_isometry_extension_fills_shift_deficiency():
-    v = right_shift().truncate(4)
-    s = isometry_extension(v)
-    np.testing.assert_allclose(s.conj().T @ s, np.eye(4), atol=1e-12)
-    assert abs(s[0, 3] - 1.0) < 1e-12  # e3-deficiency mapped onto e0-cokernel
-
-
-def test_isometry_extension_scalar_zero():
-    s = isometry_extension(np.zeros((1, 1)))
-    np.testing.assert_allclose(s, [[1.0]])
-
-
-def test_isometry_extension_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        isometry_extension(np.array([[1.0, 0.0]]))  # wide: no room for the kernel
-
-
-def test_isometry_extension_rejects_non_partial_isometry():
-    with pytest.raises(ValueError):
-        isometry_extension(np.array([[0.5]]))
-
-
-def test_isometry_extension_result_isometric():
-    rng = np.random.default_rng(3)
-    q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
-    v = q.copy()
-    v[:, 4:] = 0.0  # rank-4 partial isometry
-    v = v @ np.diag([1, 1, 1, 1, 0, 0]) @ q.conj().T
-    s = isometry_extension(v, tol=1e-9)
-    assert np.linalg.norm(s.conj().T @ s - np.eye(6), 2) <= 1e-9
 
 
 # -- discrete_eigs_below -------------------------------------------------------------

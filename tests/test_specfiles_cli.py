@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import opspectra
-from opspectra import ParseError, ValidationError, Verdict, right_shift
+from opspectra import (ParseError, ValidationError, Verdict, right_shift,
+                       weighted_shift)
 from opspectra.cli import _matrix, main
 from opspectra.classify import ClassificationReport
 from opspectra.specfiles import (BUNDLED, OperatorSpec, load_bundled,
@@ -215,10 +216,39 @@ def test_cli_decompose_structured_matrices(capsys):
     dec = doc["decomposition"]
     assert dec["alpha"] == 1.0
     assert dec["h1_dim"] == 62
-    assert dec["S1"]["shape"] == [62, 62]
-    assert len(dec["S1"]["entries"]) == 62 * 62
+    # S1 is the structured right shift: tails a/alpha = z, empty window
+    assert dec["S1"] == {"tails": [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]],
+                         "window": {"shape": [0, 0], "entries": []}}
+    assert dec["basis"]["shape"] == [2, 2]
     assert dec["h2_blocks"] == [{"delta": 0.5, "dim": 2}]
     assert doc["verification"]["ok"] is True
+    assert doc["normality_from_blocks"] == {"verdict": "no",
+                                            "isometry_defect": 0.0, "corank": 1}
+
+
+@pytest.mark.parametrize("name", BUNDLED[:5])
+def test_cli_decompose_documents_are_small(name, capsys):
+    assert main(["decompose", name, "--format", "structured"]) == 0
+    out = capsys.readouterr().out
+    assert len(out.encode()) < 10_000
+    assert json.loads(out)["decomposition"]["h1_dim"] is None
+
+
+def test_cli_decompose_large_corner(capsys, tmp_path):
+    # T*T has a 70 x 70 window, past any fixed section size
+    path = tmp_path / "big.json"
+    path.write_text(serialize_spec(OperatorSpec(
+        "big", weighted_shift(tuple(np.linspace(0.1, 0.9, 70)), 1.0))))
+    assert main(["decompose", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "H1: 0 corner null vectors, then e_j for j >= 70" in out
+    assert "S1 unitary verdict     no (corank 1)" in out
+
+
+def test_cli_decompose_section_below_window_is_an_error(capsys):
+    assert main(["decompose", "defect_shift", "--trunc", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "window" in err
 
 
 def test_cli_decompose_rejects_non_hyponormal(capsys):
