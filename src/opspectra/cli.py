@@ -142,10 +142,10 @@ def report_document(params, started, classification=None, spectral=None,
 
 def write_curve_csv(path, summary: SpectralSummary) -> None:
     curve = summary.ess_curve
+    rows = np.column_stack([curve.theta, curve.points.real, curve.points.imag])
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("theta,re,im\n")
-        for t, p in zip(curve.theta, curve.points):
-            handle.write(f"{float(t):.14f},{p.real:.14e},{p.imag:.14e}\n")
+        handle.write("%.14f,%.14e,%.14e\n" * len(rows) % tuple(rows.ravel().tolist()))
 
 
 # -- commands ------------------------------------------------------------------

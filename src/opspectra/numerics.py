@@ -130,11 +130,13 @@ def _corner_coupling(t: StructuredOperator):
     return t._block(m, m + q)[:, m:], t._block(m + p, m)[m:, :]
 
 
-def _schur_spectra(h: StructuredOperator, lam):
+def _schur_spectra(h: StructuredOperator, lam, coupling, blocks=None):
     """The ascending eigenvalues of S(lam) = (H - lam)[:m, :m] - Q G(lam) R
     for self-adjoint H, one row per real lam, and where the roots of b - lam
-    split (elsewhere the row means nothing); G(lam) from
-    ``_wiener_hopf_block``.  With a constant symbol S(lam) = window - lam.
+    split (elsewhere the row means nothing); (Q, R) is ``coupling``, from
+    ``_corner_coupling(h)``, and (G, ok) is ``blocks`` when the caller has
+    them, else ``_wiener_hopf_block``'s.  With a constant symbol
+    S(lam) = window - lam.
 
     S(lam) is Hermitian, but the computed G is not: where roots of b - lam
     pair up near the circle the split into a_+ a_- is ill-conditioned, and
@@ -144,17 +146,18 @@ def _schur_spectra(h: StructuredOperator, lam):
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     s = h.window - lam[:, None, None] * np.eye(len(h.window))
     ok = np.ones(lam.size, dtype=bool)
-    q_block, r_block = _corner_coupling(h)
+    q_block, r_block = coupling
     if q_block.size and r_block.size:
-        g, ok = _wiener_hopf_block(h.tails, lam)
+        g, ok = blocks if blocks is not None else _wiener_hopf_block(h.tails, lam)
         s = s - q_block @ g @ r_block
     return np.linalg.eigvalsh(0.5 * (s + s.conj().swapaxes(-1, -2))), ok
 
 
-def _count_below(h: StructuredOperator, lam: float):
+def _count_below(h: StructuredOperator, lam: float, blocks=None):
     """(eigenvalues of self-adjoint H below lam, valid): the negative ones of
-    S(lam), valid where the roots of b - lam split, which needs lam < min b."""
-    mu, ok = _schur_spectra(h, lam)
+    S(lam), valid where the roots of b - lam split, which needs lam < min b.
+    ``blocks`` is (G, ok) at lam when the caller has them."""
+    mu, ok = _schur_spectra(h, lam, _corner_coupling(h), blocks)
     return int(np.count_nonzero(mu[0] < 0)), bool(ok[0])
 
 
@@ -173,7 +176,8 @@ def _eigs_below(h: StructuredOperator, level: float, first: int | None = None):
     lo = min(level, -bound) - bound
     rounding = 4 * np.finfo(float).eps
     lams = [lo, level]
-    mus, ok = _schur_spectra(h, lams)
+    coupling = _corner_coupling(h)
+    mus, ok = _schur_spectra(h, lams, coupling)
     if not ok.all():
         return np.zeros(0), False
     mus, found = list(mus), []
@@ -184,7 +188,7 @@ def _eigs_below(h: StructuredOperator, level: float, first: int | None = None):
         for _ in range(FALSI_STEPS):
             x = b - fb * (b - a) / (fb - fa)
             x = x if a < x < b else 0.5 * (a + b)
-            mu, valid = _schur_spectra(h, x)
+            mu, valid = _schur_spectra(h, x, coupling)
             if not valid[0]:
                 return np.sort(found), False
             lams.append(x)
@@ -276,6 +280,53 @@ def _loop_turns(log_f, loops):
     return turns
 
 
+def _schur_newton(t: StructuredOperator, coupling, seeds, scale: float) -> list:
+    """Newton's method on det S(lam) of ``schur_eigenvalues`` from every seed
+    at once; (Q, R) is ``coupling``.  A step is 1 / trace(S^(-1) S'), with
+    S' = -I - Q G' R and G' the central difference of G over
+    h = 1e-8 ``scale``; G at lam and lam +- h comes for every seed still
+    moving from one ``_wiener_hopf_block`` call, and S^(-1) S' from one
+    batched solve (seed by seed when some S is exactly singular, and then
+    that lam is its zero).  A seed stops when its step is at most
+    1e-12 ``scale``.  Returns one entry per seed: its zero, or None where
+    the roots of a - lam did not split q : p at lam or lam +- h (so seeds
+    off winding 0 give None) or 50 steps did not converge."""
+    q_block, r_block = coupling
+    eye = np.eye(len(t.window))
+    h = 1e-8 * scale
+    lam = np.array(seeds, dtype=complex)
+    zeros = [None] * lam.size
+    active = np.arange(lam.size)
+    for _ in range(50):
+        if not active.size:
+            break
+        x, k = lam[active], active.size
+        g, ok = _wiener_hopf_block(t.tails, np.concatenate([x, x + h, x - h]))
+        ok = ok[:k] & ok[k:2 * k] & ok[2 * k:]
+        g = g.reshape(3, k, *g.shape[1:])[:, ok]
+        active, x = active[ok], x[ok]
+        s = t.window - x[:, None, None] * eye - q_block @ g[0] @ r_block
+        slope = -eye - q_block @ ((g[1] - g[2]) / (2 * h)) @ r_block
+        moving = np.ones(active.size, dtype=bool)
+        try:
+            trace = np.trace(np.linalg.solve(s, slope), axis1=1, axis2=2)
+        except np.linalg.LinAlgError:           # some S(lam) exactly singular
+            trace = np.ones(active.size, dtype=complex)
+            for i in range(active.size):
+                try:
+                    trace[i] = np.trace(np.linalg.solve(s[i], slope[i]))
+                except np.linalg.LinAlgError:
+                    zeros[active[i]], moving[i] = x[i], False
+        step = 1.0 / trace
+        x = x - step
+        done = moving & (np.abs(step) <= 1e-12 * scale)
+        for i in np.flatnonzero(done):
+            zeros[active[i]] = x[i]
+        lam[active] = x
+        active = active[moving & ~done]
+    return zeros
+
+
 def schur_eigenvalues(t: StructuredOperator, loops, contains, scale: float):
     """Eigenvalues of T = T(a) + K, a with both positive and negative
     offsets, inside a region D at winding 0 given by its boundary ``loops``
@@ -300,10 +351,6 @@ def schur_eigenvalues(t: StructuredOperator, loops, contains, scale: float):
     m = len(t.window)
     p, q = _tail_span(t.tails)
     q_block, r_block = _corner_coupling(t)
-    eye = np.eye(m)
-
-    def schur(lam, g):
-        return t.window - lam[:, None, None] * eye - q_block @ g @ r_block
 
     def log_det(lam):
         g, ok = _wiener_hopf_block(t.tails, lam)
@@ -311,28 +358,11 @@ def schur_eigenvalues(t: StructuredOperator, loops, contains, scale: float):
         chunk = max(1, 2 ** 17 // (m * m))     # at most 2 MB of matrices at once
         for lo in range(0, lam.size, chunk):
             part = slice(lo, lo + chunk)
-            sign, logabs = np.linalg.slogdet(schur(lam[part], g[part]))
+            sign, logabs = np.linalg.slogdet(t.window - lam[part, None, None] * np.eye(m)
+                                             - q_block @ g[part] @ r_block)
             out[part] = logabs + 1j * np.angle(sign)
         out[~ok] = np.nan
         return out
-
-    h = 1e-8 * scale
-
-    def newton(lam):
-        for _ in range(50):
-            g, ok = _wiener_hopf_block(t.tails, [lam, lam + h, lam - h])
-            if not ok.all():
-                return None
-            slope = -eye - q_block @ ((g[1] - g[2]) / (2 * h)) @ r_block
-            try:
-                step = 1.0 / np.trace(np.linalg.solve(schur(np.array([lam]), g[:1])[0],
-                                                      slope))
-            except np.linalg.LinAlgError:       # S(lam) exactly singular
-                return lam
-            lam -= step
-            if abs(step) <= 1e-12 * scale:
-                return lam
-        return None
 
     zeros = np.zeros(0, dtype=complex)
     window_eigs = np.linalg.eigvals(t.window)
@@ -342,8 +372,8 @@ def schur_eigenvalues(t: StructuredOperator, loops, contains, scale: float):
     # come once more from a section four times as large
     for size in (m + 8 * (p + q), 4 * (m + 8 * (p + q))):
         seeds = np.linalg.eigvals(t.truncate(size))
-        for seed in seeds[_wiener_hopf_block(t.tails, seeds)[1]]:   # at winding 0
-            z = newton(complex(seed))
+        seeds = seeds[_wiener_hopf_block(t.tails, seeds)[1]]        # at winding 0
+        for z in _schur_newton(t, (q_block, r_block), seeds, scale):
             if z is not None and np.all(np.abs(zeros - z) > 1e-7 * scale):
                 zeros = np.append(zeros, z)
         zeros = zeros[np.lexsort((zeros.imag, zeros.real))]

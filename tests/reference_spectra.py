@@ -5,7 +5,8 @@ eigenvalues of the dense n and 2n sections, kept those selected by a
 predicate, and accepted the clusters when both sizes agreed, and
 ``numerics.discrete_eigs_below`` did the same with banded sections below a
 level.  Those bodies live on here as independent oracles, with the
-starting size and the agreement rule they shared.
+starting size and the agreement rule they shared, next to the seed-by-seed
+Newton iteration that ``numerics._schur_newton`` batches.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ import numpy as np
 from scipy.linalg import eig_banded
 
 from opspectra.numerics import (MERGE_FACTOR, TRUNC_CAP, _all_above,
-                                cluster_values)
+                                _corner_coupling, cluster_values)
+from opspectra.symbols import _wiener_hopf_block
 
 
 def _clusters_match(a, b, tol: float) -> bool:
@@ -72,3 +74,27 @@ def eigs_below_by_sections(t, bound, tol=1e-8, n=None, cap=TRUNC_CAP):
             return bigger, True, (size, 2 * size)
         current, size = bigger, 2 * size
     return current, False, (size // 2, size)
+
+
+def schur_newton_per_seed(t, seed, scale):
+    """Newton on det S(lam) from one seed, one ``_wiener_hopf_block`` call
+    per step: the zero, or None where the roots do not split at lam or
+    lam +- h, or after 50 steps."""
+    q_block, r_block = _corner_coupling(t)
+    eye = np.eye(len(t.window))
+    h = 1e-8 * scale
+    lam = complex(seed)
+    for _ in range(50):
+        g, ok = _wiener_hopf_block(t.tails, [lam, lam + h, lam - h])
+        if not ok.all():
+            return None
+        slope = -eye - q_block @ ((g[1] - g[2]) / (2 * h)) @ r_block
+        schur = t.window - lam * eye - q_block @ g[0] @ r_block
+        try:
+            step = 1.0 / np.trace(np.linalg.solve(schur, slope))
+        except np.linalg.LinAlgError:           # S(lam) exactly singular
+            return lam
+        lam -= step
+        if abs(step) <= 1e-12 * scale:
+            return lam
+    return None

@@ -10,7 +10,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from opspectra import LaurentSymbol, PointOnCurve, suites, symbol, winding_regions
+from opspectra import (LaurentSymbol, PointOnCurve, load_bundled, suites, symbol,
+                       winding_regions)
+from opspectra import symbols as symbols_module
+from opspectra.classify import _region_clusters
+from opspectra.specfiles import BUNDLED
 from opspectra.symbols import (AreaEstimate, RegionComponent, _curve_distance,
                                _winding_raster, _zero_winding_region,
                                polygon_winding, winding)
@@ -88,8 +92,10 @@ TRAPS = [{1: 1.0, -1: 0.5j}, {1: 1.0, -1: 1.0, 2: 1.0, -2: 1j},
 
 
 @pytest.mark.parametrize("resolution", [128, 512])
-def test_raster_matches_the_distance_transform_version(resolution):
-    symbols = _suite_symbols() + [LaurentSymbol(c) for c in TRAPS]
+def test_raster_matches_the_distance_transform_version(resolution, pool_bases):
+    symbols = (_suite_symbols() + [LaurentSymbol(c) for c in TRAPS]
+               + [symbol(t) for t in pool_bases]
+               + [symbol(load_bundled(name).operator) for name in BUNDLED])
     for s in symbols:
         got = winding_regions(s, resolution)
         want = _edt_winding_regions(s, resolution)
@@ -97,6 +103,22 @@ def test_raster_matches_the_distance_transform_version(resolution):
             (want.value, want.error, want.curve_cells, want.cell_diagonal)
         assert [(c.winding, c.cells, c.area) for c in got.components] == \
             [(c.winding, c.cells, c.area) for c in want.components]
+
+
+def test_representative_on_the_curve_leaves_the_raster_open(pool_bases, monkeypatch):
+    """Where ``winding`` finds a representative on the curve, no cell's
+    winding is known: the raster is not closed and nothing is certified."""
+    t = pool_bases[0]
+    assert _winding_raster(symbol(t), 512).closed
+
+    def on_curve(s, lam):
+        raise PointOnCurve(f"{lam} lies on the symbol curve")
+
+    monkeypatch.setattr(symbols_module, "winding", on_curve)
+    raster = _winding_raster(symbol(t), 512)
+    assert raster.estimate.components and not raster.closed
+    assert all(c.winding == 0 for c in raster.estimate.components)
+    assert _region_clusters(t, raster=raster) == ((), False)
 
 
 def _chessboard_depth(curve):

@@ -1,7 +1,8 @@
 """The Schur-complement eigenvalue engine behind ``classify._region_clusters``
 against independent oracles: the dense inverse for the Wiener-Hopf block,
 a quadratic pencil for bandwidth-1 tails, dense sections, the singular
-values of S(lam), and the window eigenproblem for one-sided tails."""
+values of S(lam), the window eigenproblem for one-sided tails, and the
+seed-by-seed Newton iteration for the batched one."""
 
 import math
 
@@ -13,12 +14,15 @@ from conftest import load_perfbench
 from opspectra import (constant_diagonal, diagonal, embed_at,
                        from_dense_corner, gram, load_bundled, min_modulus,
                        spectral_summary, suites, symbol, toeplitz)
+from opspectra import numerics
 from opspectra.classify import _region_clusters
-from opspectra.numerics import cluster_values, operator_norm
-from opspectra.symbols import (PointOnCurve, _curve_distance, _wiener_hopf_block,
-                               _winding_raster, _zero_winding_region,
-                               kernel_count_by_truncation, winding)
-from reference_spectra import region_clusters_by_sections
+from opspectra.numerics import (_corner_coupling, _schur_newton, cluster_values,
+                                operator_norm)
+from opspectra.symbols import (PointOnCurve, _curve_distance, _geometric_product,
+                               _tail_span, _wiener_hopf_block, _winding_raster,
+                               _zero_winding_region, kernel_count_by_truncation,
+                               winding)
+from reference_spectra import region_clusters_by_sections, schur_newton_per_seed
 
 workloads = load_perfbench("workloads")
 tracer = load_perfbench("tracer")
@@ -69,6 +73,29 @@ def test_wiener_hopf_block_is_the_leading_block_of_the_inverse(seed):
         assert np.max(np.abs(block - dense)) <= 1e-12 * np.max(np.abs(dense))
         checked += 1
     assert checked
+
+
+def _convolved_series(ratios, n):
+    out = np.zeros(n, dtype=complex)
+    out[0] = 1.0
+    for rho in ratios:
+        out = np.convolve(out, rho ** np.arange(n))[:n]
+    return out
+
+
+def test_geometric_product_matches_convolved_series():
+    """For r ratios in the unit disc and n coefficients, both 1 to 16, to
+    1e-13 of the same series with |rho_i| in place of rho_i, which bounds
+    every partial sum."""
+    rng = np.random.default_rng(3)
+    for r in range(1, 17):
+        for n in range(1, 17):
+            ratios = (np.sqrt(rng.uniform(0, 1, (4, r)))
+                      * np.exp(2j * np.pi * rng.uniform(0, 1, (4, r))))
+            got = _geometric_product(ratios, n)
+            for row, rho in zip(got, ratios):
+                bound = _convolved_series(np.abs(rho), n).real
+                assert np.all(np.abs(row - _convolved_series(rho, n)) <= 1e-13 * bound)
 
 
 def test_wiener_hopf_block_drops_outer_tails_below_rounding():
@@ -149,6 +176,55 @@ def test_listed_eigenvalues_are_singular_points_of_the_schur_complement():
         for v, _ in found:
             smin = np.linalg.svd(schur_complement(t, v), compute_uv=False)[-1]
             assert smin <= 1e-12 * scale
+
+
+def _newton_cases():
+    ops = [workloads.generic_base(*key) for key in workloads.GENERIC_POOL]
+    for gen in (suites.random_banded_symbol, suites.random_toeplitz_corner):
+        ops += [gen(np.random.default_rng(seed)) for seed in range(25)]
+    return [t for t in ops if len(t.window) and 0 not in _tail_span(t.tails)]
+
+
+def test_batched_newton_gives_the_per_seed_zeros():
+    """The zeros, and where Newton gives up, are those of the seed-by-seed
+    iteration, to the last bit, on the seeds of both sections that
+    ``schur_eigenvalues`` takes."""
+    checked = 0
+    for t in _newton_cases():
+        p, q = _tail_span(t.tails)
+        m, scale = len(t.window), max(1.0, operator_norm(t))
+        for size in (m + 8 * (p + q), 4 * (m + 8 * (p + q))):
+            seeds = np.linalg.eigvals(t.truncate(size))
+            seeds = seeds[_wiener_hopf_block(t.tails, seeds)[1]]
+            got = _schur_newton(t, _corner_coupling(t), seeds, scale)
+            assert got == [schur_newton_per_seed(t, z, scale) for z in seeds]
+            checked += sum(z is not None for z in got)
+    assert checked > 100
+
+
+def test_newton_takes_the_zero_where_the_schur_complement_is_singular():
+    """A seed at an exact zero of det S stops there, seed by seed, while the
+    other seeds of the batch go on."""
+    t = from_dense_corner(np.diag([2.0, -1.0])) + embed_at(toeplitz({-1: 1.0, 1: 0.5}), 2)
+    seeds = np.array([2.0 + 0j, 2.01 + 0.01j])
+    zeros = _schur_newton(t, _corner_coupling(t), seeds, 2.5)
+    assert zeros == [schur_newton_per_seed(t, z, 2.5) for z in seeds]
+    assert zeros[0] == 2.0
+
+
+def test_spectral_summary_batches_the_wiener_hopf_calls(monkeypatch):
+    """Pool base (3, 16, 1): one ``_wiener_hopf_block`` call per Newton step
+    for all seeds, not one per seed (122 calls seed by seed)."""
+    calls = []
+    block = numerics._wiener_hopf_block
+
+    def counted(tails, lam):
+        calls.append(lam)
+        return block(tails, lam)
+
+    monkeypatch.setattr(numerics, "_wiener_hopf_block", counted)
+    spectral_summary(workloads.generic_base(3, 16, 1))
+    assert 0 < len(calls) <= 36
 
 
 @pytest.mark.parametrize("t", [

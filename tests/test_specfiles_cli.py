@@ -11,8 +11,8 @@ import pytest
 
 import opspectra
 from opspectra import (ParseError, ValidationError, Verdict, right_shift,
-                       weighted_shift)
-from opspectra.cli import _matrix, main
+                       spectral_summary, weighted_shift)
+from opspectra.cli import _matrix, main, write_curve_csv
 from opspectra.classify import ClassificationReport
 from opspectra.specfiles import (BUNDLED, OperatorSpec, load_bundled,
                                  parse_spec, parse_spec_text, serialize_spec)
@@ -175,6 +175,23 @@ def test_cli_spectrum_writes_curve_csv(tmp_path, capsys, monkeypatch):
     thetas = [float(line.split(",")[0]) for line in lines[1:]]
     assert all(0 <= t < 2 * np.pi for t in thetas)
     assert "singular levels < essential 0.5 (x2)" in out
+
+
+def _curve_csv_line_by_line(path, summary):
+    """The CSV writer as it was: one f-string per sample."""
+    curve = summary.ess_curve
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("theta,re,im\n")
+        for t, p in zip(curve.theta, curve.points):
+            handle.write(f"{float(t):.14f},{p.real:.14e},{p.imag:.14e}\n")
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_curve_csv_is_byte_identical_to_the_line_by_line_writer(name, tmp_path):
+    summary = spectral_summary(load_bundled(name).operator)
+    write_curve_csv(tmp_path / "fast.csv", summary)
+    _curve_csv_line_by_line(tmp_path / "slow.csv", summary)
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "slow.csv").read_bytes()
 
 
 def test_cli_tol_reaches_summary_and_singular_levels(tmp_path, capsys,
