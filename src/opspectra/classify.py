@@ -22,10 +22,10 @@ from .numerics import (_count_below, cluster_values, discrete_eigs_below,
                        min_modulus, operator_norm, positivity_verdict,
                        schur_eigenvalues, symbol_min_modulus_signed)
 from .symbols import (EssentialCurve, SpectralSummary, _curve_distance,
-                      _shifted_square_block, _tail_span, _WindingRaster,
-                      _winding_raster, _zero_winding_region, constant_value,
-                      modulus_constant, spectral_area, symbol,
-                      symbol_min_modulus, winding, winding_regions)
+                      _tail_span, _WindingRaster, _winding_raster,
+                      _zero_winding_region, constant_value, modulus_constant,
+                      spectral_area, symbol, symbol_min_modulus, winding,
+                      winding_regions)
 
 
 # cells a side of the raster that bounds where isolated eigenvalues are sought
@@ -93,20 +93,6 @@ def default_paranormal_grid(t: StructuredOperator, count: int = 32):
     return tuple(np.geomspace(lo, hi, count))
 
 
-def _shift_count(q: StructuredOperator, quad: StructuredOperator, s: float,
-                 lam: float):
-    """``_count_below(q, lam)`` for q = q(s) of ``check_paranormal`` and
-    lam < 0, with the Wiener-Hopf block of (g - s)^2 - lam, g the symbol of
-    ``quad`` = T*T, from the roots of its two factors g - s -+ i sqrt(-lam)
-    (``_shifted_square_block``).  Where g is constant, or the tails of q
-    are not twice as wide as g's (a top coefficient below rounding), the
-    count is the unfactored one."""
-    p, n = _tail_span(quad.tails)
-    if p and lam < 0 and _tail_span(q.tails) == (2 * p, 2 * n):
-        return _count_below(q, lam, _shifted_square_block(quad.tails, s, lam))
-    return _count_below(q, lam)
-
-
 def check_paranormal(t: StructuredOperator, grid=None,
                      tol: float = 1e-10) -> CheckResult:
     """Grid test of the shifted-square positivity characterization.
@@ -117,7 +103,7 @@ def check_paranormal(t: StructuredOperator, grid=None,
 
     The symbol of q(s) is (|a|^2 - s)^2 >= 0, so each shift is decided by
     the count on the corner below -tol max(1, magnitude of q(s))
-    (``_shift_count``); where that count is not valid, "undetermined".
+    (``_count_below``); where that count is not valid, "undetermined".
     """
     if grid is None:
         grid = default_paranormal_grid(t)
@@ -138,7 +124,7 @@ def check_paranormal(t: StructuredOperator, grid=None,
     outcome, failed_at = Verdict.YES, None
     for s in grid:
         q = quartic - quad.scaled(2.0 * s) + constant_diagonal(s * s)
-        count, valid = _shift_count(q, quad, s, -tol * max(1.0, q.magnitude()))
+        count, valid = _count_below(q, -tol * max(1.0, q.magnitude()))
         if not valid:
             outcome = Verdict.UNDETERMINED
         elif count:

@@ -130,13 +130,12 @@ def _corner_coupling(t: StructuredOperator):
     return t._block(m, m + q)[:, m:], t._block(m + p, m)[m:, :]
 
 
-def _schur_spectra(h: StructuredOperator, lam, coupling, blocks=None):
+def _schur_spectra(h: StructuredOperator, lam, coupling):
     """The ascending eigenvalues of S(lam) = (H - lam)[:m, :m] - Q G(lam) R
     for self-adjoint H, one row per real lam, and where the roots of b - lam
     split (elsewhere the row means nothing); (Q, R) is ``coupling``, from
-    ``_corner_coupling(h)``, and (G, ok) is ``blocks`` when the caller has
-    them, else ``_wiener_hopf_block``'s.  With a constant symbol
-    S(lam) = window - lam.
+    ``_corner_coupling(h)``, and G(lam) from ``_wiener_hopf_block``.  With a
+    constant symbol S(lam) = window - lam.
 
     S(lam) is Hermitian, but the computed G is not: where roots of b - lam
     pair up near the circle the split into a_+ a_- is ill-conditioned, and
@@ -148,16 +147,15 @@ def _schur_spectra(h: StructuredOperator, lam, coupling, blocks=None):
     ok = np.ones(lam.size, dtype=bool)
     q_block, r_block = coupling
     if q_block.size and r_block.size:
-        g, ok = blocks if blocks is not None else _wiener_hopf_block(h.tails, lam)
+        g, ok = _wiener_hopf_block(h.tails, lam)
         s = s - q_block @ g @ r_block
     return np.linalg.eigvalsh(0.5 * (s + s.conj().swapaxes(-1, -2))), ok
 
 
-def _count_below(h: StructuredOperator, lam: float, blocks=None):
+def _count_below(h: StructuredOperator, lam: float):
     """(eigenvalues of self-adjoint H below lam, valid): the negative ones of
-    S(lam), valid where the roots of b - lam split, which needs lam < min b.
-    ``blocks`` is (G, ok) at lam when the caller has them."""
-    mu, ok = _schur_spectra(h, lam, _corner_coupling(h), blocks)
+    S(lam), valid where the roots of b - lam split, which needs lam < min b."""
+    mu, ok = _schur_spectra(h, lam, _corner_coupling(h))
     return int(np.count_nonzero(mu[0] < 0)), bool(ok[0])
 
 

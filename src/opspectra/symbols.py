@@ -156,29 +156,39 @@ def winding(s: LaurentSymbol, lam) -> int:
 
 def _geometric_product(ratios: np.ndarray, n: int) -> np.ndarray:
     """The first n power-series coefficients of prod_i 1 / (1 - rho_i x),
-    one row per row of ``ratios``: e_0 times the product of the upper
-    triangular Toeplitz matrices of 1, rho_i, rho_i^2, ...  (Expanding
+    one row per row of ``ratios``.  Coefficient k of the product over the
+    first i ratios is h_k(rho_1..rho_i), the complete homogeneous
+    polynomial, and h_k(rho_1..rho_i) = sum_(j <= i) rho_j h_(k-1)(rho_1..rho_j):
+    one cumulative sum over the ratios per k, the additions of multiplying
+    by 1 + rho_i x + rho_i^2 x^2 ... one ratio at a time.  (Expanding
     prod_i (1 - rho_i x) first and inverting that series instead loses up
     to 1e-11 of the result for 16 ratios near the circle.)"""
-    rows, d = ratios.shape
-    powers = np.ones((rows, d, n), dtype=complex)
-    powers[:, :, 1:] = ratios[:, :, None]
-    powers = np.cumprod(powers, axis=2)
-    lag = np.arange(n) - np.arange(n)[:, None]             # k - j
-    series = np.where(lag >= 0, powers[:, :, np.clip(lag, 0, None)], 0)
-    out = np.zeros((rows, 1, n), dtype=complex)
-    out[:, 0, 0] = 1.0
-    for i in range(d):
-        out = out @ series[:, i]
-    return out[:, 0]
+    out = np.zeros((len(ratios), n), dtype=complex)
+    out[:, 0] = 1.0
+    h = np.ones(ratios.shape, dtype=complex)
+    for k in range(1, n):
+        h = np.cumsum(ratios * h, axis=1)
+        out[:, k] = h[:, -1]
+    return out
 
 
-def _wiener_hopf_roots(tails: np.ndarray, lam) -> tuple:
-    """The roots of z^q (a(z) - lam) for every lam, one row per lam in
-    increasing modulus, from one batched eigenvalue call on companion
-    matrices.  Returns (roots, ok, q, a_p): ok says the roots split q : p
-    strictly (no margin), i.e. lam is at winding 0 and off the curve; p and
-    q come from ``_tail_span`` (both at least 1)."""
+def _wiener_hopf_block(tails: np.ndarray, lam) -> tuple:
+    """The q-by-p leading block G(lam) of T(a - lam)^(-1), for every lam.
+
+    p and q come from ``_tail_span`` (both at least 1).  At winding 0,
+    z^q (a(z) - lam) has q roots r_i in the disc and p roots s_j outside it,
+    so a - lam = a_+ a_- with a_+ = a_p prod (z - s_j) and
+    a_- = prod (1 - r_i / z), and Widom's formula gives T(a - lam) =
+    T(a_-) T(a_+) and T(a - lam)^(-1) = T(1/a_+) T(1/a_-) exactly.  The
+    block is L U, with L the lower triangular Toeplitz matrix of the first
+    q coefficients of 1/a_+ and U the upper triangular one of the first p
+    coefficients of 1/a_- (in powers of 1/z).
+
+    Returns (G, ok), G of shape (len(lam), q, p); ok is False where the
+    computed roots do not split q : p strictly (no margin), i.e. where lam
+    is not at winding 0 or lies on the curve, and G is meaningless there.
+    The roots of all the polynomials come from one batched eigenvalue call
+    on companion matrices."""
     w = len(tails) // 2
     p, q = _tail_span(tails)
     lam = np.asarray(lam, dtype=complex).ravel()
@@ -191,56 +201,14 @@ def _wiener_hopf_roots(tails: np.ndarray, lam) -> tuple:
     roots = np.linalg.eigvals(companion)
     roots = np.take_along_axis(roots, np.argsort(np.abs(roots), axis=1), axis=1)
     ok = (np.abs(roots[:, q - 1]) < 1.0) & (np.abs(roots[:, q]) > 1.0)
-    return roots, ok, q, poly[0]
-
-
-def _block_from_roots(inner: np.ndarray, outer: np.ndarray, lead) -> np.ndarray:
-    """The leading block L U of T(b)^(-1), one per row, for the symbol
-    b = lead z^(-q) prod (z - s_j) prod (z - r_i) with the q roots r_i in
-    the disc (``inner``) and the p roots s_j outside it (``outer``).
-
-    Then b = b_+ b_- with b_+ = lead prod (z - s_j) and
-    b_- = prod (1 - r_i / z), and Widom's formula gives T(b) = T(b_-) T(b_+)
-    and T(b)^(-1) = T(1/b_+) T(1/b_-) exactly.  L is the lower triangular
-    Toeplitz matrix of the first q coefficients of 1/b_+ and U the upper
-    triangular one of the first p coefficients of 1/b_- (in powers of 1/z)."""
-    q, p = inner.shape[1], outer.shape[1]
-    b = _geometric_product(1.0 / outer, q) / (lead * np.prod(-outer, axis=1))[:, None]
+    inner, outer = roots[:, :q], roots[:, q:]
+    b = _geometric_product(1.0 / outer, q) / (poly[0] * np.prod(-outer, axis=1))[:, None]
     c = _geometric_product(inner, p)
     lag = np.arange(q)[:, None] - np.arange(q)                 # i - l
     lower = np.where(lag >= 0, b[:, np.clip(lag, 0, None)], 0)
-    lead_lag = np.arange(p) - np.arange(q)[:, None]            # j - l
-    upper = np.where(lead_lag >= 0, c[:, np.clip(lead_lag, 0, p - 1)], 0)
-    return lower @ upper
-
-
-def _wiener_hopf_block(tails: np.ndarray, lam) -> tuple:
-    """The q-by-p leading block G(lam) of T(a - lam)^(-1), for every lam.
-
-    Returns (G, ok), G of shape (len(lam), q, p) from the roots of
-    z^q (a(z) - lam) (``_wiener_hopf_roots``, ``_block_from_roots``); ok is
-    False where they do not split q : p, i.e. where lam is not at winding 0
-    or lies on the curve, and G is meaningless there."""
-    roots, ok, q, lead = _wiener_hopf_roots(tails, lam)
-    return _block_from_roots(roots[:, :q], roots[:, q:], lead), ok
-
-
-def _shifted_square_block(gram_tails: np.ndarray, s: float, lam: float) -> tuple:
-    """G(lam) of ``_wiener_hopf_block`` for the symbol b = (g - s)^2, g the
-    tails ``gram_tails`` (real on the circle, non-constant), at one lam < 0.
-
-    b - lam = (g - s - i r)(g - s + i r) with r = sqrt(-lam), and each
-    factor's curve is a horizontal segment off the real axis, so it has
-    winding 0 and its roots split q_g : p_g.  The roots of b - lam are
-    those of the two factors, two companion problems of degree p_g + q_g
-    instead of one of twice that degree whose roots pair up: b - lam is
-    nearly a perfect square, and the pairs converge slowly and split ill
-    conditioned.  Returns (G, ok), G of shape (1, 2 q_g, 2 p_g); ok says
-    both factors split."""
-    r = np.sqrt(-lam)
-    roots, ok, q, lead = _wiener_hopf_roots(gram_tails, [s + 1j * r, s - 1j * r])
-    inner, outer = roots[:, :q].reshape(1, -1), roots[:, q:].reshape(1, -1)
-    return _block_from_roots(inner, outer, lead * lead), ok.all(keepdims=True)
+    lead = np.arange(p) - np.arange(q)[:, None]                # j - l
+    upper = np.where(lead >= 0, c[:, np.clip(lead, 0, p - 1)], 0)
+    return lower @ upper, ok
 
 
 def polygon_winding(points: np.ndarray, q: complex) -> int:

@@ -5,8 +5,7 @@
 sections: a section is a compression, so each of its eigenvalues bounds the
 operator's from above.  The Cholesky positivity certificate is checked
 against ``eigvalsh``, and ``check_paranormal`` against the earlier
-shifted-operator implementation; its count from the factored quartic
-against the unfactored count.
+shifted-operator implementation.
 """
 
 import numpy as np
@@ -18,8 +17,8 @@ from scipy.linalg import eig_banded
 from opspectra import (StructuredOperator, check_paranormal, constant_diagonal,
                        diagonal, gram, identity, self_commutator)
 from opspectra import suites
-from opspectra.classify import Verdict, _shift_count, default_paranormal_grid
-from opspectra.numerics import (_all_above, _count_below, positivity_verdict,
+from opspectra.classify import Verdict, default_paranormal_grid
+from opspectra.numerics import (_all_above, positivity_verdict,
                                 symbol_min_modulus_signed)
 from opspectra.symbols import symbol
 
@@ -210,31 +209,3 @@ def test_check_paranormal_matches_per_shift_reference(t):
         if failed_at is not None:
             assert_same_positivity(gram(op @ op) + gram(op).scaled(-2.0 * failed_at)
                                    + constant_diagonal(failed_at ** 2))
-
-
-def assert_factored_count_is_the_count(t):
-    """On every default-grid shift of t and T*, the count of q(s) below
-    -tol scale from the two factors of (|a|^2 - s)^2 + tol scale, and its
-    validity, are those of the unfactored count."""
-    for op in (t, t.adjoint()):
-        grid = default_paranormal_grid(op)
-        quartic, quad = gram(op @ op), gram(op)
-        for s in grid:
-            q = quartic - quad.scaled(2.0 * s) + constant_diagonal(s * s)
-            lam = -1e-10 * max(1.0, q.magnitude())
-            assert _shift_count(q, quad, s, lam) == _count_below(q, lam)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.builds(lambda gen, seed: gen(np.random.default_rng(seed)),
-                 st.sampled_from(GENERATORS + (suites.random_toeplitz_corner,)),
-                 st.integers(0, 2 ** 32 - 1)))
-@example(t=_mixed(np.random.default_rng(1207)))
-@example(t=suites.random_banded_symbol(np.random.default_rng(1207)))
-def test_factored_paranormal_count_is_the_unfactored_count(t):
-    assert_factored_count_is_the_count(t)
-
-
-def test_factored_paranormal_count_on_the_pool(pool_bases):
-    for t in pool_bases:
-        assert_factored_count_is_the_count(t)

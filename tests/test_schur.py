@@ -5,6 +5,7 @@ values of S(lam), the window eigenproblem for one-sided tails, and the
 seed-by-seed Newton iteration for the batched one."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,6 +97,17 @@ def test_geometric_product_matches_convolved_series():
             for row, rho in zip(got, ratios):
                 bound = _convolved_series(np.abs(rho), n).real
                 assert np.all(np.abs(row - _convolved_series(rho, n)) <= 1e-13 * bound)
+
+
+def test_geometric_product_memory_is_linear_in_rows_and_coefficients():
+    """Its working arrays hold rows x max(ratios, n) values, not a Toeplitz
+    matrix per row and ratio: callers pass whole batches of lam."""
+    ratios = 0.9 * np.exp(2j * np.pi * np.random.default_rng(5).uniform(0, 1, (256, 16)))
+    tracemalloc.start()
+    _geometric_product(ratios, 16)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak <= 8 * ratios.size * ratios.itemsize
 
 
 def test_wiener_hopf_block_drops_outer_tails_below_rounding():
