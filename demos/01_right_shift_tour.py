@@ -35,7 +35,7 @@ print("essential minimum modulus:", osp.ess_min_modulus(r))
 # The filled-in spectrum is the whole closed unit disc.
 area = osp.spectral_area(r, resolution=256)
 print(f"\nspectral area {area.value:.4f} (pi is {np.pi:.4f}, "
-      f"raster error bound {area.error:.4f})")
+      f"error bound {area.error:.4f})")
 
 report = osp.classify(r)
 print("\nclassification:")

@@ -22,10 +22,10 @@ from .numerics import (_count_below, cluster_values, discrete_eigs_below,
                        min_modulus, operator_norm, positivity_verdict,
                        schur_eigenvalues, symbol_min_modulus_signed)
 from .symbols import (EssentialCurve, SpectralSummary, _curve_distance,
-                      _tail_span, _WindingRaster, _winding_raster,
-                      _zero_winding_region, constant_value, modulus_constant,
-                      spectral_area, symbol, symbol_min_modulus, winding,
-                      winding_regions)
+                      _monomial_regions, _tail_span, _WindingRaster,
+                      _winding_raster, _zero_winding_region, constant_value,
+                      modulus_constant, spectral_area, symbol,
+                      symbol_min_modulus, winding)
 
 
 # cells a side of the raster that bounds where isolated eigenvalues are sought
@@ -360,12 +360,14 @@ def weyl_normality_criterion(t: StructuredOperator, tol: float = 1e-8,
                              resolution: int = 256) -> WeylRecord:
     """If no off-curve point has nonzero index, a hyponormal AN operator must
     be normal; one winding test per bounded complementary component suffices
-    because the winding is locally constant off the curve."""
+    because the winding is locally constant off the curve.  The components
+    are ``spectral_area``'s: exact for a monomial symbol, those of a
+    ``resolution`` raster for any other."""
     if check_hyponormal(t).verdict is not Verdict.YES:
         return WeylRecord(False, reason="not (verifiably) hyponormal")
     if check_an(t).verdict is not Verdict.YES:
         return WeylRecord(False, reason="not (verifiably) absolutely norm attaining")
-    regions = winding_regions(symbol(t), resolution)
+    regions = spectral_area(t, resolution)
     windings = tuple(c.winding for c in regions.components)
     equal = all(w == 0 for w in windings)
     if not equal:
@@ -498,12 +500,15 @@ def spectral_summary(t: StructuredOperator, samples: int = 1024,
 
     The isolated eigenvalues are those of ``_region_clusters``, which reads
     the raster that also gives the area when ``resolution`` is
-    ``REGION_RESOLUTION`` and builds its own otherwise.  When their list is
-    not certified, none are listed and ``eigenvalues_stabilized`` is False."""
+    ``REGION_RESOLUTION`` and builds its own otherwise.  A monomial symbol
+    has exact regions (``_monomial_regions``) and one-sided tails, so it
+    gets no raster at all.  When their list is not certified, none are
+    listed and ``eigenvalues_stabilized`` is False."""
     sym = symbol(t)
     curve = EssentialCurve.sampled(sym, samples)
-    raster = _winding_raster(sym, resolution)
-    regions = raster.estimate
+    exact = _monomial_regions(sym, resolution)
+    raster = None if exact else _winding_raster(sym, resolution)
+    regions = exact or raster.estimate
     norm_upper = operator_norm(t)
     me = symbol_min_modulus(sym)
     m_modulus = min(min_modulus(t), me)  # guard float rounding on the invariant

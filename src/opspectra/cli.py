@@ -148,6 +148,12 @@ def write_curve_csv(path, summary: SpectralSummary) -> None:
         handle.write("%.14f,%.14e,%.14e\n" * len(rows) % tuple(rows.ravel().tolist()))
 
 
+def _area_note(summary: SpectralSummary) -> str:
+    if summary.area_error == 0:
+        return "(exact)"
+    return f"(raster error {summary.area_error:.2g})"
+
+
 # -- commands ------------------------------------------------------------------
 
 def _collect_params(args, spec) -> dict:
@@ -194,7 +200,7 @@ def cmd_classify(args) -> int:
         print(f"  essential curve             "
               f"{'circle of radius %.12g' % circ if circ is not None else 'not a circle'}")
         print(f"  spectral area               {summary.area:.6g} "
-              f"(raster error {summary.area_error:.2g})")
+              f"{_area_note(summary)}")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -224,7 +230,7 @@ def cmd_spectrum(args) -> int:
         print(f"  min modulus m(T)            {summary.min_modulus:.12g}")
         print(f"  essential min modulus       {summary.ess_min_modulus:.12g}")
         print(f"  spectral area               {summary.area:.6g} "
-              f"(raster error {summary.area_error:.2g})")
+              f"{_area_note(summary)}")
         if summary.eigenvalues:
             pts = ", ".join(f"{v:.6g} (x{m})" for v, m in summary.eigenvalues)
             print(f"  isolated eigenvalues        {pts}")

@@ -7,6 +7,8 @@ fixed seed.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.linalg import eig_banded
 
@@ -22,7 +24,7 @@ from .decompose import (normality_from_blocks, structure_decompose,
 from .numerics import discrete_eigs_below, symbol_min_modulus_signed
 from .specfiles import BUNDLED, load_bundled
 from .symbols import (_curve_distance, fredholm_index, index_by_truncation,
-                      symbol, winding)
+                      symbol, winding, winding_regions)
 
 
 def _complex(rng, scale=1.0):
@@ -168,7 +170,9 @@ def _points_match(points, expected, tol=1e-7):
 def suite_golden():
     """Expected classifications of the bundled operators; each AN one is
     also decomposed, its blocks verified, and the co-rank of S1 (the
-    winding of the symbol about 0) and its normality verdict compared."""
+    winding of the symbol about 0) and its normality verdict compared.
+    Each one with a monomial symbol c z^k, k != 0, has the spectral area
+    pi |c|^2, within the error of the 512 raster of its curve."""
     expected = {
         "right_shift": ("no", "yes", 1.0, 1),
         "defect_shift": ("no", "yes", 1.0, 1),
@@ -194,6 +198,15 @@ def suite_golden():
             detail += f" blocks={blocks.verdict} corank={blocks.corank}"
         ok = ok and report.is_hyponormal is not Verdict.NO
         results.append((f"golden:{name}", ok, detail))
+        sym = symbol(op)
+        if len(sym.coeffs) == 1 and 0 not in sym.coeffs:
+            exact = math.pi * abs(*sym.coeffs.values()) ** 2
+            area = spectral_summary(op).area
+            raster = winding_regions(sym, 512)
+            results.append((f"golden:{name}:area",
+                            area == exact and abs(raster.value - exact) <= raster.error,
+                            f"area={area:.12g} pi|c|^2={exact:.12g} "
+                            f"raster={raster.value:.6g} error={raster.error:.2g}"))
     return results
 
 

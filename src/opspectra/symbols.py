@@ -384,7 +384,9 @@ class RegionComponent:
 
 @dataclass(frozen=True)
 class AreaEstimate:
-    """Raster estimate of the area of {winding != 0} together with the curve."""
+    """The area of {winding != 0} together with the curve: a raster
+    estimate, or exact with ``error``, ``curve_cells``, ``cell_diagonal``
+    and every component's ``cells`` 0 (segment and monomial curves)."""
 
     value: float
     error: float
@@ -630,13 +632,33 @@ def winding_regions(s: LaurentSymbol, resolution: int = 512,
     return _winding_raster(s, resolution, max_curve_samples).estimate
 
 
+def _monomial_regions(s: LaurentSymbol, resolution: int = 512) -> AreaEstimate | None:
+    """The regions of a = c z^k, k != 0, exactly; None for every other symbol.
+
+    The curve is the circle |lambda| = |c| traced k times, so the open disc
+    is one component at winding k, the outside is at winding 0, and the area
+    is pi |c|^2 (the circle has measure 0).  Only an exact single term
+    qualifies: a near-circle is left to the raster.  ``resolution`` is only
+    recorded."""
+    if len(s.coeffs) != 1:
+        return None
+    (k, c), = s.coeffs.items()
+    if k == 0:
+        return None
+    area = math.pi * abs(c) ** 2
+    return AreaEstimate(area, 0.0, (RegionComponent(k, area, 0j, 0),), 0, 0.0,
+                        resolution)
+
+
 def spectral_area(t: StructuredOperator, resolution: int = 512) -> AreaEstimate:
     """Planar measure of the spectrum's filled-in part.
 
     For hyponormal operators this is the area entering Putnam's inequality;
-    isolated eigenvalues contribute nothing.
+    isolated eigenvalues contribute nothing.  Exact for a monomial symbol
+    (``_monomial_regions``) and for a segment curve, a raster otherwise.
     """
-    return winding_regions(symbol(t), resolution)
+    sym = symbol(t)
+    return _monomial_regions(sym, resolution) or winding_regions(sym, resolution)
 
 
 # -- summary container -------------------------------------------------------

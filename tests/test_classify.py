@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from opspectra import (NotHyponormal, Verdict, check_am_normal, check_an,
                        check_paranormal, check_selfadjoint, classify, compose,
                        constant_diagonal, diagonal, from_dense_corner, gram,
                        identity, paranormal_pair_normality, putnam_check,
-                       right_shift, spectral_summary, toeplitz,
+                       right_shift, spectral_area, spectral_summary, toeplitz,
                        weyl_normality_criterion, zero)
 from opspectra.specfiles import load_bundled
 from opspectra.suites import (random_finite_rank, random_hyponormal,
@@ -71,6 +73,58 @@ def test_check_paranormal_accepts_array_grid():
     res = check_paranormal(right_shift(), grid=np.array([0.5, 1.0]))
     assert res.verdict is Verdict.YES
     assert res.witness["grid"] == (0.5, 1.0)
+
+
+def _constant_plus_corner(seed):
+    """The first draw of the constant-|a| generator at k = 0: T = cI + K,
+    c complex N(0, 1), K an n x n complex Gaussian head (n from 2 to 8)
+    scaled by 10^U(-3, 0), strictly upper triangular half of the time."""
+    rng = np.random.default_rng(seed)
+    c = complex(rng.normal(), rng.normal())
+    n = int(rng.integers(2, 9))
+    head = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) \
+        * 10 ** rng.uniform(-3, 0)
+    if rng.random() < 0.5:
+        head = np.triu(head, 1)
+    return constant_diagonal(c) + from_dense_corner(head), n
+
+
+def _paranormal_witness(t, n):
+    """A unit x with ||Tx||^2 > ||T^2 x||, or None.  T*T and T*^2 T^2 are
+    |c|^2 I and |c|^4 I past the n x n window, so q(s) = T*^2 T^2 - 2s T*T
+    + s^2 is Q(s) = s^2 - 2s B + A on the window (A, B its leading blocks)
+    plus (|c|^2 - s)^2 >= 0.  The lowest eigenvalue of Q(s) changes sign
+    only where det Q(s) = 0, at real eigenvalues of the linearization
+    [[0, I], [-A, 2B]], so it is negative at the midpoint of two
+    consecutive ones wherever it is negative at all.  Its eigenvector x
+    there has x*Ax - 2s x*Bx + s^2 < 0, and by AM-GM
+    2s ||T^2 x|| <= ||T^2 x||^2 + s^2 < 2s ||Tx||^2."""
+    a, b = gram(t.compose(t)).truncate(n), gram(t).truncate(n)
+    pencil = np.block([[np.zeros((n, n)), np.eye(n)], [-a, 2 * b]])
+    ev = np.linalg.eigvals(pencil)
+    real = np.sort(ev.real[(np.abs(ev.imag) <= 1e-8 * np.abs(ev).max()) & (ev.real > 0)])
+    lowest = min((np.linalg.eigh(s * s * np.eye(n) - 2 * s * b + a)
+                  for s in (real[1:] + real[:-1]) / 2),
+                 key=lambda wv: wv[0][0], default=None)
+    if lowest is None or lowest[0][0] >= 0:
+        return None
+    return lowest[1][:, 0]
+
+
+def test_constant_plus_corner_has_a_vector_witness_against_paranormality():
+    t, n = _constant_plus_corner(101)
+    x = _paranormal_witness(t, n)
+    section = t.truncate(n + 1)
+    tx = section @ np.append(x, 0)
+    assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-14)
+    assert np.linalg.norm(tx) ** 2 - np.linalg.norm(section @ tx) > 1e-4
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the 32-shift grid misses "
+                   "the interval of s where q(s) has a negative eigenvalue")
+def test_check_paranormal_says_no_on_constant_plus_corner():
+    t, _ = _constant_plus_corner(101)
+    assert check_paranormal(t).verdict is Verdict.NO
 
 
 def test_check_selfadjoint():
@@ -179,6 +233,47 @@ def test_putnam_scaled_shift_block():
                        resolution=256, assume_hyponormal=True)
     assert rec.holds
     assert rec.commutator_norm <= 4.0 + 1e-9
+
+
+def test_putnam_is_exact_for_the_shift():
+    rec = putnam_check(right_shift())
+    assert rec.area_over_pi == pytest.approx(1.0, abs=1e-15)
+    assert rec.grid_error_over_pi == 0
+
+
+MONOMIAL_SPECS = ("right_shift", "defect_shift", "nilpotent_head_shift",
+                  "diagonal_head_shift")
+
+
+def test_monomial_symbols_build_no_raster(monkeypatch, pool_bases):
+    """c z^k has exact regions: with the raster disabled, every caller of
+    the area and the windings still answers.  A two-sided symbol still
+    builds one raster for both the area and the eigenvalue region."""
+    # import_module, because the package re-exports a function named classify
+    classify_module = importlib.import_module("opspectra.classify")
+    symbols_module = importlib.import_module("opspectra.symbols")
+    raster, built = symbols_module._winding_raster, []
+
+    def no_raster(*args, **kwargs):
+        raise AssertionError("a monomial symbol must not be rasterized")
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return raster(*args, **kwargs)
+
+    for module in (symbols_module, classify_module):
+        monkeypatch.setattr(module, "_winding_raster", no_raster)
+    ops = [load_bundled(name).operator for name in MONOMIAL_SPECS]
+    for op in ops + [toeplitz({-2: 0.5j})]:
+        spectral_summary(op)
+        spectral_area(op)
+        putnam_check(op, assume_hyponormal=True)
+        weyl_normality_criterion(op)
+
+    for module in (symbols_module, classify_module):
+        monkeypatch.setattr(module, "_winding_raster", counted)
+    spectral_summary(pool_bases[0])
+    assert len(built) == 1
 
 
 def test_putnam_requires_hyponormal():

@@ -146,6 +146,7 @@ def test_cli_classify_text_output(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "normal" in out and "yes" in out
+    assert "spectral area               0 (exact)" in out      # a point curve
 
 
 def test_cli_determinism_modulo_timestamps(capsys):
@@ -175,6 +176,7 @@ def test_cli_spectrum_writes_curve_csv(tmp_path, capsys, monkeypatch):
     thetas = [float(line.split(",")[0]) for line in lines[1:]]
     assert all(0 <= t < 2 * np.pi for t in thetas)
     assert "singular levels < essential 0.5 (x2)" in out
+    assert "spectral area               3.14159 (exact)" in out
 
 
 def _curve_csv_line_by_line(path, summary):
@@ -466,6 +468,7 @@ def test_spectrum_reports_isolated_eigenvalues_that_did_not_stabilize(
     main(["spectrum", str(path), "--out", csv])
     out = capsys.readouterr().out
     assert "isolated eigenvalues        not stabilized" in out
+    assert "(raster error " in out
     main(["classify", str(path), "--format", "structured"])
     doc = json.loads(capsys.readouterr().out)
     assert doc["spectral"]["eigenvalues_stabilized"] is False

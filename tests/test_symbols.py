@@ -12,7 +12,7 @@ from opspectra import (EssentialPoint, LaurentSymbol, PointOnCurve, compose,
                        symbol_curve, toeplitz, winding, winding_regions, zero)
 from opspectra.numerics import symbol_min_modulus_signed
 from opspectra.specfiles import load_bundled
-from opspectra.symbols import (AreaEstimate, constant_value,
+from opspectra.symbols import (AreaEstimate, _monomial_regions, constant_value,
                                modulus_constant, polygon_winding,
                                symbol_max_modulus, symbol_min_modulus)
 
@@ -211,6 +211,43 @@ def test_winding_regions_structure():
     inside = [c for c in est.components if c.winding != 0]
     assert len(inside) == 1
     assert abs(inside[0].representative - 0.2) < 0.2
+
+
+def _monomial_operators():
+    """c z^k for k in {-2, -1, 1, 3} with |c| from 1e-3 to 2, the bundled
+    specs whose symbol is c z, and 20 weighted shifts."""
+    ops = [toeplitz({k: r * np.exp(1j * phase)})
+           for k in (-2, -1, 1, 3)
+           for r, phase in ((1e-3, 0.3), (0.37, 2.0), (1.0, -1.1), (2.0, 4.0))]
+    ops += [load_bundled(name).operator for name in
+            ("right_shift", "defect_shift", "nilpotent_head_shift",
+             "diagonal_head_shift")]
+    rng = np.random.default_rng(14)
+    ops += [suites.random_weighted_shift(rng) for _ in range(20)]
+    return ops
+
+
+@pytest.mark.parametrize("op", _monomial_operators())
+def test_monomial_area_is_exact_and_inside_the_raster_error(op):
+    """The exact area pi |c|^2 of c z^k, against the 512 raster of its
+    curve: within the raster's error, with the single nonzero winding k."""
+    (k, c), = symbol(op).coeffs.items()
+    exact = np.pi * abs(c) ** 2
+    est = spectral_area(op)
+    assert est.value == exact and est.error == 0.0
+    assert [(r.winding, r.cells) for r in est.components] == [(k, 0)]
+    raster = winding_regions(symbol(op), 512)
+    assert abs(raster.value - exact) <= raster.error
+    assert tuple(r.winding for r in raster.components if r.winding) == (k,)
+
+
+@pytest.mark.parametrize("coeffs", [{1: 1.0, 0: 0.2}, {0: 1e6, 1: 1e-7},
+                                    {1: 1.0, 2: 1e-12}])
+def test_near_monomial_area_is_the_raster(coeffs):
+    """Two terms, however small the second, are not a monomial: the area is
+    the raster's, bit for bit."""
+    assert _monomial_regions(LaurentSymbol(coeffs)) is None
+    assert spectral_area(toeplitz(coeffs)) == winding_regions(LaurentSymbol(coeffs))
 
 
 def _no_sampling(self, m):
