@@ -37,9 +37,15 @@ for i in range(4):
           f"agree={eq.agree}")
 
 # If T and its adjoint are both paranormal and T is AN, normality follows.
+# Each paranormality premise says how it was decided: "pencil" (exact, for
+# a symbol c z^k) or "grid" (a falsifier only).
 print("\nparanormal-pair implication:")
 for name in ("unitary_diag", "right_shift"):
-    rec = osp.paranormal_pair_normality(gallery[name], trunc=64)
+    op = gallery[name]
+    rec = osp.paranormal_pair_normality(op)
+    methods = [osp.check_paranormal(x).witness["method"]
+               for x in (op, op.adjoint())]
     status = ("premises hold, normality confirmed" if rec.holds
               else "vacuous (premises fail)")
-    print(f"  {name}: {status}")
+    print(f"  {name}: {status} (T: {rec.paranormal.value} by {methods[0]}, "
+          f"T*: {rec.adjoint_paranormal.value} by {methods[1]})")

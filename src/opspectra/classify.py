@@ -93,25 +93,31 @@ def default_paranormal_grid(t: StructuredOperator, count: int = 32):
     return tuple(np.geomspace(lo, hi, count))
 
 
+def _pencil_shifts(quartic: StructuredOperator, quad: StructuredOperator):
+    """Shifts deciding q(s) >= 0 for T = c z^k + K: past the m x m windows
+    q(s) is (|c|^2 - s)^2 I, and on them Q(s) = s^2 - 2s B + A (A, B their
+    blocks) is singular only at real eigenvalues of [[0, I], [-A, 2B]]
+    (Tisseur & Meerbergen 2001), so a midpoint per gap from 0 on decides."""
+    m = max(len(quartic.window), len(quad.window))
+    a, b = quartic._block(m, m), quad._block(m, m)
+    ev = np.linalg.eigvals(np.block([[np.zeros((m, m)), np.eye(m)], [-a, 2 * b]]))
+    real = ev.real[(abs(ev.imag) <= 1e-6 * abs(ev).max(initial=1.0)) & (ev.real > 0)]
+    ends = np.concatenate(([0.0], np.sort(real)))
+    return tuple(float(s) for s in (ends[1:] + ends[:-1]) / 2)
+
+
 def check_paranormal(t: StructuredOperator, grid=None,
                      tol: float = 1e-10) -> CheckResult:
-    """Grid test of the shifted-square positivity characterization.
+    """Test of the shifted-square positivity characterization (Ando 1972).
 
-    The operator q(s) = T*^2 T^2 - 2 s T*T + s^2 I must be positive for every
-    s > 0; a finite grid is a sound falsifier but only a heuristic verifier,
-    so the witness records exactly which shifts were tested.
+    q(s) = T*^2 T^2 - 2 s T*T + s^2 I must be positive for every s > 0.  The
+    witness's ``method`` is "pencil" (``_pencil_shifts``, which decide) for a
+    single-term symbol and no ``grid``, else "grid" (only a falsifier).
 
     The symbol of q(s) is (|a|^2 - s)^2 >= 0, so each shift is decided by
     the count on the corner below -tol max(1, magnitude of q(s))
     (``_count_below``); where that count is not valid, "undetermined".
     """
-    if grid is None:
-        grid = default_paranormal_grid(t)
-        if not grid:
-            return CheckResult(Verdict.YES, {"grid": (), "note": "zero operator"})
-    grid = tuple(float(s) for s in grid)
-    if not grid or any(s <= 0 for s in grid):
-        raise ValueError("grid must hold at least one shift, all positive")
     quartic = gram(t.compose(t))
     quad = gram(t)
     for g in (quartic, quad):
@@ -121,6 +127,13 @@ def check_paranormal(t: StructuredOperator, grid=None,
     gap = toeplitz(symbol(quartic).coeffs) - toeplitz(squared.coeffs)
     if gap.magnitude() > 1e-12 * max(1.0, squared.magnitude()):  # pragma: no cover
         raise AssertionError("symbol(T*^2 T^2) is not symbol(T*T)^2")
+    if grid is None and np.count_nonzero(t.tails) <= 1:
+        grid, method = _pencil_shifts(quartic, quad), "pencil"
+    else:
+        grid = default_paranormal_grid(t) if grid is None else grid
+        grid, method = tuple(float(s) for s in grid), "grid"
+        if not grid or any(s <= 0 for s in grid):
+            raise ValueError("grid must hold at least one shift, all positive")
     outcome, failed_at = Verdict.YES, None
     for s in grid:
         q = quartic - quad.scaled(2.0 * s) + constant_diagonal(s * s)
@@ -130,7 +143,8 @@ def check_paranormal(t: StructuredOperator, grid=None,
         elif count:
             outcome, failed_at = Verdict.NO, s
             break
-    return CheckResult(outcome, {"grid": grid, "failed_at": failed_at})
+    return CheckResult(outcome, {"grid": grid, "failed_at": failed_at,
+                                 "method": method})
 
 
 # -- absolutely norm attaining -----------------------------------------------
@@ -248,15 +262,12 @@ def check_an_normal_equivalence(t: StructuredOperator,
         spectral = circles = Verdict.NO
         interior, radii = (), ()
     else:
-        clusters, stable = _region_clusters(t, lambda z: abs(z) < alpha - tol, tol)
-        interior = clusters
-        spectral = Verdict.YES if stable else Verdict.UNDETERMINED
-        radii = cluster_values([abs(c) for c, _ in clusters], 100.0 * tol) \
+        interior, stable = _region_clusters(t, lambda z: abs(z) < alpha - tol, tol)
+        spectral = circles = Verdict.YES if stable else Verdict.UNDETERMINED
+        radii = cluster_values([abs(c) for c, _ in interior], 100.0 * tol) \
             if stable else ()
-        circles = spectral
     verdicts = (an.verdict, spectral, circles)
-    return EquivalenceRecord(True, an.verdict, spectral, circles,
-                             alpha if alpha is not None else None,
+    return EquivalenceRecord(True, an.verdict, spectral, circles, alpha,
                              tuple(interior), tuple(radii),
                              agree=len(set(v.value for v in verdicts)) == 1)
 
@@ -386,15 +397,15 @@ class PairNormalityRecord:
     premises_hold: bool
     normal: Verdict | None
     holds: bool | None
-    null_spaces_equal: bool
+    null_spaces_equal: bool | None
     null_variant_premises: bool
     null_variant_holds: bool | None
 
 
-def _null_projection(matrix, rel_cutoff: float = 1e-8):
-    u, s, wh = np.linalg.svd(matrix)
-    cutoff = max(1e-12, (s[0] if s.size else 0.0) * rel_cutoff)
-    basis = wh.conj().T[:, s < cutoff] if s.size else wh.conj().T
+def _null_projection(t: StructuredOperator, n: int):
+    """Projection onto the null space of the section T[:n + bandwidth, :n]."""
+    _, s, wh = np.linalg.svd(t._block(n + t.bandwidth, n))
+    basis = wh.conj().T[:, s < max(1e-12, 1e-8 * s[0])]
     return basis @ basis.conj().T
 
 
@@ -403,27 +414,26 @@ def paranormal_pair_normality(t: StructuredOperator, tol: float = 1e-8,
     """Both implication tests: (T, T* paranormal, T in AN) forces normality,
     and (T paranormal, T in AN, N(T) = N(T*)) forces normality.
 
-    Null spaces are compared through the null projections of the
-    ``trunc`` section, a proxy that can only strengthen the premises on
-    shift-like operators.
+    For a symbol c z^k, N(T) and N(T*) lie in C^n, n the largest window of
+    T, T*T and TT*, or (c = 0) agree past it, so ``_null_projection``
+    compares them exactly.  Any other symbol is not AN, and its
+    ``null_spaces_equal`` is None.  ``trunc`` is ignored.
     """
     p1 = check_paranormal(t, tol=max(tol, 1e-10)).verdict
     p2 = check_paranormal(t.adjoint(), tol=max(tol, 1e-10)).verdict
     an = check_an(t).verdict
     premises = all(v is Verdict.YES for v in (p1, p2, an))
-    normal = check_normal(t, tol).verdict if premises else None
-    holds = (normal is Verdict.YES) if premises else None
-
-    n = trunc if trunc is not None else max(64, 2 * t.corner_size
-                                            + 4 * t.bandwidth + 32)
-    pn = _null_projection(t.truncate(n))
-    pn_adj = _null_projection(t.adjoint().truncate(n))
-    null_equal = bool(np.linalg.norm(pn - pn_adj, 2) <= max(tol, 1e-8))
-    variant = (p1 is Verdict.YES) and (an is Verdict.YES) and null_equal
-    variant_normal = check_normal(t, tol).verdict if variant else None
-    return PairNormalityRecord(
-        p1, p2, an, premises, normal, holds,
-        null_equal, variant, (variant_normal is Verdict.YES) if variant else None)
+    null_equal = None
+    if np.count_nonzero(t.tails) <= 1:
+        n = max(1, len(t.window), len(gram(t).window), len(gram(t.adjoint()).window))
+        gap = _null_projection(t, n) - _null_projection(t.adjoint(), n)
+        null_equal = bool(np.linalg.norm(gap, 2) <= max(tol, 1e-8))
+    variant = (p1 is Verdict.YES) and (an is Verdict.YES) and bool(null_equal)
+    normal = check_normal(t, tol).verdict if premises or variant else None
+    holds = normal is Verdict.YES
+    return PairNormalityRecord(p1, p2, an, premises, normal if premises else None,
+                               holds if premises else None, null_equal, variant,
+                               holds if variant else None)
 
 
 # -- full report ---------------------------------------------------------------

@@ -177,7 +177,7 @@ def cmd_classify(args) -> int:
                                resolution=params["resolution"], tol=params["tol"])
     if args.format == "structured" or args.out:
         text = json.dumps(report_document(
-            params | {"spec": spec.name, "seed": args.seed}, started,
+            params | {"spec": spec.name}, started,
             classification=report, spectral=summary))
     if args.format == "structured":
         print(text)
@@ -327,7 +327,6 @@ def build_parser() -> _Parser:
         p.add_argument("--out", default=None,
                        help="write the structured document (or curve CSV for "
                             "the spectrum command) to this path")
-        p.add_argument("--seed", type=int, default=0)
 
     common(sub.add_parser("classify", help="run every membership test"))
     common(sub.add_parser("spectrum", help="emit curve CSV and spectral data"))

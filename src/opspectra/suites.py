@@ -108,6 +108,17 @@ def random_an_hyponormal(rng) -> StructuredOperator:
     return corner + embed_at(shift_block, n)
 
 
+def random_constant_modulus(rng) -> StructuredOperator:
+    """c z^k + K: k in -1..2, c complex N(0, 1), K an n x n (n in 2..8) complex
+    Gaussian head times 10^U(-3, 0), strictly upper triangular half the time."""
+    k, c = int(rng.integers(-1, 3)), complex(rng.normal(), rng.normal())
+    n = int(rng.integers(2, 9))
+    head = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) \
+        * 10 ** rng.uniform(-3, 0)
+    head = np.triu(head, 1) if rng.random() < 0.5 else head
+    return toeplitz({k: c}) + from_dense_corner(head)
+
+
 def random_banded_symbol(rng, max_bandwidth: int = 2) -> StructuredOperator:
     coeffs = {}
     k = int(rng.integers(1, max_bandwidth + 1))
@@ -237,16 +248,12 @@ def suite_compact_hyponormal(seed: int = 0, count: int = 200):
 def suite_putnam(seed: int = 0, count: int = 50, resolution: int = 512):
     """Commutator norm never exceeds spectral area / pi (plus raster slack)."""
     rng = np.random.default_rng(seed)
+    ops = [(name, load_bundled(name).operator) for name in BUNDLED]
+    ops += [(f"random_{i}", random_hyponormal(rng)) for i in range(count)]
     results = []
-    for name in BUNDLED:
-        op = load_bundled(name).operator
+    for name, op in ops:
         rec = putnam_check(op, resolution=resolution, assume_hyponormal=True)
         results.append((f"putnam:{name}", rec.holds,
-                        f"lhs={rec.commutator_norm:.6f} rhs={rec.area_over_pi:.6f}"))
-    for i in range(count):
-        op = random_hyponormal(rng)
-        rec = putnam_check(op, resolution=resolution, assume_hyponormal=True)
-        results.append((f"putnam:random_{i}", rec.holds,
                         f"lhs={rec.commutator_norm:.6f} rhs={rec.area_over_pi:.6f}"))
     return results
 
@@ -380,15 +387,15 @@ def suite_eigs_below(seed: int = 0, count: int = 8):
     return results
 
 
-def suite_paranormal_pair(seed: int = 0, count: int = 20, trunc: int = 64):
+def suite_paranormal_pair(seed: int = 0, count: int = 20):
     """Paranormal pairs with the AN property must be normal (both variants)."""
     rng = np.random.default_rng(seed)
     ops = [load_bundled(name).operator for name in BUNDLED]
-    for _ in range(count):
-        ops.append(random_diagonal(rng, max_prefix=3))
+    ops += [random_diagonal(rng, max_prefix=3) for _ in range(count)]
+    ops += [random_constant_modulus(rng) for _ in range(count)]
     results = []
     for i, op in enumerate(ops):
-        rec = paranormal_pair_normality(op, trunc=trunc)
+        rec = paranormal_pair_normality(op)
         ok = (rec.holds is not False) and (rec.null_variant_holds is not False)
         results.append((f"paranormal_pair:{i}", ok,
                         f"premises={rec.premises_hold} holds={rec.holds} "
@@ -400,8 +407,7 @@ def suite_weyl(seed: int = 0, count: int = 10):
     """Zero winding everywhere plus hyponormal AN forces normality."""
     rng = np.random.default_rng(seed)
     ops = [load_bundled(name).operator for name in BUNDLED]
-    for _ in range(count):
-        ops.append(random_diagonal(rng, max_prefix=3))
+    ops += [random_diagonal(rng, max_prefix=3) for _ in range(count)]
     results = []
     for i, op in enumerate(ops):
         rec = weyl_normality_criterion(op)

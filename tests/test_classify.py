@@ -11,9 +11,13 @@ from opspectra import (NotHyponormal, Verdict, check_am_normal, check_an,
                        identity, paranormal_pair_normality, putnam_check,
                        right_shift, spectral_area, spectral_summary, toeplitz,
                        weyl_normality_criterion, zero)
-from opspectra.specfiles import load_bundled
-from opspectra.suites import (random_finite_rank, random_hyponormal,
-                              random_normal_corner)
+from opspectra.classify import default_paranormal_grid
+from opspectra.core import StructuredOperator
+from opspectra.specfiles import BUNDLED, load_bundled
+from opspectra.suites import (random_an_hyponormal, random_constant_modulus,
+                              random_diagonal, random_finite_rank,
+                              random_hyponormal, random_normal_corner,
+                              random_weighted_shift)
 
 SELF_ADJOINT_BAND = toeplitz({1: 1.0, -1: 1.0})
 
@@ -56,7 +60,9 @@ def test_check_paranormal_rejects_nilpotent():
 
 
 def test_check_paranormal_zero_operator():
-    assert check_paranormal(zero()).verdict is Verdict.YES
+    res = check_paranormal(zero())
+    assert res.verdict is Verdict.YES
+    assert res.witness == {"grid": (), "failed_at": None, "method": "pencil"}
 
 
 def test_check_paranormal_rejects_nonpositive_grid():
@@ -73,6 +79,7 @@ def test_check_paranormal_accepts_array_grid():
     res = check_paranormal(right_shift(), grid=np.array([0.5, 1.0]))
     assert res.verdict is Verdict.YES
     assert res.witness["grid"] == (0.5, 1.0)
+    assert res.witness["method"] == "grid"
 
 
 def _constant_plus_corner(seed):
@@ -120,11 +127,94 @@ def test_constant_plus_corner_has_a_vector_witness_against_paranormality():
     assert np.linalg.norm(tx) ** 2 - np.linalg.norm(section @ tx) > 1e-4
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the 32-shift grid misses "
-                   "the interval of s where q(s) has a negative eigenvalue")
 def test_check_paranormal_says_no_on_constant_plus_corner():
     t, _ = _constant_plus_corner(101)
     assert check_paranormal(t).verdict is Verdict.NO
+
+
+def _lowest_section_eigenvalue(t, s, n):
+    """Lowest eigenvalue of the n-section of q(s) = T*^2 T^2 - 2s T*T + s^2,
+    a compression: a negative value proves q(s) is not positive."""
+    q = gram(t.compose(t)) - gram(t).scaled(2.0 * s) + constant_diagonal(s * s)
+    return np.linalg.eigvalsh(q.truncate(n))[0]
+
+
+def test_pair_theorem_refuses_a_false_counterexample():
+    """The second draw of ``random_constant_modulus`` at seed 100, T = cI + K
+    with a 3 x 3 head, was read paranormal with its adjoint by the 32-shift
+    grid, so the pair theorem seemed to fail (holds=False).  The pencil
+    shifts find both not paranormal, and a section confirms each."""
+    rng = np.random.default_rng(100)
+    random_constant_modulus(rng)
+    t = random_constant_modulus(rng)
+    assert len(t.tails) == 1 and t.window.shape == (3, 3)
+    for op, failed_at in ((t, 1.7856250268595), (t.adjoint(), 1.7841427232549)):
+        res = check_paranormal(op)
+        assert res.verdict is Verdict.NO and res.witness["method"] == "pencil"
+        assert res.witness["failed_at"] == pytest.approx(failed_at, rel=1e-9)
+        assert _lowest_section_eigenvalue(op, res.witness["failed_at"], 8) < -1e-5
+    rec = paranormal_pair_normality(t)
+    assert (rec.paranormal, rec.adjoint_paranormal, rec.an) == (
+        Verdict.NO, Verdict.NO, Verdict.YES)
+    assert rec.holds is None and rec.null_spaces_equal
+
+
+def test_pencil_refutes_whatever_the_grid_refutes_on_constant_modulus_draws():
+    """450 draws of ``random_constant_modulus`` (seeds 100-102): where the
+    default grid, passed explicitly, says "no" for T or T*, so does the
+    pencil, and no draw contradicts the pair theorem."""
+    refuted = 0
+    for seed in (100, 101, 102):
+        rng = np.random.default_rng(seed)
+        for _ in range(150):
+            t = random_constant_modulus(rng)
+            rec = paranormal_pair_normality(t)
+            assert rec.holds is not False and rec.null_variant_holds is not False
+            for op, pencil in ((t, rec.paranormal),
+                               (t.adjoint(), rec.adjoint_paranormal)):
+                grid = check_paranormal(op, grid=default_paranormal_grid(op))
+                if grid.verdict is Verdict.NO:
+                    refuted += 1
+                    assert pencil is Verdict.NO
+    assert refuted > 100
+
+
+@pytest.mark.parametrize("generate", [random_an_hyponormal, random_weighted_shift,
+                                      random_normal_corner, random_diagonal,
+                                      random_finite_rank])
+def test_pencil_says_yes_on_hyponormal_single_term_draws(generate):
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        t = generate(rng)
+        for op in (t, t.adjoint()):
+            if (np.count_nonzero(op.tails) <= 1
+                    and check_hyponormal(op).verdict is Verdict.YES):
+                res = check_paranormal(op)
+                assert res.verdict is Verdict.YES, res.witness
+                assert res.witness["method"] == "pencil"
+
+
+def test_single_term_symbols_use_no_grid_and_no_section(monkeypatch):
+    """Neither the default grid nor a square section is built for a
+    single-term symbol; the two-term ``selfadjoint_band`` keeps the grid."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("called")
+
+    rng = np.random.default_rng(3)
+    ops = [load_bundled(name).operator for name in BUNDLED]
+    ops += [random_constant_modulus(rng) for _ in range(20)]
+    single = [t for t in ops if np.count_nonzero(t.tails) <= 1]
+    assert len(single) == 25      # all but selfadjoint_band
+    monkeypatch.setattr(StructuredOperator, "truncate", refuse)
+    band = load_bundled("selfadjoint_band").operator
+    assert check_paranormal(band).witness["method"] == "grid"
+    paranormal_pair_normality(band)
+    monkeypatch.setattr(importlib.import_module("opspectra.classify"),
+                        "default_paranormal_grid", refuse)
+    for t in single:
+        for op in (t, t.adjoint()):
+            assert check_paranormal(op).witness["method"] == "pencil"
+        paranormal_pair_normality(t)
 
 
 def test_check_selfadjoint():

@@ -282,6 +282,16 @@ def test_cli_usage_error_is_exit_one(capsys):
     assert main(["classify", "no_such_spec_anywhere"]) == 1
 
 
+def test_only_verify_suite_takes_a_seed(capsys):
+    """classify, spectrum and decompose draw nothing, so they take no --seed."""
+    for command in ("classify", "spectrum", "decompose"):
+        assert main([command, "right_shift", "--seed", "1"]) == 1
+        assert "--seed" in capsys.readouterr().err
+    main(["classify", "right_shift", "--format", "structured"])
+    params = json.loads(capsys.readouterr().out)["provenance"]["parameters"]
+    assert "seed" not in params
+
+
 def test_cli_undetermined_maps_to_exit_two(capsys, monkeypatch):
     undetermined = ClassificationReport(
         Verdict.YES, Verdict.YES, Verdict.YES, Verdict.UNDETERMINED,
