@@ -4,10 +4,9 @@ operators on l2(N)."""
 __version__ = "0.1.0"
 
 from .core import (DiagonalDescriptor, FiniteRankTerm, StructuredOperator,
-                   add, adjoint, apply, compose, constant_diagonal, diagonal,
-                   embed_at, from_dense_corner, gram, identity, is_selfadjoint,
-                   is_zero, rank_one, right_shift, scale, self_commutator,
-                   toeplitz, truncate, weighted_shift, zero)
+                   constant_diagonal, diagonal, embed_at, from_dense_corner,
+                   gram, identity, is_selfadjoint, rank_one, right_shift,
+                   self_commutator, toeplitz, weighted_shift, zero)
 from .errors import (ConvergenceFailure, DimensionMismatch, EssentialPoint,
                      NotHermitian, NotHyponormal, NotNormAttainingClass,
                      NotStabilized, OperatorLibraryError, ParseError,

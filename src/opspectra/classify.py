@@ -37,10 +37,6 @@ class Verdict(enum.Enum):
     UNDETERMINED = "undetermined"
     YES = "yes"
 
-    @property
-    def rank(self) -> int:
-        return ("no", "undetermined", "yes").index(self.value)
-
     def __str__(self):  # pragma: no cover - cosmetic
         return self.value
 
@@ -112,7 +108,8 @@ def check_paranormal(t: StructuredOperator, grid=None,
 
     q(s) = T*^2 T^2 - 2 s T*T + s^2 I must be positive for every s > 0.  The
     witness's ``method`` is "pencil" (``_pencil_shifts``, which decide) for a
-    single-term symbol and no ``grid``, else "grid" (only a falsifier).
+    single-term symbol and no ``grid``, else "grid" (only a falsifier);
+    ``proved`` is True for a "no" (a count at one shift) and a pencil "yes".
 
     The symbol of q(s) is (|a|^2 - s)^2 >= 0, so each shift is decided by
     the count on the corner below -tol max(1, magnitude of q(s))
@@ -136,15 +133,16 @@ def check_paranormal(t: StructuredOperator, grid=None,
             raise ValueError("grid must hold at least one shift, all positive")
     outcome, failed_at = Verdict.YES, None
     for s in grid:
-        q = quartic - quad.scaled(2.0 * s) + constant_diagonal(s * s)
+        q = quartic + quad.scaled(-2.0 * s) + constant_diagonal(s * s)
         count, valid = _count_below(q, -tol * max(1.0, q.magnitude()))
         if not valid:
             outcome = Verdict.UNDETERMINED
         elif count:
             outcome, failed_at = Verdict.NO, s
             break
+    proved = outcome is Verdict.NO or (outcome is Verdict.YES and method == "pencil")
     return CheckResult(outcome, {"grid": grid, "failed_at": failed_at,
-                                 "method": method})
+                                 "method": method, "proved": proved})
 
 
 # -- absolutely norm attaining -----------------------------------------------
@@ -235,7 +233,7 @@ def _region_clusters(t: StructuredOperator, keep=None, tol: float = 1e-8,
 
 @dataclass(frozen=True)
 class EquivalenceRecord:
-    """Independent evaluations of the three normal-AN conditions."""
+    """The three normal-AN conditions of ``check_an_normal_equivalence``."""
 
     applicable: bool
     an: Verdict | None = None
@@ -250,8 +248,10 @@ class EquivalenceRecord:
 
 def check_an_normal_equivalence(t: StructuredOperator,
                                 tol: float = 1e-8) -> EquivalenceRecord:
-    """For normal T, evaluate the three equivalent characterizations
-    independently and report whether they agree; refuses non-normal input."""
+    """For normal T, evaluate the three equivalent characterizations and
+    report whether they agree; refuses non-normal input.  ``spectral`` and
+    ``circles`` share one ``_region_clusters`` call, so only ``an``
+    (``check_an``) is evaluated independently of the other two."""
     if check_normal(t, max(tol, 1e-10)).verdict is not Verdict.YES:
         return EquivalenceRecord(applicable=False,
                                  reason="equivalence applies to normal operators only")

@@ -24,7 +24,7 @@ from .decompose import (BlockDecomposition, normality_from_blocks,
                         spectrum_inclusion_check, structure_decompose,
                         verify_decomposition)
 from .errors import OperatorLibraryError
-from .specfiles import BUNDLED, resolve_spec
+from .specfiles import BUNDLED, _pair, resolve_spec
 from .suites import run_all
 from .symbols import SpectralSummary
 
@@ -43,11 +43,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 # -- serialization -------------------------------------------------------------
-
-def _pair(z) -> list:
-    z = complex(z)
-    return [z.real, z.imag]
-
 
 def _matrix(m) -> dict:
     m = np.ascontiguousarray(m, dtype=complex)

@@ -382,34 +382,6 @@ def memoized(t: StructuredOperator, key, compute):
     return t._derived[key]
 
 
-def adjoint(t: StructuredOperator) -> StructuredOperator:
-    return t.adjoint()
-
-
-def add(a: StructuredOperator, b: StructuredOperator) -> StructuredOperator:
-    return a + b
-
-
-def scale(c, t: StructuredOperator) -> StructuredOperator:
-    return t.scaled(c)
-
-
-def compose(a: StructuredOperator, b: StructuredOperator) -> StructuredOperator:
-    return a.compose(b)
-
-
-def truncate(t: StructuredOperator, n: int) -> np.ndarray:
-    return t.truncate(n)
-
-
-def apply(t: StructuredOperator, x) -> np.ndarray:
-    return t.apply(x)
-
-
-def is_zero(t: StructuredOperator, tol: float = 0.0) -> bool:
-    return t.is_zero(tol)
-
-
 def self_commutator(t: StructuredOperator) -> StructuredOperator:
     """T*T - TT*, self-adjoint by construction (verified on the window)."""
     def compute():

@@ -31,7 +31,7 @@ from .classify import Verdict, check_an, check_hyponormal, check_normal
 from .core import StructuredOperator, gram, identity
 from .errors import (DimensionMismatch, NotHyponormal, NotNormAttainingClass,
                      TemplateMismatch)
-from .numerics import hermitian_eig
+from .numerics import _greedy_clusters, hermitian_eig
 from .symbols import symbol, winding
 
 CASE_NORM = "lambda_equals_norm"
@@ -138,17 +138,8 @@ def structure_decompose(t: StructuredOperator, n: int | None = None,
     def grouped(idx, descending):
         pairs = sorted((math.sqrt(max(0.0, level2 + float(gamma[i]))), i)
                        for i in idx)
-        gap = 100.0 * tol
-        groups = []
-        for lv, i in pairs:
-            if groups and abs(lv - groups[-1][0] / groups[-1][1]) <= gap:
-                s, c, mem = groups[-1]
-                groups[-1] = (s + lv, c + 1, mem + [i])
-            else:
-                groups.append((lv, 1, [i]))
-        out = [(s / c, mem) for s, c, mem in groups]
-        out.sort(key=lambda g: -g[0] if descending else g[0])
-        return out
+        return sorted(_greedy_clusters(pairs, 100.0 * tol),
+                      key=lambda g: -g[0] if descending else g[0])
 
     h0_groups = grouped([i for i, g in enumerate(gamma) if g > assign], True)
     h2_groups = grouped([i for i, g in enumerate(gamma) if g < -assign], False)

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky_banded
 
 from .core import StructuredOperator, gram, memoized, selfadjoint_defect
 from .errors import ConvergenceFailure, NotHermitian, NotStabilized
@@ -95,31 +94,25 @@ def svd_polar(matrix):
     return v, p
 
 
+def _greedy_clusters(pairs, gap: float) -> list:
+    """Greedy clustering of (value, member) pairs in order: a value joins the
+    last cluster when within ``gap`` of its running mean; [(mean, members)]."""
+    clusters = []
+    for v, member in pairs:
+        if clusters and abs(v - clusters[-1][0] / len(clusters[-1][1])) <= gap:
+            clusters[-1][0] += v
+            clusters[-1][1].append(member)
+        else:
+            clusters.append([v, [member]])
+    return [(total / len(members), members) for total, members in clusters]
+
+
 def cluster_values(values, gap: float):
     """Greedy 1-d / complex clustering; returns ((center, count), ...)."""
     vals = sorted(values, key=lambda z: (z.real, z.imag) if isinstance(z, complex)
                   else z)
-    clusters = []
-    for v in vals:
-        if clusters and abs(v - clusters[-1][0] / clusters[-1][1]) <= gap:
-            total, count = clusters[-1]
-            clusters[-1] = (total + v, count + 1)
-        else:
-            clusters.append((v, 1))
-    return tuple((total / count, count) for total, count in clusters)
-
-
-def _all_above(band: np.ndarray, level: float) -> bool:
-    """Whether every eigenvalue of the Hermitian matrix held in lower band
-    storage exceeds ``level``: band - level*I has a banded Cholesky
-    factorization exactly when it is positive definite."""
-    shifted = band.copy()
-    shifted[0] -= level
-    try:
-        cholesky_banded(shifted, overwrite_ab=True, lower=True)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    return tuple((mean, len(members))
+                 for mean, members in _greedy_clusters(zip(vals, vals), gap))
 
 
 def _corner_coupling(t: StructuredOperator):
@@ -217,14 +210,20 @@ def discrete_eigs_below(t: StructuredOperator, bound: float,
                     lambda: _discrete_eigs_below(t, bound, tol))
 
 
-def _discrete_eigs_below(t, bound, tol) -> DiscreteEigenReport:
-    sym = symbol(t)
+def _selfadjoint_level(t: StructuredOperator):
+    """(minimum of the real symbol, scale = max(1, magnitude)) of self-adjoint
+    t; NotHermitian for a complex symbol or a defect above 1e-12 scale."""
     scale = max(1.0, t.magnitude())
+    sym = symbol(t)
     if not sym.is_real(1e-12):
         raise NotHermitian("operator symbol is not real")
     if selfadjoint_defect(t) > 1e-12 * scale:
         raise NotHermitian("operator is not self-adjoint to 1e-12")
-    ess_min = symbol_min_modulus_signed(sym)
+    return symbol_min_modulus_signed(sym), scale
+
+
+def _discrete_eigs_below(t, bound, tol) -> DiscreteEigenReport:
+    ess_min, scale = _selfadjoint_level(t)
     if bound > ess_min + max(tol, 1e-10) * scale:
         raise ValueError(f"bound {bound} exceeds the essential minimum {ess_min}")
     vals, ok = _eigs_below(t, min(bound, ess_min - 0.01 * tol))
@@ -461,13 +460,7 @@ def positivity_verdict(d: StructuredOperator, tol: float):
     eigenvalue below min(-tol, symbol_min - tol) (0.0 when none);
     "undetermined" means the roots of the symbol did not split there.
     """
-    scale = max(1.0, d.magnitude())
-    sym = symbol(d)
-    if not sym.is_real(1e-12):
-        raise NotHermitian("operator is not self-adjoint (complex symbol)")
-    if selfadjoint_defect(d) > 1e-12 * scale:
-        raise NotHermitian("operator is not self-adjoint to 1e-12")
-    ess_min = symbol_min_modulus_signed(sym)
+    ess_min, scale = _selfadjoint_level(d)
     if ess_min < -tol * scale:
         return "no", {"symbol_min": ess_min}
     lowest, ok = _eigs_below(d, min(-tol, ess_min - tol), first=1)

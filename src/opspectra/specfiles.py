@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -128,7 +129,9 @@ def parse_spec(path) -> OperatorSpec:
         return parse_spec_text(handle.read(), source=str(path))
 
 
-def _pair(z: complex):
+def _pair(z) -> list:
+    """A complex number as its JSON form, the pair [re, im]."""
+    z = complex(z)
     return [z.real, z.imag]
 
 
@@ -158,7 +161,6 @@ def load_bundled(name: str) -> OperatorSpec:
 
 def resolve_spec(ref: str) -> OperatorSpec:
     """Treat the reference as a path if it exists, else as a bundled name."""
-    import os
     if os.path.exists(ref):
         return parse_spec(ref)
     return load_bundled(ref)

@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import ndimage
-from scipy.linalg import eig_banded
+from scipy.linalg import cholesky_banded, eig_banded
 
-from .core import StructuredOperator, gram
-from .errors import EssentialPoint, PointOnCurve
+from .core import StructuredOperator, constant_diagonal, gram
+from .errors import ConvergenceFailure, EssentialPoint, PointOnCurve
 
 _TWO_PI = 2.0 * math.pi
 _EPS = float(np.finfo(float).eps)
@@ -237,10 +237,22 @@ def fredholm_index(t: StructuredOperator, lam, validate: bool = False,
     if validate:
         oracle = index_by_truncation(t, lam, n)
         if oracle != index:
-            from .errors import ConvergenceFailure
             raise ConvergenceFailure(
                 f"winding index {index} disagrees with truncation count {oracle}")
     return index
+
+
+def _all_above(band: np.ndarray, level: float) -> bool:
+    """Whether every eigenvalue of the Hermitian matrix held in lower band
+    storage exceeds ``level``: band - level*I has a banded Cholesky
+    factorization exactly when it is positive definite."""
+    shifted = band.copy()
+    shifted[0] -= level
+    try:
+        cholesky_banded(shifted, overwrite_ab=True, lower=True)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def kernel_count_by_truncation(t: StructuredOperator, n: int = 512,
@@ -256,7 +268,6 @@ def kernel_count_by_truncation(t: StructuredOperator, n: int = 512,
     level, and ``eig_banded`` counts them otherwise.  The zero operator
     has kernel dimension n.
     """
-    from .numerics import _all_above
     band = gram(t).lower_band(n)
     top = eig_banded(band, lower=True, eigvals_only=True, select="i",
                      select_range=(n - 1, n - 1))[0]
@@ -271,7 +282,6 @@ def kernel_count_by_truncation(t: StructuredOperator, n: int = 512,
 
 def index_by_truncation(t: StructuredOperator, lam, n: int = 512) -> int:
     """Independent index estimate: null-space counts of tall sections."""
-    from .core import constant_diagonal
     shifted = t - constant_diagonal(lam)
     return (kernel_count_by_truncation(shifted, n)
             - kernel_count_by_truncation(shifted.adjoint(), n))

@@ -14,9 +14,9 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import eig_banded
 
-from opspectra.numerics import (MERGE_FACTOR, TRUNC_CAP, _all_above,
-                                _corner_coupling, cluster_values)
-from opspectra.symbols import _wiener_hopf_block
+from opspectra.numerics import (MERGE_FACTOR, TRUNC_CAP, _corner_coupling,
+                                cluster_values)
+from opspectra.symbols import _all_above, _wiener_hopf_block
 
 
 def _clusters_match(a, b, tol: float) -> bool:

@@ -6,11 +6,12 @@ import pytest
 from opspectra import (NotHyponormal, Verdict, check_am_normal, check_an,
                        check_an_normal_equivalence, check_an_positive,
                        check_an_selfadjoint, check_hyponormal, check_normal,
-                       check_paranormal, check_selfadjoint, classify, compose,
+                       check_paranormal, check_selfadjoint, classify,
                        constant_diagonal, diagonal, from_dense_corner, gram,
                        identity, paranormal_pair_normality, putnam_check,
                        right_shift, spectral_area, spectral_summary, toeplitz,
                        weyl_normality_criterion, zero)
+from opspectra import numerics
 from opspectra.classify import default_paranormal_grid
 from opspectra.core import StructuredOperator
 from opspectra.specfiles import BUNDLED, load_bundled
@@ -62,7 +63,8 @@ def test_check_paranormal_rejects_nilpotent():
 def test_check_paranormal_zero_operator():
     res = check_paranormal(zero())
     assert res.verdict is Verdict.YES
-    assert res.witness == {"grid": (), "failed_at": None, "method": "pencil"}
+    assert res.witness == {"grid": (), "failed_at": None, "method": "pencil",
+                           "proved": True}
 
 
 def test_check_paranormal_rejects_nonpositive_grid():
@@ -244,7 +246,7 @@ def test_check_an_examples():
 
 def test_isometries_are_norm_attaining():
     r = right_shift()
-    for op in (r, compose(r, r), diagonal((1j,), 1.0)):
+    for op in (r, r.compose(r), diagonal((1j,), 1.0)):
         assert gram(op) == identity()
         res = check_an(op)
         assert res.verdict is Verdict.YES and res.alpha == 1.0
@@ -493,3 +495,56 @@ def test_shifting_by_scalar_preserves_hyponormality():
     op = random_hyponormal(rng)
     shifted = op + constant_diagonal(0.3 - 0.7j)
     assert check_hyponormal(shifted).verdict is Verdict.YES
+
+
+# -- branches that only broken or unusual input reaches --------------------------
+
+classify_module = importlib.import_module("opspectra.classify")
+
+
+def test_check_paranormal_says_which_verdicts_are_proved():
+    nil = from_dense_corner(np.array([[0.0, 0.0], [1.0, 0.0]]))
+    assert check_paranormal(nil).witness["proved"] is True            # a "no"
+    assert check_paranormal(right_shift()).witness["proved"] is True  # pencil "yes"
+    res = check_paranormal(right_shift(), grid=(1.0,))
+    assert res.verdict is Verdict.YES and res.witness["proved"] is False
+
+
+def test_check_paranormal_undetermined_where_the_count_is_not_valid(monkeypatch):
+    monkeypatch.setattr(classify_module, "_count_below", lambda q, lam: (0, False))
+    res = check_paranormal(right_shift(), grid=(0.5, 2.0))
+    assert res.verdict is Verdict.UNDETERMINED
+    assert res.witness["failed_at"] is None and res.witness["proved"] is False
+
+
+def test_check_an_positive_refuses_a_non_selfadjoint_operator():
+    with pytest.raises(ValueError):
+        check_an_positive(right_shift())
+
+
+def test_check_an_positive_undetermined_where_the_roots_do_not_split(monkeypatch):
+    # the tails 1e-10 (z + 1/z) keep the level 1 nearly constant but two-sided
+    p = diagonal((0.5,), 1.0) + toeplitz({-1: 1e-10, 1: 1e-10})
+    block = numerics._wiener_hopf_block
+    monkeypatch.setattr(numerics, "_wiener_hopf_block",
+                        lambda tails, lam: (block(tails, lam)[0],
+                                            np.zeros(np.size(lam), bool)))
+    res = check_an_positive(p)
+    assert res.verdict is Verdict.UNDETERMINED and res.alpha is None
+    assert res.witness["level"] == 1.0
+
+
+def test_equivalence_without_a_constant_modulus():
+    rec = check_an_normal_equivalence(SELF_ADJOINT_BAND)
+    assert rec.applicable and rec.alpha is None
+    assert (rec.an, rec.spectral, rec.circles) == (Verdict.NO,) * 3
+    assert rec.interior_points == () and rec.radii == () and rec.agree
+
+
+def test_region_clusters_keep_on_the_two_sided_path():
+    t = toeplitz({-1: 0.3, 1: 1.0}) + from_dense_corner(np.diag([3.0, -3.0]))
+    found, certified = classify_module._region_clusters(t)
+    assert certified and len(found) == 2
+    kept = classify_module._region_clusters(t, lambda z: z.real > 0)
+    assert kept == (tuple(c for c in found if c[0].real > 0), True)
+    assert len(kept[0]) == 1

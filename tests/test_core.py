@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opspectra import (DiagonalDescriptor, FiniteRankTerm, StructuredOperator,
-                       compose, diagonal, from_dense_corner, gram, identity,
+                       diagonal, from_dense_corner, gram, identity,
                        rank_one, right_shift, self_commutator, toeplitz,
                        weighted_shift, zero)
 from opspectra.specfiles import load_bundled
@@ -96,12 +96,12 @@ def test_scale_examples():
 
 def test_shift_is_isometry():
     r = right_shift()
-    assert compose(r.adjoint(), r) == identity()
+    assert r.adjoint().compose(r) == identity()
 
 
 def test_shift_coisometry_defect():
     r = right_shift()
-    product = compose(r, r.adjoint())
+    product = r.compose(r.adjoint())
     # oracle: direct truncation product on a section wide enough for bandwidth 2
     direct = (r.truncate(5) @ r.adjoint().truncate(5))[:3, :3]
     np.testing.assert_array_equal(product.truncate(3), direct)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from opspectra import (DimensionMismatch, NotHyponormal,
-                       NotNormAttainingClass, Verdict, diagonal, embed_at,
+                       NotNormAttainingClass, TemplateMismatch, Verdict, diagonal, embed_at,
                        from_dense_corner, gram, identity,
                        normality_from_blocks, right_shift,
                        spectrum_inclusion_check, structure_decompose,
@@ -320,3 +320,30 @@ def test_exact_blocks_match_section_oracle():
         assert (rec.verdict is Verdict.YES) == unitary, i
         assert rec.corank == corank, i
         assert rec.isometry_defect <= 1e-12 and verify_decomposition(dec, t).ok, i
+
+
+def _patched_eigenvectors(monkeypatch, change):
+    """Feed ``structure_decompose`` the window's eigensystem after ``change``."""
+    import opspectra.decompose as decompose
+    eig = decompose.hermitian_eig
+    monkeypatch.setattr(decompose, "hermitian_eig",
+                        lambda m, **kw: change(eig(m, **kw)))
+
+
+def test_decompose_refuses_blocks_off_the_template(monkeypatch):
+    # rotating the eigenvectors of levels 2 and 0.5 couples H0 to H2
+    rotation = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    _patched_eigenvectors(monkeypatch, lambda es: dataclasses.replace(
+        es, vectors=es.vectors @ rotation))
+    with pytest.raises(TemplateMismatch) as err:
+        structure_decompose(diagonal((2.0, 0.5), 1.0))
+    assert set(err.value.block_norms) == {(0, 2), (2, 0)}
+
+
+def test_decompose_refuses_an_h0_block_that_is_not_a_scaled_unitary(monkeypatch):
+    # doubled eigenvalues put the upper level at sqrt(7) instead of 2
+    _patched_eigenvectors(monkeypatch, lambda es: dataclasses.replace(
+        es, values=2.0 * es.values))
+    with pytest.raises(TemplateMismatch) as err:
+        structure_decompose(diagonal((2.0, 0.5), 1.0))
+    assert set(err.value.block_norms) == {("h0", 0)}

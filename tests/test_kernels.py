@@ -18,9 +18,8 @@ from opspectra import (StructuredOperator, check_paranormal, constant_diagonal,
                        diagonal, gram, identity, self_commutator)
 from opspectra import suites
 from opspectra.classify import Verdict, default_paranormal_grid
-from opspectra.numerics import (_all_above, positivity_verdict,
-                                symbol_min_modulus_signed)
-from opspectra.symbols import symbol
+from opspectra.numerics import positivity_verdict, symbol_min_modulus_signed
+from opspectra.symbols import _all_above, symbol
 
 
 def _mixed(rng) -> StructuredOperator:

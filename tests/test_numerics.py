@@ -8,8 +8,8 @@ from scipy.linalg import eig_banded
 
 from conftest import load_perfbench
 from opspectra import (NotHermitian, NotStabilized, check_an,
-                       constant_diagonal, diagonal, discrete_eigs_below, gram,
-                       hermitian_eig, identity, min_modulus, operator_norm,
+                       constant_diagonal, diagonal, discrete_eigs_below,
+                       from_dense_corner, gram, hermitian_eig, identity, min_modulus, operator_norm,
                        right_shift, suites, svd_polar, symbol, toeplitz, zero)
 from opspectra import numerics
 from opspectra.numerics import (_count_below, cluster_values,
@@ -296,3 +296,82 @@ def test_count_ignores_an_outer_tail_below_rounding():
     for lam in (-1.0, 0.5 * ess, ess - 1e-10):
         assert _count_below(padded, lam) == _count_below(g, lam)
     assert _count_below(g, ess - 1e-10) == (1, True)
+
+
+# -- branches that only broken or unusual input reaches --------------------------
+
+def _roots_split_only(monkeypatch, where=lambda lam: np.zeros(np.size(lam), bool)):
+    """Make ``_wiener_hopf_block`` report its roots split only where the mask
+    ``where(lam)`` is True (nowhere by default), keeping its blocks."""
+    block = numerics._wiener_hopf_block
+
+    def patched(tails, lam):
+        g, ok = block(tails, lam)
+        return g, ok & where(lam)
+
+    monkeypatch.setattr(numerics, "_wiener_hopf_block", patched)
+
+
+def test_positivity_verdict_rejects_a_complex_symbol():
+    with pytest.raises(NotHermitian):
+        positivity_verdict(toeplitz({1: 1.0}), 1e-10)
+
+
+def test_positivity_verdict_rejects_a_non_selfadjoint_window():
+    with pytest.raises(NotHermitian):
+        positivity_verdict(diagonal((1j,), 1.0), 1e-10)
+
+
+def test_positivity_verdict_no_from_the_symbol_minimum():
+    # z + 1/z = 2 cos(theta) reaches -2: no eigenvalue needs to be sought
+    assert positivity_verdict(toeplitz({1: 1.0, -1: 1.0}), 1e-10) == (
+        "no", {"symbol_min": -2.0})
+
+
+def test_positivity_verdict_undetermined_where_the_roots_do_not_split(monkeypatch):
+    _roots_split_only(monkeypatch)
+    d = toeplitz({-1: 1.0, 0: 3.0, 1: 1.0}) + from_dense_corner([[-5.0]])
+    verdict, witness = positivity_verdict(d, 1e-10)
+    assert verdict == "undetermined"
+    assert witness["symbol_min"] == pytest.approx(1.0)
+    assert "most_negative_eigenvalue" not in witness
+
+
+def _eigenvalue_below_the_band():
+    """z + 1/z plus -5 at (0, 0): one eigenvalue, -5.2, below -2."""
+    return toeplitz({-1: 1.0, 1: 1.0}) + from_dense_corner([[-5.0]])
+
+
+def test_eigs_below_invalid_after_the_bracket(monkeypatch):
+    h = _eigenvalue_below_the_band()
+    vals, ok = numerics._eigs_below(h, -2.1)
+    assert ok and vals == pytest.approx([-5.2])
+    # the bracket [lo, level] is evaluated in one call, every falsi step alone
+    _roots_split_only(monkeypatch, lambda lam: np.full(np.size(lam), np.size(lam) > 1))
+    vals, ok = numerics._eigs_below(h, -2.1)
+    assert not ok and not len(vals)
+
+
+def test_eigs_below_not_converged(monkeypatch):
+    monkeypatch.setattr(numerics, "FALSI_STEPS", 0)
+    vals, ok = numerics._eigs_below(_eigenvalue_below_the_band(), -2.1)
+    assert not ok and not len(vals)
+
+
+def test_loop_turns_counts_and_gives_up():
+    square = np.array([-1 - 1j, 1 - 1j, 1 + 1j, -1 + 1j])
+    assert numerics._loop_turns(np.log, [square]) == pytest.approx(1.0)
+    assert numerics._loop_turns(lambda z: np.full(z.shape, np.nan + 0j),
+                                [square]) is None
+
+
+def test_loop_turns_budget(monkeypatch):
+    monkeypatch.setattr(numerics, "LOOP_BUDGET", 127)
+    square = np.array([-1 - 1j, 1 - 1j, 1 + 1j, -1 + 1j])
+    assert numerics._loop_turns(np.log, [square]) is None
+
+
+def test_min_modulus_not_stabilized(monkeypatch):
+    _roots_split_only(monkeypatch)
+    with pytest.raises(NotStabilized):
+        min_modulus(toeplitz({0: 2.0, 1: 1.0}) + from_dense_corner([[0.1]]))

@@ -359,3 +359,41 @@ def test_min_modulus_reads_rounding_as_zero(pool_bases):
             for r in turns for g in turns} == {0.0}
     assert min_modulus(diagonal((1e-6,), 1.0)) == pytest.approx(1e-6, rel=1e-9)
     assert math.isclose(min_modulus(diagonal((0.25,), 1.0)), 0.25)
+
+
+def _jordan_block_at_three():
+    """[[3, 1], [0, 3]] on e0, e1 beside T(z + 0.3/z) on the rest: a double
+    zero of det S at 3, which Newton finds once and the count asks twice."""
+    return (from_dense_corner([[3.0, 1.0], [0.0, 3.0]])
+            + embed_at(toeplitz({-1: 0.3, 1: 1.0}), 2))
+
+
+def _single_zero_at_three(t):
+    """(multiplicity, certified) of the one zero ``_region_clusters`` lists,
+    which must lie at 3."""
+    found, certified = _region_clusters(t)
+    (z, k), = found
+    assert abs(z - 3.0) <= 1e-9
+    return k, certified
+
+
+def test_schur_eigenvalues_counts_a_double_zero_on_a_circle():
+    assert _single_zero_at_three(_jordan_block_at_three()) == (2, True)
+
+
+def test_schur_eigenvalues_uncertified_when_the_count_gives_up(monkeypatch):
+    monkeypatch.setattr(numerics, "LOOP_BUDGET", 1)
+    assert _single_zero_at_three(_jordan_block_at_three()) == (1, False)
+
+
+def test_schur_eigenvalues_uncertified_when_the_multiplicity_is_not_counted(monkeypatch):
+    # only the circle around a zero starts with one loop of 128 points: the
+    # count over D's loops starts with more, and Newton takes 3 lam per seed
+    block = numerics._wiener_hopf_block
+
+    def no_circle(tails, lam):
+        g, ok = block(tails, lam)
+        return g, ok & (np.size(lam) != 128)
+
+    monkeypatch.setattr(numerics, "_wiener_hopf_block", no_circle)
+    assert _single_zero_at_three(_jordan_block_at_three()) == (1, False)

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opspectra import (EssentialPoint, LaurentSymbol, PointOnCurve, compose,
-                       diagonal, ess_min_modulus, essential_spectrum,
-                       fredholm_index, gram, identity, index_by_truncation,
-                       right_shift, spectral_area, suites, symbol,
-                       symbol_curve, toeplitz, winding, winding_regions, zero)
+from opspectra import (ConvergenceFailure, EssentialPoint, LaurentSymbol,
+                       PointOnCurve, diagonal, ess_min_modulus,
+                       essential_spectrum, fredholm_index, gram, identity,
+                       index_by_truncation, right_shift, spectral_area, suites,
+                       symbol, symbol_curve, toeplitz, winding, winding_regions,
+                       zero)
+from opspectra import symbols as symbols_module
 from opspectra.numerics import symbol_min_modulus_signed
 from opspectra.specfiles import load_bundled
 from opspectra.symbols import (AreaEstimate, _monomial_regions, constant_value,
@@ -85,7 +87,7 @@ def test_fredholm_index_examples():
     r = right_shift()
     assert fredholm_index(r, 0) == -1
     assert fredholm_index(identity(), 0.5) == 0
-    assert fredholm_index(compose(r, r), 0) == -2
+    assert fredholm_index(r.compose(r), 0) == -2
     assert fredholm_index(r.adjoint(), 0) == 1
 
 
@@ -98,7 +100,7 @@ def test_fredholm_index_on_essential_point():
 
 def test_index_agrees_with_truncation_null_counts():
     r = right_shift()
-    for op, lam in [(r, 0j), (compose(r, r), 0j), (r.adjoint(), 0j),
+    for op, lam in [(r, 0j), (r.compose(r), 0j), (r.adjoint(), 0j),
                     (r, 0.4 + 0.2j), (toeplitz({1: 1.0, -1: 0.25}), 0j)]:
         assert fredholm_index(op, lam) == index_by_truncation(op, lam, 256)
 
@@ -110,7 +112,7 @@ def test_index_validation_on_request():
 def test_index_additivity():
     a = toeplitz({1: 1.0, 0: 0.1})
     b = toeplitz({1: 0.5, 0: 0.2})
-    ab = compose(a, b)
+    ab = a.compose(b)
     assert fredholm_index(ab, 0) == fredholm_index(a, 0) + fredholm_index(b, 0)
 
 
@@ -173,7 +175,7 @@ symbol_ops = st.dictionaries(st.integers(-2, 2), coeff, max_size=4).map(toeplitz
 @settings(max_examples=60, deadline=None)
 @given(symbol_ops, symbol_ops)
 def test_symbol_multiplicativity(a, b):
-    product = symbol(compose(a, b))
+    product = symbol(a.compose(b))
     direct = symbol(a).product(symbol(b))
     assert product.coeffs == direct.coeffs
 
@@ -489,3 +491,9 @@ def test_winding_counts_roots_within_1e9_of_the_circle(inside, jitter, start,
     coeffs = {n - i - p: complex(v) for i, v in enumerate(poly)}
     coeffs[0] = coeffs.get(0, 0j) + lam
     assert winding(LaurentSymbol(coeffs), lam) == sum(inside) - p
+
+
+def test_fredholm_index_validation_reports_a_disagreement(monkeypatch):
+    monkeypatch.setattr(symbols_module, "index_by_truncation", lambda t, lam, n: 0)
+    with pytest.raises(ConvergenceFailure):
+        fredholm_index(right_shift(), 0j, validate=True, n=64)
