@@ -18,9 +18,9 @@ import numpy as np
 from .core import (StructuredOperator, constant_diagonal, gram, is_selfadjoint,
                    selfadjoint_defect, self_commutator, toeplitz)
 from .errors import NotHyponormal, NotStabilized
-from .numerics import (_count_below, cluster_values, discrete_eigs_below,
-                       min_modulus, operator_norm, positivity_verdict,
-                       schur_eigenvalues, symbol_min_modulus_signed)
+from .numerics import (_count_below, _gram_levels_below, cluster_values,
+                       discrete_eigs_below, min_modulus, operator_norm,
+                       positivity_verdict, schur_eigenvalues)
 from .symbols import (EssentialCurve, SpectralSummary, _curve_distance,
                       _monomial_regions, _tail_span, _WindingRaster,
                       _winding_raster, _zero_winding_region, constant_value,
@@ -75,8 +75,8 @@ def check_hyponormal(t: StructuredOperator, tol: float = 1e-10) -> CheckResult:
     return CheckResult(Verdict(verdict), witness)
 
 
-def default_paranormal_grid(t: StructuredOperator, count: int = 32):
-    """Log-spaced positive shifts covering [m(T)^2/10, 10 ||T||^2]."""
+def default_paranormal_grid(t: StructuredOperator):
+    """32 log-spaced positive shifts covering [m(T)^2/10, 10 ||T||^2]."""
     norm = operator_norm(t)
     if norm == 0.0:
         return ()
@@ -86,7 +86,7 @@ def default_paranormal_grid(t: StructuredOperator, count: int = 32):
         m = 0.0
     lo = max(m * m / 10.0, 1e-6 * max(norm * norm, 1.0))
     hi = 10.0 * norm * norm
-    return tuple(np.geomspace(lo, hi, count))
+    return tuple(np.geomspace(lo, hi, 32))
 
 
 def _pencil_shifts(quartic: StructuredOperator, quad: StructuredOperator):
@@ -231,6 +231,15 @@ def _region_clusters(t: StructuredOperator, keep=None, tol: float = 1e-8,
     return found, certified
 
 
+def _points_match(points, expected, atol: float) -> bool:
+    """Whether ((value, multiplicity), ...) lists the values ``expected``,
+    counted with multiplicity, within ``atol`` once both are sorted by real,
+    then imaginary part."""
+    values = np.sort_complex([v for v, m in points for _ in range(int(m))])
+    expected = np.sort_complex(expected)
+    return values.shape == expected.shape and bool(np.all(abs(values - expected) <= atol))
+
+
 @dataclass(frozen=True)
 class EquivalenceRecord:
     """The three normal-AN conditions of ``check_an_normal_equivalence``."""
@@ -246,30 +255,36 @@ class EquivalenceRecord:
     reason: str = ""
 
 
-def check_an_normal_equivalence(t: StructuredOperator,
-                                tol: float = 1e-8) -> EquivalenceRecord:
-    """For normal T, evaluate the three equivalent characterizations and
-    report whether they agree; refuses non-normal input.  ``spectral`` and
-    ``circles`` share one ``_region_clusters`` call, so only ``an``
-    (``check_an``) is evaluated independently of the other two."""
-    if check_normal(t, max(tol, 1e-10)).verdict is not Verdict.YES:
+def check_an_normal_equivalence(t: StructuredOperator) -> EquivalenceRecord:
+    """For normal T, evaluate the three equivalent characterizations at tol
+    1e-8 and report whether they agree; refuses non-normal input.  ``circles``
+    compares the moduli of ``spectral``'s points with the square roots of
+    ``check_an``'s levels of T*T, both below min(alpha - tol, sqrt(alpha^2 - tol))."""
+    tol = 1e-8
+    if check_normal(t).verdict is not Verdict.YES:
         return EquivalenceRecord(applicable=False,
                                  reason="equivalence applies to normal operators only")
-    an = check_an(t, tol)
+    an = check_an(t)
 
     alpha = modulus_constant(symbol(t))
     if alpha is None:
         spectral = circles = Verdict.NO
         interior, radii = (), ()
     else:
-        interior, stable = _region_clusters(t, lambda z: abs(z) < alpha - tol, tol)
-        spectral = circles = Verdict.YES if stable else Verdict.UNDETERMINED
+        interior, stable = _region_clusters(t, lambda z: abs(z) < alpha - tol)
+        spectral = Verdict.YES if stable else Verdict.UNDETERMINED
         radii = cluster_values([abs(c) for c, _ in interior], 100.0 * tol) \
             if stable else ()
-    verdicts = (an.verdict, spectral, circles)
+        top = min(alpha - tol, math.sqrt(max(0.0, alpha * alpha - tol)))
+        roots = [r for v, m in an.witness.get("eigenvalues_below", ())
+                 for r in [math.sqrt(max(0.0, v))] * m if r < top]
+        same = _points_match([(abs(v), m) for v, m in interior if abs(v) < top],
+                             roots, 100.0 * tol * max(1.0, alpha))
+        circles = (Verdict.UNDETERMINED if not stable or an.verdict is not Verdict.YES
+                   else Verdict.YES if same else Verdict.NO)
     return EquivalenceRecord(True, an.verdict, spectral, circles, alpha,
                              tuple(interior), tuple(radii),
-                             agree=len(set(v.value for v in verdicts)) == 1)
+                             agree=an.verdict is spectral is circles)
 
 
 @dataclass(frozen=True)
@@ -282,11 +297,11 @@ class SelfadjointANRecord:
     reason: str = ""
 
 
-def check_an_selfadjoint(t: StructuredOperator,
-                         tol: float = 1e-8) -> SelfadjointANRecord:
-    """Self-adjoint specialization: essential spectrum inside {-alpha, alpha}
-    and finitely many spectrum points in the open interval between them."""
-    if check_selfadjoint(t, max(tol, 1e-10)).verdict is not Verdict.YES:
+def check_an_selfadjoint(t: StructuredOperator) -> SelfadjointANRecord:
+    """Self-adjoint specialization at tol 1e-8: essential spectrum inside
+    {-alpha, alpha} and finitely many spectrum points strictly between."""
+    tol = 1e-8
+    if check_selfadjoint(t, tol).verdict is not Verdict.YES:
         return SelfadjointANRecord(applicable=False,
                                    reason="input is not self-adjoint")
     c = constant_value(symbol(t))
@@ -295,7 +310,7 @@ def check_an_selfadjoint(t: StructuredOperator,
                                    reason="essential spectrum is a nondegenerate interval")
     alpha = abs(c)
     clusters, stable = _region_clusters(
-        t, lambda z: (abs(z) < alpha - tol) | (abs(abs(z) - alpha) <= tol), tol)
+        t, lambda z: (abs(z) < alpha - tol) | (abs(abs(z) - alpha) <= tol))
     verdict = Verdict.YES if stable else Verdict.UNDETERMINED
     interior = [(v, m) for v, m in clusters if abs(v) < alpha - tol]
     # points on {-alpha, alpha} belong to the essential set, the essential
@@ -345,7 +360,7 @@ class PutnamRecord:
 
 
 def putnam_check(t: StructuredOperator, resolution: int = 512,
-                 tol: float = 1e-6, assume_hyponormal: bool = False) -> PutnamRecord:
+                 assume_hyponormal: bool = False) -> PutnamRecord:
     """Commutator norm against spectral area / pi for hyponormal input."""
     if not assume_hyponormal:
         if check_hyponormal(t).verdict is not Verdict.YES:
@@ -353,7 +368,7 @@ def putnam_check(t: StructuredOperator, resolution: int = 512,
     lhs = operator_norm(self_commutator(t))
     est = spectral_area(t, resolution)
     rhs = est.value / math.pi
-    slack = est.error / math.pi + tol
+    slack = est.error / math.pi + 1e-6
     return PutnamRecord(lhs, rhs, est.error / math.pi, bool(lhs <= rhs + slack))
 
 
@@ -367,25 +382,24 @@ class WeylRecord:
     reason: str = ""
 
 
-def weyl_normality_criterion(t: StructuredOperator, tol: float = 1e-8,
-                             resolution: int = 256) -> WeylRecord:
+def weyl_normality_criterion(t: StructuredOperator) -> WeylRecord:
     """If no off-curve point has nonzero index, a hyponormal AN operator must
     be normal; one winding test per bounded complementary component suffices
     because the winding is locally constant off the curve.  The components
-    are ``spectral_area``'s: exact for a monomial symbol, those of a
-    ``resolution`` raster for any other."""
+    are ``spectral_area``'s: exact for a monomial symbol, those of a 256
+    raster for any other."""
     if check_hyponormal(t).verdict is not Verdict.YES:
         return WeylRecord(False, reason="not (verifiably) hyponormal")
     if check_an(t).verdict is not Verdict.YES:
         return WeylRecord(False, reason="not (verifiably) absolutely norm attaining")
-    regions = spectral_area(t, resolution)
+    regions = spectral_area(t, 256)
     windings = tuple(c.winding for c in regions.components)
     equal = all(w == 0 for w in windings)
     if not equal:
         return WeylRecord(True, False, windings, None, None,
                           reason="criterion inapplicable: Weyl spectrum exceeds "
                                  "the essential spectrum")
-    normal = check_normal(t, tol).verdict
+    normal = check_normal(t).verdict
     return WeylRecord(True, True, windings, normal, normal is Verdict.YES)
 
 
@@ -409,7 +423,7 @@ def _null_projection(t: StructuredOperator, n: int):
     return basis @ basis.conj().T
 
 
-def paranormal_pair_normality(t: StructuredOperator, tol: float = 1e-8,
+def paranormal_pair_normality(t: StructuredOperator,
                               trunc: int | None = None) -> PairNormalityRecord:
     """Both implication tests: (T, T* paranormal, T in AN) forces normality,
     and (T paranormal, T in AN, N(T) = N(T*)) forces normality.
@@ -417,19 +431,19 @@ def paranormal_pair_normality(t: StructuredOperator, tol: float = 1e-8,
     For a symbol c z^k, N(T) and N(T*) lie in C^n, n the largest window of
     T, T*T and TT*, or (c = 0) agree past it, so ``_null_projection``
     compares them exactly.  Any other symbol is not AN, and its
-    ``null_spaces_equal`` is None.  ``trunc`` is ignored.
+    ``null_spaces_equal`` is None.  tol is 1e-8; ``trunc`` is ignored.
     """
-    p1 = check_paranormal(t, tol=max(tol, 1e-10)).verdict
-    p2 = check_paranormal(t.adjoint(), tol=max(tol, 1e-10)).verdict
+    p1 = check_paranormal(t, tol=1e-8).verdict
+    p2 = check_paranormal(t.adjoint(), tol=1e-8).verdict
     an = check_an(t).verdict
     premises = all(v is Verdict.YES for v in (p1, p2, an))
     null_equal = None
     if np.count_nonzero(t.tails) <= 1:
         n = max(1, len(t.window), len(gram(t).window), len(gram(t.adjoint()).window))
         gap = _null_projection(t, n) - _null_projection(t.adjoint(), n)
-        null_equal = bool(np.linalg.norm(gap, 2) <= max(tol, 1e-8))
+        null_equal = bool(np.linalg.norm(gap, 2) <= 1e-8)
     variant = (p1 is Verdict.YES) and (an is Verdict.YES) and bool(null_equal)
-    normal = check_normal(t, tol).verdict if premises or variant else None
+    normal = check_normal(t).verdict if premises or variant else None
     holds = normal is Verdict.YES
     return PairNormalityRecord(p1, p2, an, premises, normal if premises else None,
                                holds if premises else None, null_equal, variant,
@@ -460,28 +474,26 @@ class ClassificationReport:
                                         self.is_AN, self.is_AM_normal)
 
 
-def classify(t: StructuredOperator,
-             tol_normal: float = 1e-8, tol_hyponormal: float = 1e-10,
-             tol_paranormal: float = 1e-10, tol_an: float = 1e-8) -> ClassificationReport:
+def classify(t: StructuredOperator, tol_an: float = 1e-8) -> ClassificationReport:
     """Run every membership test, reusing implications to stay consistent."""
     witnesses = []
 
-    sa = check_selfadjoint(t, max(tol_normal, 1e-10))
+    sa = check_selfadjoint(t, 1e-8)
     witnesses.append(("self_adjoint", sa.witness))
 
-    nr = check_normal(t, tol_normal)
+    nr = check_normal(t)
     witnesses.append(("normal", nr.witness))
 
     if nr.verdict is Verdict.YES:
         hy = CheckResult(Verdict.YES, {"implied_by": "normal"})
     else:
-        hy = check_hyponormal(t, tol_hyponormal)
+        hy = check_hyponormal(t)
     witnesses.append(("hyponormal", hy.witness))
 
     if hy.verdict is Verdict.YES:
         pa = CheckResult(Verdict.YES, {"implied_by": "hyponormal"})
     else:
-        pa = check_paranormal(t, tol=tol_paranormal)
+        pa = check_paranormal(t)
     witnesses.append(("paranormal", pa.witness))
 
     an = check_an(t, tol_an)
@@ -500,8 +512,7 @@ def classify(t: StructuredOperator,
         sa.verdict, nr.verdict, hy.verdict, pa.verdict, an.verdict, am_verdict,
         an.alpha if an.verdict is Verdict.YES else None,
         tuple(witnesses),
-        {"normal": tol_normal, "hyponormal": tol_hyponormal,
-         "paranormal": tol_paranormal, "an": tol_an})
+        {"normal": 1e-8, "hyponormal": 1e-10, "paranormal": 1e-10, "an": tol_an})
 
 
 def spectral_summary(t: StructuredOperator, samples: int = 1024,
@@ -535,9 +546,7 @@ def spectral_summary(t: StructuredOperator, samples: int = 1024,
 def discrete_singular_levels(t: StructuredOperator, tol: float = 1e-8):
     """Moduli levels of |T| strictly below the essential level, via T*T
     (keyed in its memo as ``min_modulus`` keys it)."""
-    g = gram(t)
-    level = symbol_min_modulus_signed(symbol(g))
-    report = discrete_eigs_below(g, bound=level, tol=tol)
+    report = _gram_levels_below(t, tol)[2]
     levels = tuple((float(np.sqrt(max(0.0, np.real(v)))), m)
                    for v, m in report.eigenvalues)
     return levels, report.stabilized

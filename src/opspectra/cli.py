@@ -2,8 +2,8 @@
 
 Exit codes: 0 on clean completion, 2 when any verdict is undetermined,
 1 on errors (including usage errors).  Structured output is a single
-self-describing JSON document per run carrying every parameter, so each
-verdict is reproducible.  It is encoded once, compact on one line (an
+self-describing JSON document per run carrying every parameter it read, so
+each verdict is reproducible.  It is encoded once, compact on one line (an
 ``indent`` would bypass the C encoder); the --out file of classify and
 decompose receives the same text.
 """
@@ -152,6 +152,7 @@ def _area_note(summary: SpectralSummary) -> str:
 # -- commands ------------------------------------------------------------------
 
 def _collect_params(args, spec) -> dict:
+    """The values of the command's own flags: flag, else spec, else default."""
     params = dict(spec.params)
     for key in ("trunc", "tol", "samples", "resolution"):
         value = getattr(args, key, None)
@@ -160,7 +161,7 @@ def _collect_params(args, spec) -> dict:
     params.setdefault("tol", 1e-8)
     params.setdefault("samples", 1024)
     params.setdefault("resolution", 512)
-    return params
+    return {key: value for key, value in params.items() if key in args}
 
 
 def cmd_classify(args) -> int:
@@ -168,8 +169,7 @@ def cmd_classify(args) -> int:
     spec = resolve_spec(args.spec)
     params = _collect_params(args, spec)
     report = classify(spec.operator, tol_an=params["tol"])
-    summary = spectral_summary(spec.operator, samples=params["samples"],
-                               resolution=params["resolution"], tol=params["tol"])
+    summary = spectral_summary(spec.operator, **params)
     if args.format == "structured" or args.out:
         text = json.dumps(report_document(
             params | {"spec": spec.name}, started,
@@ -206,8 +206,7 @@ def cmd_spectrum(args) -> int:
     started = datetime.datetime.now(datetime.timezone.utc)
     spec = resolve_spec(args.spec)
     params = _collect_params(args, spec)
-    summary = spectral_summary(spec.operator, samples=params["samples"],
-                               resolution=params["resolution"], tol=params["tol"])
+    summary = spectral_summary(spec.operator, **params)
     levels, stabilized = discrete_singular_levels(spec.operator,
                                                   tol=params["tol"])
     csv_path = args.out or f"{spec.name}_curve.csv"
@@ -313,18 +312,18 @@ def build_parser() -> _Parser:
                             + ", ".join(BUNDLED))
         p.add_argument("--tol", type=float, default=None,
                        help="tolerance override")
-        p.add_argument("--samples", type=int, default=None,
-                       help="circle sample count")
-        p.add_argument("--resolution", type=int, default=None,
-                       help="area raster resolution")
         p.add_argument("--format", choices=("text", "structured"),
                        default="text")
         p.add_argument("--out", default=None,
                        help="write the structured document (or curve CSV for "
                             "the spectrum command) to this path")
 
-    common(sub.add_parser("classify", help="run every membership test"))
-    common(sub.add_parser("spectrum", help="emit curve CSV and spectral data"))
+    for name, text in (("classify", "run every membership test"),
+                       ("spectrum", "emit curve CSV and spectral data")):
+        p = sub.add_parser(name, help=text)
+        common(p)
+        p.add_argument("--samples", type=int, help="circle sample count")
+        p.add_argument("--resolution", type=int, help="area raster resolution")
     decompose = sub.add_parser("decompose", help="build and verify the block form")
     common(decompose)
     decompose.add_argument("--trunc", type=int, default=None,

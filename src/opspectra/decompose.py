@@ -132,7 +132,7 @@ def structure_decompose(t: StructuredOperator, n: int | None = None,
     if m:
         # past the window T*T is level2 * I (its symbol is constant)
         gc = p.window - level2 * np.eye(m)
-        es = hermitian_eig(0.5 * (gc + gc.conj().T), tol=1e-8)
+        es = hermitian_eig(0.5 * (gc + gc.conj().T))
         gamma, vecs = es.values, es.vectors
 
     def grouped(idx, descending):
@@ -272,19 +272,18 @@ class BlockNormalityRecord:
     cross_check: Verdict | None
 
 
-def normality_from_blocks(dec: BlockDecomposition, tol: float = 1e-8,
+def normality_from_blocks(dec: BlockDecomposition,
                           operator: StructuredOperator | None = None) -> BlockNormalityRecord:
     """Normal iff the isometry S1 is unitary, iff its co-rank
     dim ker S1* = -index(S1) = winding(a / alpha, 0) is 0.
 
     ``isometry_defect`` is the largest entry of S1*S1 - I; the verdict is
-    "yes" when the co-rank is 0 and that defect is within tol.
+    "yes" when the co-rank is 0 and that defect is within 1e-8.
     """
-    cross = check_normal(operator, max(tol, 1e-8)).verdict if operator is not None else None
+    cross = check_normal(operator).verdict if operator is not None else None
     defect = (gram(dec.S1) - identity()).magnitude()
     corank = winding(symbol(dec.S1), 0.0)
-    verdict = Verdict.YES if corank == 0 and defect <= max(tol, 1e-8) \
-        else Verdict.NO
+    verdict = Verdict.YES if corank == 0 and defect <= 1e-8 else Verdict.NO
     return BlockNormalityRecord(verdict, defect, corank, cross)
 
 
@@ -295,13 +294,13 @@ class InclusionRecord:
     all_inside: bool
 
 
-def spectrum_inclusion_check(t: StructuredOperator, dec: BlockDecomposition,
-                             tol: float = 1e-6) -> InclusionRecord:
+def spectrum_inclusion_check(t: StructuredOperator,
+                             dec: BlockDecomposition) -> InclusionRecord:
     """The finite spectra the triangular form allows: lambda_i eig(U_i) on
     the circle of radius lambda_i, and eig(S2) in the closed alpha-disc,
-    each within tol max(1, magnitude of T).  The spectrum of alpha S1 lies
+    each within 1e-6 max(1, magnitude of T).  The spectrum of alpha S1 lies
     in that disc because S1 is an isometry."""
-    slack = tol * max(1.0, t.magnitude())
+    slack = 1e-6 * max(1.0, t.magnitude())
     violators = [complex(v) for blk in dec.h0_blocks
                  for v in blk.level * np.linalg.eigvals(blk.unitary)
                  if abs(abs(v) - blk.level) > slack]

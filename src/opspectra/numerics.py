@@ -50,7 +50,7 @@ class DiscreteEigenReport:
     near_boundary: int = 0
 
 
-def hermitian_eig(matrix, tol: float = 1e-8) -> EigenSystem:
+def hermitian_eig(matrix) -> EigenSystem:
     """Full spectrum of a dense Hermitian matrix (accuracy contract only)."""
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -68,8 +68,8 @@ def hermitian_eig(matrix, tol: float = 1e-8) -> EigenSystem:
     norm2 = float(np.max(np.abs(values))) if n else 0.0
     raw = float(np.max(np.linalg.norm(m @ vectors - vectors * values, axis=0)))
     residual = raw / norm2 if norm2 > 0 else 0.0
-    if residual > tol:
-        raise ConvergenceFailure(f"residual {residual:.3e} exceeds tol {tol:.3e}")
+    if residual > 1e-8:
+        raise ConvergenceFailure(f"residual {residual:.3e} exceeds 1e-8")
     return EigenSystem(values, vectors, residual)
 
 
@@ -415,31 +415,34 @@ def symbol_min_modulus_signed(sym) -> float:
     return float(np.min(sym.evaluate(critical).real))
 
 
-def operator_norm(t: StructuredOperator, tol: float = 1e-8) -> float:
+def operator_norm(t: StructuredOperator) -> float:
     """Operator norm: sqrt of the top of T*T, the larger of max |a|^2 and
     the lowest eigenvalue of -T*T below its essential level less
-    tol max(1, max |a|^2).  The value is kept in t's memo under tol; raises
+    1e-8 max(1, max |a|^2).  The value is kept in t's memo; raises
     NotStabilized where the roots of the symbol do not split."""
-    return memoized(t, ("operator_norm", tol), lambda: _operator_norm(t, tol))
+    def compute():
+        negated = gram(t).scaled(-1.0)
+        level = symbol_min_modulus_signed(symbol(negated))
+        top, ok = _eigs_below(negated, level - 1e-8 * max(1.0, abs(level)), first=1)
+        if not ok:
+            raise NotStabilized("the roots of the symbol of T*T did not split "
+                                "above its essential level")
+        return float(np.sqrt(max(0.0, -level, *-top)))
+    return memoized(t, "operator_norm", compute)
 
 
-def _operator_norm(t, tol) -> float:
-    negated = gram(t).scaled(-1.0)
-    level = symbol_min_modulus_signed(symbol(negated))
-    top, ok = _eigs_below(negated, level - tol * max(1.0, abs(level)), first=1)
-    if not ok:
-        raise NotStabilized("the roots of the symbol of T*T did not split "
-                            "above its essential level")
-    return float(np.sqrt(max(0.0, -level, *-top)))
+def _gram_levels_below(t: StructuredOperator, tol: float):
+    """(T*T, its essential level, ``discrete_eigs_below`` of T*T there)."""
+    g = gram(t)
+    level = symbol_min_modulus_signed(symbol(g))
+    return g, level, discrete_eigs_below(g, level, tol)
 
 
-def min_modulus(t: StructuredOperator, tol: float = 1e-8) -> float:
+def min_modulus(t: StructuredOperator) -> float:
     """Minimum modulus m(T): sqrt of the bottom of spectrum(T*T), read as 0
     when that bottom is at most ROUNDING_MULTIPLE * eps * max(1, magnitude
     of T*T)."""
-    g = gram(t)
-    ess = symbol_min_modulus_signed(symbol(g))
-    report = discrete_eigs_below(g, ess, tol=tol)
+    g, ess, report = _gram_levels_below(t, 1e-8)
     if not report.stabilized:
         raise NotStabilized("the roots of the symbol of T*T did not split "
                             "below its essential level")

@@ -74,6 +74,9 @@ def parse_spec_text(text: str, source: str = "<string>") -> OperatorSpec:
     name = doc.get("name")
     if not isinstance(name, str) or not name:
         raise ParseError(f"{source}: 'name' must be a non-empty string")
+    # spectrum writes <name>_curve.csv into the working directory
+    if "/" in name or "\\" in name or not name.isprintable():
+        raise ValidationError(f"{source}: 'name' {name!r} is not a safe file name")
 
     bands = {}
     for i, entry in enumerate(doc.get("bands", [])):

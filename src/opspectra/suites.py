@@ -12,7 +12,7 @@ import math
 import numpy as np
 from scipy.linalg import eig_banded
 
-from .classify import (Verdict, check_am_normal, check_an,
+from .classify import (Verdict, _points_match, check_am_normal, check_an,
                        check_an_normal_equivalence, check_hyponormal,
                        check_normal, classify, paranormal_pair_normality,
                        putnam_check, spectral_summary, weyl_normality_criterion)
@@ -48,10 +48,10 @@ def random_diagonal(rng, max_prefix: int = 8) -> StructuredOperator:
     return diagonal(tuple(prefix), tail)
 
 
-def random_weighted_shift(rng, max_prefix: int = 6) -> StructuredOperator:
+def random_weighted_shift(rng) -> StructuredOperator:
     """Weighted shift with nondecreasing nonnegative weights (hyponormal)."""
     tail = rng.uniform(0.5, 2.0)
-    k = int(rng.integers(0, max_prefix + 1))
+    k = int(rng.integers(0, 7))
     weights = np.sort(rng.uniform(0.0, tail, size=k))
     return weighted_shift(tuple(weights), tail)
 
@@ -69,11 +69,11 @@ def random_hyponormal(rng) -> StructuredOperator:
     return random_diagonal(rng, max_prefix=4)
 
 
-def random_finite_rank(rng, max_rank: int = 3, support: int = 5) -> StructuredOperator:
+def random_finite_rank(rng) -> StructuredOperator:
     terms = []
-    for _ in range(rng.integers(1, max_rank + 1)):
-        n1 = int(rng.integers(1, support + 1))
-        n2 = int(rng.integers(1, support + 1))
+    for _ in range(rng.integers(1, 4)):
+        n1 = int(rng.integers(1, 6))
+        n2 = int(rng.integers(1, 6))
         terms.append((tuple(_complex(rng) for _ in range(n1)),
                       tuple(_complex(rng) for _ in range(n2))))
     return StructuredOperator({}, tuple(terms))
@@ -142,12 +142,12 @@ def random_toeplitz_corner(rng) -> StructuredOperator:
 
 # -- exact oracle for diagonal operators --------------------------------------
 
-def diagonal_oracle(t: StructuredOperator, tol: float = 1e-8):
+def diagonal_oracle(t: StructuredOperator):
     """Brute-force classification of a purely diagonal operator.
 
     The spectrum is the prefix values plus the tail; the essential spectrum is
     the tail alone, so membership reduces to counting prefix moduli on either
-    side of |tail|.
+    side of |tail| (farther than 1e-8 from it).
     """
     if set(t.bands) - {0} or t.rank_terms:
         raise ValueError("oracle only covers purely diagonal operators")
@@ -155,8 +155,8 @@ def diagonal_oracle(t: StructuredOperator, tol: float = 1e-8):
     prefix = desc.prefix if desc else ()
     tail = desc.tail if desc else 0j
     alpha = abs(tail)
-    interior = [p for p in prefix if abs(p) < alpha - tol]
-    annulus = [p for p in prefix if abs(p) > alpha + tol]
+    interior = [p for p in prefix if abs(p) < alpha - 1e-8]
+    annulus = [p for p in prefix if abs(p) > alpha + 1e-8]
     return {
         "alpha": alpha,
         "an": "yes",          # finitely many prefix values below the tail level
@@ -164,16 +164,6 @@ def diagonal_oracle(t: StructuredOperator, tol: float = 1e-8):
         "interior": sorted(interior, key=lambda z: (z.real, z.imag)),
         "annulus": sorted(annulus, key=lambda z: (z.real, z.imag)),
     }
-
-
-def _points_match(points, expected, tol=1e-7):
-    values = []
-    for center, mult in points:
-        values.extend([complex(center)] * int(mult))
-    values.sort(key=lambda z: (z.real, z.imag))
-    expected = sorted(expected, key=lambda z: (z.real, z.imag))
-    return (len(values) == len(expected)
-            and all(abs(a - b) <= tol for a, b in zip(values, expected)))
 
 
 # -- suites -------------------------------------------------------------------
@@ -274,11 +264,11 @@ def suite_diagonal_oracle(seed: int = 0, count: int = 500):
             ok, detail = False, f"an={an.verdict} alpha={an.alpha}"
         eq = check_an_normal_equivalence(op)
         if not (eq.applicable and eq.agree and eq.an.value == oracle["an"]
-                and _points_match(eq.interior_points, oracle["interior"])):
+                and _points_match(eq.interior_points, oracle["interior"], 1e-7)):
             ok, detail = False, detail + f" equivalence={eq}"
         am = check_am_normal(op)
         if not (am.applicable and am.verdict.value == oracle["am"]
-                and _points_match(am.annulus_points, oracle["annulus"])):
+                and _points_match(am.annulus_points, oracle["annulus"], 1e-7)):
             ok, detail = False, detail + f" am={am.verdict}"
         if not ok:
             failures += 1
@@ -288,9 +278,8 @@ def suite_diagonal_oracle(seed: int = 0, count: int = 500):
     return results
 
 
-def suite_index_crossval(seed: int = 0, symbols_count: int = 20,
-                         points_per_symbol: int = 5, n: int = 512):
-    """Winding-based index equals truncation null-space counting."""
+def suite_index_crossval(seed: int = 0, symbols_count: int = 20, n: int = 512):
+    """Winding-based index equals truncation null-space counting (5 points a symbol)."""
     rng = np.random.default_rng(seed)
     results = []
     shift = right_shift()
@@ -308,7 +297,7 @@ def suite_index_crossval(seed: int = 0, symbols_count: int = 20,
         scale = max(1.0, float(np.max(np.abs(pts))))
         found = 0
         attempts = 0
-        while found < points_per_symbol and attempts < 400:
+        while found < 5 and attempts < 400:
             attempts += 1
             lam = complex(rng.uniform(-1.6, 1.6), rng.uniform(-1.6, 1.6)) * scale
             if float(np.min(np.abs(pts - lam))) < 0.25 * scale:

@@ -255,13 +255,12 @@ def _all_above(band: np.ndarray, level: float) -> bool:
     return True
 
 
-def kernel_count_by_truncation(t: StructuredOperator, n: int = 512,
-                               rel_threshold: float = 1e-6) -> int:
+def kernel_count_by_truncation(t: StructuredOperator, n: int = 512) -> int:
     """Numerical dim N(T) from the tall rectangular section.
 
     The (n + bandwidth) x n section captures every row that the first n
     columns can touch, so its near-kernel counts decaying kernel vectors:
-    the singular values s <= rel_threshold * max(1, s_max).  Its Gram
+    the singular values s <= 1e-6 max(1, s_max).  Its Gram
     matrix is exactly the leading n x n corner of T*T, so the squares mu
     of those singular values are counted in its lower band storage: a
     banded Cholesky factorization shows when none lies at or below the
@@ -273,7 +272,7 @@ def kernel_count_by_truncation(t: StructuredOperator, n: int = 512,
                      select_range=(n - 1, n - 1))[0]
     if top <= 0:
         return n
-    level = (rel_threshold * max(1.0, math.sqrt(top))) ** 2
+    level = (1e-6 * max(1.0, math.sqrt(top))) ** 2
     if _all_above(band, level):
         return 0
     return len(eig_banded(band, lower=True, eigvals_only=True, select="v",
@@ -337,8 +336,8 @@ class EssentialCurve:
         return cls(theta, s.evaluate(np.exp(1j * theta)), modulus_constant(s))
 
 
-def essential_spectrum(t: StructuredOperator, samples: int = CIRCLE_SAMPLES) -> EssentialCurve:
-    return EssentialCurve.sampled(symbol(t), samples)
+def essential_spectrum(t: StructuredOperator) -> EssentialCurve:
+    return EssentialCurve.sampled(symbol(t))
 
 
 def _refined_extremum(s: LaurentSymbol, want_max: bool) -> float:
@@ -634,12 +633,11 @@ def _zero_winding_region(s: LaurentSymbol, raster: _WindingRaster,
     return loops, contains
 
 
-def winding_regions(s: LaurentSymbol, resolution: int = 512,
-                    max_curve_samples: int = 2 ** 20) -> AreaEstimate:
+def winding_regions(s: LaurentSymbol, resolution: int = 512) -> AreaEstimate:
     """Components of the complement of the curve a(T) with their windings,
     and the raster area of {winding != 0} together with the curve; see
     ``_winding_raster``."""
-    return _winding_raster(s, resolution, max_curve_samples).estimate
+    return _winding_raster(s, resolution).estimate
 
 
 def _monomial_regions(s: LaurentSymbol, resolution: int = 512) -> AreaEstimate | None:

@@ -263,6 +263,23 @@ def test_equivalence_on_diagonal():
     np.testing.assert_allclose(points, [-0.5, 0.5j], atol=1e-9)
 
 
+def test_equivalence_circles_count_points_of_equal_modulus():
+    # 0.5 and -0.5 are one level of T*T, of multiplicity 2
+    rec = check_an_normal_equivalence(diagonal((0.5, -0.5, 0.3j), 1.0))
+    assert (rec.an, rec.spectral, rec.circles) == (Verdict.YES,) * 3
+    assert rec.agree
+
+
+def test_equivalence_circles_see_a_missing_interior_point(monkeypatch):
+    clusters = classify_module._region_clusters
+    monkeypatch.setattr(classify_module, "_region_clusters",
+                        lambda *a: (clusters(*a)[0][1:], True))
+    rec = check_an_normal_equivalence(diagonal((0.5, -0.5, 0.3j), 1.0))
+    assert (rec.an, rec.spectral, rec.circles) == (Verdict.YES, Verdict.YES,
+                                                   Verdict.NO)
+    assert not rec.agree
+
+
 def test_equivalence_on_identity():
     rec = check_an_normal_equivalence(identity())
     assert rec.applicable and rec.agree and rec.interior_points == ()

@@ -139,7 +139,7 @@ def test_derived_values_are_computed_once_per_operator():
     assert t.adjoint() is t.adjoint()
     assert gram(t) is gram(t)
     assert self_commutator(t) is self_commutator(t)
-    assert operator_norm(t) == t._derived[("operator_norm", 1e-8)]
+    assert operator_norm(t) == t._derived["operator_norm"]
     g = gram(t)
     bound = symbol_min_modulus_signed(symbol(g))
     assert discrete_eigs_below(g, bound) is discrete_eigs_below(g, bound)

@@ -292,6 +292,42 @@ def test_only_verify_suite_takes_a_seed(capsys):
     assert "seed" not in params
 
 
+def test_decompose_takes_no_samples_or_resolution(capsys):
+    for flag in ("--samples", "--resolution"):
+        assert main(["decompose", "right_shift", flag, "256"]) == 1
+        assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, keys", [
+    ("classify", {"tol", "samples", "resolution", "spec"}),
+    ("spectrum", {"tol", "samples", "resolution", "spec", "curve_csv"}),
+    ("decompose", {"trunc", "tol", "spec"})])
+def test_provenance_holds_the_parameters_the_command_reads(command, keys, capsys,
+                                                           tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "shift.json"
+    path.write_text(json.dumps({"name": "shift", "params": {"trunc": 96},
+                                "bands": [{"offset": 1, "tail": [1, 0]}]}))
+    flags = [] if command == "decompose" else CLI_SMALL
+    assert main([command, str(path), "--format", "structured"] + flags) == 0
+    params = json.loads(capsys.readouterr().out)["provenance"]["parameters"]
+    assert set(params) == keys
+
+
+@pytest.mark.parametrize("name", ["sub/x", "sub\\x", "x\u0000y"])
+def test_spec_name_naming_another_path_is_refused(name, capsys, tmp_path,
+                                                  monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    text = json.dumps({"name": name, "bands": [{"offset": 1, "tail": [1, 0]}]})
+    with pytest.raises(ValidationError):
+        parse_spec_text(text)
+    (tmp_path / "spec.json").write_text(text)
+    assert main(["spectrum", "spec.json"]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["spec.json", "sub"]
+
+
 def test_cli_undetermined_maps_to_exit_two(capsys, monkeypatch):
     undetermined = ClassificationReport(
         Verdict.YES, Verdict.YES, Verdict.YES, Verdict.UNDETERMINED,
@@ -358,7 +394,7 @@ CLI_SMALL = ["--resolution", "128", "--samples", "256"]
 
 
 def small(command):
-    return CLI_SMALL + (["--trunc", "64"] if command == "decompose" else [])
+    return ["--trunc", "64"] if command == "decompose" else CLI_SMALL
 
 
 @pytest.mark.parametrize("command", ["classify", "spectrum", "decompose"])
