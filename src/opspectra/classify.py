@@ -273,8 +273,8 @@ def check_an_normal_equivalence(t: StructuredOperator) -> EquivalenceRecord:
     else:
         interior, stable = _region_clusters(t, lambda z: abs(z) < alpha - tol)
         spectral = Verdict.YES if stable else Verdict.UNDETERMINED
-        radii = cluster_values([abs(c) for c, _ in interior], 100.0 * tol) \
-            if stable else ()
+        radii = cluster_values([abs(c) for c, m in interior for _ in range(m)],
+                               100.0 * tol) if stable else ()
         top = min(alpha - tol, math.sqrt(max(0.0, alpha * alpha - tol)))
         roots = [r for v, m in an.witness.get("eigenvalues_below", ())
                  for r in [math.sqrt(max(0.0, v))] * m if r < top]

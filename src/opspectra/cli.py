@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import inspect
 import json
 import sys
 
@@ -151,23 +152,29 @@ def _area_note(summary: SpectralSummary) -> str:
 
 # -- commands ------------------------------------------------------------------
 
-def _collect_params(args, spec) -> dict:
-    """The values of the command's own flags: flag, else spec, else default."""
+# The flags' defaults are those of the functions that read them.
+_SUMMARY_SIGNATURE = inspect.signature(spectral_summary).parameters
+_DECOMPOSE_SIGNATURE = inspect.signature(structure_decompose).parameters
+
+
+def _collect_params(args, spec, signature) -> dict:
+    """The values of the command's own flags: flag, else spec, else the
+    default in ``signature`` (``trunc`` has none and shows only when set)."""
     params = dict(spec.params)
     for key in ("trunc", "tol", "samples", "resolution"):
         value = getattr(args, key, None)
         if value is not None:
             params[key] = value
-    params.setdefault("tol", 1e-8)
-    params.setdefault("samples", 1024)
-    params.setdefault("resolution", 512)
+    for key in ("tol", "samples", "resolution"):
+        if key in args:
+            params.setdefault(key, signature[key].default)
     return {key: value for key, value in params.items() if key in args}
 
 
 def cmd_classify(args) -> int:
     started = datetime.datetime.now(datetime.timezone.utc)
     spec = resolve_spec(args.spec)
-    params = _collect_params(args, spec)
+    params = _collect_params(args, spec, _SUMMARY_SIGNATURE)
     report = classify(spec.operator, tol_an=params["tol"])
     summary = spectral_summary(spec.operator, **params)
     if args.format == "structured" or args.out:
@@ -205,7 +212,7 @@ def cmd_classify(args) -> int:
 def cmd_spectrum(args) -> int:
     started = datetime.datetime.now(datetime.timezone.utc)
     spec = resolve_spec(args.spec)
-    params = _collect_params(args, spec)
+    params = _collect_params(args, spec, _SUMMARY_SIGNATURE)
     summary = spectral_summary(spec.operator, **params)
     levels, stabilized = discrete_singular_levels(spec.operator,
                                                   tol=params["tol"])
@@ -243,7 +250,7 @@ def cmd_spectrum(args) -> int:
 def cmd_decompose(args) -> int:
     started = datetime.datetime.now(datetime.timezone.utc)
     spec = resolve_spec(args.spec)
-    params = _collect_params(args, spec)
+    params = _collect_params(args, spec, _DECOMPOSE_SIGNATURE)
     n = params.get("trunc")
     dec = structure_decompose(spec.operator, n=n, tol=params["tol"])
     record = verify_decomposition(dec, spec.operator, n=n,

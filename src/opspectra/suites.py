@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import eig_banded
 
 from .classify import (Verdict, _points_match, check_am_normal, check_an,
                        check_an_normal_equivalence, check_hyponormal,
@@ -24,7 +23,7 @@ from .decompose import (normality_from_blocks, structure_decompose,
 from .numerics import discrete_eigs_below, symbol_min_modulus_signed
 from .specfiles import BUNDLED, load_bundled
 from .symbols import (_curve_distance, fredholm_index, index_by_truncation,
-                      symbol, winding, winding_regions)
+                      linalg, symbol, winding, winding_regions)
 
 
 def _complex(rng, scale=1.0):
@@ -278,8 +277,14 @@ def suite_diagonal_oracle(seed: int = 0, count: int = 500):
     return results
 
 
+_INDEX_DRAWS = 400
+
+
 def suite_index_crossval(seed: int = 0, symbols_count: int = 20, n: int = 512):
-    """Winding-based index equals truncation null-space counting (5 points a symbol)."""
+    """Winding-based index equals truncation null-space counting.  A random
+    symbol passes when 5 points, drawn in ``_INDEX_DRAWS`` tries at least
+    0.25 scale off its curve, all agree; it gets one record either way, which
+    names the first mismatch or the shortfall when it fails."""
     rng = np.random.default_rng(seed)
     results = []
     shift = right_shift()
@@ -297,7 +302,8 @@ def suite_index_crossval(seed: int = 0, symbols_count: int = 20, n: int = 512):
         scale = max(1.0, float(np.max(np.abs(pts))))
         found = 0
         attempts = 0
-        while found < 5 and attempts < 400:
+        mismatches = []
+        while found < 5 and attempts < _INDEX_DRAWS:
             attempts += 1
             lam = complex(rng.uniform(-1.6, 1.6), rng.uniform(-1.6, 1.6)) * scale
             if float(np.min(np.abs(pts - lam))) < 0.25 * scale:
@@ -306,9 +312,15 @@ def suite_index_crossval(seed: int = 0, symbols_count: int = 20, n: int = 512):
             got = fredholm_index(op, lam)
             oracle = index_by_truncation(op, lam, n)
             if got != oracle:
-                results.append((f"index:random_{i}", False,
-                                f"lam={lam:.3f} winding {got} truncation {oracle}"))
-        results.append((f"index:random_{i}", True, f"{found} points agreed"))
+                mismatches.append(f"lam={lam:.3f} winding {got} truncation {oracle}")
+        if mismatches:
+            ok, detail = False, (f"{len(mismatches)} of {found} points disagree, "
+                                 f"first {mismatches[0]}")
+        elif found < 5:
+            ok, detail = False, f"only {found} points off the curve in {attempts} draws"
+        else:
+            ok, detail = True, f"{found} points agreed"
+        results.append((f"index:random_{i}", ok, detail))
     return results
 
 
@@ -353,8 +365,8 @@ def against_section(g: StructuredOperator):
     ess = symbol_min_modulus_signed(symbol(g))
     report = discrete_eigs_below(g, ess)
     listed = np.array([v.real for v, m in report.eigenvalues for _ in range(m)])
-    section = eig_banded(g.lower_band(2048), lower=True, eigvals_only=True,
-                         select="v", select_range=(-np.inf, ess))
+    section = linalg.eig_banded(g.lower_band(2048), lower=True, eigvals_only=True,
+                                select="v", select_range=(-np.inf, ess))
     settled = listed[listed <= ess - 0.01 * scale]
     rank = np.append(section, np.full(len(settled), np.inf))[:len(settled)]
     unmatched = settled[np.abs(settled - rank) > 1e-8 * scale].tolist()

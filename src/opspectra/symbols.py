@@ -11,12 +11,12 @@ counts.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
-from scipy.linalg import cholesky_banded, eig_banded
 
 from .core import StructuredOperator, constant_diagonal, gram
 from .errors import ConvergenceFailure, EssentialPoint, PointOnCurve
@@ -25,6 +25,26 @@ _TWO_PI = 2.0 * math.pi
 _EPS = float(np.finfo(float).eps)
 _SEGMENT_TOL = 1e-12
 ROOT_RTOL = 8 * _EPS        # root finding drops coefficients this small, relative
+
+
+def _deferred(name: str):
+    """Module ``name``, executed on its first attribute access (the stdlib
+    ``LazyLoader`` recipe), or the module itself when already imported.
+    scipy serves only the winding raster and the banded oracles (truncation
+    counts here, sections in ``suites``), so a run that needs neither never
+    pays for loading it."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+ndimage = _deferred("scipy.ndimage")
+linalg = _deferred("scipy.linalg")
 
 
 @dataclass(frozen=True)
@@ -249,7 +269,7 @@ def _all_above(band: np.ndarray, level: float) -> bool:
     shifted = band.copy()
     shifted[0] -= level
     try:
-        cholesky_banded(shifted, overwrite_ab=True, lower=True)
+        linalg.cholesky_banded(shifted, overwrite_ab=True, lower=True)
     except np.linalg.LinAlgError:
         return False
     return True
@@ -268,15 +288,15 @@ def kernel_count_by_truncation(t: StructuredOperator, n: int = 512) -> int:
     has kernel dimension n.
     """
     band = gram(t).lower_band(n)
-    top = eig_banded(band, lower=True, eigvals_only=True, select="i",
-                     select_range=(n - 1, n - 1))[0]
+    top = linalg.eig_banded(band, lower=True, eigvals_only=True, select="i",
+                            select_range=(n - 1, n - 1))[0]
     if top <= 0:
         return n
     level = (1e-6 * max(1.0, math.sqrt(top))) ** 2
     if _all_above(band, level):
         return 0
-    return len(eig_banded(band, lower=True, eigvals_only=True, select="v",
-                          select_range=(-np.inf, level)))
+    return len(linalg.eig_banded(band, lower=True, eigvals_only=True, select="v",
+                                 select_range=(-np.inf, level)))
 
 
 def index_by_truncation(t: StructuredOperator, lam, n: int = 512) -> int:

@@ -270,6 +270,16 @@ def test_equivalence_circles_count_points_of_equal_modulus():
     assert rec.agree
 
 
+def test_equivalence_radii_count_multiplicity():
+    # one eigenvalue 0.5 of multiplicity 2 and two eigenvalues of modulus 0.5
+    # are two points on the same circle
+    for points in ((0.5, 0.5), (0.5, -0.5)):
+        rec = check_an_normal_equivalence(diagonal(points, 1.0))
+        assert len(rec.radii) == 1, points
+        radius, count = rec.radii[0]
+        assert radius == pytest.approx(0.5, abs=1e-9) and count == 2, points
+
+
 def test_equivalence_circles_see_a_missing_interior_point(monkeypatch):
     clusters = classify_module._region_clusters
     monkeypatch.setattr(classify_module, "_region_clusters",

@@ -1,5 +1,6 @@
 import functools
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -14,6 +15,7 @@ from opspectra import (ParseError, ValidationError, Verdict, right_shift,
                        spectral_summary, weighted_shift)
 from opspectra.cli import _matrix, main, write_curve_csv
 from opspectra.classify import ClassificationReport
+from opspectra.decompose import structure_decompose
 from opspectra.specfiles import (BUNDLED, OperatorSpec, load_bundled,
                                  parse_spec, parse_spec_text, serialize_spec)
 
@@ -312,6 +314,20 @@ def test_provenance_holds_the_parameters_the_command_reads(command, keys, capsys
     assert main([command, str(path), "--format", "structured"] + flags) == 0
     params = json.loads(capsys.readouterr().out)["provenance"]["parameters"]
     assert set(params) == keys
+
+
+@pytest.mark.parametrize("command, computation, keys", [
+    ("classify", spectral_summary, ("tol", "samples", "resolution")),
+    ("spectrum", spectral_summary, ("tol", "samples", "resolution")),
+    ("decompose", structure_decompose, ("tol",))])
+def test_unset_parameters_are_the_defaults_of_the_computation(
+        command, computation, keys, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "right_shift", "--format", "structured"]) == 0
+    params = json.loads(capsys.readouterr().out)["provenance"]["parameters"]
+    signature = inspect.signature(computation).parameters
+    assert {k: v for k, v in params.items() if k not in ("spec", "curve_csv")} \
+        == {key: signature[key].default for key in keys}
 
 
 @pytest.mark.parametrize("name", ["sub/x", "sub\\x", "x\u0000y"])

@@ -497,3 +497,22 @@ def test_fredholm_index_validation_reports_a_disagreement(monkeypatch):
     monkeypatch.setattr(symbols_module, "index_by_truncation", lambda t, lam, n: 0)
     with pytest.raises(ConvergenceFailure):
         fredholm_index(right_shift(), 0j, validate=True, n=64)
+
+
+def test_index_crossval_fails_a_mismatch_once(monkeypatch):
+    monkeypatch.setattr(suites, "index_by_truncation", lambda t, lam, n: 99)
+    records = suites.suite_index_crossval(seed=0, symbols_count=2, n=64)
+    random = [r for r in records if r[0].startswith("index:random_")]
+    assert [name for name, _, _ in random] == ["index:random_0", "index:random_1"]
+    for _, ok, detail in random:
+        assert not ok and detail.startswith("5 of 5 points disagree, first lam=")
+        assert detail.endswith("truncation 99")
+
+
+def test_index_crossval_fails_a_shortfall(monkeypatch):
+    monkeypatch.setattr(suites, "_INDEX_DRAWS", 3)
+    records = suites.suite_index_crossval(seed=0, symbols_count=2, n=64)
+    random = [r for r in records if r[0].startswith("index:random_")]
+    assert len(random) == 2
+    for _, ok, detail in random:
+        assert not ok and detail.startswith("only ") and detail.endswith(" in 3 draws")
