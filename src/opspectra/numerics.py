@@ -94,6 +94,11 @@ def svd_polar(matrix):
     return v, p
 
 
+def frobenius_within(matrix, limit: float) -> bool:
+    """Whether ||matrix||_F >= ||matrix||_2 lies within limit, rounding included."""
+    return float(np.linalg.norm(matrix)) * (1.0 + 1e-8) <= limit
+
+
 def _greedy_clusters(pairs, gap: float) -> list:
     """Greedy clustering of (value, member) pairs in order: a value joins the
     last cluster when within ``gap`` of its running mean; [(mean, members)]."""

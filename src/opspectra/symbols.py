@@ -275,6 +275,16 @@ def _all_above(band: np.ndarray, level: float) -> bool:
     return True
 
 
+def _row_sum_bound(band: np.ndarray) -> float:
+    """Largest row sum of |A|, A Hermitian in lower band storage, rounded
+    up: at least its top eigenvalue (Gershgorin)."""
+    mag = np.abs(band)
+    rows = mag.sum(axis=0)
+    for u in range(1, len(band)):
+        rows[u:] += mag[u, :-u]
+    return float(rows.max()) * (1.0 + 1e-8)
+
+
 def kernel_count_by_truncation(t: StructuredOperator, n: int = 512) -> int:
     """Numerical dim N(T) from the tall rectangular section.
 
@@ -283,18 +293,18 @@ def kernel_count_by_truncation(t: StructuredOperator, n: int = 512) -> int:
     the singular values s <= 1e-6 max(1, s_max).  Its Gram
     matrix is exactly the leading n x n corner of T*T, so the squares mu
     of those singular values are counted in its lower band storage: a
-    banded Cholesky factorization shows when none lies at or below the
-    level, and ``eig_banded`` counts them otherwise.  The zero operator
-    has kernel dimension n.
+    banded Cholesky factorization at the level set by a row-sum bound of
+    mu_max shows when none lies at or below it, and otherwise
+    ``eig_banded`` finds mu_max and counts them (n for the zero operator).
     """
     band = gram(t).lower_band(n)
+    if _all_above(band, (1e-6 * max(1.0, math.sqrt(_row_sum_bound(band)))) ** 2):
+        return 0
     top = linalg.eig_banded(band, lower=True, eigvals_only=True, select="i",
                             select_range=(n - 1, n - 1))[0]
     if top <= 0:
         return n
     level = (1e-6 * max(1.0, math.sqrt(top))) ** 2
-    if _all_above(band, level):
-        return 0
     return len(linalg.eig_banded(band, lower=True, eigvals_only=True, select="v",
                                  select_range=(-np.inf, level)))
 

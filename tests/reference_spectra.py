@@ -6,14 +6,18 @@ predicate, and accepted the clusters when both sizes agreed, and
 ``numerics.discrete_eigs_below`` did the same with banded sections below a
 level.  Those bodies live on here as independent oracles, with the
 starting size and the agreement rule they shared, next to the seed-by-seed
-Newton iteration that ``numerics._schur_newton`` batches.
+Newton iteration that ``numerics._schur_newton`` batches and the kernel
+count that sets its level from the exact top eigenvalue on every call.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.linalg import eig_banded
 
+from opspectra.core import gram
 from opspectra.numerics import (MERGE_FACTOR, TRUNC_CAP, _corner_coupling,
                                 cluster_values)
 from opspectra.symbols import _all_above, _wiener_hopf_block
@@ -98,3 +102,19 @@ def schur_newton_per_seed(t, seed, scale):
         if abs(step) <= 1e-12 * scale:
             return lam
     return None
+
+
+def kernel_count_exact(t, n=512):
+    """``symbols.kernel_count_by_truncation`` before its row-sum
+    certificate: ``eig_banded`` finds the top mu of the n x n corner of T*T
+    first, which sets the level (1e-6 max(1, sqrt(top)))^2."""
+    band = gram(t).lower_band(n)
+    top = eig_banded(band, lower=True, eigvals_only=True, select="i",
+                     select_range=(n - 1, n - 1))[0]
+    if top <= 0:
+        return n
+    level = (1e-6 * max(1.0, math.sqrt(top))) ** 2
+    if _all_above(band, level):
+        return 0
+    return len(eig_banded(band, lower=True, eigvals_only=True, select="v",
+                          select_range=(-np.inf, level)))

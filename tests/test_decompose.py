@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from opspectra import (DimensionMismatch, NotHyponormal,
                        NotNormAttainingClass, TemplateMismatch, Verdict, diagonal, embed_at,
@@ -145,6 +146,34 @@ def test_corrupted_a_block_is_flagged():
     rec = verify_decomposition(bad, t, 64)
     assert not rec.ok
     assert rec.residuals["h2_gram"] == pytest.approx(0.1, rel=0.5)
+
+
+def test_verify_ok_between_the_column_bound_and_the_section_norm(monkeypatch):
+    """A spread rank-one term added to the section lifts its 2-norm well
+    above its largest column norm; at tolerances whose worst residual lies
+    between the two scales, and on either side of them, ``ok`` is the rule
+    max residual <= tol * max(1, ||b||_2)."""
+    import opspectra.decompose as decompose
+    t = defect_shift()
+    dec = structure_decompose(t, n=64)
+    section, seen = decompose._section, []
+
+    def spread(*args):
+        b, d1 = section(*args)
+        seen.append(b + 4.0 / len(b))
+        return seen[-1], d1
+
+    monkeypatch.setattr(decompose, "_section", spread)
+    worst = verify_decomposition(dec, t, 64).max_residual
+    b = seen[-1]
+    low = worst / max(1.0, float(np.linalg.norm(b, 2)))
+    high = worst / max(1.0, float(np.max(np.linalg.norm(b, axis=0))))
+    assert 2.0 * low < high
+    for tol in (0.99 * low, 1.01 * low, np.sqrt(low * high), 0.99 * high, 1.01 * high):
+        rec = verify_decomposition(dec, t, 64, tol=tol)
+        assert rec.ok == all(v <= tol * max(1.0, float(np.linalg.norm(b, 2)))
+                             for v in rec.residuals.values()), tol
+        assert rec.ok == (tol > low), tol
 
 
 def test_requires_hyponormal():
@@ -323,27 +352,83 @@ def test_exact_blocks_match_section_oracle():
 
 
 def _patched_eigenvectors(monkeypatch, change):
-    """Feed ``structure_decompose`` the window's eigensystem after ``change``."""
+    """Feed ``structure_decompose`` the window's eigensystem after ``change``;
+    returns the list that collects the sections E* T E it builds."""
     import opspectra.decompose as decompose
-    eig = decompose.hermitian_eig
+    eig, section, sections = decompose.hermitian_eig, decompose._section, []
     monkeypatch.setattr(decompose, "hermitian_eig",
                         lambda m, **kw: change(eig(m, **kw)))
+
+    def collect(*args):
+        sections.append(section(*args))
+        return sections[-1]
+
+    monkeypatch.setattr(decompose, "_section", collect)
+    return sections
+
+
+def _template_offenders(b, sizes, h1_pos, tol=1e-8):
+    """The 2-norm of every off-template block of the section b above the
+    gate, each block's SVD taken: the check before its Frobenius bounds."""
+    gate = max(tol, 1e-8) * max(1.0, float(np.linalg.norm(b, 2)))
+    starts = np.cumsum([0] + sizes)
+    offenders = {}
+    for i in range(len(sizes)):
+        for j in range(len(sizes)):
+            if i == j or (i >= h1_pos and j > h1_pos):
+                continue
+            norm = float(np.linalg.norm(
+                b[starts[i]:starts[i + 1], starts[j]:starts[j + 1]], 2))
+            if norm > gate:
+                offenders[(i, j)] = norm
+    return offenders
 
 
 def test_decompose_refuses_blocks_off_the_template(monkeypatch):
     # rotating the eigenvectors of levels 2 and 0.5 couples H0 to H2
     rotation = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-    _patched_eigenvectors(monkeypatch, lambda es: dataclasses.replace(
+    sections = _patched_eigenvectors(monkeypatch, lambda es: dataclasses.replace(
         es, vectors=es.vectors @ rotation))
     with pytest.raises(TemplateMismatch) as err:
         structure_decompose(diagonal((2.0, 0.5), 1.0))
     assert set(err.value.block_norms) == {(0, 2), (2, 0)}
+    (b, d1), = sections
+    assert err.value.block_norms == _template_offenders(b, [1, d1, 1], 1)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_template_offenders_are_the_blocks_above_the_gate(monkeypatch, seed):
+    """A near-identity rotation of the window's eigenvectors, its couplings
+    10^-11 to 10^-5 (10^-13 to 10^-12 for seed 4), moves some off-template
+    blocks above the gate and leaves others inside it: exactly the former
+    are reported, each with its 2-norm."""
+    t = diagonal((3.0, 3.0j, 2.0, 0.5, 0.5j, 0.25), 1.0)
+    clean = structure_decompose(t)
+    rng = np.random.default_rng(seed)
+    low, high = (-13, -12) if seed == 4 else (-11, -5)
+    a = rng.normal(size=(6, 6)) * 10.0 ** rng.uniform(low, high, size=(6, 6))
+    rotation = expm(a - a.T)
+    sections = _patched_eigenvectors(monkeypatch, lambda es: dataclasses.replace(
+        es, vectors=es.vectors @ rotation))
+    reported = {}
+    try:
+        structure_decompose(t)
+    except TemplateMismatch as err:
+        reported = err.block_norms
+    (b, d1), = sections
+    sizes = ([blk.dim for blk in clean.h0_blocks] + [d1]
+             + [dim for _, dim in clean.h2_blocks])
+    assert reported == _template_offenders(b, sizes, len(clean.h0_blocks))
+    assert bool(reported) == (seed != 4)
 
 
 def test_decompose_refuses_an_h0_block_that_is_not_a_scaled_unitary(monkeypatch):
     # doubled eigenvalues put the upper level at sqrt(7) instead of 2
-    _patched_eigenvectors(monkeypatch, lambda es: dataclasses.replace(
+    sections = _patched_eigenvectors(monkeypatch, lambda es: dataclasses.replace(
         es, values=2.0 * es.values))
     with pytest.raises(TemplateMismatch) as err:
         structure_decompose(diagonal((2.0, 0.5), 1.0))
     assert set(err.value.block_norms) == {("h0", 0)}
+    u = sections[0][0][:1, :1] / np.sqrt(7.0)
+    np.testing.assert_allclose(err.value.block_norms[("h0", 0)],
+                               np.linalg.norm(u.conj().T @ u - 1.0, 2), rtol=1e-14)

@@ -5,21 +5,31 @@
 sections: a section is a compression, so each of its eigenvalues bounds the
 operator's from above.  The Cholesky positivity certificate is checked
 against ``eigvalsh``, and ``check_paranormal`` against the earlier
-shifted-operator implementation.
+shifted-operator implementation.  The truncation kernel count is checked
+against its exact-top reference, and the certificates that stand in for
+``eig_banded`` and the SVD are guarded by call counts.
 """
+
+import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eig_banded
 
 from opspectra import (StructuredOperator, check_paranormal, constant_diagonal,
-                       diagonal, gram, identity, self_commutator)
+                       diagonal, fredholm_index, gram, identity, right_shift,
+                       self_commutator, structure_decompose)
 from opspectra import suites
+from opspectra import symbols as symbols_module
 from opspectra.classify import Verdict, default_paranormal_grid
+from opspectra.errors import PointOnCurve
 from opspectra.numerics import positivity_verdict, symbol_min_modulus_signed
-from opspectra.symbols import _all_above, symbol
+from opspectra.symbols import (_all_above, _row_sum_bound, kernel_count_by_truncation,
+                               symbol, winding)
+from reference_spectra import kernel_count_exact
 
 
 def _mixed(rng) -> StructuredOperator:
@@ -208,3 +218,93 @@ def test_check_paranormal_matches_per_shift_reference(t):
         if failed_at is not None:
             assert_same_positivity(gram(op @ op) + gram(op).scaled(-2.0 * failed_at)
                                    + constant_diagonal(failed_at ** 2))
+
+
+# -- truncation kernel counts --------------------------------------------------
+
+def _index_point(sym, wound: bool):
+    """A point off the curve a(T): of winding 0 (beyond the disc about a_0
+    that holds the curve), or else of nonzero winding, looked for at a_0 and
+    between a_0 and the curve; None when no such point turns up."""
+    pts = sym.on_circle(64)
+    centre = sym.coeffs.get(0, 0j)
+    if not wound:
+        return centre + 1.0 + 2.0 * float(np.max(np.abs(pts - centre)))
+    for lam in np.concatenate([[centre], 0.5 * (centre + pts), 0.1 * centre + 0.9 * pts]):
+        try:
+            if winding(sym, lam):
+                return complex(lam)
+        except PointOnCurve:
+            continue
+    return None
+
+
+KERNEL_GENERATORS = (suites.random_banded_symbol, suites.random_toeplitz_corner,
+                     suites.random_weighted_shift, suites.random_hyponormal, None)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(KERNEL_GENERATORS), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from((64, 256)), st.booleans())
+def test_kernel_count_certificate_matches_the_exact_top(pool_bases, gen, seed, n, wound):
+    """The row-sum certificate changes no count: T - lam and its adjoint
+    count as with the exact top, and the bound is at least that top.
+    ``None`` draws a pool base."""
+    t = (gen(np.random.default_rng(seed)) if gen is not None
+         else pool_bases[seed % len(pool_bases)])
+    lam = _index_point(symbol(t), wound)
+    assume(lam is not None)
+    shifted = t - constant_diagonal(lam)
+    for side in (shifted, shifted.adjoint()):
+        assert kernel_count_by_truncation(side, n) == kernel_count_exact(side, n)
+        band = gram(side).lower_band(n)
+        top = eig_banded(band, lower=True, eigvals_only=True, select="i",
+                         select_range=(n - 1, n - 1))[0]
+        assert _row_sum_bound(band) >= top * (1.0 - 1e-12)
+
+
+def test_index_validation_calls_eig_banded_only_on_a_side_with_kernel(monkeypatch):
+    linalg, count = symbols_module.linalg, symbols_module.kernel_count_by_truncation
+    calls, sides = [], []
+    monkeypatch.setattr(symbols_module, "linalg", SimpleNamespace(
+        cholesky_banded=linalg.cholesky_banded,
+        eig_banded=lambda *a, **kw: calls.append(kw["select"]) or linalg.eig_banded(*a, **kw)))
+
+    def counted(t, n):
+        before = len(calls)
+        dim = count(t, n)
+        sides.append((dim, len(calls) - before))
+        return dim
+
+    monkeypatch.setattr(symbols_module, "kernel_count_by_truncation", counted)
+    shift = right_shift()
+    # (operator, lam, index, [(dim N, eig_banded calls) for T - lam, then its adjoint])
+    for op, lam, index, want in ((shift, 2.0, 0, [(0, 0), (0, 0)]),
+                                 (shift, 0.3, -1, [(0, 0), (1, 2)]),
+                                 (shift.adjoint(), 0.3j, 1, [(1, 2), (0, 0)]),
+                                 (shift @ shift, 0.0, -2, [(0, 0), (2, 2)])):
+        sides.clear()
+        assert fredholm_index(op, lam, validate=True, n=256) == index
+        assert sides == want
+
+
+def test_structure_decompose_computes_no_block_svd_inside_the_gate(monkeypatch):
+    """On valid draws every off-template block and every H0 unitarity defect
+    lies inside its gate, so the only 2-norm ``structure_decompose`` takes
+    is the gate's own, of the whole section."""
+    norm, taken = np.linalg.norm, []
+
+    def counted(x, ord=None, *args, **kwargs):
+        if ord == 2 and sys._getframe(1).f_code.co_name == "structure_decompose":
+            taken.append(np.shape(x))
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counted)
+    rng = np.random.default_rng(3)
+    with_h0 = 0
+    for _ in range(20):
+        taken.clear()
+        dec = structure_decompose(suites.random_an_hyponormal(rng))
+        with_h0 += bool(dec.h0_blocks)
+        assert len(taken) == 1 and taken[0][0] == taken[0][1] > len(dec.basis)
+    assert with_h0 >= 5
