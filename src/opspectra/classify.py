@@ -22,7 +22,7 @@ from .numerics import (_count_below, _gram_levels_below, cluster_values,
                        discrete_eigs_below, min_modulus, operator_norm,
                        positivity_verdict, schur_eigenvalues)
 from .symbols import (EssentialCurve, SpectralSummary, _curve_distance,
-                      _monomial_regions, _tail_span, _WindingRaster,
+                      _exact_regions, _tail_span, _WindingRaster,
                       _winding_raster, _zero_winding_region, constant_value,
                       modulus_constant, spectral_area, symbol,
                       symbol_min_modulus, winding)
@@ -195,40 +195,56 @@ def _region_clusters(t: StructuredOperator, keep=None, tol: float = 1e-8,
     ((value, multiplicity), ...) selected by ``keep`` (an elementwise
     predicate on an array of values), and whether the list is certified.
 
-    Both paths leave out the eigenvalues within the clearance
+    Every path leaves out the eigenvalues within the clearance
     1e-6 max(1, ||T||) of the curve.  Past m = len(window), T is exactly
     T(a).  When the tails are one-sided (p = 0 or q = 0), T is block
     triangular, so these are the eigenvalues of the window (none for an
     empty window, by Coburn's lemma), listed with their clusters; the list
-    is exact.  Otherwise they are the zeros of the corner's Schur
-    complement inside the region that ``_zero_winding_region`` cuts from
-    the square of half-side 1.05 ||T|| (``numerics.schur_eigenvalues``),
-    with a winding raster of ``REGION_RESOLUTION`` cells a side; that
-    region also leaves out a band at most two cell diagonals wide along the
-    curve, about 0.55 % of the curve's extent.  ``raster`` is the symbol's
-    raster when the caller already has one; it is used only at that
-    resolution.  A raster whose curve did not close gives an empty,
-    uncertified list.
+    is exact.  For a = a_-1 / z + a_0 + a_1 z, lam = a(r) is one at winding
+    0 iff r S(a(r)) = r^2 a_1 (E - I) + r (W - a_0 I) - a_-1 I is singular
+    (W the window, E = e_(m-1) e_(m-1)^T) for the root r of z (a - lam)
+    with |r| < 1 < |a_-1 / (a_1 r)|: a quadratic eigenproblem, solved as
+    the 2m companion matrix of s = 1 / r (Tisseur & Meerbergen 2001); the
+    list is exact and also holds the eigenvalues in the band along the
+    curve that the raster below leaves out.  Otherwise they are the zeros
+    of the corner's Schur complement inside the region that
+    ``_zero_winding_region`` cuts from the square of half-side 1.05 ||T||
+    (``numerics.schur_eigenvalues``), with a winding raster of
+    ``REGION_RESOLUTION`` cells a side; that region also leaves out a band
+    at most two cell diagonals wide along the curve, about 0.55 % of the
+    curve's extent.  ``raster`` is the symbol's raster when the caller
+    already has one; it is used only at that resolution.  A raster whose
+    curve did not close gives an empty, uncertified list.
     """
     sym = symbol(t)
     norm = operator_norm(t)
     clearance = 1e-6 * max(1.0, norm)
-    if not len(t.window) or 0 in _tail_span(t.tails):
+    m = len(t.window)
+    if not m or 0 in _tail_span(t.tails):
         vals = np.linalg.eigvals(t.window)
-        vals = vals[_off_curve(sym, vals, clearance)]
+    elif len(t.tails) == 3:
+        a_m1, a0, a1 = t.tails
+        eye, last = np.eye(m), np.diag(np.arange(m) == m - 1)
+        s = np.linalg.eigvals(np.block([[np.zeros((m, m)), eye],
+                                        [a1 * (last - eye) / a_m1,
+                                         (t.window - a0 * eye) / a_m1]]))
+        s = s[(np.abs(s) > 1.0) & (np.abs(a_m1 * s / a1) > 1.0)]
+        vals = a_m1 * s + a0 + a1 / s
+    else:
+        if raster is None or raster.estimate.resolution != REGION_RESOLUTION:
+            raster = _winding_raster(sym, REGION_RESOLUTION)
+        region = _zero_winding_region(sym, raster, 1.05 * norm, clearance)
+        if region is None:
+            return (), False
+        found, certified = schur_eigenvalues(t, *region, max(1.0, norm))
         if keep is not None:
-            vals = vals[keep(vals)]
-        return cluster_values([complex(v) for v in vals], 100.0 * tol), True
-    if raster is None or raster.estimate.resolution != REGION_RESOLUTION:
-        raster = _winding_raster(sym, REGION_RESOLUTION)
-    region = _zero_winding_region(sym, raster, 1.05 * norm, clearance)
-    if region is None:
-        return (), False
-    found, certified = schur_eigenvalues(t, *region, max(1.0, norm))
+            mask = keep(np.array([v for v, _ in found], dtype=complex))
+            found = tuple(c for c, k in zip(found, mask) if k)
+        return found, certified
+    vals = vals[_off_curve(sym, vals, clearance)]
     if keep is not None:
-        mask = keep(np.array([v for v, _ in found], dtype=complex))
-        found = tuple(c for c, k in zip(found, mask) if k)
-    return found, certified
+        vals = vals[keep(vals)]
+    return cluster_values([complex(v) for v in vals], 100.0 * tol), True
 
 
 def _points_match(points, expected, atol: float) -> bool:
@@ -386,8 +402,8 @@ def weyl_normality_criterion(t: StructuredOperator) -> WeylRecord:
     """If no off-curve point has nonzero index, a hyponormal AN operator must
     be normal; one winding test per bounded complementary component suffices
     because the winding is locally constant off the curve.  The components
-    are ``spectral_area``'s: exact for a monomial symbol, those of a 256
-    raster for any other."""
+    are ``spectral_area``'s: exact for a monomial or bandwidth-1 symbol
+    (no raster is built), those of a 256 raster for any other."""
     if check_hyponormal(t).verdict is not Verdict.YES:
         return WeylRecord(False, reason="not (verifiably) hyponormal")
     if check_an(t).verdict is not Verdict.YES:
@@ -521,13 +537,14 @@ def spectral_summary(t: StructuredOperator, samples: int = 1024,
 
     The isolated eigenvalues are those of ``_region_clusters``, which reads
     the raster that also gives the area when ``resolution`` is
-    ``REGION_RESOLUTION`` and builds its own otherwise.  A monomial symbol
-    has exact regions (``_monomial_regions``) and one-sided tails, so it
-    gets no raster at all.  When their list is not certified, none are
-    listed and ``eigenvalues_stabilized`` is False."""
+    ``REGION_RESOLUTION`` and builds its own otherwise.  A monomial or
+    bandwidth-1 symbol has exact regions (``_exact_regions``), and its
+    eigenvalues come from the window or the 2m pencil, so it gets no raster
+    at all.  When their list is not certified, none are listed and
+    ``eigenvalues_stabilized`` is False."""
     sym = symbol(t)
     curve = EssentialCurve.sampled(sym, samples)
-    exact = _monomial_regions(sym, resolution)
+    exact = _exact_regions(sym, resolution)
     raster = None if exact else _winding_raster(sym, resolution)
     regions = exact or raster.estimate
     norm_upper = operator_norm(t)

@@ -425,7 +425,7 @@ class RegionComponent:
 class AreaEstimate:
     """The area of {winding != 0} together with the curve: a raster
     estimate, or exact with ``error``, ``curve_cells``, ``cell_diagonal``
-    and every component's ``cells`` 0 (segment and monomial curves)."""
+    and every component's ``cells`` 0 (segments, circles and ellipses)."""
 
     value: float
     error: float
@@ -670,21 +670,29 @@ def winding_regions(s: LaurentSymbol, resolution: int = 512) -> AreaEstimate:
     return _winding_raster(s, resolution).estimate
 
 
-def _monomial_regions(s: LaurentSymbol, resolution: int = 512) -> AreaEstimate | None:
-    """The regions of a = c z^k, k != 0, exactly; None for every other symbol.
+def _exact_regions(s: LaurentSymbol, resolution: int = 512) -> AreaEstimate | None:
+    """The regions of a = c z^k (k != 0) and of a non-segment
+    a = a_-1 / z + a_0 + a_1 z exactly; None for every other symbol.
 
-    The curve is the circle |lambda| = |c| traced k times, so the open disc
-    is one component at winding k, the outside is at winding 0, and the area
-    is pi |c|^2 (the circle has measure 0).  Only an exact single term
-    qualifies: a near-circle is left to the raster.  ``resolution`` is only
+    c z^k traces the circle |lambda| = |c| k times: the open disc is one
+    component at winding k and the area is pi |c|^2.  a_-1 / z + a_0 + a_1 z
+    traces an ellipse about a_0 with semi-axes |a_1| + |a_-1| and
+    ||a_1| - |a_-1||, once, so its inside is one component at winding
+    sign(|a_1| - |a_-1|) and the area is pi ||a_1|^2 - |a_-1|^2|.  The
+    outside is at winding 0 and the curve has measure 0.  Only these exact
+    forms qualify: a near-circle is left to the raster, and a segment
+    (|a_1| = |a_-1|) to its exact path there.  ``resolution`` is only
     recorded."""
-    if len(s.coeffs) != 1:
+    if len(s.coeffs) == 1 and 0 not in s.coeffs:
+        (k, c), = s.coeffs.items()
+        area, centre = math.pi * abs(c) ** 2, 0j
+    elif set(s.coeffs) <= {-1, 0, 1} and not s.is_segment():
+        big, small = abs(s.coeffs.get(1, 0j)), abs(s.coeffs.get(-1, 0j))
+        k = 1 if big > small else -1
+        area, centre = math.pi * abs(big ** 2 - small ** 2), s.coeffs.get(0, 0j)
+    else:
         return None
-    (k, c), = s.coeffs.items()
-    if k == 0:
-        return None
-    area = math.pi * abs(c) ** 2
-    return AreaEstimate(area, 0.0, (RegionComponent(k, area, 0j, 0),), 0, 0.0,
+    return AreaEstimate(area, 0.0, (RegionComponent(k, area, centre, 0),), 0, 0.0,
                         resolution)
 
 
@@ -692,11 +700,12 @@ def spectral_area(t: StructuredOperator, resolution: int = 512) -> AreaEstimate:
     """Planar measure of the spectrum's filled-in part.
 
     For hyponormal operators this is the area entering Putnam's inequality;
-    isolated eigenvalues contribute nothing.  Exact for a monomial symbol
-    (``_monomial_regions``) and for a segment curve, a raster otherwise.
+    isolated eigenvalues contribute nothing.  Exact for a monomial symbol, a
+    bandwidth-1 symbol (an ellipse; ``_exact_regions``) and a segment curve,
+    and builds no raster for them; a raster otherwise.
     """
     sym = symbol(t)
-    return _monomial_regions(sym, resolution) or winding_regions(sym, resolution)
+    return _exact_regions(sym, resolution) or winding_regions(sym, resolution)
 
 
 # -- summary container -------------------------------------------------------

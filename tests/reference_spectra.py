@@ -6,8 +6,10 @@ predicate, and accepted the clusters when both sizes agreed, and
 ``numerics.discrete_eigs_below`` did the same with banded sections below a
 level.  Those bodies live on here as independent oracles, with the
 starting size and the agreement rule they shared, next to the seed-by-seed
-Newton iteration that ``numerics._schur_newton`` batches and the kernel
-count that sets its level from the exact top eigenvalue on every call.
+Newton iteration that ``numerics._schur_newton`` batches, the kernel
+count that sets its level from the exact top eigenvalue on every call, and
+the contour engine on the raster region that bandwidth-1 tails took before
+their quadratic pencil.
 """
 
 from __future__ import annotations
@@ -17,10 +19,12 @@ import math
 import numpy as np
 from scipy.linalg import eig_banded
 
+from opspectra.classify import REGION_RESOLUTION
 from opspectra.core import gram
 from opspectra.numerics import (MERGE_FACTOR, TRUNC_CAP, _corner_coupling,
-                                cluster_values)
-from opspectra.symbols import _all_above, _wiener_hopf_block
+                                cluster_values, operator_norm, schur_eigenvalues)
+from opspectra.symbols import (_all_above, _wiener_hopf_block, _winding_raster,
+                               _zero_winding_region, symbol)
 
 
 def _clusters_match(a, b, tol: float) -> bool:
@@ -118,3 +122,16 @@ def kernel_count_exact(t, n=512):
         return 0
     return len(eig_banded(band, lower=True, eigvals_only=True, select="v",
                           select_range=(-np.inf, level)))
+
+
+def region_clusters_by_contour(t):
+    """``classify._region_clusters`` for two-sided tails without ``keep``,
+    as bandwidth-1 tails took it before their pencil: ``schur_eigenvalues``
+    on the region of the ``REGION_RESOLUTION`` raster.  Returns (clusters,
+    certified, the raster's cell diagonal)."""
+    sym, norm = symbol(t), operator_norm(t)
+    raster = _winding_raster(sym, REGION_RESOLUTION)
+    region = _zero_winding_region(sym, raster, 1.05 * norm, 1e-6 * max(1.0, norm))
+    found, certified = ((), False) if region is None else schur_eigenvalues(
+        t, *region, max(1.0, norm))
+    return found, certified, raster.estimate.cell_diagonal

@@ -12,7 +12,7 @@ from opspectra import (NotHyponormal, Verdict, check_am_normal, check_an,
                        right_shift, spectral_area, spectral_summary, toeplitz,
                        weyl_normality_criterion, zero)
 from opspectra import numerics
-from opspectra.classify import default_paranormal_grid
+from opspectra.classify import ANResult, CheckResult, default_paranormal_grid
 from opspectra.core import StructuredOperator
 from opspectra.specfiles import BUNDLED, load_bundled
 from opspectra.suites import (random_an_hyponormal, random_constant_modulus,
@@ -366,8 +366,9 @@ MONOMIAL_SPECS = ("right_shift", "defect_shift", "nilpotent_head_shift",
 
 def test_monomial_symbols_build_no_raster(monkeypatch, pool_bases):
     """c z^k has exact regions: with the raster disabled, every caller of
-    the area and the windings still answers.  A two-sided symbol still
-    builds one raster for both the area and the eigenvalue region."""
+    the area and the windings still answers.  A symbol of bandwidth 2
+    (pool base (2, 8, 0)) still builds one raster for both the area and
+    the eigenvalue region."""
     # import_module, because the package re-exports a function named classify
     classify_module = importlib.import_module("opspectra.classify")
     symbols_module = importlib.import_module("opspectra.symbols")
@@ -391,8 +392,44 @@ def test_monomial_symbols_build_no_raster(monkeypatch, pool_bases):
 
     for module in (symbols_module, classify_module):
         monkeypatch.setattr(module, "_winding_raster", counted)
-    spectral_summary(pool_bases[0])
+    spectral_summary(pool_bases[2])
     assert len(built) == 1
+
+
+def test_bandwidth_one_symbols_build_no_raster_and_run_no_contour(monkeypatch):
+    """For a = a_-1 / z + a_0 + a_1 z beside a corner, the area, the
+    windings and the isolated eigenvalues are exact: no raster is built, no
+    contour engine runs, and no Wiener-Hopf block of a - lam is formed (the
+    Haynsworth counts on T*T, of another symbol, still run).  The
+    hyponormal and AN verdicts are taken as yes, so that
+    ``weyl_normality_criterion`` reaches its regions."""
+    classify_module = importlib.import_module("opspectra.classify")
+    symbols_module = importlib.import_module("opspectra.symbols")
+    t = toeplitz({-1: 0.4 - 0.2j, 0: 0.3, 1: 1.0j}) + from_dense_corner(
+        np.random.default_rng(2).normal(size=(5, 5)))
+    block = numerics._wiener_hopf_block
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a bandwidth-1 symbol must take its exact path")
+
+    def other_symbols_only(tails, lam):
+        if np.array_equal(tails, t.tails):
+            refused()
+        return block(tails, lam)
+
+    for module in (symbols_module, classify_module):
+        monkeypatch.setattr(module, "_winding_raster", refused)
+    monkeypatch.setattr(classify_module, "schur_eigenvalues", refused)
+    monkeypatch.setattr(numerics, "_wiener_hopf_block", other_symbols_only)
+    summary = spectral_summary(t)
+    assert summary.eigenvalues_stabilized and summary.eigenvalues
+    assert summary.area_error == 0.0 and [c.winding for c in summary.weyl_extra] == [1]
+    assert spectral_area(t).error == 0.0
+    yes = CheckResult(Verdict.YES)
+    monkeypatch.setattr(classify_module, "check_hyponormal", lambda op: yes)
+    monkeypatch.setattr(classify_module, "check_an", lambda op: ANResult(Verdict.YES, 1.0))
+    record = weyl_normality_criterion(t)
+    assert record.premises_ok and record.component_windings == (1,)
 
 
 def test_putnam_requires_hyponormal():

@@ -107,8 +107,9 @@ def test_raster_matches_the_distance_transform_version(resolution, pool_bases):
 
 def test_representative_on_the_curve_leaves_the_raster_open(pool_bases, monkeypatch):
     """Where ``winding`` finds a representative on the curve, no cell's
-    winding is known: the raster is not closed and nothing is certified."""
-    t = pool_bases[0]
+    winding is known: the raster is not closed and nothing is certified.
+    Pool base (2, 8, 0): a bandwidth-1 tail would take the pencil."""
+    t = pool_bases[2]
     assert _winding_raster(symbol(t), 512).closed
 
     def on_curve(s, lam):

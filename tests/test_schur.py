@@ -1,8 +1,8 @@
-"""The Schur-complement eigenvalue engine behind ``classify._region_clusters``
-against independent oracles: the dense inverse for the Wiener-Hopf block,
-a quadratic pencil for bandwidth-1 tails, dense sections, the singular
-values of S(lam), the window eigenproblem for one-sided tails, and the
-seed-by-seed Newton iteration for the batched one."""
+"""The eigenvalue paths behind ``classify._region_clusters`` against
+independent oracles: the dense inverse for the Wiener-Hopf block, scipy's
+QZ and the contour engine for the bandwidth-1 pencil, dense sections, the
+singular values of S(lam), the window eigenproblem for one-sided tails, and
+the seed-by-seed Newton iteration for the batched one."""
 
 import math
 import tracemalloc
@@ -23,7 +23,8 @@ from opspectra.symbols import (PointOnCurve, _curve_distance, _geometric_product
                                _tail_span, _wiener_hopf_block, _winding_raster,
                                _zero_winding_region, kernel_count_by_truncation,
                                winding)
-from reference_spectra import region_clusters_by_sections, schur_newton_per_seed
+from reference_spectra import (region_clusters_by_contour, region_clusters_by_sections,
+                               schur_newton_per_seed)
 
 workloads = load_perfbench("workloads")
 tracer = load_perfbench("tracer")
@@ -124,7 +125,9 @@ def test_wiener_hopf_block_drops_outer_tails_below_rounding():
 def test_bandwidth_one_pencil(key):
     """For p = q = 1, lam = a(r) with r the root inside the disc, and
     r S(a(r)) = r^2 a_1 (E - I) + r (W - a_0 I) - a_-1 I, E = e_(m-1) e_(m-1)^T:
-    a quadratic eigenproblem in r, solved by its 2m linearization."""
+    a quadratic eigenproblem in r.  scipy's QZ on its 2m linearization in r
+    gives the values that ``_region_clusters`` lists from the companion
+    matrix in 1 / r, none of them in the band the raster region leaves out."""
     t = workloads.generic_base(*key)
     a_m1, a0, a1 = t.tails
     m = len(t.window)
@@ -143,6 +146,76 @@ def test_bandwidth_one_pencil(key):
     listed = np.array([v for v, _ in found])
     assert certified and len(listed) == len(pencil)
     assert all(np.min(np.abs(pencil - v)) <= 1e-10 * scale for v in listed)
+
+
+def _bandwidth_one_draw(rng, corner=12, ratio=None):
+    """a_-1 / z + a_0 + a_1 z with uniform coefficients, or with |a_-1 / a_1|
+    = 10^U(``ratio``), plus an n x n complex Gaussian head, n < ``corner``."""
+    coeffs = {k: complex(*rng.uniform(-1, 1, 2)) for k in (-1, 0, 1)}
+    if ratio is not None:
+        coeffs[-1] = coeffs[1] * 10 ** rng.uniform(*ratio) * np.exp(2j * np.pi * rng.uniform())
+    n = int(rng.integers(1, corner))
+    head = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) * rng.uniform(0.2, 2)
+    return toeplitz(coeffs) + from_dense_corner(head)
+
+
+def _bandwidth_one_cases():
+    """The 4 bandwidth-1 pool bases, 30 draws with corners 1-11 and 32 with
+    corners 1-40 and |a_-1 / a_1| from 1e-9 to 1e6."""
+    ops = [workloads.generic_base(*key) for key in workloads.GENERIC_POOL if key[0] == 1]
+    rng = np.random.default_rng(11)
+    ops += [_bandwidth_one_draw(rng) for _ in range(30)]
+    rng = np.random.default_rng(12)
+    return ops + [_bandwidth_one_draw(rng, 41, (-9, 6)) for _ in range(32)]
+
+
+def test_bandwidth_one_pencil_against_the_contour_engine():
+    """Every eigenvalue the contour engine lists is in the pencil's
+    certified list to 1e-9 scale; each one more lies within two raster cell
+    diagonals of the curve, in the band the engine's region leaves out, and
+    is a singular point of S to 1e-12 scale (relative to its largest
+    singular value would read 1 for a 1 x 1 S)."""
+    extra_values = 0
+    for t in _bandwidth_one_cases():
+        _, scale = region(t)
+        found, certified = _region_clusters(t)
+        engine, engine_certified, diagonal = region_clusters_by_contour(t)
+        assert certified and engine_certified
+        listed = np.array([v for v, _ in found])
+        for v, _ in engine:
+            assert np.min(np.abs(listed - v)) <= 1e-9 * scale
+        for v in listed:
+            if np.min(np.abs([z for z, _ in engine] - v), initial=np.inf) > 1e-9 * scale:
+                extra_values += 1
+                assert _curve_distance(symbol(t), v) <= 2 * diagonal
+                smin = np.linalg.svd(schur_complement(t, v), compute_uv=False)[-1]
+                assert smin <= 1e-12 * scale
+    assert extra_values >= 1
+
+
+def test_pencil_lists_the_eigenvalue_next_to_the_curve():
+    """The 23rd draw of the 30 has an eigenvalue 0.0022 from its curve,
+    inside the band the raster leaves out: the pencil lists it, the contour
+    engine does not, and dense sections reach it to 3.5e-13 at size 800."""
+    rng = np.random.default_rng(11)
+    for _ in range(22):
+        _bandwidth_one_draw(rng)
+    t = _bandwidth_one_draw(rng)
+    found, certified = _region_clusters(t)
+    (v, k), = found
+    assert certified and k == 1 and abs(v - (-1.3579 + 0.5732j)) <= 1e-4
+    assert 0.002 <= _curve_distance(symbol(t), v) <= 0.0025
+    assert region_clusters_by_contour(t)[:2] == ((), True)
+    assert np.min(np.abs(np.linalg.eigvals(t.truncate(800)) - v)) <= 1e-12
+
+
+def test_pencil_counts_a_jordan_block():
+    """A Jordan block at 3 beside a bandwidth-1 tail is one cluster of
+    multiplicity 2 near 3, certified."""
+    jordan = from_dense_corner([[3, 1], [0, 3]]) + embed_at(toeplitz({-1: 1.0, 1: 0.5}), 2)
+    found, certified = _region_clusters(jordan)
+    (v, k), = found
+    assert certified and k == 2 and abs(v - 3) <= 1e-9
 
 
 def _dense_cases():
@@ -257,7 +330,8 @@ def test_one_sided_and_constant_tails_give_the_window_eigenvalues(t):
 
 
 def test_multiple_eigenvalue_is_counted_on_a_small_circle():
-    jordan = from_dense_corner([[3, 1], [0, 3]]) + embed_at(toeplitz({-1: 1.0, 1: 0.5}), 2)
+    jordan = (from_dense_corner([[3, 1], [0, 3]])
+              + embed_at(toeplitz({-1: 1.0, 1: 0.5, 2: 0.2}), 2))
     assert _region_clusters(jordan) == (((3 + 0j, 2),), True)
     double = (from_dense_corner(np.diag([3, 3, -2j]))
               + embed_at(toeplitz({-1: 1.0, 1: 0.5, 2: 0.2}), 3))
@@ -291,10 +365,11 @@ def test_pollution_near_the_curve_is_not_listed():
 
 
 def test_raster_that_does_not_close_gives_an_uncertified_list():
-    """Sampled at 4096 points, the curve of pool base (1, 8, 1) fails the
-    raster's gap test at resolution 512: no cell's winding is known, so
-    nothing is certified, and the sound raster certifies the list."""
-    t = workloads.generic_base(1, 8, 1)
+    """Sampled at 4096 points, the thin curve of pool base (1, 8, 1) with a
+    z^2 term of 1e-3 fails the raster's gap test at resolution 512: no
+    cell's winding is known, so nothing is certified, and the sound raster
+    certifies the list."""
+    t = workloads.generic_base(1, 8, 1) + toeplitz({2: 1e-3})
     raster = _winding_raster(symbol(t), 512, 4096)
     assert not raster.closed
     assert _region_clusters(t, raster=raster) == ((), False)
@@ -362,10 +437,11 @@ def test_min_modulus_reads_rounding_as_zero(pool_bases):
 
 
 def _jordan_block_at_three():
-    """[[3, 1], [0, 3]] on e0, e1 beside T(z + 0.3/z) on the rest: a double
-    zero of det S at 3, which Newton finds once and the count asks twice."""
+    """[[3, 1], [0, 3]] on e0, e1 beside T(z + 0.3/z + 0.1 z^2) on the rest:
+    a double zero of det S at 3, which Newton finds once and the count asks
+    twice."""
     return (from_dense_corner([[3.0, 1.0], [0.0, 3.0]])
-            + embed_at(toeplitz({-1: 0.3, 1: 1.0}), 2))
+            + embed_at(toeplitz({-1: 0.3, 1: 1.0, 2: 0.1}), 2))
 
 
 def _single_zero_at_three(t):

@@ -496,11 +496,12 @@ def test_main_builds_its_parser_once(capsys, monkeypatch):
 
 
 def _unstable_spec(tmp_path):
-    """Random T(a) + K, a of bandwidth 1 with a dense 8 x 8 corner and a
-    rank-one term, whose off-curve truncation eigenvalues disagreed between
-    n and 2n; the Schur-complement count certifies its seven."""
+    """Pool base (1, 8, 1), random T(a) + K with a dense 8 x 8 corner and a
+    rank-one term whose off-curve truncation eigenvalues disagreed between
+    n and 2n, with a z^2 term of 1e-3 added, so that its thin curve goes to
+    the raster and the Schur-complement count, which certifies its seven."""
     rng = np.random.default_rng([20201008, 1, 8, 1])
-    coeffs = {k: complex(*rng.uniform(-1, 1, 2)) for k in (-1, 0, 1)}
+    coeffs = {k: complex(*rng.uniform(-1, 1, 2)) for k in (-1, 0, 1)} | {2: 1e-3}
     head = (rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))) / np.sqrt(8)
     support = int(rng.integers(1, 9))
     left, right = (tuple(complex(*rng.uniform(-1, 1, 2)) for _ in range(support))

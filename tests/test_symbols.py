@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import load_perfbench
 from opspectra import (ConvergenceFailure, EssentialPoint, LaurentSymbol,
                        PointOnCurve, diagonal, ess_min_modulus,
                        essential_spectrum, fredholm_index, gram, identity,
@@ -14,7 +15,7 @@ from opspectra import (ConvergenceFailure, EssentialPoint, LaurentSymbol,
 from opspectra import symbols as symbols_module
 from opspectra.numerics import symbol_min_modulus_signed
 from opspectra.specfiles import load_bundled
-from opspectra.symbols import (AreaEstimate, _monomial_regions, constant_value,
+from opspectra.symbols import (AreaEstimate, _exact_regions, constant_value,
                                modulus_constant, polygon_winding,
                                symbol_max_modulus, symbol_min_modulus)
 
@@ -243,12 +244,53 @@ def test_monomial_area_is_exact_and_inside_the_raster_error(op):
     assert tuple(r.winding for r in raster.components if r.winding) == (k,)
 
 
-@pytest.mark.parametrize("coeffs", [{1: 1.0, 0: 0.2}, {0: 1e6, 1: 1e-7},
+def _ellipse_symbols():
+    """a_-1 / z + a_0 + a_1 z: the tails of the 4 bandwidth-1 pool bases,
+    among them the thin curve of (1, 8, 1), a shifted and a far-off tiny
+    circle, and 8 draws."""
+    workloads = load_perfbench("workloads")
+    coeffs = [symbol(workloads.generic_base(*key)).coeffs
+              for key in workloads.GENERIC_POOL if key[0] == 1]
+    coeffs += [{1: 1.0, 0: 0.2}, {0: 1e6, 1: 1e-7}, {1: 1.0, -1: 0.5j},
+               {-1: 2.0, 0: 1j, 1: 0.3}]
+    rng = np.random.default_rng(13)
+    return coeffs + [{k: complex(*rng.uniform(-1, 1, 2)) for k in (-1, 0, 1)}
+                     for _ in range(8)]
+
+
+@pytest.mark.parametrize("coeffs", _ellipse_symbols())
+def test_ellipse_area_is_exact_and_inside_the_raster_error(coeffs):
+    """The exact area pi ||a_1|^2 - |a_-1|^2| of a bandwidth-1 symbol, with
+    one component at winding sign(|a_1| - |a_-1|) about a_0, against the
+    512 raster of its curve: within the raster's error, with that single
+    nonzero winding, and sum winding * area = pi sum k |a_k|^2."""
+    op, s = toeplitz(coeffs), LaurentSymbol(coeffs)
+    a1, a_m1 = abs(s.coeffs.get(1, 0j)), abs(s.coeffs.get(-1, 0j))
+    exact = np.pi * abs(a1 ** 2 - a_m1 ** 2)
+    est = spectral_area(op)
+    assert est.value == exact and est.error == 0.0
+    assert [(r.winding, r.cells, r.representative) for r in est.components] == \
+        [(1 if a1 > a_m1 else -1, 0, s.coeffs.get(0, 0j))]
+    assert sum(r.winding * r.area for r in est.components) == pytest.approx(
+        np.pi * sum(k * abs(c) ** 2 for k, c in s.coeffs.items()), rel=1e-12)
+    raster = winding_regions(s, 512)
+    assert abs(raster.value - exact) <= raster.error
+    assert {r.winding for r in raster.components if r.winding} == {est.components[0].winding}
+
+
+@pytest.mark.parametrize("coeffs", [{1: 1.0, -1: 1.0}, {1: 2j, -1: -2.0, 0: 0.3}])
+def test_ellipse_with_equal_outer_moduli_has_no_area(coeffs):
+    """|a_1| = |a_-1| flattens the ellipse to a segment: area 0, no component."""
+    assert _exact_regions(LaurentSymbol(coeffs)) is None
+    assert spectral_area(toeplitz(coeffs)) == AreaEstimate(0.0, 0.0, (), 0, 0.0, 512)
+
+
+@pytest.mark.parametrize("coeffs", [{2: 1.0, 0: 0.2}, {0: 1e6, 2: 1e-7},
                                     {1: 1.0, 2: 1e-12}])
 def test_near_monomial_area_is_the_raster(coeffs):
-    """Two terms, however small the second, are not a monomial: the area is
-    the raster's, bit for bit."""
-    assert _monomial_regions(LaurentSymbol(coeffs)) is None
+    """Two terms past bandwidth 1, however small the second, are neither a
+    monomial nor an ellipse: the area is the raster's, bit for bit."""
+    assert _exact_regions(LaurentSymbol(coeffs)) is None
     assert spectral_area(toeplitz(coeffs)) == winding_regions(LaurentSymbol(coeffs))
 
 
