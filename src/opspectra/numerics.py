@@ -4,7 +4,7 @@ operator is exactly the Toeplitz operator of its symbol.
 For self-adjoint H = T(b) + K and lam < min b, T(b - lam) is positive
 definite, so by Haynsworth's inertia additivity H has as many eigenvalues
 below lam as S(lam) = (H - lam)[:m, :m] - Q G(lam) Q* has negative ones,
-G(lam) the leading block of T(b - lam)^(-1) (``_count_below``).  Isolated
+G(lam) the leading block of T(b - lam)^(-1) (``_eigs_below``).  Isolated
 eigenvalues of a non-normal T(a) + K at winding 0 are the zeros of the same
 Schur complement (``schur_eigenvalues``).
 """
@@ -17,7 +17,8 @@ import numpy as np
 
 from .core import StructuredOperator, gram, memoized, selfadjoint_defect
 from .errors import ConvergenceFailure, NotHermitian, NotStabilized
-from .symbols import _laurent_roots, _tail_span, _wiener_hopf_block, symbol
+from .symbols import (_block_from_roots, _laurent_roots, _split_roots, _tail_span,
+                      _wiener_hopf_block, symbol)
 
 TRUNC_CAP = 4096            # largest dense matrix hermitian_eig accepts
 MERGE_FACTOR = 100.0        # eigenvalues within 100*tol are one cluster
@@ -150,11 +151,37 @@ def _schur_spectra(h: StructuredOperator, lam, coupling):
     return np.linalg.eigvalsh(0.5 * (s + s.conj().swapaxes(-1, -2))), ok
 
 
-def _count_below(h: StructuredOperator, lam: float):
-    """(eigenvalues of self-adjoint H below lam, valid): the negative ones of
-    S(lam), valid where the roots of b - lam split, which needs lam < min b."""
-    mu, ok = _schur_spectra(h, lam, _corner_coupling(h))
-    return int(np.count_nonzero(mu[0] < 0)), bool(ok[0])
+def _paranormal_counts(quartic: StructuredOperator, quad: StructuredOperator,
+                       shifts, tol: float):
+    """(counts, valid) per shift s: the eigenvalues of q(s) = A - 2s B + s^2
+    below lam = -tol max(1, magnitude of q(s)), from S(lam) at one size m,
+    A = ``quartic``, B = ``quad``, symbol(A) = g^2, g = symbol(B) real on
+    the circle.  With tau = -lam, (g - s)^2 + tau = (g - mu)(g - conj mu),
+    mu = s + i sqrt(tau), and as g(1/conj z) = conj g(z) the roots of
+    z^q'(g - conj mu) are 1/conj r for the roots r of z^q'(g - mu): one
+    companion of size p' + q' gives them all, and p = q = p' + q'."""
+    s = np.asarray(shifts, dtype=float)
+    m = max(len(quartic.window), len(quad.window))
+    (pg, qg), wb = _tail_span(quad.tails), len(quad.tails) // 2
+    w, d = max(len(quartic.tails) // 2, wb), pg + qg
+    block = (quartic._block(m + d, m + d)
+             + (-2.0 * s[:, None, None]) * quad._block(m + d, m + d))
+    window = block[:, :m, :m] + (s * s)[:, None, None] * np.eye(m)
+    tails = (np.pad(quartic.tails, w - len(quartic.tails) // 2)
+             + (-2.0 * s[:, None]) * np.pad(quad.tails, w - wb))
+    tails[:, w] += s * s
+    tau = tol * np.maximum(1.0, np.maximum(np.abs(tails).max(axis=1),
+                                           np.abs(window).max(axis=(1, 2), initial=0.0)))
+    window = window + tau[:, None, None] * np.eye(m)
+    q_block, r_block, ok = block[:, :m, m:], block[:, m:, :m], np.ones(s.size, dtype=bool)
+    if q_block.size and r_block.size:
+        poly = quad.tails[wb - qg: wb + pg + 1][::-1]        # g_p' first
+        inner, outer, ok = _split_roots(poly, s + 1j * np.sqrt(tau), qg)
+        window = window - q_block @ _block_from_roots(
+            np.concatenate([inner, 1 / outer.conj()], axis=1),
+            np.concatenate([outer, 1 / inner.conj()], axis=1), poly[0] ** 2) @ r_block
+    mu = np.linalg.eigvalsh(0.5 * (window + window.conj().swapaxes(-1, -2)))
+    return np.count_nonzero(mu < 0, axis=1), ok
 
 
 def _eigs_below(h: StructuredOperator, level: float, first: int | None = None):

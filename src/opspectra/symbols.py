@@ -192,43 +192,51 @@ def _geometric_product(ratios: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _wiener_hopf_block(tails: np.ndarray, lam) -> tuple:
-    """The q-by-p leading block G(lam) of T(a - lam)^(-1), for every lam.
-
-    p and q come from ``_tail_span`` (both at least 1).  At winding 0,
-    z^q (a(z) - lam) has q roots r_i in the disc and p roots s_j outside it,
-    so a - lam = a_+ a_- with a_+ = a_p prod (z - s_j) and
-    a_- = prod (1 - r_i / z), and Widom's formula gives T(a - lam) =
-    T(a_-) T(a_+) and T(a - lam)^(-1) = T(1/a_+) T(1/a_-) exactly.  The
-    block is L U, with L the lower triangular Toeplitz matrix of the first
-    q coefficients of 1/a_+ and U the upper triangular one of the first p
-    coefficients of 1/a_- (in powers of 1/z).
-
-    Returns (G, ok), G of shape (len(lam), q, p); ok is False where the
-    computed roots do not split q : p strictly (no margin), i.e. where lam
-    is not at winding 0 or lies on the curve, and G is meaningless there.
-    The roots of all the polynomials come from one batched eigenvalue call
-    on companion matrices."""
-    w = len(tails) // 2
-    p, q = _tail_span(tails)
+def _split_roots(poly: np.ndarray, lam, q: int) -> tuple:
+    """(inner, outer, ok): the q roots of least modulus and the rest of
+    ``poly`` (top degree first) less lam z^q, one row per lam, from one batched
+    companion eigenvalue call; ok where they split across the circle (no margin)."""
+    d = len(poly) - 1
     lam = np.asarray(lam, dtype=complex).ravel()
-    poly = tails[w - q: w + p + 1][::-1]          # a_p first, a_-q last
-    d = p + q
     companion = np.zeros((lam.size, d, d), dtype=complex)
     companion[:, 0, :] = -poly[1:] / poly[0]
-    companion[:, 0, p - 1] += lam / poly[0]        # a_0 - lam
+    companion[:, 0, d - q - 1] += lam / poly[0]
     companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
     roots = np.linalg.eigvals(companion)
     roots = np.take_along_axis(roots, np.argsort(np.abs(roots), axis=1), axis=1)
     ok = (np.abs(roots[:, q - 1]) < 1.0) & (np.abs(roots[:, q]) > 1.0)
-    inner, outer = roots[:, :q], roots[:, q:]
-    b = _geometric_product(1.0 / outer, q) / (poly[0] * np.prod(-outer, axis=1))[:, None]
+    return roots[:, :q], roots[:, q:], ok
+
+
+def _block_from_roots(inner: np.ndarray, outer: np.ndarray, lead) -> np.ndarray:
+    """The q-by-p leading block G of T(a - lam)^(-1), one per row of the q
+    roots r_i in the disc (``inner``) and the p roots s_j outside it
+    (``outer``) of z^q (a(z) - lam), whose leading coefficient is ``lead``:
+    a - lam = a_+ a_- with a_+ = lead prod (z - s_j) and
+    a_- = prod (1 - r_i / z), and Widom's formula gives T(a - lam) =
+    T(a_-) T(a_+) and T(a - lam)^(-1) = T(1/a_+) T(1/a_-) exactly.  The
+    block is L U, with L the lower triangular Toeplitz matrix of the first
+    q coefficients of 1/a_+ and U the upper triangular one of the first p
+    coefficients of 1/a_- (in powers of 1/z)."""
+    q, p = inner.shape[1], outer.shape[1]
+    b = _geometric_product(1.0 / outer, q) / (lead * np.prod(-outer, axis=1))[:, None]
     c = _geometric_product(inner, p)
     lag = np.arange(q)[:, None] - np.arange(q)                 # i - l
     lower = np.where(lag >= 0, b[:, np.clip(lag, 0, None)], 0)
-    lead = np.arange(p) - np.arange(q)[:, None]                # j - l
-    upper = np.where(lead >= 0, c[:, np.clip(lead, 0, p - 1)], 0)
-    return lower @ upper, ok
+    ahead = np.arange(p) - np.arange(q)[:, None]               # j - l
+    upper = np.where(ahead >= 0, c[:, np.clip(ahead, 0, p - 1)], 0)
+    return lower @ upper
+
+
+def _wiener_hopf_block(tails: np.ndarray, lam) -> tuple:
+    """(G(lam), ok) for every lam, G of shape (len(lam), q, p), p and q from
+    ``_tail_span`` (both at least 1); ok is False, and G meaningless, where
+    the roots do not split q : p (lam off winding 0 or on the curve)."""
+    w = len(tails) // 2
+    p, q = _tail_span(tails)
+    poly = tails[w - q: w + p + 1][::-1]          # a_p first, a_-q last
+    inner, outer, ok = _split_roots(poly, lam, q)
+    return _block_from_roots(inner, outer, poly[0]), ok
 
 
 def polygon_winding(points: np.ndarray, q: complex) -> int:

@@ -7,9 +7,10 @@ predicate, and accepted the clusters when both sizes agreed, and
 level.  Those bodies live on here as independent oracles, with the
 starting size and the agreement rule they shared, next to the seed-by-seed
 Newton iteration that ``numerics._schur_newton`` batches, the kernel
-count that sets its level from the exact top eigenvalue on every call, and
-the contour engine on the raster region that bandwidth-1 tails took before
-their quadratic pencil.
+count that sets its level from the exact top eigenvalue on every call, the
+contour engine on the raster region that bandwidth-1 tails took before
+their quadratic pencil, and the paranormality test that built q(s) as an
+operator and counted it shift by shift.
 """
 
 from __future__ import annotations
@@ -19,9 +20,10 @@ import math
 import numpy as np
 from scipy.linalg import eig_banded
 
-from opspectra.classify import REGION_RESOLUTION
-from opspectra.core import gram
-from opspectra.numerics import (MERGE_FACTOR, TRUNC_CAP, _corner_coupling,
+from opspectra.classify import (REGION_RESOLUTION, Verdict, _pencil_shifts,
+                                default_paranormal_grid)
+from opspectra.core import constant_diagonal, gram
+from opspectra.numerics import (MERGE_FACTOR, TRUNC_CAP, _corner_coupling, _schur_spectra,
                                 cluster_values, operator_norm, schur_eigenvalues)
 from opspectra.symbols import (_all_above, _wiener_hopf_block, _winding_raster,
                                _zero_winding_region, symbol)
@@ -135,3 +137,35 @@ def region_clusters_by_contour(t):
     found, certified = ((), False) if region is None else schur_eigenvalues(
         t, *region, max(1.0, norm))
     return found, certified, raster.estimate.cell_diagonal
+
+
+def count_below(h, lam):
+    """(eigenvalues of self-adjoint H below lam, valid): the negative ones of
+    S(lam), valid where the roots of b - lam split, which needs lam < min b;
+    the count behind each shift of ``paranormal_by_shifts``."""
+    mu, ok = _schur_spectra(h, lam, _corner_coupling(h))
+    return int(np.count_nonzero(mu[0] < 0)), bool(ok[0])
+
+
+def paranormal_by_shifts(t, grid=None, tol=1e-10, invalid=()):
+    """``classify.check_paranormal`` before its batched passes, as (verdict,
+    failed_at, method, proved): q(s) = T*^2 T^2 - 2s T*T + s^2 I built as a
+    structured operator and counted by ``count_below`` one shift after
+    another, in grid order.  The shifts in ``invalid`` read as not valid."""
+    quartic, quad = gram(t.compose(t)), gram(t)
+    if grid is None and np.count_nonzero(t.tails) <= 1:
+        grid, method = _pencil_shifts(quartic, quad), "pencil"
+    else:
+        grid = default_paranormal_grid(t) if grid is None else grid
+        grid, method = tuple(float(s) for s in grid), "grid"
+    outcome, failed_at = Verdict.YES, None
+    for s in grid:
+        q = quartic + quad.scaled(-2.0 * s) + constant_diagonal(s * s)
+        count, valid = count_below(q, -tol * max(1.0, q.magnitude()))
+        if not valid or s in invalid:
+            outcome = Verdict.UNDETERMINED
+        elif count:
+            outcome, failed_at = Verdict.NO, s
+            break
+    proved = outcome is Verdict.NO or (outcome is Verdict.YES and method == "pencil")
+    return outcome, failed_at, method, proved

@@ -575,7 +575,9 @@ def test_check_paranormal_says_which_verdicts_are_proved():
 
 
 def test_check_paranormal_undetermined_where_the_count_is_not_valid(monkeypatch):
-    monkeypatch.setattr(classify_module, "_count_below", lambda q, lam: (0, False))
+    monkeypatch.setattr(classify_module, "_paranormal_counts",
+                        lambda quartic, quad, shifts, tol: (np.zeros(len(shifts), int),
+                                                            np.zeros(len(shifts), bool)))
     res = check_paranormal(right_shift(), grid=(0.5, 2.0))
     assert res.verdict is Verdict.UNDETERMINED
     assert res.witness["failed_at"] is None and res.witness["proved"] is False

@@ -5,11 +5,14 @@
 sections: a section is a compression, so each of its eigenvalues bounds the
 operator's from above.  The Cholesky positivity certificate is checked
 against ``eigvalsh``, and ``check_paranormal`` against the earlier
-shifted-operator implementation.  The truncation kernel count is checked
+shifted-operator implementations.  The truncation kernel count is checked
 against its exact-top reference, and the certificates that stand in for
-``eig_banded`` and the SVD are guarded by call counts.
+``eig_banded`` and the SVD, and the batched paranormal passes, are guarded
+by call counts.
 """
 
+import importlib
+import math
 import sys
 from types import SimpleNamespace
 
@@ -26,10 +29,14 @@ from opspectra import suites
 from opspectra import symbols as symbols_module
 from opspectra.classify import Verdict, default_paranormal_grid
 from opspectra.errors import PointOnCurve
-from opspectra.numerics import positivity_verdict, symbol_min_modulus_signed
+from opspectra.numerics import (_paranormal_counts, operator_norm, positivity_verdict,
+                                symbol_min_modulus_signed)
 from opspectra.symbols import (_all_above, _row_sum_bound, kernel_count_by_truncation,
                                symbol, winding)
-from reference_spectra import kernel_count_exact
+from conftest import load_perfbench
+from reference_spectra import kernel_count_exact, paranormal_by_shifts
+
+classify_module = importlib.import_module("opspectra.classify")
 
 
 def _mixed(rng) -> StructuredOperator:
@@ -218,6 +225,99 @@ def test_check_paranormal_matches_per_shift_reference(t):
         if failed_at is not None:
             assert_same_positivity(gram(op @ op) + gram(op).scaled(-2.0 * failed_at)
                                    + constant_diagonal(failed_at ** 2))
+
+
+def _paranormal_outcome(t, grid=None):
+    res = check_paranormal(t, grid=grid)
+    return tuple(res.witness[k] if k != "verdict" else res.verdict
+                 for k in ("verdict", "failed_at", "method", "proved"))
+
+
+def test_batched_paranormal_passes_match_the_per_shift_oracle_on_the_pool(pool_bases):
+    """The eleven pool bases and three quarter-turn copies of each, T and T*."""
+    workloads = load_perfbench("workloads")
+    for base in pool_bases:
+        copies = [workloads.unitary_copy(base, r, g)
+                  for r, g in ((1j, 1), (-1, 1j), (-1j, -1))]
+        for t in [base] + copies:
+            for op in (t, t.adjoint()):
+                assert _paranormal_outcome(op) == paranormal_by_shifts(op)
+
+
+SUITE_GENERATORS = (suites.random_diagonal, suites.random_weighted_shift,
+                    suites.random_hyponormal, suites.random_finite_rank,
+                    suites.random_normal_corner, suites.random_an_hyponormal,
+                    suites.random_banded_symbol, suites.random_toeplitz_corner)
+
+
+@pytest.mark.parametrize("i", range(len(SUITE_GENERATORS)))
+def test_batched_paranormal_passes_match_the_per_shift_oracle_on_suite_draws(i):
+    """60 draws per generator, T and T*: grid and pencil, "yes" and "no"."""
+    rng = np.random.default_rng([77, i])
+    for _ in range(60):
+        t = SUITE_GENERATORS[i](rng)
+        for op in (t, t.adjoint()):
+            assert _paranormal_outcome(op) == paranormal_by_shifts(op)
+
+
+def _reading_invalid(monkeypatch, invalid):
+    """Make the batched count read the shifts in ``invalid`` as not valid."""
+    def counts(quartic, quad, shifts, tol):
+        got, valid = _paranormal_counts(quartic, quad, shifts, tol)
+        return got, valid & ~np.isin(shifts, invalid)
+    monkeypatch.setattr(classify_module, "_paranormal_counts", counts)
+
+
+def test_an_invalid_shift_before_a_failing_one_reads_no(monkeypatch, pool_bases):
+    """Shifts read as not valid before the first failing one, in the default
+    grid and in a user grid of two, leave a proved "no" at that shift, as in
+    the per-shift oracle."""
+    for t in pool_bases[:4]:
+        grid = default_paranormal_grid(t)
+        verdict, failed_at, _, _ = _paranormal_outcome(t, grid)
+        assert verdict is Verdict.NO and grid.index(failed_at) >= 2
+        for user, invalid in ((grid, grid[:1]), (grid, grid[1: grid.index(failed_at)]),
+                              ((grid[0], failed_at), grid[:1])):
+            want = paranormal_by_shifts(t, user, invalid=invalid)
+            _reading_invalid(monkeypatch, invalid)
+            assert _paranormal_outcome(t, user) == want == (Verdict.NO, failed_at, "grid", True)
+            monkeypatch.undo()
+
+
+def test_shifts_past_the_symbol_all_pass(pool_bases):
+    """Past 10 ||T||^2 the symbol (g - s)^2 of q(s) is far from 0: every
+    shift is valid and passes, a grid "yes" that proves nothing."""
+    for t in pool_bases:
+        norm2 = operator_norm(t) ** 2
+        grid = tuple(np.geomspace(10 * norm2, 100 * norm2, 5))
+        assert (_paranormal_outcome(t, grid) == paranormal_by_shifts(t, grid)
+                == (Verdict.YES, None, "grid", False))
+
+
+def test_paranormal_passes_build_no_operator_per_shift(monkeypatch, pool_bases):
+    """With 4 and with 32 shifts that all pass, ``check_paranormal`` builds
+    the same operators (T^2 and the Gram operators) and solves one batched
+    companion problem of size p' + q' per pass, ceil(log2(len(grid) + 1))
+    of them."""
+    workloads = load_perfbench("workloads")
+    norm2 = operator_norm(pool_bases[2]) ** 2
+    built, companions, of, eigvals = [], [], StructuredOperator._of.__func__, np.linalg.eigvals
+    monkeypatch.setattr(StructuredOperator, "_of", classmethod(
+        lambda cls, tails, window: built.append(1) or of(cls, tails, window)))
+    monkeypatch.setattr(np.linalg, "eigvals",
+                        lambda a: companions.append(np.shape(a)) or eigvals(a))
+    operators = []
+    for n in (4, 32):
+        t = workloads.generic_base(2, 8, 0)          # a fresh memo
+        built.clear()
+        companions.clear()
+        res = check_paranormal(t, grid=np.geomspace(10 * norm2, 100 * norm2, n))
+        assert res.verdict is Verdict.YES
+        assert len(companions) <= math.ceil(math.log2(n + 1))
+        # g = |a|^2 has offsets -4..4: half the degree 16 of (g - s)^2 + tau
+        assert all(shape[-1] == 8 for shape in companions)
+        operators.append(len(built))
+    assert operators[0] == operators[1]
 
 
 # -- truncation kernel counts --------------------------------------------------

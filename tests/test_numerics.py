@@ -12,10 +12,10 @@ from opspectra import (NotHermitian, NotStabilized, check_an,
                        from_dense_corner, gram, hermitian_eig, identity, min_modulus, operator_norm,
                        right_shift, suites, svd_polar, symbol, toeplitz, zero)
 from opspectra import numerics
-from opspectra.numerics import (_count_below, cluster_values,
+from opspectra.numerics import (_paranormal_counts, cluster_values,
                                 positivity_verdict, symbol_min_modulus_signed)
 from opspectra.specfiles import load_bundled
-from reference_spectra import eigs_below_by_sections
+from reference_spectra import count_below, eigs_below_by_sections
 
 
 def char_poly_roots_3x3(m):
@@ -275,7 +275,9 @@ def test_paranormal_shift_with_an_eigenvalue_the_sections_miss():
     assert -1e-10 * scale == pytest.approx(-6.89e-9, rel=1e-3)
     verdict, witness = positivity_verdict(q, 1e-10)
     assert verdict == "no"
-    assert _count_below(q, -1e-10 * scale) == (1, True)
+    assert count_below(q, -1e-10 * scale) == (1, True)
+    counts, valid = _paranormal_counts(gram(t @ t), gram(t), [s], 1e-10)
+    assert (counts.tolist(), valid.tolist()) == ([1], [True])
     section = eig_banded(q.lower_band(2048), lower=True, eigvals_only=True,
                          select="i", select_range=(0, 0))[0]
     assert section == pytest.approx(-6.88e-8, rel=1e-2)
@@ -294,8 +296,8 @@ def test_count_ignores_an_outer_tail_below_rounding():
     assert len(padded.tails) == len(g.tails) + 2
     ess = symbol_min_modulus_signed(symbol(g))
     for lam in (-1.0, 0.5 * ess, ess - 1e-10):
-        assert _count_below(padded, lam) == _count_below(g, lam)
-    assert _count_below(g, ess - 1e-10) == (1, True)
+        assert count_below(padded, lam) == count_below(g, lam)
+    assert count_below(g, ess - 1e-10) == (1, True)
 
 
 # -- branches that only broken or unusual input reaches --------------------------

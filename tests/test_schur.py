@@ -4,6 +4,7 @@ QZ and the contour engine for the bandwidth-1 pencil, dense sections, the
 singular values of S(lam), the window eigenproblem for one-sided tails, and
 the seed-by-seed Newton iteration for the batched one."""
 
+import importlib
 import math
 import tracemalloc
 
@@ -28,6 +29,7 @@ from reference_spectra import (region_clusters_by_contour, region_clusters_by_se
 
 workloads = load_perfbench("workloads")
 tracer = load_perfbench("tracer")
+classify_module = importlib.import_module("opspectra.classify")
 
 
 def region(t):
@@ -191,6 +193,19 @@ def test_bandwidth_one_pencil_against_the_contour_engine():
                 smin = np.linalg.svd(schur_complement(t, v), compute_uv=False)[-1]
                 assert smin <= 1e-12 * scale
     assert extra_values >= 1
+
+
+def test_pencil_branch_makes_no_winding_call(monkeypatch):
+    """The root test |r| < 1 < |a_-1 / (a_1 r)| puts every pencil value at
+    winding 0, so only the clearance filters them: with ``winding`` refused
+    the lists are those the winding test keeps, every value at winding 0."""
+    def refuse(*args):
+        raise AssertionError("winding called")
+
+    monkeypatch.setattr(classify_module, "winding", refuse)
+    for t in _bandwidth_one_cases():
+        found, certified = _region_clusters(t)
+        assert certified and all(winding(symbol(t), v) == 0 for v, _ in found)
 
 
 def test_pencil_lists_the_eigenvalue_next_to_the_curve():
