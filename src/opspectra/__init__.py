@@ -15,8 +15,7 @@ from .errors import (ConvergenceFailure, DimensionMismatch, EssentialPoint,
 from .symbols import (AreaEstimate, EssentialCurve, LaurentSymbol,
                       RegionComponent, SpectralSummary, ess_min_modulus,
                       essential_spectrum, fredholm_index, index_by_truncation,
-                      spectral_area, symbol, symbol_curve, winding,
-                      winding_regions)
+                      spectral_area, symbol, winding, winding_regions)
 from .numerics import (DiscreteEigenReport, EigenSystem, discrete_eigs_below,
                        hermitian_eig, min_modulus, operator_norm, svd_polar)
 from .classify import (ANResult, CheckResult, ClassificationReport, Verdict,

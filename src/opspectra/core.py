@@ -118,7 +118,7 @@ class StructuredOperator:
     equality, ``repr`` and pickling ignore it.
     """
 
-    __slots__ = ("tails", "window", "_derived", "__weakref__")
+    __slots__ = ("tails", "window", "_structure", "_derived", "__weakref__")
 
     def __init__(self, bands=None, rank_terms=()):
         descs = {int(k): d if isinstance(d, DiagonalDescriptor)
@@ -164,9 +164,15 @@ class StructuredOperator:
         keep = int(np.max(np.abs(offsets))) if offsets.size else 0
         tails = tails[w - keep: w + keep + 1]
         rows, cols = np.nonzero(window != _toeplitz_block(tails, *window.shape))
-        m = int(max(rows.max(), cols.max())) + 1 if rows.size else 0
+        # bandwidth, corner_size, one past the last deviating row and column
+        structure = ((max(keep, int(np.abs(rows - cols).max())),
+                      int(np.minimum(rows, cols).max()) + 1,
+                      int(rows.max()) + 1, int(cols.max()) + 1)
+                     if rows.size else (keep, 0, 0, 0))
+        m = max(structure[2:])
         object.__setattr__(self, "tails", _frozen(tails))
         object.__setattr__(self, "window", _frozen(window[:m, :m]))
+        object.__setattr__(self, "_structure", structure)
         object.__setattr__(self, "_derived", {})
 
     def __setattr__(self, name, value):
@@ -189,32 +195,17 @@ class StructuredOperator:
 
     # -- structural metadata -------------------------------------------------
 
-    def _structure(self):
-        """(bandwidth, corner_size, rows, cols), where rows (cols) is one
-        past the last row (column) of a window entry that differs from its
-        tail."""
-        def compute():
-            m = len(self.window)
-            rows, cols = np.nonzero(self.window
-                                    != _toeplitz_block(self.tails, m, m))
-            if not rows.size:
-                return len(self.tails) // 2, 0, 0, 0
-            return (max(len(self.tails) // 2, int(np.max(np.abs(rows - cols)))),
-                    int(np.max(np.minimum(rows, cols))) + 1,
-                    int(rows.max()) + 1, int(cols.max()) + 1)
-        return memoized(self, "structure", compute)
-
     @property
     def bandwidth(self) -> int:
         """Largest |k| over the nonzero tails and the window entries that
         differ from their tail."""
-        return self._structure()[0]
+        return self._structure[0]
 
     @property
     def corner_size(self) -> int:
         """Largest min(i, j) + 1 over the window entries that differ from
         their tail: past it, every diagonal is constant."""
-        return self._structure()[1]
+        return self._structure[1]
 
     # -- input and serialization views ---------------------------------------
 
@@ -305,8 +296,7 @@ class StructuredOperator:
         wa, wb = len(self.tails) // 2, len(other.tails) // 2
         h_rows = max(np.flatnonzero(self.tails[wa + 1:]) + 1, default=0)
         h_cols = max(wb - np.flatnonzero(other.tails[:wb]), default=0)
-        _, _, ra, ca = self._structure()
-        _, _, rb, cb = other._structure()
+        (_, _, ra, ca), (_, _, rb, cb) = self._structure, other._structure
         rows = max(ra, rb + h_rows if rb else 0, h_rows if h_cols else 0)
         cols = max(ca + h_cols if ca else 0, cb, h_cols if h_rows else 0)
         m = max(rows, cols) if rows and cols else 0

@@ -101,22 +101,25 @@ def frobenius_within(matrix, limit: float) -> bool:
 
 
 def _greedy_clusters(pairs, gap: float) -> list:
-    """Greedy clustering of (value, member) pairs in order: a value joins the
-    last cluster when within ``gap`` of its running mean; [(mean, members)]."""
-    clusters = []
+    """Greedy clustering of (value, member) pairs by ascending real part: a
+    value joins the latest cluster whose running mean is within ``gap``; a
+    mean more than ``gap`` left of a value is out of reach for good."""
+    clusters, live = [], []
     for v, member in pairs:
-        if clusters and abs(v - clusters[-1][0] / len(clusters[-1][1])) <= gap:
-            clusters[-1][0] += v
-            clusters[-1][1].append(member)
+        live = [c for c in live if v.real - c[0].real / len(c[1]) <= gap]
+        near = [c for c in live if abs(v - c[0] / len(c[1])) <= gap]
+        if near:
+            near[-1][0] += v
+            near[-1][1].append(member)
         else:
             clusters.append([v, [member]])
+            live.append(clusters[-1])
     return [(total / len(members), members) for total, members in clusters]
 
 
 def cluster_values(values, gap: float):
     """Greedy 1-d / complex clustering; returns ((center, count), ...)."""
-    vals = sorted(values, key=lambda z: (z.real, z.imag) if isinstance(z, complex)
-                  else z)
+    vals = sorted(values, key=lambda z: (z.real, z.imag))
     return tuple((mean, len(members))
                  for mean, members in _greedy_clusters(zip(vals, vals), gap))
 

@@ -234,14 +234,14 @@ def suite_compact_hyponormal(seed: int = 0, count: int = 200):
     return results
 
 
-def suite_putnam(seed: int = 0, count: int = 50, resolution: int = 512):
+def suite_putnam(seed: int = 0, count: int = 50):
     """Commutator norm never exceeds spectral area / pi (plus raster slack)."""
     rng = np.random.default_rng(seed)
     ops = [(name, load_bundled(name).operator) for name in BUNDLED]
     ops += [(f"random_{i}", random_hyponormal(rng)) for i in range(count)]
     results = []
     for name, op in ops:
-        rec = putnam_check(op, resolution=resolution, assume_hyponormal=True)
+        rec = putnam_check(op, assume_hyponormal=True)
         results.append((f"putnam:{name}", rec.holds,
                         f"lhs={rec.commutator_norm:.6f} rhs={rec.area_over_pi:.6f}"))
     return results
@@ -425,7 +425,7 @@ def run_all(seed: int = 0, quick: bool = True):
     out = []
     out += suite_golden()
     out += suite_compact_hyponormal(seed, count=50 * scale)
-    out += suite_putnam(seed, count=5 * scale, resolution=256 if quick else 512)
+    out += suite_putnam(seed, count=5 * scale)
     out += suite_diagonal_oracle(seed, count=60 * scale)
     out += suite_index_crossval(seed, symbols_count=4 * scale, n=256 if quick else 512)
     out += suite_isolated_eigenvalues(seed, count=2 * scale)

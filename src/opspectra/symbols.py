@@ -117,13 +117,6 @@ def symbol(t: StructuredOperator) -> LaurentSymbol:
     return LaurentSymbol(dict(zip(range(-w, w + 1), t.tails.tolist())))
 
 
-def symbol_curve(s: LaurentSymbol, m: int) -> np.ndarray:
-    """Samples a(e^{2 pi i j / m}) for j = 0 .. m-1."""
-    if m < 16:
-        raise ValueError("need at least 16 samples")
-    return s.on_circle(m)
-
-
 # -- winding numbers ---------------------------------------------------------
 
 def _tail_span(tails) -> tuple:
@@ -365,9 +358,6 @@ class EssentialCurve:
     points: np.ndarray
     is_circle: float | None
 
-    def __iter__(self):
-        return iter(self.points)
-
     @classmethod
     def sampled(cls, s: LaurentSymbol, samples: int = CIRCLE_SAMPLES) -> "EssentialCurve":
         theta = np.arange(samples) * (_TWO_PI / samples)
@@ -378,8 +368,8 @@ def essential_spectrum(t: StructuredOperator) -> EssentialCurve:
     return EssentialCurve.sampled(symbol(t))
 
 
-def _refined_extremum(s: LaurentSymbol, want_max: bool) -> float:
-    """min or max of |a| on the circle, read at the projected roots of the
+def _refined_extremum(s: LaurentSymbol) -> float:
+    """min of |a| on the circle, read at the projected roots of the
     derivative polynomial of g = a conj(a) (its critical points) and of a
     itself: at a multiple zero of a the critical points of g are ill
     conditioned, the zeros of a less so."""
@@ -390,16 +380,11 @@ def _refined_extremum(s: LaurentSymbol, want_max: bool) -> float:
     g = s.product(s.conjugated())
     critical = _laurent_roots({k: k * c for k, c in g.coeffs.items()})[1]
     z = np.concatenate([critical, _laurent_roots(s.coeffs)[1]])
-    mods = np.abs(s.evaluate(z))
-    return float(np.max(mods) if want_max else np.min(mods))
+    return float(np.min(np.abs(s.evaluate(z))))
 
 
 def symbol_min_modulus(s: LaurentSymbol) -> float:
-    return _refined_extremum(s, want_max=False)
-
-
-def symbol_max_modulus(s: LaurentSymbol) -> float:
-    return _refined_extremum(s, want_max=True)
+    return _refined_extremum(s)
 
 
 def _curve_distance(s: LaurentSymbol, lam) -> float:

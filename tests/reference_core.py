@@ -292,6 +292,23 @@ class StructuredOperator:
         return out
 
 
+def structure(t):
+    """(bandwidth, corner_size, rows, cols) of an ``opspectra.core`` operator,
+    read off the window entries that differ from T(a), with T(a) built here
+    entry by entry: rows (cols) is one past the last row (column) of such an
+    entry."""
+    m, w = len(t.window), len(t.tails) // 2
+    offsets = np.subtract.outer(np.arange(m), np.arange(m))
+    toeplitz_part = np.where(np.abs(offsets) <= w,
+                             t.tails[np.clip(offsets + w, 0, 2 * w)], 0)
+    rows, cols = np.nonzero(t.window != toeplitz_part)
+    if not rows.size:
+        return w, 0, 0, 0
+    return (max(w, int(np.max(np.abs(rows - cols)))),
+            int(np.max(np.minimum(rows, cols))) + 1,
+            int(rows.max()) + 1, int(cols.max()) + 1)
+
+
 # -- constructors, under the names opspectra.core gives them ----------------------
 
 def toeplitz(coeffs):

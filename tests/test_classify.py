@@ -548,6 +548,14 @@ def test_spectral_summary_isolated_eigenvalues():
     assert mult == 1 and abs(value - 0.5j) < 1e-9
 
 
+def test_spectral_summary_keeps_a_double_eigenvalue_whole_beside_a_complex_one():
+    t = diagonal((2 - 1e-9, 2 + 0.5j, 2 + 1e-9), 1.0)
+    for points in (spectral_summary(t).eigenvalues,
+                   check_am_normal(t).annulus_points):
+        assert [m for _, m in points] == [2, 1]
+        assert abs(points[0][0] - 2) < 1e-12 and abs(points[1][0] - (2 + 0.5j)) < 1e-12
+
+
 def test_spectral_summary_shift_has_no_isolated_points():
     summary = spectral_summary(right_shift(), samples=256, resolution=128)
     assert summary.eigenvalues == ()

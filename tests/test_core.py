@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_core as ref
 from opspectra import (DiagonalDescriptor, FiniteRankTerm, StructuredOperator,
-                       diagonal, from_dense_corner, gram, identity,
-                       rank_one, right_shift, self_commutator, toeplitz,
-                       weighted_shift, zero)
+                       core, diagonal, embed_at, from_dense_corner, gram,
+                       identity, rank_one, right_shift, self_commutator,
+                       toeplitz, weighted_shift, zero)
 from opspectra.specfiles import load_bundled
+from test_symbols import suite_operators
 
 
 def defect_shift():
@@ -280,6 +282,34 @@ def test_structure_comes_from_the_window():
     assert t.tails.tolist() == [0, 0, 1]
     assert t.window.shape == (4, 4)
     assert (t.bandwidth, t.corner_size) == (2, 2)
+
+
+def _family(a, b, start):
+    """a, b and what the class's operations build from them."""
+    return (a, b, a + b, a - b, a.compose(b), b.compose(a), a.adjoint(),
+            b.adjoint(), embed_at(a, start), embed_at(b.adjoint(), start))
+
+
+@settings(max_examples=60, deadline=None)
+@given(suite_operators, suite_operators, st.integers(0, 5))
+def test_recorded_structure_matches_the_window_oracle(a, b, start):
+    for t in _family(a, b, start):
+        assert t._structure == ref.structure(t)
+        assert (t.bandwidth, t.corner_size) == ref.structure(t)[:2]
+
+
+def test_pool_bases_record_their_structure_and_read_it_without_a_block(
+        monkeypatch, pool_bases):
+    built = [t for a, b in zip(pool_bases, pool_bases[1:] + pool_bases[:1])
+             for t in _family(a, b, 3)] + [defect_shift(), zero()]
+    calls = []
+    block = core._toeplitz_block
+    monkeypatch.setattr(core, "_toeplitz_block",
+                        lambda *args: calls.append(args) or block(*args))
+    assert ([(t.bandwidth, t.corner_size) for t in built]
+            == [ref.structure(t)[:2] for t in built])
+    assert calls == []
+    assert all(t._structure == ref.structure(t) for t in built)
 
 
 def test_arrays_are_read_only():

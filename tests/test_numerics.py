@@ -172,6 +172,15 @@ def test_cluster_values_merges_by_gap():
     assert [(round(c, 6), m) for c, m in clusters] == [(1.0, 2), (2.0, 1)]
 
 
+def test_cluster_values_keeps_a_complex_cluster_whole_across_a_value_between():
+    # sorted by real part, 2 + 0.5j falls between the two members near 2
+    clusters = cluster_values([2 - 1e-9, 2 + 0.5j, 2 + 1e-9], 1e-6)
+    assert [m for _, m in clusters] == [2, 1]
+    assert abs(clusters[0][0] - 2) < 1e-12 and clusters[1][0] == 2 + 0.5j
+    # a real value past the gap of the last cluster still starts a new one
+    assert [m for _, m in cluster_values([1.0, 1.5, 2.0, 1.0 + 1e-9], 1e-6)] == [2, 1, 1]
+
+
 # -- operator_norm / min_modulus ------------------------------------------------------
 
 def test_operator_norm_examples():

@@ -10,14 +10,13 @@ from opspectra import (ConvergenceFailure, EssentialPoint, LaurentSymbol,
                        PointOnCurve, diagonal, ess_min_modulus,
                        essential_spectrum, fredholm_index, gram, identity,
                        index_by_truncation, right_shift, spectral_area, suites,
-                       symbol, symbol_curve, toeplitz, winding, winding_regions,
-                       zero)
+                       symbol, toeplitz, winding, winding_regions, zero)
 from opspectra import symbols as symbols_module
 from opspectra.numerics import symbol_min_modulus_signed
 from opspectra.specfiles import load_bundled
 from opspectra.symbols import (AreaEstimate, _exact_regions, constant_value,
                                modulus_constant, polygon_winding,
-                               symbol_max_modulus, symbol_min_modulus)
+                               symbol_min_modulus)
 
 
 def test_symbol_extraction():
@@ -33,18 +32,13 @@ def test_symbol_ignores_prefixes_and_rank_terms():
 
 
 def test_symbol_curve_values():
-    pts = symbol_curve(LaurentSymbol({1: 1.0}), 16)
+    pts = LaurentSymbol({1: 1.0}).on_circle(16)
     np.testing.assert_allclose(pts[[0, 4, 8, 12]], [1, 1j, -1, -1j], atol=1e-15)
-    const = symbol_curve(LaurentSymbol({0: 2.5}), 16)
+    const = LaurentSymbol({0: 2.5}).on_circle(16)
     np.testing.assert_array_equal(const, np.full(16, 2.5 + 0j))
-    real = symbol_curve(LaurentSymbol({1: 1.0, -1: 1.0}), 64)
+    real = LaurentSymbol({1: 1.0, -1: 1.0}).on_circle(64)
     assert np.max(np.abs(real.imag)) < 1e-14
     assert np.min(real.real) >= -2 - 1e-12 and np.max(real.real) <= 2 + 1e-12
-
-
-def test_symbol_curve_rejects_tiny_sample_counts():
-    with pytest.raises(ValueError):
-        symbol_curve(LaurentSymbol({1: 1.0}), 8)
 
 
 def test_winding_examples():
@@ -144,7 +138,6 @@ def test_ess_min_modulus_examples():
     assert symbol_min_modulus(LaurentSymbol({1: 1.0, -1: 1.0})) < 1e-10
     band = LaurentSymbol({0: 2.0, 1: 1.0, -1: 1.0})  # 2 + 2cos(theta) >= 0
     assert symbol_min_modulus(band) == pytest.approx(0.0, abs=1e-9)
-    assert symbol_max_modulus(band) == pytest.approx(4.0, abs=1e-9)
 
 
 def test_ess_min_bounds_interior_section_singular_values():
@@ -456,7 +449,6 @@ def test_root_extrema_are_never_worse_than_the_sampled_ones(t):
     for s in (symbol(t), symbol(gram(t))):
         scale = max(1.0, s.magnitude())
         assert symbol_min_modulus(s) <= _sampled_extremum(s, False) + 1e-13 * scale
-        assert symbol_max_modulus(s) >= _sampled_extremum(s, True) - 1e-13 * scale
     g = symbol(gram(t))
     assert (symbol_min_modulus_signed(g)
             <= _sampled_min_signed(g) + 1e-13 * max(1.0, g.magnitude()))
