@@ -22,7 +22,7 @@ from .numerics import (_gram_levels_below, _paranormal_counts, cluster_values,
                        discrete_eigs_below, min_modulus, operator_norm,
                        positivity_verdict, schur_eigenvalues)
 from .symbols import (EssentialCurve, SpectralSummary, _curve_distance,
-                      _exact_regions, _tail_span, _WindingRaster,
+                      _exact_regions, _nonconstant_size, _tail_span, _WindingRaster,
                       _winding_raster, _zero_winding_region, constant_value,
                       modulus_constant, spectral_area, symbol,
                       symbol_min_modulus, winding)
@@ -153,14 +153,14 @@ def check_paranormal(t: StructuredOperator, grid=None,
 
 def check_an_positive(p: StructuredOperator, tol: float = 1e-8) -> ANResult:
     """Positive operator test: singleton essential spectrum plus finitely
-    many eigenvalues below it."""
+    many eigenvalues below it.  A "no" states the sum of |c_k| over k != 0
+    of the symbol (``symbol_deviation``) and the ``bound`` it exceeds."""
     if not is_selfadjoint(p, 1e-10 * max(1.0, p.magnitude())):
         raise ValueError("input must be self-adjoint (positive)")
     c = constant_value(symbol(p))
     if c is None:
-        pts = symbol(p).on_circle(1024)
-        dev = float(np.max(np.abs(pts - np.mean(pts))))
-        return ANResult(Verdict.NO, None, {"symbol_deviation": dev})
+        deviation, bound = _nonconstant_size(symbol(p))
+        return ANResult(Verdict.NO, None, {"symbol_deviation": deviation, "bound": bound})
     level = float(c.real)
     report = discrete_eigs_below(p, bound=level, tol=tol)
     witness = {"level": level,
@@ -533,7 +533,8 @@ def classify(t: StructuredOperator, tol_an: float = 1e-8) -> ClassificationRepor
         sa.verdict, nr.verdict, hy.verdict, pa.verdict, an.verdict, am_verdict,
         an.alpha if an.verdict is Verdict.YES else None,
         tuple(witnesses),
-        {"normal": 1e-8, "hyponormal": 1e-10, "paranormal": 1e-10, "an": tol_an})
+        {"self_adjoint": 1e-8, "normal": 1e-8, "hyponormal": 1e-10,
+         "paranormal": 1e-10, "an": tol_an, "am_normal": tol_an})
 
 
 def spectral_summary(t: StructuredOperator, samples: int = 1024,

@@ -25,7 +25,7 @@ from .decompose import (BlockDecomposition, normality_from_blocks,
                         spectrum_inclusion_check, structure_decompose,
                         verify_decomposition)
 from .errors import OperatorLibraryError
-from .specfiles import BUNDLED, _pair, resolve_spec
+from .specfiles import BUNDLED, _pair, _run_param, resolve_spec
 from .suites import run_all
 from .symbols import SpectralSummary
 
@@ -164,7 +164,10 @@ def _collect_params(args, spec, signature) -> dict:
     for key in ("trunc", "tol", "samples", "resolution"):
         value = getattr(args, key, None)
         if value is not None:
-            params[key] = value
+            try:
+                params[key] = _run_param(key, value)
+            except ValueError as exc:
+                raise CliError(f"--{exc}") from None
     for key in ("tol", "samples", "resolution"):
         if key in args:
             params.setdefault(key, signature[key].default)

@@ -61,11 +61,6 @@ class DiagonalDescriptor:
         object.__setattr__(self, "prefix", prefix)
         object.__setattr__(self, "tail", tail)
 
-    def value_at(self, m: int) -> complex:
-        if m < len(self.prefix):
-            return self.prefix[m]
-        return self.tail
-
     def is_zero(self) -> bool:
         return not self.prefix and self.tail == 0
 
@@ -264,13 +259,6 @@ class StructuredOperator:
         return self.scaled(c)
 
     __rmul__ = __mul__
-
-    def apply(self, x) -> np.ndarray:
-        """Exact image of a finitely supported vector (trailing zeros trimmed)."""
-        x = np.asarray(x, dtype=complex)
-        out = self._block(len(x) + self.bandwidth, len(x)) @ x
-        nz = np.flatnonzero(out)
-        return out[: nz[-1] + 1] if len(nz) else np.zeros(0, dtype=complex)
 
     def compose(self, other: "StructuredOperator") -> "StructuredOperator":
         """Exact matrix product self @ other, closed in the class.

@@ -136,8 +136,8 @@ def _schur_spectra(h: StructuredOperator, lam, coupling):
     """The ascending eigenvalues of S(lam) = (H - lam)[:m, :m] - Q G(lam) R
     for self-adjoint H, one row per real lam, and where the roots of b - lam
     split (elsewhere the row means nothing); (Q, R) is ``coupling``, from
-    ``_corner_coupling(h)``, and G(lam) from ``_wiener_hopf_block``.  With a
-    constant symbol S(lam) = window - lam.
+    ``_corner_coupling(h)``, neither of them empty, and G(lam) from
+    ``_wiener_hopf_block``.
 
     S(lam) is Hermitian, but the computed G is not: where roots of b - lam
     pair up near the circle the split into a_+ a_- is ill-conditioned, and
@@ -145,12 +145,9 @@ def _schur_spectra(h: StructuredOperator, lam, coupling):
     below an essential level 0) while the Hermitian part stays accurate.
     The eigenvalues are those of the Hermitian part, not of one triangle."""
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    s = h.window - lam[:, None, None] * np.eye(len(h.window))
-    ok = np.ones(lam.size, dtype=bool)
     q_block, r_block = coupling
-    if q_block.size and r_block.size:
-        g, ok = _wiener_hopf_block(h.tails, lam)
-        s = s - q_block @ g @ r_block
+    g, ok = _wiener_hopf_block(h.tails, lam)
+    s = h.window - lam[:, None, None] * np.eye(len(h.window)) - q_block @ g @ r_block
     return np.linalg.eigvalsh(0.5 * (s + s.conj().swapaxes(-1, -2))), ok
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -27,7 +28,19 @@ from .errors import ParseError, ValidationError
 BUNDLED = ("right_shift", "defect_shift", "nilpotent_head_shift",
            "diagonal_head_shift", "unitary_diag", "selfadjoint_band")
 
-_PARAM_KEYS = {"trunc": int, "tol": float, "samples": int, "resolution": int}
+# each run parameter's kind and least value
+_PARAM_KEYS = {"trunc": (int, 0), "tol": (float, 0.0), "samples": (int, 1),
+               "resolution": (int, 8)}
+
+
+def _run_param(key: str, value):
+    """``value`` as the run parameter ``key``: a finite number of at least
+    its least value, integral for an integer parameter; else ValueError."""
+    kind, least = _PARAM_KEYS[key]
+    if not (least <= value <= sys.float_info.max and kind(value) == value):
+        raise ValueError(f"{key} must be {'an integer' if kind is int else 'finite and'}"
+                         f" >= {least}, got {value!r}")
+    return kind(value)
 
 
 @dataclass(frozen=True)
@@ -118,10 +131,12 @@ def parse_spec_text(text: str, source: str = "<string>") -> OperatorSpec:
         raise ParseError(f"{source}: 'params' must be an object")
     _reject_unknown(raw_params, _PARAM_KEYS, f"{source}: params")
     for key, value in raw_params.items():
-        kind = _PARAM_KEYS[key]
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ParseError(f"{source}: params.{key} must be numeric")
-        params[key] = kind(value)
+        try:
+            params[key] = _run_param(key, value)
+        except ValueError as exc:
+            raise ValidationError(f"{source}: params.{exc}") from None
 
     return OperatorSpec(name, StructuredOperator(bands, tuple(terms)), params)
 

@@ -148,7 +148,7 @@ def diagonal_oracle(t: StructuredOperator):
     the tail alone, so membership reduces to counting prefix moduli on either
     side of |tail| (farther than 1e-8 from it).
     """
-    if set(t.bands) - {0} or t.rank_terms:
+    if set(t.bands) - {0}:
         raise ValueError("oracle only covers purely diagonal operators")
     desc = t.bands.get(0)
     prefix = desc.prefix if desc else ()

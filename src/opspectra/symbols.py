@@ -323,11 +323,11 @@ CIRCLE_RTOL = 1e-9          # relative size of the non-constant coefficients
 CIRCLE_SAMPLES = 1024
 
 
-def _nearly_constant(s: LaurentSymbol) -> bool:
-    """Whether the non-constant coefficients of s sum to at most
-    CIRCLE_RTOL * max(|c_0|, 1) in modulus."""
-    rest = sum(abs(c) for k, c in s.coeffs.items() if k)
-    return rest <= CIRCLE_RTOL * max(abs(s.coeffs.get(0, 0j)), 1.0)
+def _nonconstant_size(s: LaurentSymbol):
+    """(sum of |c_k| over k != 0, CIRCLE_RTOL * max(|c_0|, 1)): s is nearly
+    constant when the sum is at most that bound."""
+    return (sum(abs(c) for k, c in s.coeffs.items() if k),
+            CIRCLE_RTOL * max(abs(s.coeffs.get(0, 0j)), 1.0))
 
 
 def modulus_constant(s: LaurentSymbol) -> float | None:
@@ -337,17 +337,15 @@ def modulus_constant(s: LaurentSymbol) -> float | None:
     if len(s.coeffs) == 1:
         return abs(next(iter(s.coeffs.values())))
     g = s.product(s.conjugated())
-    if _nearly_constant(g):
-        return math.sqrt(g.coeffs.get(0, 0j).real)
-    return None
+    rest, bound = _nonconstant_size(g)
+    return math.sqrt(g.coeffs.get(0, 0j).real) if rest <= bound else None
 
 
 def constant_value(s: LaurentSymbol) -> complex | None:
     """The constant c_0 when the other coefficients of a are small against
     it, else None."""
-    if _nearly_constant(s):
-        return s.coeffs.get(0, 0j)
-    return None
+    rest, bound = _nonconstant_size(s)
+    return s.coeffs.get(0, 0j) if rest <= bound else None
 
 
 @dataclass(frozen=True)
@@ -360,6 +358,8 @@ class EssentialCurve:
 
     @classmethod
     def sampled(cls, s: LaurentSymbol, samples: int = CIRCLE_SAMPLES) -> "EssentialCurve":
+        if samples < 1:
+            raise ValueError("samples must be >= 1")
         theta = np.arange(samples) * (_TWO_PI / samples)
         return cls(theta, s.evaluate(np.exp(1j * theta)), modulus_constant(s))
 
@@ -438,7 +438,7 @@ class _WindingRaster:
     cell, and ``label_winding`` the winding of each label (0 for components
     that touch the border).  ``closed`` says the refined curve passed the
     gap test (consecutive samples less than half a cell apart) before
-    ``max_curve_samples`` and no representative lay on the curve; it is
+    ``MAX_CURVE_SAMPLES`` and no representative lay on the curve; it is
     False when there is no raster (segment or sub-rounding curves)."""
 
     estimate: AreaEstimate
@@ -450,8 +450,10 @@ class _WindingRaster:
     closed: bool = False
 
 
-def _winding_raster(s: LaurentSymbol, resolution: int = 512,
-                    max_curve_samples: int = 2 ** 20) -> _WindingRaster:
+MAX_CURVE_SAMPLES = 2 ** 20     # the raster's gap test gives up at this many
+
+
+def _winding_raster(s: LaurentSymbol, resolution: int = 512) -> _WindingRaster:
     """Rasterize the bounding box, label the 4-connected off-curve
     components, and give each bounded component the exact winding
     (``winding``) of one representative (winding is locally constant off
@@ -462,7 +464,7 @@ def _winding_raster(s: LaurentSymbol, resolution: int = 512,
     A segment curve (a self-adjoint symbol up to rotation and shift) has a
     connected complement and planar measure 0, which is returned exactly and
     without sampling: its raster box is flat, so the gap test would drive the
-    sampling to ``max_curve_samples``."""
+    sampling to ``MAX_CURVE_SAMPLES``."""
     if resolution < 8:
         raise ValueError("resolution must be >= 8")
     empty = _WindingRaster(AreaEstimate(0.0, 0.0, (), 0, 0.0, resolution))
@@ -486,7 +488,7 @@ def _winding_raster(s: LaurentSymbol, resolution: int = 512,
     while True:
         gaps = np.abs(np.diff(np.append(pts, pts[0])))
         closed = float(np.max(gaps)) < 0.5 * min(cw, ch)
-        if closed or m >= max_curve_samples:
+        if closed or m >= MAX_CURVE_SAMPLES:
             break
         m *= 2
         pts = s.on_circle(m)
@@ -554,8 +556,6 @@ def _cell_loops(keep: np.ndarray) -> list:
         edges.append(np.stack([x + 1, y + y0, np.zeros_like(x),
                                np.full_like(x, dy)], axis=1))
     e = np.concatenate(edges)
-    if not len(e):
-        return []
     width = keep.shape[1] + 1
     start = e[:, 1] * width + e[:, 0]
     end = (e[:, 1] + e[:, 3]) * width + e[:, 0] + e[:, 2]
@@ -602,7 +602,7 @@ def _zero_winding_region(s: LaurentSymbol, raster: _WindingRaster,
     box sticks out of it.
 
     Returns None when the raster's curve did not close (its gap test failed
-    at ``max_curve_samples``), as then no cell's winding is known.  Otherwise
+    at ``MAX_CURVE_SAMPLES``), as then no cell's winding is known.  Otherwise
     returns (loops, contains): the boundary of D as closed polygons with D on
     their left, and a function that maps points to a mask of membership."""
     if raster.labels is not None:

@@ -3,7 +3,8 @@
 Each band is a ``DiagonalDescriptor`` (finite prefix plus constant tail) and
 each rank-one term is kept apart as a ``FiniteRankTerm``; ``compose`` keeps
 the rank terms as terms.  It is an independent oracle for the (tails, window)
-representation of ``opspectra.core``, and it also offers the constructors
+representation of ``opspectra.core``, with ``apply`` as its entry oracle,
+and it also offers the constructors
 that ``opspectra.suites`` and ``perfbench/workloads.py`` call, so the same
 random operators can be built in both layouts (``reference_constructors``).
 """
@@ -307,6 +308,15 @@ def structure(t):
     return (max(w, int(np.max(np.abs(rows - cols)))),
             int(np.max(np.minimum(rows, cols))) + 1,
             int(rows.max()) + 1, int(cols.max()) + 1)
+
+
+def apply(t, x) -> np.ndarray:
+    """Exact image of a finitely supported vector under an ``opspectra.core``
+    operator, from one dense block of T (trailing zeros trimmed)."""
+    x = np.asarray(x, dtype=complex)
+    out = t._block(len(x) + t.bandwidth, len(x)) @ x
+    nz = np.flatnonzero(out)
+    return out[: nz[-1] + 1] if len(nz) else np.zeros(0, dtype=complex)
 
 
 # -- constructors, under the names opspectra.core gives them ----------------------

@@ -142,9 +142,15 @@ def region_clusters_by_contour(t):
 def count_below(h, lam):
     """(eigenvalues of self-adjoint H below lam, valid): the negative ones of
     S(lam), valid where the roots of b - lam split, which needs lam < min b;
-    the count behind each shift of ``paranormal_by_shifts``."""
-    mu, ok = _schur_spectra(h, lam, _corner_coupling(h))
-    return int(np.count_nonzero(mu[0] < 0)), bool(ok[0])
+    the count behind each shift of ``paranormal_by_shifts``.  Where nothing
+    couples the window to the rest (a constant symbol, or no window), S(lam)
+    is the window less lam, and valid."""
+    q_block, r_block = coupling = _corner_coupling(h)
+    if q_block.size and r_block.size:
+        mu, ok = _schur_spectra(h, lam, coupling)
+        return int(np.count_nonzero(mu[0] < 0)), bool(ok[0])
+    s = h.window - float(lam) * np.eye(len(h.window))
+    return int(np.count_nonzero(np.linalg.eigvalsh(0.5 * (s + s.conj().T)) < 0)), True
 
 
 def paranormal_by_shifts(t, grid=None, tol=1e-10, invalid=()):

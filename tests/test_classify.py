@@ -1,9 +1,10 @@
+import dataclasses
 import importlib
 
 import numpy as np
 import pytest
 
-from opspectra import (NotHyponormal, Verdict, check_am_normal, check_an,
+from opspectra import (LaurentSymbol, NotHyponormal, Verdict, check_am_normal, check_an,
                        check_an_normal_equivalence, check_an_positive,
                        check_an_selfadjoint, check_hyponormal, check_normal,
                        check_paranormal, check_selfadjoint, classify,
@@ -15,6 +16,7 @@ from opspectra import numerics
 from opspectra.classify import ANResult, CheckResult, default_paranormal_grid
 from opspectra.core import StructuredOperator
 from opspectra.specfiles import BUNDLED, load_bundled
+from opspectra.symbols import CIRCLE_RTOL
 from opspectra.suites import (random_an_hyponormal, random_constant_modulus,
                               random_diagonal, random_finite_rank,
                               random_hyponormal, random_normal_corner,
@@ -234,6 +236,24 @@ def test_check_an_positive_examples():
     spread = toeplitz({0: 2.0, 1: 1.0, -1: 1.0})  # symbol 2 + 2cos, not constant
     res = check_an_positive(spread)
     assert res.verdict is Verdict.NO and res.alpha is None
+
+
+@pytest.mark.parametrize("p, deviation, level", [
+    (toeplitz({0: 2.0, 1: 1.0, -1: 1.0}), 2.0, 2.0),
+    (toeplitz({-2: 0.5j, 0: 0.1, 2: -0.5j}) + diagonal((3.0,), 0.0), 1.0, 0.1),
+    (gram(toeplitz({0: 1.0, 1: 3.0})), 6.0, 10.0)])
+def test_check_an_positive_no_states_the_exact_coefficient_sum(p, deviation, level,
+                                                               monkeypatch):
+    """The "no" witness is the sum of |c_k| over k != 0 of the symbol and
+    the bound CIRCLE_RTOL * max(|c_0|, 1) it exceeds, read off the
+    coefficients: no curve sample is drawn."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the AN check sampled the curve")
+    monkeypatch.setattr(LaurentSymbol, "on_circle", refuse)
+    res = check_an_positive(p)
+    assert res.verdict is Verdict.NO and res.alpha is None
+    assert res.witness == {"symbol_deviation": deviation,
+                           "bound": CIRCLE_RTOL * max(level, 1.0)}
 
 
 def test_check_an_examples():
@@ -514,6 +534,25 @@ def test_classify_report_consistency():
     assert not report.any_undetermined
     assert dict(report.witnesses)["hyponormal"] is not None
     assert report.tolerances["hyponormal"] == 1e-10
+
+
+def test_the_report_records_the_tolerance_of_every_verdict(monkeypatch):
+    """One key per verdict field, and the self-adjoint and AM checks record
+    the tolerances they are run at."""
+    used = {}
+    for name, key in (("check_selfadjoint", "self_adjoint"),
+                      ("check_am_normal", "am_normal")):
+        def recorded(t, tol, check=getattr(classify_module, name), key=key):
+            used[key] = tol
+            return check(t, tol)
+        monkeypatch.setattr(classify_module, name, recorded)
+    report = classify(defect_shift(), tol_an=1e-7)
+    verdicts = {f.name[len("is_"):].lower() for f in dataclasses.fields(report)
+                if f.name.startswith("is_")}
+    assert set(report.tolerances) == verdicts
+    assert used == {"self_adjoint": report.tolerances["self_adjoint"],
+                    "am_normal": report.tolerances["am_normal"]}
+    assert report.tolerances["am_normal"] == report.tolerances["an"] == 1e-7
 
 
 def test_classify_alpha_present_iff_an():

@@ -269,16 +269,17 @@ def test_isolated_mask_matches_the_per_point_predicate(coeffs, resolution,
     # a star polygon: each coarse chord spans 17.6 degrees of the circle
     ({200: 1.0}, 512, 2 ** 20, True),
     ({1: 1.0, -1: 0.5j}, 512, 2 ** 20, True),
-    # the gap test fails at max_curve_samples: there is no region
+    # the gap test fails at MAX_CURVE_SAMPLES: there is no region
     ({1: 1.0, 1500: 0.05}, 512, 4096, False),
     # cells no wider than twice the clearance: the curve's whole box is cut out
     ({1: 1e-7, -2: 0.3e-7}, 256, 2 ** 20, False),
 ])
 def test_isolated_mask_on_fixed_symbols(coeffs, resolution, max_samples,
-                                        decides):
+                                        decides, monkeypatch):
     """``decides`` says whether the region reaches into the raster box."""
     s = LaurentSymbol(coeffs)
-    raster = _winding_raster(s, resolution, max_samples)
+    monkeypatch.setattr(symbols_module, "MAX_CURVE_SAMPLES", max_samples)
+    raster = _winding_raster(s, resolution)
     assert raster.closed == (max_samples > 4096)
     if not raster.closed:
         assert _region(s, raster, 1e-6) is None

@@ -379,13 +379,15 @@ def test_pollution_near_the_curve_is_not_listed():
         assert hit == any(v == k for k in kept)
 
 
-def test_raster_that_does_not_close_gives_an_uncertified_list():
+def test_raster_that_does_not_close_gives_an_uncertified_list(monkeypatch):
     """Sampled at 4096 points, the thin curve of pool base (1, 8, 1) with a
     z^2 term of 1e-3 fails the raster's gap test at resolution 512: no
     cell's winding is known, so nothing is certified, and the sound raster
     certifies the list."""
     t = workloads.generic_base(1, 8, 1) + toeplitz({2: 1e-3})
-    raster = _winding_raster(symbol(t), 512, 4096)
+    with monkeypatch.context() as patch:
+        patch.setattr("opspectra.symbols.MAX_CURVE_SAMPLES", 4096)
+        raster = _winding_raster(symbol(t), 512)
     assert not raster.closed
     assert _region_clusters(t, raster=raster) == ((), False)
     found, certified = _region_clusters(t)

@@ -1,7 +1,6 @@
-import functools
-import importlib
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,6 +10,7 @@ import numpy as np
 import pytest
 
 import opspectra
+import reference_core as ref
 from opspectra import (ParseError, ValidationError, Verdict, right_shift,
                        spectral_summary, weighted_shift)
 from opspectra.cli import _matrix, main, write_curve_csv
@@ -28,9 +28,9 @@ def test_bundled_right_shift_parses_to_shift():
 
 def test_bundled_defect_shift_matches_defining_formula():
     t = load_bundled("defect_shift").operator
-    np.testing.assert_array_equal(t.apply([1]), [0.5])
-    np.testing.assert_array_equal(t.apply([0, 1]), [0, 0, 0.5])
-    np.testing.assert_array_equal(t.apply([0, 0, 1]), [0, 0, 0, 1])
+    np.testing.assert_array_equal(ref.apply(t, [1]), [0.5])
+    np.testing.assert_array_equal(ref.apply(t, [0, 1]), [0, 0, 0.5])
+    np.testing.assert_array_equal(ref.apply(t, [0, 0, 1]), [0, 0, 0, 1])
 
 
 def test_all_bundled_specs_load():
@@ -330,6 +330,44 @@ def test_unset_parameters_are_the_defaults_of_the_computation(
         == {key: signature[key].default for key in keys}
 
 
+# run parameters out of range, each refused where it enters: as a flag or
+# as a spec param
+BAD_RUN_PARAMS = [("classify", "resolution", 4), ("classify", "samples", 0),
+                  ("spectrum", "samples", -3), ("classify", "tol", -1.0),
+                  ("classify", "tol", math.nan), ("classify", "tol", math.inf),
+                  ("decompose", "trunc", -1), ("classify", "samples", 2.5)]
+
+
+@pytest.mark.parametrize("command, key, value", BAD_RUN_PARAMS)
+def test_out_of_range_flag_is_a_usage_error(command, key, value, capsys,
+                                            tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "right_shift", f"--{key}", str(value)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and f"--{key}" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, key, value", BAD_RUN_PARAMS)
+def test_out_of_range_spec_param_is_a_validation_error(command, key, value, capsys,
+                                                       tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    text = json.dumps({"name": "shift", "params": {key: value},
+                       "bands": [{"offset": 1, "tail": [1, 0]}]})
+    with pytest.raises(ValidationError, match=f"params.{key} must be"):
+        parse_spec_text(text)
+    (tmp_path / "spec.json").write_text(text)
+    assert main([command, "spec.json"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert [p.name for p in tmp_path.iterdir()] == ["spec.json"]
+
+
+def test_integral_spec_params_are_kept_as_integers():
+    text = json.dumps({"name": "shift", "params": {"samples": 64.0, "tol": 0}})
+    assert parse_spec_text(text).params == {"samples": 64, "tol": 0.0}
+    assert type(parse_spec_text(text).params["samples"]) is int
+
+
 @pytest.mark.parametrize("name", ["sub/x", "sub\\x", "x\u0000y"])
 def test_spec_name_naming_another_path_is_refused(name, capsys, tmp_path,
                                                   monkeypatch):
@@ -521,10 +559,7 @@ def test_spectrum_reports_isolated_eigenvalues_that_did_not_stabilize(
     # with its curve sampled at no more than 4096 points the raster does not
     # close, so the engine knows no region free of the curve and certifies
     # nothing
-    classify_module = importlib.import_module("opspectra.classify")
-    monkeypatch.setattr(classify_module, "_winding_raster",
-                        functools.partial(classify_module._winding_raster,
-                                          max_curve_samples=4096))
+    monkeypatch.setattr("opspectra.symbols.MAX_CURVE_SAMPLES", 4096)
     summary = opspectra.spectral_summary(parse_spec(path).operator)
     assert summary.eigenvalues == () and summary.eigenvalues_stabilized is False
     csv = str(tmp_path / "curve.csv")

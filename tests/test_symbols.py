@@ -123,6 +123,14 @@ def test_essential_spectrum_examples():
     np.testing.assert_allclose(diag_curve.points, np.ones(1024), atol=1e-14)
 
 
+def test_sampled_curve_refuses_fewer_than_one_sample():
+    s = symbol(right_shift())
+    assert len(symbols_module.EssentialCurve.sampled(s, 1).points) == 1
+    for samples in (0, -3):
+        with pytest.raises(ValueError, match="samples"):
+            symbols_module.EssentialCurve.sampled(s, samples)
+
+
 def test_modulus_and_value_constancy():
     assert modulus_constant(LaurentSymbol({1: 3.0})) == 3.0
     assert modulus_constant(LaurentSymbol({1: 1.0, -1: 1.0})) is None
