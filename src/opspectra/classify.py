@@ -22,14 +22,9 @@ from .numerics import (_gram_levels_below, _paranormal_counts, cluster_values,
                        discrete_eigs_below, min_modulus, operator_norm,
                        positivity_verdict, schur_eigenvalues)
 from .symbols import (EssentialCurve, SpectralSummary, _curve_distance,
-                      _exact_regions, _nonconstant_size, _tail_span, _WindingRaster,
-                      _winding_raster, _zero_winding_region, constant_value,
+                      _nonconstant_size, _tail_span, constant_value,
                       modulus_constant, spectral_area, symbol,
                       symbol_min_modulus, winding)
-
-
-# cells a side of the raster that bounds where isolated eigenvalues are sought
-REGION_RESOLUTION = 512
 
 
 class Verdict(enum.Enum):
@@ -193,8 +188,7 @@ def _off_curve(sym, z: np.ndarray, clearance: float, check_winding: bool) -> np.
                      and not (check_winding and winding(sym, v)) for v in z], dtype=bool)
 
 
-def _region_clusters(t: StructuredOperator, keep=None, tol: float = 1e-8,
-                     raster: _WindingRaster | None = None):
+def _region_clusters(t: StructuredOperator, keep=None, tol: float = 1e-8):
     """The isolated eigenvalues of T at winding 0 off the curve, as
     ((value, multiplicity), ...) selected by ``keep`` (an elementwise
     predicate on an array of values), and whether the list is certified.
@@ -210,16 +204,10 @@ def _region_clusters(t: StructuredOperator, keep=None, tol: float = 1e-8,
     with |r| < 1 < |a_-1 / (a_1 r)|: a quadratic eigenproblem, solved as
     the 2m companion matrix of s = 1 / r (Tisseur & Meerbergen 2001).  That
     root test is the winding test, so only the clearance is checked; the
-    list is exact and also holds the eigenvalues in the band along the
-    curve that the raster below leaves out.  Otherwise they are the zeros
-    of the corner's Schur complement inside the region that
-    ``_zero_winding_region`` cuts from the square of half-side 1.05 ||T||
-    (``numerics.schur_eigenvalues``), with a winding raster of
-    ``REGION_RESOLUTION`` cells a side; that region also leaves out a band
-    at most two cell diagonals wide along the curve, about 0.55 % of the
-    curve's extent.  ``raster`` is the symbol's raster when the caller
-    already has one; it is used only at that resolution.  A raster whose
-    curve did not close gives an empty, uncertified list.
+    list is exact.  Otherwise they are the zeros of the corner's Schur
+    complement inside the circle of radius 1.05 max(1, ||T||), counted on
+    the boundary of the winding-0 set there
+    (``numerics.schur_eigenvalues``).
     """
     sym = symbol(t)
     norm = operator_norm(t)
@@ -236,12 +224,7 @@ def _region_clusters(t: StructuredOperator, keep=None, tol: float = 1e-8,
         s = s[(np.abs(s) > 1.0) & (np.abs(a_m1 * s / a1) > 1.0)]
         vals = a_m1 * s + a0 + a1 / s
     else:
-        if raster is None or raster.estimate.resolution != REGION_RESOLUTION:
-            raster = _winding_raster(sym, REGION_RESOLUTION)
-        region = _zero_winding_region(sym, raster, 1.05 * norm, clearance)
-        if region is None:
-            return (), False
-        found, certified = schur_eigenvalues(t, *region, max(1.0, norm))
+        found, certified = schur_eigenvalues(t, max(1.0, norm))
         if keep is not None:
             mask = keep(np.array([v for v, _ in found], dtype=complex))
             found = tuple(c for c, k in zip(found, mask) if k)
@@ -541,23 +524,20 @@ def spectral_summary(t: StructuredOperator, samples: int = 1024,
                      resolution: int = 512, tol: float = 1e-8) -> SpectralSummary:
     """Assemble the full spectral report for an operator.
 
-    The isolated eigenvalues are those of ``_region_clusters``, which reads
-    the raster that also gives the area when ``resolution`` is
-    ``REGION_RESOLUTION`` and builds its own otherwise.  A monomial or
-    bandwidth-1 symbol has exact regions (``_exact_regions``), and its
-    eigenvalues come from the window or the 2m pencil, so it gets no raster
-    at all.  When their list is not certified, none are listed and
-    ``eigenvalues_stabilized`` is False."""
+    The area and the components at nonzero winding are ``spectral_area``'s:
+    exact for a monomial, bandwidth-1 or segment symbol, a raster of
+    ``resolution`` cells a side otherwise.  The isolated eigenvalues are
+    those of ``_region_clusters``, which reads no raster.  When their list
+    is not certified, none are listed and ``eigenvalues_stabilized`` is
+    False."""
     sym = symbol(t)
     curve = EssentialCurve.sampled(sym, samples)
-    exact = _exact_regions(sym, resolution)
-    raster = None if exact else _winding_raster(sym, resolution)
-    regions = exact or raster.estimate
+    regions = spectral_area(t, resolution)
     norm_upper = operator_norm(t)
     me = symbol_min_modulus(sym)
     m_modulus = min(min_modulus(t), me)  # guard float rounding on the invariant
 
-    clusters, stable = _region_clusters(t, None, tol, raster)
+    clusters, stable = _region_clusters(t, None, tol)
     eigenvalues = tuple(clusters) if stable else ()
     weyl = tuple(c for c in regions.components if c.winding != 0)
     return SpectralSummary(curve, curve.is_circle, weyl, eigenvalues,

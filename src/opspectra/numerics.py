@@ -17,8 +17,9 @@ import numpy as np
 
 from .core import StructuredOperator, gram, memoized, selfadjoint_defect
 from .errors import ConvergenceFailure, NotHermitian, NotStabilized
-from .symbols import (_block_from_roots, _laurent_roots, _split_roots, _tail_span,
-                      _wiener_hopf_block, symbol)
+from .symbols import (_block_from_roots, _boundary_block, _laurent_roots,
+                      _segment_box, _split_roots, _tail_span, _wiener_hopf_block,
+                      _zero_winding_mask, symbol)
 
 TRUNC_CAP = 4096            # largest dense matrix hermitian_eig accepts
 MERGE_FACTOR = 100.0        # eigenvalues within 100*tol are one cluster
@@ -264,49 +265,51 @@ def _discrete_eigs_below(t, bound, tol) -> DiscreteEigenReport:
                                ok, len(t.window), len(vals) - len(below))
 
 
-def _loop_turns(log_f, loops):
-    """Total winding around 0 of a function along closed polygons, or None.
+def _loop_turns(log_f, loops: int):
+    """Total winding around 0 of a function along closed paths, or None.
 
-    ``log_f`` maps an array of points to log f there (any branch; NaN
-    where f cannot be evaluated).  Each loop starts with 128 points evenly
-    spaced in arc length, and every gap across which log f changes by more
-    than pi/4 (phase wrapped to (-pi, pi]) is halved, all loops in one batch
-    per round, until none does.  None means a NaN or more than
-    ``LOOP_BUDGET`` points in all."""
-    paths = []
-    for v in loops:
-        lengths = np.abs(np.roll(v, -1) - v)
-        paths.append((v, np.concatenate([[0.0], np.cumsum(lengths)]), lengths))
-
-    def points(path, s):
-        v, cum, lengths = path
-        i = np.clip(np.searchsorted(cum, s, side="right") - 1, 0, len(v) - 1)
-        return v[i] + (s - cum[i]) / lengths[i] * (np.roll(v, -1)[i] - v[i])
-
-    params = [np.zeros(0)] * len(paths)
-    values = [np.zeros(0, dtype=complex)] * len(paths)
-    new = [np.linspace(0.0, cum[-1], 128, endpoint=False) for _, cum, _ in paths]
-    total = 0
+    ``log_f(i, s)`` maps arrays of path indices (sorted) and parameters s
+    in [0, 2 pi) to (log f, side, reach): log f on any branch, NaN where f
+    cannot be evaluated; side 1 or -1 where the path is read forward or
+    backward, 0 where it is not read; reach as ``symbols._boundary_block``
+    gives it.  Each path starts with 128 points, evenly spaced, and all take
+    their new points in one batch per round.  A step between points of one
+    side counts with it, halved while log f changes by more than pi/4
+    (phase wrapped to (-pi, pi]).  A step across a change of side is cut to
+    2^-20 of the first steps, at its midpoint and half that either side of
+    where reaches of opposite signs put the change; a step shorter than the
+    sum of its reaches is halved down to 2^-6 of the first steps.  Returns
+    the nearest integer, or None for a NaN where a path is read, more than
+    ``LOOP_BUDGET`` points, or a total more than 0.1 from it."""
+    points = [np.zeros((4, 0), dtype=complex)] * loops     # s, log f, side, reach
+    new = [np.arange(128) * (2 * np.pi / 128)] * loops
+    total, turns, finest = 0, 0.0, 2 * np.pi * 2.0 ** -27
     while any(len(s) for s in new):
         total += sum(len(s) for s in new)
         if total > LOOP_BUDGET:
             return None
-        got = log_f(np.concatenate([points(path, s) for path, s in zip(paths, new)]))
-        if np.isnan(got).any():
+        got = np.array(log_f(np.repeat(np.arange(loops), [len(s) for s in new]),
+                             np.concatenate(new)))
+        if np.isnan(got[0, got[1] != 0]).any():
             return None
-        turns = 0.0
-        for i, path in enumerate(paths):
-            got_i, got = got[: len(new[i])], got[len(new[i]):]
-            order = np.argsort(np.concatenate([params[i], new[i]]))
-            params[i] = np.concatenate([params[i], new[i]])[order]
-            values[i] = np.concatenate([values[i], got_i])[order]
-            step = np.roll(values[i], -1) - values[i]
+        got[0, got[1] == 0], turns = 0.0, 0.0
+        for i, k in enumerate(len(s) for s in new):
+            merged = np.concatenate([points[i], np.vstack([new[i], got[:, :k]])], axis=1)
+            points[i], got = merged[:, np.argsort(merged[0].real)], got[:, k:]
+            s, side, near = points[i][0].real, points[i][2].real, points[i][3].real
+            gap = np.diff(np.append(s, s[0] + 2 * np.pi))
+            step = np.diff(np.append(points[i][1], points[i][1, :1]))
             phase = (step.imag + np.pi) % (2 * np.pi) - np.pi
-            turns += np.sum(phase) / (2 * np.pi)
-            gaps = np.flatnonzero(np.hypot(step.real, phase) > np.pi / 4)
-            ends = np.append(params[i][1:], path[1][-1])
-            new[i] = 0.5 * (params[i][gaps] + ends[gaps])
-    return turns
+            after, read = np.roll(near, -1), side == np.roll(side, -1)
+            turns += np.sum(np.where(read, side * phase, 0.0)) / (2 * np.pi)
+            cross = ~read & (gap > 2 * finest)
+            split = (cross | (read & (side != 0) & (np.hypot(step.real, phase) > np.pi / 4))
+                     | ((np.abs(near) + np.abs(after) < gap) & (gap > 2 * np.pi / 2 ** 13)))
+            cross &= near * after < 0
+            at = s[cross] + gap[cross] * near[cross] / (near[cross] - after[cross])
+            new[i] = np.mod(np.concatenate([(s + 0.5 * gap)[split], at - finest / 2,
+                                            at + finest / 2]), 2 * np.pi)
+    return round(turns) if abs(turns - round(turns)) <= 0.1 else None
 
 
 def _schur_newton(t: StructuredOperator, coupling, seeds, scale: float) -> list:
@@ -356,10 +359,10 @@ def _schur_newton(t: StructuredOperator, coupling, seeds, scale: float) -> list:
     return zeros
 
 
-def schur_eigenvalues(t: StructuredOperator, loops, contains, scale: float):
+def schur_eigenvalues(t: StructuredOperator, scale: float):
     """Eigenvalues of T = T(a) + K, a with both positive and negative
-    offsets, inside a region D at winding 0 given by its boundary ``loops``
-    (D on their left) and its membership mask ``contains``.
+    offsets, at winding 0 inside the circle |lam| = R = 1.05 ``scale`` and
+    farther than 1e-6 ``scale`` from the curve (``_zero_winding_mask``).
 
     Past m = len(window), T is exactly T(a), so lam at winding 0 is an
     eigenvalue iff the m-by-m Schur complement
@@ -368,11 +371,14 @@ def schur_eigenvalues(t: StructuredOperator, loops, contains, scale: float):
     of T(a - lam)^(-1) (``_wiener_hopf_block``).  Newton on det S refines
     the eigenvalues at winding 0 of a section of size m + 8 (p + q) into
     zeros, and the argument principle on det S, divided by the zeros found,
-    counts the zeros still missing in D; when some are, the seeds come once
-    more from a section four times as large.  A zero is simple unless the
-    count asks for more, and then each zero's multiplicity is counted on a
-    small circle around it.  The scale ``scale`` sets Newton's difference
-    step and stopping rule.
+    counts the zeros still missing; when some are, the seeds come once more
+    from a section four times as large.  The count runs along the circle and
+    the curve itself, each piece with a winding-0 face beside it read with
+    that face on its left and S's boundary values from it
+    (``_boundary_block``); a segment curve, which folds onto itself, is cut
+    out as a box (``_segment_box``).  A zero is simple unless the count asks
+    for more, and then each zero's multiplicity is counted on a small
+    circle around it.  ``scale`` also sets Newton's step and stopping rule.
 
     Returns (((value, multiplicity), ...) sorted by real then imaginary
     part, certified), where certified says the multiplicities add up to
@@ -380,22 +386,47 @@ def schur_eigenvalues(t: StructuredOperator, loops, contains, scale: float):
     m = len(t.window)
     p, q = _tail_span(t.tails)
     q_block, r_block = _corner_coupling(t)
+    radius = 1.05 * scale
 
-    def log_det(lam):
-        g, ok = _wiener_hopf_block(t.tails, lam)
-        out = np.empty(lam.size, dtype=complex)
-        chunk = max(1, 2 ** 17 // (m * m))     # at most 2 MB of matrices at once
-        for lo in range(0, lam.size, chunk):
-            part = slice(lo, lo + chunk)
-            sign, logabs = np.linalg.slogdet(t.window - lam[part, None, None] * np.eye(m)
-                                             - q_block @ g[part] @ r_block)
-            out[part] = logabs + 1j * np.angle(sign)
-        out[~ok] = np.nan
-        return out
+    def contains(z):
+        return _zero_winding_mask(t, z, radius, 1e-6 * scale)
+
+    def loop(f):            # the path s -> f(s) off the curve, read forward
+        def at(s):
+            lam = f(s)
+            g, ok = _wiener_hopf_block(t.tails, lam)
+            return lam, g, ok, np.ones(s.size), np.full(s.size, np.inf)
+        return at
+
+    def curve(s):
+        lam, g, side, reach = _boundary_block(t.tails, s)
+        return lam, g, np.ones(s.size, dtype=bool), side, reach
+
+    def count(paths, roots):
+        """The turns of det S / prod (lam - r), r in ``roots``, along
+        ``paths`` (maps of s to (lam, G, ok, side, reach)), or None."""
+        def log_f(i, s):       # i is sorted by path
+            lam, g, ok, side, reach = (np.concatenate(x) for x in zip(
+                *[paths[j](s[i == j]) for j in np.unique(i)]))
+            out = np.empty(s.size, dtype=complex)
+            chunk = max(1, 2 ** 17 // (m * m))     # at most 2 MB of matrices at once
+            for lo in range(0, s.size, chunk):
+                part = slice(lo, lo + chunk)
+                sign, logabs = np.linalg.slogdet(t.window - lam[part, None, None] * np.eye(m)
+                                                 - q_block @ g[part] @ r_block)
+                out[part] = logabs + 1j * np.angle(sign)
+            out[~ok] = np.nan
+            return out - np.sum(np.log(lam[:, None] - roots), axis=1), side, reach
+
+        return _loop_turns(log_f, len(paths))
 
     zeros = np.zeros(0, dtype=complex)
     window_eigs = np.linalg.eigvals(t.window)
-    outside = window_eigs[~contains(window_eigs)]
+    outside = window_eigs[~(_wiener_hopf_block(t.tails, window_eigs)[1]
+                            & (np.abs(window_eigs) < radius))]
+    sym = symbol(t)
+    paths = [loop(lambda s: radius * np.exp(1j * s)),
+             loop(_segment_box(sym, 1e-6 * scale)) if sym.is_segment() else curve]
     # a zero near the curve has a slowly decaying eigenvector, which a small
     # section may not resolve: when the count shows zeros missing, the seeds
     # come once more from a section four times as large
@@ -408,30 +439,27 @@ def schur_eigenvalues(t: StructuredOperator, loops, contains, scale: float):
         zeros = zeros[np.lexsort((zeros.imag, zeros.real))]
         inside = zeros[contains(zeros)]
         # det S ~ (-lam)^m far out.  Divided by (lam - z) for every zero z
-        # found and by (lam - mu) for every eigenvalue mu of the window
-        # outside D, it winds around D once per zero missed: the divisor
-        # winds once around each zero found in D and not at all around
-        # points outside D.  The division also flattens the phase near the
-        # zeros found and along the square, so that few samples follow it.
-        roots = np.concatenate([zeros, outside])
-
-        def deflated(lam):
-            return log_det(lam) - np.sum(np.log(lam[:, None] - roots), axis=1)
-
-        missing = _loop_turns(deflated, loops)
+        # found and by (lam - mu) for every eigenvalue mu of the window not
+        # at winding 0 in the disc, it winds around the contour once per
+        # zero missed: the divisor winds once around each zero found inside
+        # and not at all around points outside.  The division also flattens
+        # the phase near the zeros found and along the circle, so that few
+        # samples follow it.
+        missing = count(paths, np.concatenate([zeros, outside]))
         if missing is None:
             return tuple((z, 1) for z in inside), False
-        missing = round(missing)
         if missing == 0:
             return tuple((z, 1) for z in inside), True
     found = []
     for z in inside:
         gap = min([abs(z - y) for y in zeros if y != z], default=np.inf)
-        circle = z + min(1e-4 * scale, 0.4 * gap) * np.exp(2j * np.pi * np.arange(16) / 16)
-        turns = _loop_turns(log_det, [circle]) if contains(circle).all() else None
+        r = min(1e-4 * scale, 0.4 * gap)
+        circle = z + r * np.exp(2j * np.pi * np.arange(16) / 16)
+        turns = (count([loop(lambda s: z + r * np.exp(1j * s))], np.zeros(0))
+                 if contains(circle).all() else None)
         if turns is None:
             return tuple((z, 1) for z in inside), False
-        found.append((z, round(turns)))
+        found.append((z, turns))
     return tuple(found), (all(k >= 1 for _, k in found)
                           and sum(k - 1 for _, k in found) == missing)
 

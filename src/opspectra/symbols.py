@@ -187,13 +187,14 @@ def _geometric_product(ratios: np.ndarray, n: int) -> np.ndarray:
 
 def _split_roots(poly: np.ndarray, lam, q: int) -> tuple:
     """(inner, outer, ok): the q roots of least modulus and the rest of
-    ``poly`` (top degree first) less lam z^q, one row per lam, from one batched
-    companion eigenvalue call; ok where they split across the circle (no margin)."""
-    d = len(poly) - 1
+    ``poly`` (top degree first; or one per row) less lam z^q, one row per lam,
+    from one batched companion eigenvalue call; ok where they split across
+    the circle (no margin)."""
+    d = poly.shape[-1] - 1
     lam = np.asarray(lam, dtype=complex).ravel()
     companion = np.zeros((lam.size, d, d), dtype=complex)
-    companion[:, 0, :] = -poly[1:] / poly[0]
-    companion[:, 0, d - q - 1] += lam / poly[0]
+    companion[:, 0, :] = -poly[..., 1:] / poly[..., :1]
+    companion[:, 0, d - q - 1] += lam / poly[..., 0]
     companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
     roots = np.linalg.eigvals(companion)
     roots = np.take_along_axis(roots, np.argsort(np.abs(roots), axis=1), axis=1)
@@ -402,6 +403,108 @@ def ess_min_modulus(t: StructuredOperator) -> float:
     return symbol_min_modulus(symbol(t))
 
 
+# -- the boundary of the winding-0 set ---------------------------------------
+
+def _zero_winding_mask(t: StructuredOperator, z, radius: float, margin: float):
+    """Mask of the points z where the isolated eigenvalues of t are sought:
+    inside the circle |z| = ``radius``, at winding 0 (the roots of
+    z^q (a - z) split q : p; ``_wiener_hopf_block``, so p, q >= 1) and
+    farther than ``margin`` from the curve."""
+    z = np.asarray(z, dtype=complex).ravel()
+    inside = _wiener_hopf_block(t.tails, z)[1] & (np.abs(z) < radius)
+    sym = symbol(t)
+    inside[inside] = [_curve_distance(sym, v) > margin for v in z[inside]]
+    return inside
+
+
+def _segment_box(s: LaurentSymbol, margin: float):
+    """A box around a segment curve, aligned with the longest chord of its
+    4096 samples and widened by ``margin``, as the map of an angle in
+    [0, 2 pi) to its boundary that stretches (cos, -sin) of it onto it:
+    clockwise, with the outside on its left."""
+    pts = s.on_circle(4096)
+    far = pts[np.argmax(np.abs(pts - pts[0]))]
+    tip = pts[np.argmax(np.abs(pts - far))]
+    axis = (tip - far) / abs(tip - far) if tip != far else 1.0
+    local = (pts - far) / axis
+    lo = complex(local.real.min() - margin, local.imag.min() - margin)
+    hi = complex(local.real.max() + margin, local.imag.max() + margin)
+
+    def point(angle):
+        x, y = (np.clip(math.sqrt(2) * f(-np.asarray(angle)), -1, 1) for f in (np.cos, np.sin))
+        return far + axis * (lo + hi + x * (hi - lo).real + 1j * y * (hi - lo).imag) / 2
+
+    return point
+
+
+def _curve_symmetry(tails: np.ndarray) -> tuple:
+    """(g, u): g the gcd of the offsets that ``_tail_span`` keeps, so that
+    a(z) = b(z^g), and u unimodular with a_-k = u^k a_k for every k within
+    the segment tolerance, so that a(u / z) = a(z) and the curve is traced
+    back and forth; None when there is no such u."""
+    w = len(tails) // 2
+    size = np.abs(tails)
+    offsets = np.flatnonzero(size > ROOT_RTOL * size.max()) - w
+    g = int(np.gcd.reduce(offsets[offsets != 0]))
+    k = int(offsets[offsets > 0].min())
+    j, tol = np.arange(1, w + 1), _SEGMENT_TOL * (size.sum() - size[w])
+    phase = np.angle(tails[w - k] / tails[w + k]) + _TWO_PI * np.arange(k)
+    for u in np.exp(1j * phase / k):
+        if np.all(np.abs(tails[w - j] - u ** j * tails[w + j]) <= tol):
+            return g, u
+    return g, None
+
+
+def _boundary_block(tails: np.ndarray, s) -> tuple:
+    """(lam, G, side, reach) at lam = a(e^(i theta)),
+    theta = (s + 0.382 (2 pi / 128)) / g: s in [0, 2 pi) runs once round
+    the period 2 pi / g (``_curve_symmetry``), and no point of a grid of 128
+    lands on a tip of a curve traced back and forth.  G is the boundary
+    value of ``_wiener_hopf_block`` from a winding-0 face beside the curve:
+    ``_block_from_roots`` on the roots of z^q (a(z) - lam) split as seen
+    from there.
+
+    The roots e^(i theta) w^j, w = e^(2 pi i / g), lie on the circle, and
+    moving lam to the left of the curve moves them inside.  With them
+    divided out and k of the other roots strictly inside, the left face is
+    at winding 0 when k = q - g (side 1; they join the inner roots), the right
+    face when k = q (side -1; they join the outer roots); side 0 means
+    neither.  When a(u / z) = a(z), the partners u e^(-i theta) w^j are
+    divided out too and join the outer roots; side is then 1 or 0.  ``reach`` is
+    (|r| - 1) / |dr/ds| for the other root r nearest the circle at that
+    rate: to first order, no root crosses the circle in a shorter step."""
+    w = len(tails) // 2
+    p, q = _tail_span(tails)
+    poly = tails[w - q: w + p + 1][::-1]
+    slope = poly * (p - np.arange(p + q + 1))     # z^(q+1) a'(z), top degree first
+    g, u = _curve_symmetry(tails)
+    z = np.exp(1j * (np.asarray(s, dtype=float) + 0.382 * _TWO_PI / 128) / g)
+    lam = np.polyval(poly, z) / z ** q
+    marks = [z[:, None] * np.exp(2j * np.pi * np.arange(g) / g)]
+    if u is not None:
+        marks.append(u * marks[0].conj())
+    rest = np.tile(poly, (len(z), 1))
+    rest[:, p] -= lam
+    for mark in marks:                  # divide by z^g - mark^g
+        rest = rest[:, :-g].copy()
+        for i in range(g, rest.shape[1]):
+            rest[:, i] += mark[:, 0] ** g * rest[:, i - g]
+    rest = _split_roots(rest, np.zeros(len(z)), 0)[1]
+    size = np.abs(rest)
+    k = np.count_nonzero(size < 1, axis=1)
+    side = np.where(k == q - g, 1, np.where((k == q) & (u is None), -1, 0))
+    # dr/ds = lam'(theta) / (g a'(r)), with |lam'| = |z a'(z)| on the circle
+    ratio = np.append((size - 1) * np.abs(np.polyval(slope, rest)) / size ** (q + 1),
+                      np.full((len(z), 1), np.inf), axis=1)
+    reach = np.take_along_axis(ratio, np.argmin(np.abs(ratio), axis=1)[:, None], axis=1)
+    reach = reach[:, 0] * g / np.abs(np.polyval(slope, z))
+    roots = np.concatenate([rest] + marks, axis=1)
+    key = np.concatenate([size, np.where(side < 0, np.inf, -1.0)[:, None] * np.ones(g)]
+                         + [np.full((len(z), g), np.inf)] * (len(marks) - 1), axis=1)
+    roots = np.take_along_axis(roots, np.argsort(key, axis=1), axis=1)
+    return lam, _block_from_roots(roots[:, :q], roots[:, q:], poly[0]), side, reach
+
+
 # -- spectral area by winding raster ----------------------------------------
 
 @dataclass(frozen=True)
@@ -428,46 +531,25 @@ class AreaEstimate:
     resolution: int
 
 
-@dataclass(frozen=True)
-class _WindingRaster:
-    """The area raster of a symbol curve, kept for the region in which
-    isolated eigenvalues are sought (``_zero_winding_region``).
-
-    ``labels`` numbers the 4-connected off-curve components (0 on the curve),
-    ``depth`` is each cell's chessboard distance in cells to the nearest curve
-    cell, and ``label_winding`` the winding of each label (0 for components
-    that touch the border).  ``closed`` says the refined curve passed the
-    gap test (consecutive samples less than half a cell apart) before
-    ``MAX_CURVE_SAMPLES`` and no representative lay on the curve; it is
-    False when there is no raster (segment or sub-rounding curves)."""
-
-    estimate: AreaEstimate
-    origin: complex = 0j
-    cell: tuple = (0.0, 0.0)
-    labels: np.ndarray | None = None
-    depth: np.ndarray | None = None
-    label_winding: np.ndarray | None = None
-    closed: bool = False
-
-
 MAX_CURVE_SAMPLES = 2 ** 20     # the raster's gap test gives up at this many
 
 
-def _winding_raster(s: LaurentSymbol, resolution: int = 512) -> _WindingRaster:
-    """Rasterize the bounding box, label the 4-connected off-curve
-    components, and give each bounded component the exact winding
-    (``winding``) of one representative (winding is locally constant off
-    the curve).  The representative is the component's deepest cell, the
-    first one in scan order; when it lies on the curve, its winding reads 0
-    and ``closed`` False.  Error bound: curve length x cell diagonal.
+def winding_regions(s: LaurentSymbol, resolution: int = 512) -> AreaEstimate:
+    """Components of the complement of the curve a(T) with their windings,
+    and the raster area of {winding != 0} together with the curve.
 
-    A segment curve (a self-adjoint symbol up to rotation and shift) has a
-    connected complement and planar measure 0, which is returned exactly and
-    without sampling: its raster box is flat, so the gap test would drive the
+    The cells of the bounding box that the curve's samples touch are marked,
+    the samples doubled from 4096 until they lie less than half a cell apart
+    (or reach ``MAX_CURVE_SAMPLES``), and each bounded 4-connected component
+    of the other cells gets the exact winding (``winding``) of its deepest
+    cell in chessboard distance to the curve, the first in scan order; one
+    that lies on the curve reads 0.  Error bound: curve length x cell
+    diagonal.  A segment curve has a connected complement and measure 0,
+    returned exactly without sampling: its flat box would drive the
     sampling to ``MAX_CURVE_SAMPLES``."""
     if resolution < 8:
         raise ValueError("resolution must be >= 8")
-    empty = _WindingRaster(AreaEstimate(0.0, 0.0, (), 0, 0.0, resolution))
+    empty = AreaEstimate(0.0, 0.0, (), 0, 0.0, resolution)
     if s.is_segment():
         return empty
     pts = s.on_circle(4096)
@@ -487,8 +569,7 @@ def _winding_raster(s: LaurentSymbol, resolution: int = 512) -> _WindingRaster:
     m = 4096
     while True:
         gaps = np.abs(np.diff(np.append(pts, pts[0])))
-        closed = float(np.max(gaps)) < 0.5 * min(cw, ch)
-        if closed or m >= MAX_CURVE_SAMPLES:
+        if float(np.max(gaps)) < 0.5 * min(cw, ch) or m >= MAX_CURVE_SAMPLES:
             break
         m *= 2
         pts = s.on_circle(m)
@@ -510,7 +591,6 @@ def _winding_raster(s: LaurentSymbol, resolution: int = 512) -> _WindingRaster:
 
     counts = np.bincount(labels.ravel(), minlength=n_labels + 1)
     boxes = ndimage.find_objects(labels)
-    label_winding = np.zeros(n_labels + 1, dtype=int)
     components = []
     inside_cells = 0
     for lab in bounded:
@@ -522,145 +602,16 @@ def _winding_raster(s: LaurentSymbol, resolution: int = 512) -> _WindingRaster:
         try:
             w = winding(s, q)
         except PointOnCurve:        # the curve passes through a cell it missed
-            w, closed = 0, False
+            w = 0
         cells = int(counts[lab])
-        label_winding[lab] = w
         if w != 0:
             inside_cells += cells
         components.append(RegionComponent(w, cells * cell_area, q, cells))
 
     value = (inside_cells + curve_cells) * cell_area
     error = (curve_len + 4 * cell_diag) * cell_diag
-    estimate = AreaEstimate(value, error, tuple(components), curve_cells,
-                            cell_diag, resolution)
-    return _WindingRaster(estimate, complex(xmin, ymin), (cw, ch), labels,
-                          depth, label_winding, closed)
-
-
-def _cell_loops(keep: np.ndarray) -> list:
-    """The boundary of the True cells of ``keep`` (rows are y, columns x;
-    the outermost ring must be True) as closed loops of integer grid
-    vertices x + iy, each oriented with the True cells on its left.
-
-    Where two True cells touch only at a corner, the loop turns left there;
-    any pairing of the edges at such a corner gives the same total phase."""
-    edges = []                  # (x0, y0, dx, dy) for each unit edge
-    below, above = keep[:-1, :], keep[1:, :]
-    for mask, x0, dx in ((below & ~above, 1, -1), (~below & above, 0, 1)):
-        y, x = np.nonzero(mask)
-        edges.append(np.stack([x + x0, y + 1, np.full_like(x, dx),
-                               np.zeros_like(x)], axis=1))
-    left, right = keep[:, :-1], keep[:, 1:]
-    for mask, y0, dy in ((left & ~right, 0, 1), (~left & right, 1, -1)):
-        y, x = np.nonzero(mask)
-        edges.append(np.stack([x + 1, y + y0, np.zeros_like(x),
-                               np.full_like(x, dy)], axis=1))
-    e = np.concatenate(edges)
-    width = keep.shape[1] + 1
-    start = e[:, 1] * width + e[:, 0]
-    end = (e[:, 1] + e[:, 3]) * width + e[:, 0] + e[:, 2]
-    order = np.argsort(start, kind="stable")
-    first = np.searchsorted(start[order], end)
-    nxt = order[first]
-    # at a corner with two outgoing edges take the one turning left
-    two = np.flatnonzero(np.searchsorted(start[order], end, side="right") - first == 2)
-    alt = order[first[two] + 1]
-    turn_left = (e[alt, 2] == -e[two, 3]) & (e[alt, 3] == e[two, 2])
-    nxt[two[turn_left]] = alt[turn_left]
-    seen = np.zeros(len(e), dtype=bool)
-    loops = []
-    for k in range(len(e)):
-        chain = []
-        while not seen[k]:
-            seen[k] = True
-            chain.append(k)
-            k = nxt[k]
-        if chain:
-            c = np.array(chain)
-            turn = np.flatnonzero(np.any(e[c, 2:] != np.roll(e[c, 2:], 1, axis=0), axis=1))
-            loops.append(e[c[turn], 0] + 1j * e[c[turn], 1])
-    return loops
-
-
-def _zero_winding_region(s: LaurentSymbol, raster: _WindingRaster,
-                         half: float, margin: float):
-    """The region D where isolated eigenvalues are sought: points of the
-    square |Re z|, |Im z| < ``half`` at winding 0 and farther than
-    ``margin`` from the curve, less a thin band along the curve.
-
-    When the raster's cells are wider than 2 ``margin``, D is the square
-    without the raster cells that are not both at winding 0 and at
-    chessboard depth 2 or more.  The refined curve's samples lie less than
-    half a cell apart, so its polygon stays more than half a cell from every
-    such cell and winds around it as around the representative of its
-    label.  A point at winding 0 farther than two cell diagonals from the
-    curve lies in such a cell: the band left out is at most that wide.
-    Otherwise (segments, curves below rounding, cells of at most 2
-    ``margin``) the curve is cut out as a box around its 4096 samples,
-    aligned with their longest chord and widened by ``margin`` on every
-    side.  The square must contain the curve; it is widened when the raster
-    box sticks out of it.
-
-    Returns None when the raster's curve did not close (its gap test failed
-    at ``MAX_CURVE_SAMPLES``), as then no cell's winding is known.  Otherwise
-    returns (loops, contains): the boundary of D as closed polygons with D on
-    their left, and a function that maps points to a mask of membership."""
-    if raster.labels is not None:
-        if not raster.closed:
-            return None
-        box = raster.origin + raster.labels.shape[0] * complex(*raster.cell)
-        half = max(half, 1.05 * max(abs(raster.origin.real), abs(raster.origin.imag),
-                                    abs(box.real), abs(box.imag)))
-    square = half * np.array([-1 - 1j, 1 - 1j, 1 + 1j, -1 + 1j])
-
-    def in_square(z):
-        return (np.abs(z.real) < half) & (np.abs(z.imag) < half)
-
-    if raster.labels is None or min(raster.cell) <= 2 * margin:
-        pts = s.on_circle(4096)
-        far = pts[np.argmax(np.abs(pts - pts[0]))]
-        tip = pts[np.argmax(np.abs(pts - far))]
-        axis = (tip - far) / abs(tip - far) if tip != far else 1.0
-        local = (pts - far) / axis
-        lo = complex(local.real.min() - margin, local.imag.min() - margin)
-        hi = complex(local.real.max() + margin, local.imag.max() + margin)
-        corners = np.array([lo, complex(lo.real, hi.imag), hi, complex(hi.real, lo.imag)])
-        hole = far + axis * corners                  # clockwise: D on the left
-
-        def contains(z):
-            u = (np.asarray(z, dtype=complex) - far) / axis
-            off = ((u.real < lo.real) | (u.real > hi.real)
-                   | (u.imag < lo.imag) | (u.imag > hi.imag))
-            return in_square(np.asarray(z, dtype=complex)) & off
-
-        return [square, hole], contains
-
-    size = raster.labels.shape[0]
-    good = (raster.depth >= 2) & (raster.label_winding[raster.labels] == 0)
-    keep = np.ones((size + 2, size + 2), dtype=bool)
-    keep[1:-1, 1:-1] = good
-    (cw, ch), origin = raster.cell, raster.origin
-    loops = [square] + [origin + (v.real - 1) * cw + 1j * (v.imag - 1) * ch
-                        for v in _cell_loops(keep)]
-
-    def contains(z):
-        z = np.asarray(z, dtype=complex)
-        fx = np.floor((z.real - origin.real) / cw)
-        fy = np.floor((z.imag - origin.imag) / ch)
-        inside = (fx >= 0) & (fx < size) & (fy >= 0) & (fy < size)
-        out = in_square(z) & ~inside
-        ix, iy = fx[inside].astype(int), fy[inside].astype(int)
-        out[inside] = good[iy, ix]
-        return out
-
-    return loops, contains
-
-
-def winding_regions(s: LaurentSymbol, resolution: int = 512) -> AreaEstimate:
-    """Components of the complement of the curve a(T) with their windings,
-    and the raster area of {winding != 0} together with the curve; see
-    ``_winding_raster``."""
-    return _winding_raster(s, resolution).estimate
+    return AreaEstimate(value, error, tuple(components), curve_cells,
+                        cell_diag, resolution)
 
 
 def _exact_regions(s: LaurentSymbol, resolution: int = 512) -> AreaEstimate | None:

@@ -8,9 +8,9 @@ level.  Those bodies live on here as independent oracles, with the
 starting size and the agreement rule they shared, next to the seed-by-seed
 Newton iteration that ``numerics._schur_newton`` batches, the kernel
 count that sets its level from the exact top eigenvalue on every call, the
-contour engine on the raster region that bandwidth-1 tails took before
-their quadratic pencil, and the paranormality test that built q(s) as an
-operator and counted it shift by shift.
+contour engine that bandwidth-1 tails took before their quadratic pencil,
+and the paranormality test that built q(s) as an operator and counted it
+shift by shift.
 """
 
 from __future__ import annotations
@@ -20,13 +20,11 @@ import math
 import numpy as np
 from scipy.linalg import eig_banded
 
-from opspectra.classify import (REGION_RESOLUTION, Verdict, _pencil_shifts,
-                                default_paranormal_grid)
+from opspectra.classify import Verdict, _pencil_shifts, default_paranormal_grid
 from opspectra.core import constant_diagonal, gram
 from opspectra.numerics import (MERGE_FACTOR, TRUNC_CAP, _corner_coupling, _schur_spectra,
                                 cluster_values, operator_norm, schur_eigenvalues)
-from opspectra.symbols import (_all_above, _wiener_hopf_block, _winding_raster,
-                               _zero_winding_region, symbol)
+from opspectra.symbols import _all_above, _wiener_hopf_block
 
 
 def _clusters_match(a, b, tol: float) -> bool:
@@ -128,15 +126,10 @@ def kernel_count_exact(t, n=512):
 
 def region_clusters_by_contour(t):
     """``classify._region_clusters`` for two-sided tails without ``keep``,
-    as bandwidth-1 tails took it before their pencil: ``schur_eigenvalues``
-    on the region of the ``REGION_RESOLUTION`` raster.  Returns (clusters,
-    certified, the raster's cell diagonal)."""
-    sym, norm = symbol(t), operator_norm(t)
-    raster = _winding_raster(sym, REGION_RESOLUTION)
-    region = _zero_winding_region(sym, raster, 1.05 * norm, 1e-6 * max(1.0, norm))
-    found, certified = ((), False) if region is None else schur_eigenvalues(
-        t, *region, max(1.0, norm))
-    return found, certified, raster.estimate.cell_diagonal
+    as bandwidth-1 tails took it before their pencil: ``schur_eigenvalues``,
+    the count on the boundary of the winding-0 set.  Returns (clusters,
+    certified)."""
+    return schur_eigenvalues(t, max(1.0, operator_norm(t)))
 
 
 def count_below(h, lam):

@@ -387,12 +387,10 @@ MONOMIAL_SPECS = ("right_shift", "defect_shift", "nilpotent_head_shift",
 def test_monomial_symbols_build_no_raster(monkeypatch, pool_bases):
     """c z^k has exact regions: with the raster disabled, every caller of
     the area and the windings still answers.  A symbol of bandwidth 2
-    (pool base (2, 8, 0)) still builds one raster for both the area and
-    the eigenvalue region."""
-    # import_module, because the package re-exports a function named classify
-    classify_module = importlib.import_module("opspectra.classify")
+    (pool base (2, 8, 0)) builds one raster, for the area alone: its
+    isolated eigenvalues are counted on the curve."""
     symbols_module = importlib.import_module("opspectra.symbols")
-    raster, built = symbols_module._winding_raster, []
+    raster, built = symbols_module.winding_regions, []
 
     def no_raster(*args, **kwargs):
         raise AssertionError("a monomial symbol must not be rasterized")
@@ -401,8 +399,7 @@ def test_monomial_symbols_build_no_raster(monkeypatch, pool_bases):
         built.append(args)
         return raster(*args, **kwargs)
 
-    for module in (symbols_module, classify_module):
-        monkeypatch.setattr(module, "_winding_raster", no_raster)
+    monkeypatch.setattr(symbols_module, "winding_regions", no_raster)
     ops = [load_bundled(name).operator for name in MONOMIAL_SPECS]
     for op in ops + [toeplitz({-2: 0.5j})]:
         spectral_summary(op)
@@ -410,8 +407,7 @@ def test_monomial_symbols_build_no_raster(monkeypatch, pool_bases):
         putnam_check(op, assume_hyponormal=True)
         weyl_normality_criterion(op)
 
-    for module in (symbols_module, classify_module):
-        monkeypatch.setattr(module, "_winding_raster", counted)
+    monkeypatch.setattr(symbols_module, "winding_regions", counted)
     spectral_summary(pool_bases[2])
     assert len(built) == 1
 
@@ -437,8 +433,7 @@ def test_bandwidth_one_symbols_build_no_raster_and_run_no_contour(monkeypatch):
             refused()
         return block(tails, lam)
 
-    for module in (symbols_module, classify_module):
-        monkeypatch.setattr(module, "_winding_raster", refused)
+    monkeypatch.setattr(symbols_module, "winding_regions", refused)
     monkeypatch.setattr(classify_module, "schur_eigenvalues", refused)
     monkeypatch.setattr(numerics, "_wiener_hopf_block", other_symbols_only)
     summary = spectral_summary(t)

@@ -56,6 +56,27 @@ def test_bundled_commands_load_no_scipy_subpackage(tmp_path):
     assert _run(BUNDLED_COMMANDS, tmp_path) == []
 
 
+ENGINE_ONLY = """
+import json, sys
+import numpy as np
+from opspectra import from_dense_corner, toeplitz
+from opspectra.classify import _region_clusters
+rng = np.random.default_rng([20201008, 2, 8, 1])
+op = (toeplitz({k: complex(*rng.uniform(-1, 1, 2)) for k in range(-2, 3)})
+      + from_dense_corner(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))))
+found, certified = _region_clusters(op)
+print(json.dumps({"certified": certified, "found": len(found),
+                  "ndimage": "scipy.ndimage._ni_label" in sys.modules}))
+"""
+
+
+def test_eigenvalue_engine_loads_no_ndimage(tmp_path):
+    """The isolated eigenvalues of RASTER_AND_ORACLE's operator are counted
+    on its curve, with no raster: the deferred scipy.ndimage never runs."""
+    got = _run(ENGINE_ONLY, tmp_path)
+    assert got["certified"] and got["found"] and not got["ndimage"]
+
+
 def test_deferred_scipy_gives_the_eager_values(tmp_path):
     deferred = _run(RASTER_AND_ORACLE, tmp_path)
     eager = _run("import scipy.ndimage, scipy.linalg\n" + RASTER_AND_ORACLE, tmp_path)

@@ -369,17 +369,52 @@ def test_eigs_below_not_converged(monkeypatch):
     assert not ok and not len(vals)
 
 
+def _on_square(s):
+    """The square with corners +-1 +-1j, counterclockwise from -1 - 1j, at
+    s in [0, 2 pi)."""
+    corners = np.array([-1 - 1j, 1 - 1j, 1 + 1j, -1 + 1j])
+    edge, along = np.divmod(4 * np.asarray(s) / (2 * np.pi), 1.0)
+    edge = edge.astype(int) % 4
+    return corners[edge] + along * (np.roll(corners, -1)[edge] - corners[edge])
+
+
+def _read(log_f, side=lambda s: np.ones(s.size, dtype=int)):
+    """``log_f`` along the square as ``_loop_turns`` takes it: read where
+    ``side`` is not 0, with no step needed for a change of side."""
+    return lambda i, s: (log_f(_on_square(s)), side(s), np.full(s.size, np.inf))
+
+
 def test_loop_turns_counts_and_gives_up():
-    square = np.array([-1 - 1j, 1 - 1j, 1 + 1j, -1 + 1j])
-    assert numerics._loop_turns(np.log, [square]) == pytest.approx(1.0)
-    assert numerics._loop_turns(lambda z: np.full(z.shape, np.nan + 0j),
-                                [square]) is None
+    assert numerics._loop_turns(_read(np.log), 1) == 1
+    assert numerics._loop_turns(_read(lambda z: np.full(z.shape, np.nan + 0j)), 1) is None
 
 
 def test_loop_turns_budget(monkeypatch):
     monkeypatch.setattr(numerics, "LOOP_BUDGET", 127)
-    square = np.array([-1 - 1j, 1 - 1j, 1 + 1j, -1 + 1j])
-    assert numerics._loop_turns(np.log, [square]) is None
+    assert numerics._loop_turns(_read(np.log), 1) is None
+
+
+def test_loop_turns_reads_each_side_and_cuts_its_changes_fine():
+    """A path read backward counts -1; one read on half its length only
+    (a piece that does not close up) gives no count; and a change of side
+    is cut down to 2^-20 of a first step at the change the reaches put
+    there."""
+    assert numerics._loop_turns(_read(np.log, lambda s: -np.ones(s.size, dtype=int)), 1) == -1
+    half = _read(np.log, lambda s: (s < np.pi).astype(int))
+    assert numerics._loop_turns(half, 1) is None
+    taken = []
+
+    def sloped(i, s):
+        taken.append(s)
+        return np.log(_on_square(s)), (s < np.pi).astype(int), np.sin(s)
+
+    numerics._loop_turns(sloped, 1)
+    s = np.concatenate(taken)
+    finest = 2 * np.pi / 128 * 2.0 ** -20
+    assert np.min(np.abs(s - np.pi)) <= finest
+    assert np.min(np.minimum(s, 2 * np.pi - s)) <= finest
+    assert len(s) < 180
+    assert numerics._loop_turns(_read(np.log, lambda s: (s < 7).astype(int)), 2) == 2
 
 
 def test_min_modulus_not_stabilized(monkeypatch):

@@ -1,6 +1,6 @@
 """The winding raster behind winding_regions, checked against a test-local
-oracle, and the region ``_zero_winding_region`` cuts from it for isolated
-eigenvalues, checked against ``winding`` and ``_curve_distance``."""
+oracle, and the region ``_zero_winding_mask`` where isolated eigenvalues are
+sought, checked against ``winding`` and ``_curve_distance``."""
 
 import math
 
@@ -11,44 +11,54 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from opspectra import (LaurentSymbol, PointOnCurve, load_bundled, suites, symbol,
-                       winding_regions)
+                       toeplitz, winding_regions)
 from opspectra import symbols as symbols_module
-from opspectra.classify import _region_clusters
 from opspectra.specfiles import BUNDLED
 from opspectra.symbols import (AreaEstimate, RegionComponent, _curve_distance,
-                               _winding_raster, _zero_winding_region,
+                               _segment_box, _tail_span, _zero_winding_mask,
                                polygon_winding, winding)
 
 
-def _edt_winding_regions(s, resolution, max_curve_samples=2 ** 20):
-    """The raster as it was built with a Euclidean distance transform, whose
-    maximum_position chose each component's representative."""
+def _curve_cells(s, resolution):
+    """The raster's geometry as ``winding_regions`` builds it: ((xmin, ymin),
+    (cell width, cell height), the refined curve samples, the mask of the
+    cells they touch), or None for a segment or a curve below rounding."""
     if s.is_segment():
-        return AreaEstimate(0.0, 0.0, (), 0, 0.0, resolution)
+        return None
     pts = s.on_circle(4096)
     scale = max(1.0, s.magnitude())
     extent = max(np.ptp(pts.real), np.ptp(pts.imag))
     if extent <= 1e-13 * scale:
-        return AreaEstimate(0.0, 0.0, (), 0, 0.0, resolution)
+        return None
     pad = extent / resolution
     xmin, xmax = float(np.min(pts.real)) - pad, float(np.max(pts.real)) + pad
     ymin, ymax = float(np.min(pts.imag)) - pad, float(np.max(pts.imag)) + pad
     cw = (xmax - xmin) / resolution
     ch = (ymax - ymin) / resolution
-    cell_area = cw * ch
-    cell_diag = math.hypot(cw, ch)
     m = 4096
     while True:
         gaps = np.abs(np.diff(np.append(pts, pts[0])))
-        if float(np.max(gaps)) < 0.5 * min(cw, ch) or m >= max_curve_samples:
+        if float(np.max(gaps)) < 0.5 * min(cw, ch) or m >= 2 ** 20:
             break
         m *= 2
         pts = s.on_circle(m)
-    curve_len = float(np.sum(np.abs(np.diff(np.append(pts, pts[0])))))
     ix = np.clip(((pts.real - xmin) / cw).astype(int), 0, resolution - 1)
     iy = np.clip(((pts.imag - ymin) / ch).astype(int), 0, resolution - 1)
     curve_mask = np.zeros((resolution, resolution), dtype=bool)
     curve_mask[iy, ix] = True
+    return (xmin, ymin), (cw, ch), pts, curve_mask
+
+
+def _edt_winding_regions(s, resolution):
+    """The raster as it was built with a Euclidean distance transform, whose
+    maximum_position chose each component's representative."""
+    cells = _curve_cells(s, resolution)
+    if cells is None:
+        return AreaEstimate(0.0, 0.0, (), 0, 0.0, resolution)
+    (xmin, ymin), (cw, ch), pts, curve_mask = cells
+    cell_area = cw * ch
+    cell_diag = math.hypot(cw, ch)
+    curve_len = float(np.sum(np.abs(np.diff(np.append(pts, pts[0])))))
     curve_cells = int(np.count_nonzero(curve_mask))
     four = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
     labels, n_labels = ndimage.label(~curve_mask, structure=four)
@@ -105,21 +115,19 @@ def test_raster_matches_the_distance_transform_version(resolution, pool_bases):
             [(c.winding, c.cells, c.area) for c in want.components]
 
 
-def test_representative_on_the_curve_leaves_the_raster_open(pool_bases, monkeypatch):
-    """Where ``winding`` finds a representative on the curve, no cell's
-    winding is known: the raster is not closed and nothing is certified.
-    Pool base (2, 8, 0): a bandwidth-1 tail would take the pencil."""
+def test_representative_on_the_curve_reads_winding_zero(pool_bases, monkeypatch):
+    """Where ``winding`` finds a representative on the curve, its component
+    reads winding 0.  Pool base (2, 8, 0): a bandwidth-1 tail would take
+    the exact ellipse."""
     t = pool_bases[2]
-    assert _winding_raster(symbol(t), 512).closed
+    assert any(c.winding for c in winding_regions(symbol(t), 512).components)
 
     def on_curve(s, lam):
         raise PointOnCurve(f"{lam} lies on the symbol curve")
 
     monkeypatch.setattr(symbols_module, "winding", on_curve)
-    raster = _winding_raster(symbol(t), 512)
-    assert raster.estimate.components and not raster.closed
-    assert all(c.winding == 0 for c in raster.estimate.components)
-    assert _region_clusters(t, raster=raster) == ((), False)
+    components = winding_regions(symbol(t), 512).components
+    assert components and all(c.winding == 0 for c in components)
 
 
 def _chessboard_depth(curve):
@@ -138,106 +146,46 @@ def _chessboard_depth(curve):
 @pytest.mark.parametrize("s", _suite_symbols(4) + [LaurentSymbol(c)
                                                    for c in TRAPS[:2]])
 def test_representative_is_the_first_deepest_cell_of_its_component(s):
-    raster = _winding_raster(s, 128)
-    if raster.labels is None:
-        assert raster.estimate.components == ()
+    cells = _curve_cells(s, 128)
+    if cells is None:
+        assert winding_regions(s, 128).components == ()
         return
-    depth = _chessboard_depth(raster.labels == 0)
-    assert np.array_equal(raster.depth, depth)
-    (cw, ch), origin = raster.cell, raster.origin
-    for comp in raster.estimate.components:
-        rx = round((comp.representative.real - origin.real) / cw - 0.5)
-        ry = round((comp.representative.imag - origin.imag) / ch - 0.5)
-        member = raster.labels == raster.labels[ry, rx]
-        assert raster.labels[ry, rx] != 0
+    origin, (cw, ch), _, curve = cells
+    labels = ndimage.label(~curve, structure=[[0, 1, 0], [1, 1, 1], [0, 1, 0]])[0]
+    depth = _chessboard_depth(curve)
+    for comp in winding_regions(s, 128).components:
+        rx = round((comp.representative.real - origin[0]) / cw - 0.5)
+        ry = round((comp.representative.imag - origin[1]) / ch - 0.5)
+        member = labels == labels[ry, rx]
+        assert labels[ry, rx] != 0
         assert np.count_nonzero(member) == comp.cells
         deepest = member & (depth == depth[member].max())
-        assert np.flatnonzero(deepest)[0] == ry * raster.labels.shape[1] + rx
+        assert np.flatnonzero(deepest)[0] == ry * labels.shape[1] + rx
 
 
 # -- the region where isolated eigenvalues are sought --------------------------
 
-def _edge_distance(curve_pts, q):
-    """Least distance from q to an edge of the closed polygon, each edge
-    parametrized as a + s (b - a), s in [0, 1]."""
-    a, b = curve_pts, np.roll(curve_pts, -1)
-    d = b - a
-    with np.errstate(invalid="ignore", divide="ignore"):
-        s = np.real((q - a) / d)         # the projection parameter on each edge
-    s = np.where(d == 0, 0.0, np.clip(s, 0.0, 1.0))
-    return float(np.min(np.abs(a + s * d - q)))
+def _mask(s, z, clearance):
+    """``_zero_winding_mask`` with a circle that holds every test point."""
+    return _zero_winding_mask(toeplitz(s.coeffs), z, 4.0 * max(1.0, s.magnitude()), clearance)
 
 
-def _winding_and_distance(s, z):
-    """Per point: whether the curve winds zero times around it, and its
-    distance to the curve.  Symbols of low degree use ``winding`` and
-    ``_curve_distance``; for high degree, whose roots are costly, the curve
-    is the polygon of 2^16 samples, whose chords stray from it by less than
-    a tenth of a 512 raster cell.  Coefficients below 1e-12 of the largest are
-    dropped first: they move the curve by far less than any clearance
-    tested, and ``winding`` miscounts the roots of a polynomial whose top
-    coefficient is that small."""
-    top = max(abs(c) for c in s.coeffs.values())
-    s = LaurentSymbol({k: c for k, c in s.coeffs.items() if abs(c) >= 1e-12 * top})
-    if max(max(s.coeffs), 0) - min(min(s.coeffs), 0) <= 8:
-        zero, dist = [], []
-        for q in z:
-            try:
-                zero.append(winding(s, q) == 0)
-            except PointOnCurve:
-                zero.append(False)
-            dist.append(_curve_distance(s, q))
-        return np.array(zero), np.array(dist)
-    fine = s.on_circle(2 ** 16)
-    return (np.array([polygon_winding(fine, complex(q)) == 0 for q in z]),
-            np.array([_edge_distance(fine, complex(q)) for q in z]))
-
-
-def _lookup_points(s, raster, rng, count=200):
-    """Random box points, points 0.3-30 cells from the curve, and points
-    outside the box."""
+def _lookup_points(s, rng, count=200):
+    """Random points of the curve's box, points 1e-7 to 1e-1 of its extent
+    from the curve, and points outside the box."""
     curve = s.on_circle(4096)
     lo = complex(curve.real.min(), curve.imag.min())
     hi = complex(curve.real.max(), curve.imag.max())
     span = hi - lo
     box = lo + rng.uniform(-0.02, 1.02, count) * span.real \
         + 1j * rng.uniform(-0.02, 1.02, count) * span.imag
-    cell = min(raster.cell)
     theta = rng.uniform(0, 2 * np.pi, count)
-    near = s.evaluate(np.exp(1j * theta)) + cell * np.exp(
-        rng.uniform(np.log(0.3), np.log(30), count)
+    near = s.evaluate(np.exp(1j * theta)) + abs(span) * np.exp(
+        rng.uniform(np.log(1e-7), np.log(1e-1), count)
         + 1j * rng.uniform(0, 2 * np.pi, count))
     outside = np.concatenate([lo - span * rng.uniform(0.05, 1, 10),
                               hi + span * rng.uniform(0.05, 1, 10)])
     return np.concatenate([box, near, outside])
-
-
-def _region(s, raster, clearance):
-    """``_zero_winding_region`` with a square that holds every test point."""
-    return _zero_winding_region(s, raster, 4.0 * max(1.0, s.magnitude()), clearance)
-
-
-def _check_region(s, raster, z, clearance):
-    """Every point of z in the region is at winding 0 and farther than the
-    clearance from the curve, and farther than 0.4 cell when the region
-    is cut cell by cell; then every point of z at winding 0 farther than
-    two cell diagonals from the curve is in it.  Returns the mask."""
-    inside = _region(s, raster, clearance)[1](z)
-    zero, dist = _winding_and_distance(s, z)
-    by_cells = raster.labels is not None and min(raster.cell) > 2 * clearance
-    least = max(clearance, 0.4 * min(raster.cell)) if by_cells else clearance
-    assert zero[inside].all()
-    assert (dist[inside] > least).all()
-    if by_cells:
-        band = 2 * math.hypot(*raster.cell)
-        assert inside[zero & (dist > band)].all()
-    return inside
-
-
-def _in_raster_box(raster, z):
-    far = raster.origin + raster.labels.shape[0] * complex(*raster.cell)
-    return ((z.real >= raster.origin.real) & (z.real < far.real)
-            & (z.imag >= raster.origin.imag) & (z.imag < far.imag))
 
 
 coefficient = st.complex_numbers(max_magnitude=1.5, allow_nan=False,
@@ -246,57 +194,37 @@ coefficient = st.complex_numbers(max_magnitude=1.5, allow_nan=False,
 
 @settings(max_examples=40, deadline=None)
 @given(st.dictionaries(st.integers(-4, 4), coefficient, min_size=1, max_size=6),
-       st.sampled_from([64, 256, 512]), st.integers(0, 2 ** 32 - 1),
-       st.sampled_from([1e-6, 1e-3]))
-def test_isolated_mask_matches_the_per_point_predicate(coeffs, resolution,
-                                                       seed, clearance):
-    """The region's membership mask against ``winding`` and
-    ``_curve_distance`` on random symbols, rasters and clearances."""
+       st.integers(0, 2 ** 32 - 1), st.sampled_from([1e-6, 1e-3]))
+def test_isolated_mask_matches_the_per_point_predicate(coeffs, seed, clearance):
+    """The mask of the region against ``winding`` and ``_curve_distance``
+    point by point, on random two-sided symbols and clearances: a point is
+    in it exactly when it lies at winding 0 inside the circle and farther
+    than the clearance from the curve, with no band along the curve."""
     s = LaurentSymbol(coeffs)
-    assume(not s.is_segment())
-    raster = _winding_raster(s, resolution)
-    assume(raster.labels is not None)
-    if not raster.closed:       # a flat curve that 2^20 samples do not close
-        assert _region(s, raster, clearance) is None
-        return
-    z = _lookup_points(s, raster, np.random.default_rng(seed))
-    _check_region(s, raster, z, clearance)
-
-
-@pytest.mark.parametrize("coeffs, resolution, max_samples, decides", [
-    # the 4096-point polygon strays up to about 0.1 from this curve
-    ({1: 1.0, 1500: 0.05}, 512, 2 ** 20, True),
-    # a star polygon: each coarse chord spans 17.6 degrees of the circle
-    ({200: 1.0}, 512, 2 ** 20, True),
-    ({1: 1.0, -1: 0.5j}, 512, 2 ** 20, True),
-    # the gap test fails at MAX_CURVE_SAMPLES: there is no region
-    ({1: 1.0, 1500: 0.05}, 512, 4096, False),
-    # cells no wider than twice the clearance: the curve's whole box is cut out
-    ({1: 1e-7, -2: 0.3e-7}, 256, 2 ** 20, False),
-])
-def test_isolated_mask_on_fixed_symbols(coeffs, resolution, max_samples,
-                                        decides, monkeypatch):
-    """``decides`` says whether the region reaches into the raster box."""
-    s = LaurentSymbol(coeffs)
-    monkeypatch.setattr(symbols_module, "MAX_CURVE_SAMPLES", max_samples)
-    raster = _winding_raster(s, resolution)
-    assert raster.closed == (max_samples > 4096)
-    if not raster.closed:
-        assert _region(s, raster, 1e-6) is None
-        assert not decides
-        return
-    for seed in range(3):
-        z = _lookup_points(s, raster, np.random.default_rng(seed), count=100)
-        inside = _check_region(s, raster, z, 1e-6)
-        assert inside[_in_raster_box(raster, z)].any() == decides
+    assume(not s.is_segment() and 0 not in _tail_span(toeplitz(coeffs).tails))
+    z = _lookup_points(s, np.random.default_rng(seed))
+    radius = 4.0 * max(1.0, s.magnitude())
+    want = []
+    for v in z:
+        try:
+            zero = winding(s, v) == 0
+        except PointOnCurve:
+            zero = False
+        want.append(zero and abs(v) < radius and _curve_distance(s, v) > clearance)
+    assert _mask(s, z, clearance).tolist() == want
 
 
 def test_segment_symbol_has_no_raster_and_falls_back():
+    """A segment curve has no raster, and the count cuts it out as a box:
+    clockwise around the segment, widened by the clearance."""
     s = LaurentSymbol({1: 1.0, -1: 1.0})
-    raster = _winding_raster(s, 512)
-    assert raster.labels is None and not raster.closed
+    assert winding_regions(s, 512) == AreaEstimate(0.0, 0.0, (), 0, 0.0, 512)
     z = np.array([0.0, 0.5j, 3.0, 1.0 + 1e-9j])
-    assert _region(s, raster, 1e-6)[1](z).tolist() == [False, True, True, False]
+    assert _mask(s, z, 1e-6).tolist() == [False, True, True, False]
+    box = _segment_box(s, 1e-6)(np.linspace(0, 2 * np.pi, 400, endpoint=False))
+    assert all(polygon_winding(box, v) == -1 for v in s.on_circle(64) if abs(v) < 1.9)
+    assert np.allclose([box.imag.min(), box.imag.max()], [-1e-6, 1e-6], rtol=1e-6, atol=0)
+    assert np.allclose([box.real.min(), box.real.max()], [-2 - 1e-6, 2 + 1e-6])
 
 
 def test_points_on_a_segment_curve_between_its_samples_are_not_isolated():
@@ -307,36 +235,5 @@ def test_points_on_a_segment_curve_between_its_samples_are_not_isolated():
     curve = s.on_circle(4096)
     middles = (0.5 * (curve + np.roll(curve, -1)))[960:1088]   # around 0
     assert float(np.min(np.abs(curve[:, None] - middles), axis=0).min()) > 1e-3
-    contains = _region(s, _winding_raster(s, 512), 1e-6)[1]
-    assert not contains(middles).any()
-    assert contains(middles + 1e-3j).all()
-
-
-def _coarse_chord_points(s, raster):
-    """Points a quarter cell apart along every chord of the 4096-point
-    polygon."""
-    curve = s.on_circle(4096)
-    ends = np.roll(curve, -1)
-    steps = int(np.ceil(np.max(np.abs(ends - curve))
-                        / (0.25 * min(raster.cell)))) + 1
-    t = np.linspace(0.0, 1.0, steps + 1)
-    return (curve[:, None] + t * (ends - curve)[:, None]).ravel()
-
-
-@pytest.mark.parametrize("coeffs", [
-    {1: 1.0}, {1: 1.0, 2: 0.1}, {1: 1.0, -1: 0.5j}, {1: 1.0, 2: 0.4},
-    {1: 1.0, -1: 1.0, 2: 1.0, -2: 1j},
-    # chords that cut far inside the curve
-    {200: 1.0}, {1: 1.0, 1500: 0.05}, {20: 1.0, -20: 1.0, 40: 1.0, -40: 1j},
-])
-def test_lookup_decides_no_point_of_a_coarse_chord(coeffs):
-    """The chords of the 4096-point polygon pass within a fraction of a cell
-    of the curve or cut across it into other windings; no chord point is
-    put in the region wrongly (up to 64 of those in it are checked)."""
-    s = LaurentSymbol(coeffs)
-    raster = _winding_raster(s, 512)
-    z = _coarse_chord_points(s, raster)
-    inside = _region(s, raster, 1e-6)[1](z)
-    picked = np.random.default_rng(0).permutation(np.flatnonzero(inside))[:64]
-    zero, dist = _winding_and_distance(s, z[picked])
-    assert zero.all() and (dist > 0.4 * min(raster.cell)).all()
+    assert not _mask(s, middles, 1e-6).any()
+    assert _mask(s, middles + 1e-3j, 1e-6).all()

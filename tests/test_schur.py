@@ -2,7 +2,9 @@
 independent oracles: the dense inverse for the Wiener-Hopf block, scipy's
 QZ and the contour engine for the bandwidth-1 pencil, dense sections, the
 singular values of S(lam), the window eigenproblem for one-sided tails, and
-the seed-by-seed Newton iteration for the batched one."""
+the seed-by-seed Newton iteration for the batched one.  The engine counts
+on the curve itself, so its lists also hold the eigenvalues next to the
+curve."""
 
 import importlib
 import math
@@ -21,9 +23,8 @@ from opspectra.classify import _region_clusters
 from opspectra.numerics import (_corner_coupling, _schur_newton, cluster_values,
                                 operator_norm)
 from opspectra.symbols import (PointOnCurve, _curve_distance, _geometric_product,
-                               _tail_span, _wiener_hopf_block, _winding_raster,
-                               _zero_winding_region, kernel_count_by_truncation,
-                               winding)
+                               _tail_span, _wiener_hopf_block, _zero_winding_mask,
+                               kernel_count_by_truncation, winding)
 from reference_spectra import (region_clusters_by_contour, region_clusters_by_sections,
                                schur_newton_per_seed)
 
@@ -33,12 +34,11 @@ classify_module = importlib.import_module("opspectra.classify")
 
 
 def region(t):
-    """The region D and the scale that ``_region_clusters`` uses for t."""
-    norm = operator_norm(t)
-    sym = symbol(t)
-    _, contains = _zero_winding_region(sym, _winding_raster(sym), 1.05 * norm,
-                                       1e-6 * max(1.0, norm))
-    return contains, max(1.0, norm)
+    """The membership mask of the region D and the scale that
+    ``_region_clusters`` uses for t: winding 0 inside the circle of radius
+    1.05 scale, farther than 1e-6 scale from the curve."""
+    scale = max(1.0, operator_norm(t))
+    return (lambda z: _zero_winding_mask(t, z, 1.05 * scale, 1e-6 * scale)), scale
 
 
 def schur_complement(t, lam):
@@ -128,8 +128,8 @@ def test_bandwidth_one_pencil(key):
     """For p = q = 1, lam = a(r) with r the root inside the disc, and
     r S(a(r)) = r^2 a_1 (E - I) + r (W - a_0 I) - a_-1 I, E = e_(m-1) e_(m-1)^T:
     a quadratic eigenproblem in r.  scipy's QZ on its 2m linearization in r
-    gives the values that ``_region_clusters`` lists from the companion
-    matrix in 1 / r, none of them in the band the raster region leaves out."""
+    gives the values in D that ``_region_clusters`` lists from the companion
+    matrix in 1 / r."""
     t = workloads.generic_base(*key)
     a_m1, a0, a1 = t.tails
     m = len(t.window)
@@ -172,27 +172,25 @@ def _bandwidth_one_cases():
 
 
 def test_bandwidth_one_pencil_against_the_contour_engine():
-    """Every eigenvalue the contour engine lists is in the pencil's
-    certified list to 1e-9 scale; each one more lies within two raster cell
-    diagonals of the curve, in the band the engine's region leaves out, and
-    is a singular point of S to 1e-12 scale (relative to its largest
-    singular value would read 1 for a 1 x 1 S)."""
-    extra_values = 0
+    """The contour engine, which counts on the curve itself, lists what the
+    pencil lists, with the same multiplicities, to 1e-9 scale, both lists
+    certified; the eigenvalues next to the curve included (at least one
+    within 0.01 of it), each a singular point of S to 1e-12 scale (relative
+    to its largest singular value would read 1 for a 1 x 1 S)."""
+    near_curve = 0
     for t in _bandwidth_one_cases():
         _, scale = region(t)
         found, certified = _region_clusters(t)
-        engine, engine_certified, diagonal = region_clusters_by_contour(t)
+        engine, engine_certified = region_clusters_by_contour(t)
         assert certified and engine_certified
-        listed = np.array([v for v, _ in found])
-        for v, _ in engine:
-            assert np.min(np.abs(listed - v)) <= 1e-9 * scale
-        for v in listed:
-            if np.min(np.abs([z for z, _ in engine] - v), initial=np.inf) > 1e-9 * scale:
-                extra_values += 1
-                assert _curve_distance(symbol(t), v) <= 2 * diagonal
+        assert [k for _, k in found] == [k for _, k in engine]
+        assert all(abs(v - z) <= 1e-9 * scale for (v, _), (z, _) in zip(found, engine))
+        for v, _ in found:
+            if _curve_distance(symbol(t), v) <= 0.01:
+                near_curve += 1
                 smin = np.linalg.svd(schur_complement(t, v), compute_uv=False)[-1]
                 assert smin <= 1e-12 * scale
-    assert extra_values >= 1
+    assert near_curve >= 1
 
 
 def test_pencil_branch_makes_no_winding_call(monkeypatch):
@@ -209,9 +207,9 @@ def test_pencil_branch_makes_no_winding_call(monkeypatch):
 
 
 def test_pencil_lists_the_eigenvalue_next_to_the_curve():
-    """The 23rd draw of the 30 has an eigenvalue 0.0022 from its curve,
-    inside the band the raster leaves out: the pencil lists it, the contour
-    engine does not, and dense sections reach it to 3.5e-13 at size 800."""
+    """The 23rd draw of the 30 has an eigenvalue 0.0022 from its curve: the
+    pencil and the contour engine list it, and dense sections reach it to
+    3.5e-13 at size 800."""
     rng = np.random.default_rng(11)
     for _ in range(22):
         _bandwidth_one_draw(rng)
@@ -220,7 +218,8 @@ def test_pencil_lists_the_eigenvalue_next_to_the_curve():
     (v, k), = found
     assert certified and k == 1 and abs(v - (-1.3579 + 0.5732j)) <= 1e-4
     assert 0.002 <= _curve_distance(symbol(t), v) <= 0.0025
-    assert region_clusters_by_contour(t)[:2] == ((), True)
+    ((z, j),), engine_certified = region_clusters_by_contour(t)
+    assert engine_certified and j == 1 and abs(z - v) <= 1e-9
     assert np.min(np.abs(np.linalg.eigvals(t.truncate(800)) - v)) <= 1e-12
 
 
@@ -233,9 +232,28 @@ def test_pencil_counts_a_jordan_block():
     assert certified and k == 2 and abs(v - 3) <= 1e-9
 
 
+def _tail_beside_corner(seed, offsets, corner, symmetric=False):
+    """T(a) + K with complex N(0, 1) coefficients at ``offsets`` (a_-k = a_k
+    when ``symmetric``) and an n x n complex Gaussian corner scaled by
+    1 / sqrt(n)."""
+    rng = np.random.default_rng(seed)
+    coeffs = {k: complex(*rng.normal(size=2)) for k in offsets}
+    if symmetric:
+        coeffs = {k: coeffs[abs(k)] for k in offsets}
+    head = (rng.normal(size=(corner, corner))
+            + 1j * rng.normal(size=(corner, corner))) / np.sqrt(corner)
+    return toeplitz(coeffs) + from_dense_corner(head)
+
+
+# tails beyond the pool's: p != q, gcd 2 with bandwidth 6, gcd 3, a_-k = a_k
+OTHER_TAILS = [(7, range(-4, 3), 8), (1, (0, 2, -2, 4, -4, 6, -6), 9),
+               (1, (0, 3, -3, 6, -6), 8), (0, range(-2, 3), 8, True)]
+
+
 def _dense_cases():
     ops = [workloads.generic_base(*key) for key in ((2, 16, 0), (3, 8, 2))]
-    return ops + [suites.random_toeplitz_corner(np.random.default_rng(4))]
+    return ops + [suites.random_toeplitz_corner(np.random.default_rng(4))] + [
+        _tail_beside_corner(*case) for case in OTHER_TAILS[:3]]
 
 
 @pytest.mark.parametrize("t", _dense_cases())
@@ -243,13 +261,20 @@ def test_engine_against_dense_sections(t):
     """Every listed eigenvalue is an eigenvalue of the 1024 section to
     1e-8 scale, and every eigenvalue in D and 0.1 scale from the curve on
     which the 256 and 512 sections agree is listed."""
-    contains, scale = region(t)
-    sym = symbol(t)
+    _, scale = region(t)
     found, certified = _region_clusters(t)
     assert certified
     listed = np.array([v for v, _ in found])
     dense = np.linalg.eigvals(t.truncate(1024))
     assert all(np.min(np.abs(dense - v)) <= 1e-8 * scale for v in listed)
+    _far_section_eigenvalues_are_listed(t, listed)
+
+
+def _far_section_eigenvalues_are_listed(t, listed):
+    """Every eigenvalue in D and 0.1 scale from the curve on which the 256
+    and 512 sections agree is in ``listed`` to 1e-8 scale."""
+    contains, scale = region(t)
+    sym = symbol(t)
 
     def far_in_region(z):
         return np.array([bool(contains(np.array([v]))[0])
@@ -265,7 +290,77 @@ def test_engine_against_dense_sections(t):
 def _certificate_cases():
     ops = [workloads.generic_base(*key) for key in workloads.GENERIC_POOL]
     rng = np.random.default_rng(11)
-    return ops + [suites.random_toeplitz_corner(rng) for _ in range(6)]
+    return ops + [suites.random_toeplitz_corner(rng) for _ in range(6)] + [
+        _tail_beside_corner(*case) for case in OTHER_TAILS]
+
+
+def _corner_family(n):
+    """A bandwidth-2 tail with complex N(0, 1) coefficients and an n x n
+    complex Gaussian corner scaled by 1 / sqrt(n), both from seed 3."""
+    rng = np.random.default_rng(3)
+    tail = [complex(*rng.normal(size=2)) for _ in range(5)]
+    head = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / np.sqrt(n)
+    return toeplitz(dict(zip(range(-2, 3), tail))) + from_dense_corner(head)
+
+
+@pytest.mark.parametrize("t, count", [
+    (_corner_family(32), 7), (_corner_family(64), 19),
+    (_tail_beside_corner(*OTHER_TAILS[3]), 7),
+])
+def test_eigenvalues_next_to_the_curve_are_listed(t, count):
+    """Counted on the curve itself, the list holds the eigenvalues next to
+    it: 7 and 19 for the corner family at n = 32 and 64, and 7 for the tail
+    with a_-k = a_k, each simple, certified, a singular point of S to
+    1e-12 scale and an eigenvalue of the 1200 section to 1e-8 scale.  The
+    one at n = 64 that lies 0.0095 from the curve decays slowly: there the
+    1200 section is 100 times closer than the 600 one instead.  The
+    sections' eigenvalues far from the curve are all listed."""
+    _, scale = region(t)
+    found, certified = _region_clusters(t)
+    assert certified and len(found) == count and all(k == 1 for _, k in found)
+    big, small = (np.linalg.eigvals(t.truncate(n)) for n in (1200, 600))
+    for v, _ in found:
+        assert np.linalg.svd(schur_complement(t, v), compute_uv=False)[-1] <= 1e-12 * scale
+        error = np.min(np.abs(big - v))
+        assert error <= 1e-8 * scale or 100 * error <= np.min(np.abs(small - v))
+    _far_section_eigenvalues_are_listed(t, np.array([v for v, _ in found]))
+
+
+def test_changes_of_side_between_samples_are_found(monkeypatch):
+    """Along the curve of the tail with offsets -4..2 from seed 0 the side
+    changes twice within one of the 128 first steps, at three places.  The
+    reach of the nearest root finds them and the list is certified; with
+    every reach made infinite they are missed, the total lies more than 0.1
+    from an integer, and the count gives no certificate."""
+    t = _tail_beside_corner(0, range(-4, 3), 8)
+    assert _region_clusters(t) == ((), True)
+    block = numerics._boundary_block
+
+    def blind(tails, s):
+        lam, g, side, _ = block(tails, s)
+        return lam, g, side, np.full(len(s), np.inf)
+
+    monkeypatch.setattr(numerics, "_boundary_block", blind)
+    assert _region_clusters(t) == ((), False)
+
+
+def test_hermitian_tail_keeps_its_box():
+    """A Hermitian bandwidth-2 tail beside a Gaussian corner has a segment
+    for a curve, which the count cuts out as a box: the list is the one the
+    raster region gave."""
+    rng = np.random.default_rng(0)
+    coeffs = {k: complex(*rng.normal(size=2)) for k in range(-2, 3)}
+    coeffs = {k: coeffs[k] if k > 0 else coeffs[-k].conjugate() if k else coeffs[0].real
+              for k in range(-2, 3)}
+    head = (rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))) / np.sqrt(8)
+    t = toeplitz(coeffs) + from_dense_corner(head)
+    assert symbol(t).is_segment()
+    found, certified = _region_clusters(t)
+    assert certified and [k for _, k in found] == [1] * 4
+    np.testing.assert_allclose([v for v, _ in found],
+                               [-5.8924033541 - 0.1331773807j, 1.0380917324 + 1.1063166979j,
+                                2.6875078788 - 0.0265494279j, 3.1102414731 + 0.5709162009j],
+                               rtol=0, atol=1e-9)
 
 
 def test_listed_eigenvalues_are_singular_points_of_the_schur_complement():
@@ -379,19 +474,15 @@ def test_pollution_near_the_curve_is_not_listed():
         assert hit == any(v == k for k in kept)
 
 
-def test_raster_that_does_not_close_gives_an_uncertified_list(monkeypatch):
-    """Sampled at 4096 points, the thin curve of pool base (1, 8, 1) with a
-    z^2 term of 1e-3 fails the raster's gap test at resolution 512: no
-    cell's winding is known, so nothing is certified, and the sound raster
-    certifies the list."""
+def test_thin_curve_is_certified_whatever_the_raster_samples(monkeypatch):
+    """The thin curve of pool base (1, 8, 1) with a z^2 term of 1e-3 fails
+    the area raster's gap test at 4096 samples; the count on the curve
+    reads no raster, and certifies the same seven eigenvalues either way."""
     t = workloads.generic_base(1, 8, 1) + toeplitz({2: 1e-3})
-    with monkeypatch.context() as patch:
-        patch.setattr("opspectra.symbols.MAX_CURVE_SAMPLES", 4096)
-        raster = _winding_raster(symbol(t), 512)
-    assert not raster.closed
-    assert _region_clusters(t, raster=raster) == ((), False)
     found, certified = _region_clusters(t)
-    assert certified and found
+    assert certified and len(found) == 7
+    monkeypatch.setattr("opspectra.symbols.MAX_CURVE_SAMPLES", 4096)
+    assert _region_clusters(t) == (found, True)
 
 
 def test_the_listed_eigenvalues_do_not_depend_on_the_area_resolution():
@@ -480,13 +571,14 @@ def test_schur_eigenvalues_uncertified_when_the_count_gives_up(monkeypatch):
 
 
 def test_schur_eigenvalues_uncertified_when_the_multiplicity_is_not_counted(monkeypatch):
-    # only the circle around a zero starts with one loop of 128 points: the
-    # count over D's loops starts with more, and Newton takes 3 lam per seed
+    # only the circle around a zero starts with 128 points all within 1e-3
+    # of it: the count starts with the 128 points of the circle of radius
+    # 1.05 scale, and Newton takes 3 lam per seed
     block = numerics._wiener_hopf_block
 
     def no_circle(tails, lam):
         g, ok = block(tails, lam)
-        return g, ok & (np.size(lam) != 128)
+        return g, ok & (np.size(lam) != 128 or not np.all(np.abs(np.subtract(lam, 3)) < 1e-3))
 
     monkeypatch.setattr(numerics, "_wiener_hopf_block", no_circle)
     assert _single_zero_at_three(_jordan_block_at_three()) == (1, False)

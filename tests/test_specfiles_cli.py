@@ -537,7 +537,7 @@ def _unstable_spec(tmp_path):
     """Pool base (1, 8, 1), random T(a) + K with a dense 8 x 8 corner and a
     rank-one term whose off-curve truncation eigenvalues disagreed between
     n and 2n, with a z^2 term of 1e-3 added, so that its thin curve goes to
-    the raster and the Schur-complement count, which certifies its seven."""
+    the Schur-complement count, which certifies its seven."""
     rng = np.random.default_rng([20201008, 1, 8, 1])
     coeffs = {k: complex(*rng.uniform(-1, 1, 2)) for k in (-1, 0, 1)} | {2: 1e-3}
     head = (rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))) / np.sqrt(8)
@@ -556,10 +556,9 @@ def test_spectrum_reports_isolated_eigenvalues_that_did_not_stabilize(
     path = _unstable_spec(tmp_path)
     summary = opspectra.spectral_summary(parse_spec(path).operator)
     assert len(summary.eigenvalues) == 7 and summary.eigenvalues_stabilized
-    # with its curve sampled at no more than 4096 points the raster does not
-    # close, so the engine knows no region free of the curve and certifies
-    # nothing
-    monkeypatch.setattr("opspectra.symbols.MAX_CURVE_SAMPLES", 4096)
+    # with the count allowed no more than 1000 points it gives up, so the
+    # engine certifies nothing
+    monkeypatch.setattr("opspectra.numerics.LOOP_BUDGET", 1000)
     summary = opspectra.spectral_summary(parse_spec(path).operator)
     assert summary.eigenvalues == () and summary.eigenvalues_stabilized is False
     csv = str(tmp_path / "curve.csv")
