@@ -33,7 +33,7 @@ print("minimum modulus:", osp.min_modulus(r))
 print("essential minimum modulus:", osp.ess_min_modulus(r))
 
 # The filled-in spectrum is the whole closed unit disc.
-area = osp.spectral_area(r, resolution=256)
+area = osp.spectral_area(r)
 print(f"\nspectral area {area.value:.4f} (pi is {np.pi:.4f}, "
       f"error bound {area.error:.4f})")
 

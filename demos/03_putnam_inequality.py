@@ -15,14 +15,14 @@ print(f"{'operator':<28s} {'||[T*,T]||':>12s} {'area/pi':>12s} {'holds':>6s}")
 
 for name in BUNDLED:
     t = load_bundled(name).operator
-    rec = osp.putnam_check(t, resolution=256, assume_hyponormal=True)
+    rec = osp.putnam_check(t, assume_hyponormal=True)
     print(f"{name:<28s} {rec.commutator_norm:12.6f} {rec.area_over_pi:12.6f}"
           f" {str(rec.holds):>6s}")
 
 rng = np.random.default_rng(7)
 for i in range(8):
     t = random_hyponormal(rng)
-    rec = osp.putnam_check(t, resolution=256, assume_hyponormal=True)
+    rec = osp.putnam_check(t, assume_hyponormal=True)
     print(f"{'random hyponormal ' + str(i):<28s} {rec.commutator_norm:12.6f}"
           f" {rec.area_over_pi:12.6f} {str(rec.holds):>6s}")
 

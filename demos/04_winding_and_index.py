@@ -32,7 +32,7 @@ for name, op in cases.items():
                   f"truncation oracle {oracle:+d}")
         except osp.PointOnCurve:
             print(f"  lambda={lam:+.2f}: on the essential curve (no index)")
-    est = osp.spectral_area(op, resolution=256)
+    est = osp.spectral_area(op)
     print(f"  filled area {est.value:.4f} +/- {est.error:.4f}")
 
 # curve samples in the CSV layout used by the command line tool

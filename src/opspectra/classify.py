@@ -363,14 +363,13 @@ class PutnamRecord:
     holds: bool
 
 
-def putnam_check(t: StructuredOperator, resolution: int = 512,
-                 assume_hyponormal: bool = False) -> PutnamRecord:
+def putnam_check(t: StructuredOperator, assume_hyponormal: bool = False) -> PutnamRecord:
     """Commutator norm against spectral area / pi for hyponormal input."""
     if not assume_hyponormal:
         if check_hyponormal(t).verdict is not Verdict.YES:
             raise NotHyponormal("Putnam check requires a hyponormal operator")
     lhs = operator_norm(self_commutator(t))
-    est = spectral_area(t, resolution)
+    est = spectral_area(t)
     rhs = est.value / math.pi
     slack = est.error / math.pi + 1e-6
     return PutnamRecord(lhs, rhs, est.error / math.pi, bool(lhs <= rhs + slack))
@@ -390,13 +389,12 @@ def weyl_normality_criterion(t: StructuredOperator) -> WeylRecord:
     """If no off-curve point has nonzero index, a hyponormal AN operator must
     be normal; one winding test per bounded complementary component suffices
     because the winding is locally constant off the curve.  The components
-    are ``spectral_area``'s: exact for a monomial or bandwidth-1 symbol
-    (no raster is built), those of a 256 raster for any other."""
+    are the bounded faces of ``spectral_area``'s arrangement."""
     if check_hyponormal(t).verdict is not Verdict.YES:
         return WeylRecord(False, reason="not (verifiably) hyponormal")
     if check_an(t).verdict is not Verdict.YES:
         return WeylRecord(False, reason="not (verifiably) absolutely norm attaining")
-    regions = spectral_area(t, 256)
+    regions = spectral_area(t)
     windings = tuple(c.winding for c in regions.components)
     equal = all(w == 0 for w in windings)
     if not equal:
@@ -521,18 +519,16 @@ def classify(t: StructuredOperator, tol_an: float = 1e-8) -> ClassificationRepor
 
 
 def spectral_summary(t: StructuredOperator, samples: int = 1024,
-                     resolution: int = 512, tol: float = 1e-8) -> SpectralSummary:
+                     tol: float = 1e-8) -> SpectralSummary:
     """Assemble the full spectral report for an operator.
 
-    The area and the components at nonzero winding are ``spectral_area``'s:
-    exact for a monomial, bandwidth-1 or segment symbol, a raster of
-    ``resolution`` cells a side otherwise.  The isolated eigenvalues are
-    those of ``_region_clusters``, which reads no raster.  When their list
-    is not certified, none are listed and ``eigenvalues_stabilized`` is
-    False."""
+    The area and the faces at nonzero winding are those of the exact
+    arrangement of the curve (``spectral_area``).  The isolated eigenvalues
+    are those of ``_region_clusters``.  When their list is not certified,
+    none are listed and ``eigenvalues_stabilized`` is False."""
     sym = symbol(t)
     curve = EssentialCurve.sampled(sym, samples)
-    regions = spectral_area(t, resolution)
+    regions = spectral_area(t)
     norm_upper = operator_norm(t)
     me = symbol_min_modulus(sym)
     m_modulus = min(min_modulus(t), me)  # guard float rounding on the invariant

@@ -72,8 +72,8 @@ def summary_to_dict(summary: SpectralSummary) -> dict:
                                       curve.points.imag)).tolist(),
         "ess_is_circle": summary.ess_is_circle,
         "weyl_extra": [{"winding": c.winding, "area": c.area,
-                        "representative": _pair(c.representative),
-                        "cells": c.cells} for c in summary.weyl_extra],
+                        "representative": _pair(c.representative)}
+                       for c in summary.weyl_extra],
         "eigenvalues": [[_pair(v), int(m)] for v, m in summary.eigenvalues],
         "min_modulus": summary.min_modulus,
         "ess_min_modulus": summary.ess_min_modulus,
@@ -147,7 +147,7 @@ def write_curve_csv(path, summary: SpectralSummary) -> None:
 def _area_note(summary: SpectralSummary) -> str:
     if summary.area_error == 0:
         return "(exact)"
-    return f"(raster error {summary.area_error:.2g})"
+    return f"(error {summary.area_error:.2g})"
 
 
 # -- commands ------------------------------------------------------------------
@@ -161,14 +161,14 @@ def _collect_params(args, spec, signature) -> dict:
     """The values of the command's own flags: flag, else spec, else the
     default in ``signature`` (``trunc`` has none and shows only when set)."""
     params = dict(spec.params)
-    for key in ("trunc", "tol", "samples", "resolution"):
+    for key in ("trunc", "tol", "samples"):
         value = getattr(args, key, None)
         if value is not None:
             try:
                 params[key] = _run_param(key, value)
             except ValueError as exc:
                 raise CliError(f"--{exc}") from None
-    for key in ("tol", "samples", "resolution"):
+    for key in ("tol", "samples"):
         if key in args:
             params.setdefault(key, signature[key].default)
     return {key: value for key, value in params.items() if key in args}
@@ -333,7 +333,6 @@ def build_parser() -> _Parser:
         p = sub.add_parser(name, help=text)
         common(p)
         p.add_argument("--samples", type=int, help="circle sample count")
-        p.add_argument("--resolution", type=int, help="area raster resolution")
     decompose = sub.add_parser("decompose", help="build and verify the block form")
     common(decompose)
     decompose.add_argument("--trunc", type=int, default=None,

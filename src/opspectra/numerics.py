@@ -277,7 +277,7 @@ def _loop_turns(log_f, loops: int):
     side counts with it, halved while log f changes by more than pi/4
     (phase wrapped to (-pi, pi]).  A step across a change of side is cut to
     2^-20 of the first steps, at its midpoint and half that either side of
-    where reaches of opposite signs put the change; a step shorter than the
+    where reaches of opposite signs put the change; a step longer than the
     sum of its reaches is halved down to 2^-6 of the first steps.  Returns
     the nearest integer, or None for a NaN where a path is read, more than
     ``LOOP_BUDGET`` points, or a total more than 0.1 from it."""

@@ -6,7 +6,7 @@ Schema (all fields shown; unknown fields are rejected):
       "name": "right_shift",
       "bands": [{"offset": 1, "prefix": [[re, im], ...], "tail": [re, im]}],
       "rank_terms": [{"left": [[re, im], ...], "right": [[re, im], ...]}],
-      "params": {"trunc": 256, "tol": 1e-8, "samples": 1024, "resolution": 512}
+      "params": {"trunc": 256, "tol": 1e-8, "samples": 1024}
     }
 
 Inputs must be canonical: no trailing prefix entry equal to the tail, no
@@ -29,8 +29,7 @@ BUNDLED = ("right_shift", "defect_shift", "nilpotent_head_shift",
            "diagonal_head_shift", "unitary_diag", "selfadjoint_band")
 
 # each run parameter's kind and least value
-_PARAM_KEYS = {"trunc": (int, 0), "tol": (float, 0.0), "samples": (int, 1),
-               "resolution": (int, 8)}
+_PARAM_KEYS = {"trunc": (int, 0), "tol": (float, 0.0), "samples": (int, 1)}
 
 
 def _run_param(key: str, value):

@@ -172,7 +172,7 @@ def suite_golden():
     also decomposed, its blocks verified, and the co-rank of S1 (the
     winding of the symbol about 0) and its normality verdict compared.
     Each one with a monomial symbol c z^k, k != 0, has the spectral area
-    pi |c|^2, within the error of the 512 raster of its curve."""
+    pi |c|^2 and one face, at winding k."""
     expected = {
         "right_shift": ("no", "yes", 1.0, 1),
         "defect_shift": ("no", "yes", 1.0, 1),
@@ -200,13 +200,12 @@ def suite_golden():
         results.append((f"golden:{name}", ok, detail))
         sym = symbol(op)
         if len(sym.coeffs) == 1 and 0 not in sym.coeffs:
-            exact = math.pi * abs(*sym.coeffs.values()) ** 2
+            (k, c), = sym.coeffs.items()
+            exact = math.pi * abs(c) ** 2
             area = spectral_summary(op).area
-            raster = winding_regions(sym, 512)
-            results.append((f"golden:{name}:area",
-                            area == exact and abs(raster.value - exact) <= raster.error,
-                            f"area={area:.12g} pi|c|^2={exact:.12g} "
-                            f"raster={raster.value:.6g} error={raster.error:.2g}"))
+            windings = [face.winding for face in winding_regions(sym).components]
+            results.append((f"golden:{name}:area", area == exact and windings == [k],
+                            f"area={area:.12g} pi|c|^2={exact:.12g} windings={windings}"))
     return results
 
 
@@ -235,7 +234,7 @@ def suite_compact_hyponormal(seed: int = 0, count: int = 200):
 
 
 def suite_putnam(seed: int = 0, count: int = 50):
-    """Commutator norm never exceeds spectral area / pi (plus raster slack)."""
+    """Commutator norm never exceeds spectral area / pi (plus its error)."""
     rng = np.random.default_rng(seed)
     ops = [(name, load_bundled(name).operator) for name in BUNDLED]
     ops += [(f"random_{i}", random_hyponormal(rng)) for i in range(count)]

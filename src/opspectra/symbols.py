@@ -30,9 +30,8 @@ ROOT_RTOL = 8 * _EPS        # root finding drops coefficients this small, relati
 def _deferred(name: str):
     """Module ``name``, executed on its first attribute access (the stdlib
     ``LazyLoader`` recipe), or the module itself when already imported.
-    scipy serves only the winding raster and the banded oracles (truncation
-    counts here, sections in ``suites``), so a run that needs neither never
-    pays for loading it."""
+    scipy serves only the banded oracles (truncation counts here, sections
+    in ``suites``), so a run that needs none never pays for loading it."""
     if name in sys.modules:
         return sys.modules[name]
     spec = importlib.util.find_spec(name)
@@ -43,7 +42,6 @@ def _deferred(name: str):
     return module
 
 
-ndimage = _deferred("scipy.ndimage")
 linalg = _deferred("scipy.linalg")
 
 
@@ -446,6 +444,8 @@ def _curve_symmetry(tails: np.ndarray) -> tuple:
     size = np.abs(tails)
     offsets = np.flatnonzero(size > ROOT_RTOL * size.max()) - w
     g = int(np.gcd.reduce(offsets[offsets != 0]))
+    if offsets.min() >= 0 or offsets.max() <= 0:       # a one-sided tail is traced once
+        return g, None
     k = int(offsets[offsets > 0].min())
     j, tol = np.arange(1, w + 1), _SEGMENT_TOL * (size.sum() - size[w])
     phase = np.angle(tails[w - k] / tails[w + k]) + _TWO_PI * np.arange(k)
@@ -505,151 +505,288 @@ def _boundary_block(tails: np.ndarray, s) -> tuple:
     return lam, _block_from_roots(roots[:, :q], roots[:, q:], poly[0]), side, reach
 
 
-# -- spectral area by winding raster ----------------------------------------
+# -- the arrangement of the symbol curve --------------------------------------
+
+ARRANGEMENT_PIECES = 256        # pieces of the first crossing search
+ARRANGEMENT_DEPTH = 30          # halvings before an unsettled pair counts as error
+ARRANGEMENT_BUDGET = 200_000    # pair tests before the search gives up
+
 
 @dataclass(frozen=True)
 class RegionComponent:
-    """One bounded complementary component of the symbol curve."""
+    """One bounded face of the complement of the symbol curve."""
 
     winding: int
     area: float
     representative: complex
-    cells: int
 
 
 @dataclass(frozen=True)
 class AreaEstimate:
-    """The area of {winding != 0} together with the curve: a raster
-    estimate, or exact with ``error``, ``curve_cells``, ``cell_diagonal``
-    and every component's ``cells`` 0 (segments, circles and ellipses)."""
+    """The area of {winding != 0} and the bounded faces of the curve;
+    ``error`` bounds what the pairs of arcs left unsettled can move (inf
+    when the search gave up or its windings contradict)."""
 
     value: float
     error: float
     components: tuple
-    curve_cells: int
-    cell_diagonal: float
-    resolution: int
 
 
-MAX_CURVE_SAMPLES = 2 ** 20     # the raster's gap test gives up at this many
+def _arc(curve, theta) -> tuple:
+    """(b, b') at the angles theta for curve = (lo, c, bend):
+    b = sum_j c_j e^(i (lo + j) theta), and bend = sum k^2 |b_k| >= |b''|."""
+    lo, c, _ = curve
+    z = np.exp(1j * np.asarray(theta, dtype=float))
+    power = z ** lo
+    return (np.polyval(c[::-1], z) * power,
+            1j * np.polyval((c * np.arange(lo, lo + len(c)))[::-1], z) * power)
 
 
-def winding_regions(s: LaurentSymbol, resolution: int = 512) -> AreaEstimate:
-    """Components of the complement of the curve a(T) with their windings,
-    and the raster area of {winding != 0} together with the curve.
+def _chord_boxes(curve, start, length) -> tuple:
+    """(lo, hi, ends): corners of boxes holding the arcs from start to
+    start + length, the chords' boxes padded by length^2 bend / 8."""
+    ends = _arc(curve, np.concatenate([start, start + length]))[0].reshape(2, -1)
+    pad = (1 + 1j) * length ** 2 * curve[2] / 8
+    lo = np.minimum(ends[0].real, ends[1].real) + 1j * np.minimum(ends[0].imag, ends[1].imag)
+    hi = np.maximum(ends[0].real, ends[1].real) + 1j * np.maximum(ends[0].imag, ends[1].imag)
+    return lo - pad, hi + pad, ends
 
-    The cells of the bounding box that the curve's samples touch are marked,
-    the samples doubled from 4096 until they lie less than half a cell apart
-    (or reach ``MAX_CURVE_SAMPLES``), and each bounded 4-connected component
-    of the other cells gets the exact winding (``winding``) of its deepest
-    cell in chessboard distance to the curve, the first in scan order; one
-    that lies on the curve reads 0.  Error bound: curve length x cell
-    diagonal.  A segment curve has a connected complement and measure 0,
-    returned exactly without sampling: its flat box would drive the
-    sampling to ``MAX_CURVE_SAMPLES``."""
-    if resolution < 8:
-        raise ValueError("resolution must be >= 8")
-    empty = AreaEstimate(0.0, 0.0, (), 0, 0.0, resolution)
-    if s.is_segment():
-        return empty
-    pts = s.on_circle(4096)
-    scale = max(1.0, s.magnitude())
-    extent = max(np.ptp(pts.real), np.ptp(pts.imag))
-    if extent <= 1e-13 * scale:     # a curve below the rounding of its shift
-        return empty
 
-    pad = extent / resolution
-    xmin, xmax = float(np.min(pts.real)) - pad, float(np.max(pts.real)) + pad
-    ymin, ymax = float(np.min(pts.imag)) - pad, float(np.max(pts.imag)) + pad
-    cw = (xmax - xmin) / resolution
-    ch = (ymax - ymin) / resolution
-    cell_area = cw * ch
-    cell_diag = math.hypot(cw, ch)
+def _boxes_meet(lo, hi, other_lo, other_hi):
+    return ((lo.real <= other_hi.real) & (other_lo.real <= hi.real)
+            & (lo.imag <= other_hi.imag) & (other_lo.imag <= hi.imag))
 
-    m = 4096
-    while True:
-        gaps = np.abs(np.diff(np.append(pts, pts[0])))
-        if float(np.max(gaps)) < 0.5 * min(cw, ch) or m >= MAX_CURVE_SAMPLES:
+
+def _cross(a, b):
+    return (a.conjugate() * b).imag
+
+
+def _sides(start, stop, points):
+    """The signed distances of the points to the line from start to stop."""
+    return _cross((stop - start) / np.abs(stop - start), points - start)
+
+
+def _circle_gap(x, y):
+    """|x - y| for angles, on the circle."""
+    return np.abs(np.angle(np.exp(1j * (x - y))))
+
+
+def _crossings(curve) -> tuple:
+    """(crossings, error): the parameter pairs (s, t) at which the curve
+    crosses itself, and the box area of the pairs of arcs left unsettled.
+
+    Each pair of the ARRANGEMENT_PIECES pieces of the curve (a piece with
+    itself too) is tested.  Pieces do not meet when their boxes part, or
+    when the other's chord ends lie more than twice the pad to one side of
+    the first's chord.  Over a piece widened by a quarter each side, b' lies
+    within 3/4 length bend of its value at the middle, a cone of
+    directions.  A piece, or two consecutive ones, turning by less than pi
+    does not cross itself; two pieces whose cones share no line cross at
+    most once (a chord between two crossings would run along both), and
+    Newton on b(s) = b(t) from their middles finds it when it lands inside
+    the widened pair at rounding level, where the arcs near it cross each
+    other's chords beyond their pads (so arcs that only touch get none).
+    The pair holding it records it, and a crossing found inside another's
+    widened pair is that one.  Other pairs are split in four.  At ARRANGEMENT_DEPTH the hull of a pair's
+    boxes counts as error; past ARRANGEMENT_BUDGET pair tests it is inf."""
+    h = _TWO_PI / ARRANGEMENT_PIECES
+    lo, hi, _ = _chord_boxes(curve, np.arange(ARRANGEMENT_PIECES) * h, h)
+    s, t = (k * h for k in np.nonzero(np.triu(_boxes_meet(lo[:, None], hi[:, None], lo, hi))))
+    length, found, error, tests = np.full(len(s), h), [], 0.0, 0
+    for depth in range(ARRANGEMENT_DEPTH + 1):
+        tests += len(s)
+        if not len(s) or tests > ARRANGEMENT_BUDGET:
             break
-        m *= 2
-        pts = s.on_circle(m)
-    curve_len = float(np.sum(np.abs(np.diff(np.append(pts, pts[0])))))
+        pair, gap = len(s), _circle_gap(t, s) / length      # 0, 1 or >= 2
+        both, widths = np.concatenate([s, t]), np.tile(length, 2)
+        lo, hi, ends = _chord_boxes(curve, both, widths)
+        beside = _sides(ends[0, :pair], ends[1, :pair], ends[:, pair:])
+        pad = length ** 2 * curve[2] / 8
+        slope = _arc(curve, both + widths / 2)[1]
+        half = np.arcsin(np.minimum(0.75 * widths * curve[2] / np.abs(slope), 1))
+        spread, turn = half[:pair] + half[pair:], np.abs(np.angle(slope[pair:] / slope[:pair]))
+        settled = np.select([gap < 0.5, gap < 1.5], [spread < np.pi, turn + spread < np.pi],
+                            ~_boxes_meet(lo[:pair], hi[:pair], lo[pair:], hi[pair:])
+                            | (beside.min(axis=0) > 2 * pad) | (beside.max(axis=0) < -2 * pad))
+        apart = ~settled & (gap > 1.5) & (np.minimum(turn, np.pi - turn) > spread)
+        if apart.any():
+            width = np.tile(length[apart], 2)
+            middle = np.append(s[apart], t[apart]) + width / 2
+            a, b = np.split(middle, 2)
+            for _ in range(8):
+                (fa, fb), (da, db) = (np.split(v, 2) for v in _arc(curve, np.append(a, b)))
+                jacobian = np.tile(_cross(da, db), 2)
+                step = np.append(_cross(fb - fa, db), -_cross(da, fb - fa)) / jacobian
+                a, b = np.split(np.append(a, b) + step, 2)
+                if np.all(np.abs(step) <= 1e-14):
+                    break
+            # a crossing within r of (a, b): each arc there runs from beyond its
+            # pad on one side of the other's chord to beyond it on the other
+            r = width[:len(a)] / 8
+            ends = _arc(curve, np.concatenate([a - r, b - r, a + r, b + r]))[0]
+            p0, q0, p1, q1 = np.split(ends, 4)
+            proper = np.all([(d[0] * d[1] < 0) & (np.abs(d).min(axis=0) > r * r * curve[2] / 2)
+                             for d in (_sides(q0, q1, np.array([p0, p1])),
+                                       _sides(p0, p1, np.array([q0, q1])))], axis=0)
+            off = _circle_gap(np.append(a, b), middle) / width
+            near = np.all(np.split(off <= 0.625, 2), axis=0) & proper \
+                & (np.abs(fb - fa) <= 1e-13 * curve[2])
+            own = near & np.all(np.split(off <= 0.5 + 1e-9, 2), axis=0)   # and its neighbours'
+            found += zip(a[own], b[own], middle[:len(a)][own], middle[len(a):][own],
+                         0.75 * width[:len(a)][own])
+            settled[np.flatnonzero(apart)[near]] = True
+        if depth == ARRANGEMENT_DEPTH:      # the hull of the boxes left
+            span = np.maximum(hi[:pair], hi[pair:]) - np.minimum(lo[:pair], lo[pair:])
+            error = float(np.sum((span.real * span.imag)[~settled]))
+        s, t, same = s[~settled], t[~settled], gap[~settled] < 0.5
+        length = length[~settled] / 2
+        # of a piece with itself, the child (s + l, t) repeats (s, t + l)
+        keep = np.concatenate([np.ones(2 * len(s), bool), ~same, np.ones(len(s), bool)])
+        s = np.concatenate([s, s, s + length, s + length])[keep]
+        t = np.concatenate([t, t + length, t, t + length])[keep]
+        length = np.tile(length, 4)[keep]
+    crossings = np.empty((0, 5))      # (s, t, middles of the pair, reach)
+    for root in np.array(found).reshape(-1, 5):
+        # one root inside the other's widened pair, in either order, is that root
+        kept = np.vstack([crossings, crossings[:, [1, 0, 3, 2, 4]]])
+        same = np.all(_circle_gap(root[:2], kept[:, 2:4]) <= kept[:, 4:], axis=1) \
+            | np.all(_circle_gap(kept[:, :2], root[2:4]) <= root[4], axis=1)
+        if not same.any():
+            crossings = np.vstack([crossings, root])
+    return crossings[:, :2] % _TWO_PI, error if tests <= ARRANGEMENT_BUDGET else math.inf
 
-    ix = np.clip(((pts.real - xmin) / cw).astype(int), 0, resolution - 1)
-    iy = np.clip(((pts.imag - ymin) / ch).astype(int), 0, resolution - 1)
-    curve_mask = np.zeros((resolution, resolution), dtype=bool)
-    curve_mask[iy, ix] = True
-    curve_cells = int(np.count_nonzero(curve_mask))
 
-    four = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
-    labels, n_labels = ndimage.label(~curve_mask, structure=four)
-    depth = ndimage.distance_transform_cdt(~curve_mask, metric="chessboard")
-    border = np.unique(np.concatenate([labels[0, :], labels[-1, :],
-                                       labels[:, 0], labels[:, -1]]))
-    unbounded = set(int(b) for b in border if b != 0)
-    bounded = [lab for lab in range(1, n_labels + 1) if lab not in unbounded]
-
-    counts = np.bincount(labels.ravel(), minlength=n_labels + 1)
-    boxes = ndimage.find_objects(labels)
-    components = []
-    inside_cells = 0
-    for lab in bounded:
-        box = boxes[lab - 1]
-        crop = np.where(labels[box] == lab, depth[box], -1)
-        ry, rx = np.unravel_index(np.argmax(crop), crop.shape)
-        q = complex(xmin + (box[1].start + rx + 0.5) * cw,
-                    ymin + (box[0].start + ry + 0.5) * ch)
-        try:
-            w = winding(s, q)
-        except PointOnCurve:        # the curve passes through a cell it missed
-            w = 0
-        cells = int(counts[lab])
-        if w != 0:
-            inside_cells += cells
-        components.append(RegionComponent(w, cells * cell_area, q, cells))
-
-    value = (inside_cells + curve_cells) * cell_area
-    error = (curve_len + 4 * cell_diag) * cell_diag
-    return AreaEstimate(value, error, tuple(components), curve_cells,
-                        cell_diag, resolution)
+def _arc_areas(curve, start, stop) -> np.ndarray:
+    """(1/2) Im of the integral of conj(b) db from start to stop, in closed
+    form: conj(b) b' = sum_m w_m e^(i m theta), w_m = sum_(k - j = m)
+    conj(b_j) i k b_k."""
+    lo, c, _ = curve
+    weight = np.correlate(1j * np.arange(lo, lo + len(c)) * c, c, "full")
+    m = np.arange(1 - len(c), len(c))
+    start, stop = start[:, None], stop[:, None]
+    integral = np.where(m == 0, stop - start, (np.exp(1j * m * stop) - np.exp(1j * m * start))
+                        / (1j * np.where(m, m, 1)))
+    return 0.5 * (integral @ weight).imag
 
 
-def _exact_regions(s: LaurentSymbol, resolution: int = 512) -> AreaEstimate | None:
-    """The regions of a = c z^k (k != 0) and of a non-segment
-    a = a_-1 / z + a_0 + a_1 z exactly; None for every other symbol.
+def _clearance(curve, points, start, stop) -> np.ndarray:
+    """A lower bound, within a factor 2, on the distance from each point to
+    the curve from its start to its stop: pieces of that arc are halved
+    until each box lies at least half the nearest chord end's distance away."""
+    owner = np.repeat(np.arange(len(points)), 16)
+    length = np.repeat((stop - start) / 16, 16)
+    begin = np.repeat(start, 16) + length * np.tile(np.arange(16), len(points))
+    nearest, bound = np.full(len(points), np.inf), np.full(len(points), np.inf)
+    for depth in range(ARRANGEMENT_DEPTH + 1):
+        lo, hi, ends = _chord_boxes(curve, begin, length)
+        np.minimum.at(nearest, owner, np.abs(ends[0] - points[owner]))
+        off = np.maximum((lo - points[owner]).view(float), (points[owner] - hi).view(float))
+        gap = np.hypot(*np.maximum(off, 0).reshape(-1, 2).T)
+        done = (gap >= nearest[owner] / 2) | (depth == ARRANGEMENT_DEPTH)
+        np.minimum.at(bound, owner[done], gap[done])
+        if done.all():
+            return bound
+        owner, begin = np.repeat(owner[~done], 2), np.repeat(begin[~done], 2)
+        length = np.repeat(length[~done] / 2, 2)
+        begin[1::2] += length[1::2]
 
-    c z^k traces the circle |lambda| = |c| k times: the open disc is one
-    component at winding k and the area is pi |c|^2.  a_-1 / z + a_0 + a_1 z
-    traces an ellipse about a_0 with semi-axes |a_1| + |a_-1| and
-    ||a_1| - |a_-1||, once, so its inside is one component at winding
-    sign(|a_1| - |a_-1|) and the area is pi ||a_1|^2 - |a_-1|^2|.  The
-    outside is at winding 0 and the curve has measure 0.  Only these exact
-    forms qualify: a near-circle is left to the raster, and a segment
-    (|a_1| = |a_-1|) to its exact path there.  ``resolution`` is only
-    recorded."""
-    if len(s.coeffs) == 1 and 0 not in s.coeffs:
-        (k, c), = s.coeffs.items()
-        area, centre = math.pi * abs(c) ** 2, 0j
-    elif set(s.coeffs) <= {-1, 0, 1} and not s.is_segment():
-        big, small = abs(s.coeffs.get(1, 0j)), abs(s.coeffs.get(-1, 0j))
-        k = 1 if big > small else -1
-        area, centre = math.pi * abs(big ** 2 - small ** 2), s.coeffs.get(0, 0j)
-    else:
+
+def _faces(curve, crossings):
+    """The bounded faces of the curve crossing itself at the parameter pairs
+    ``crossings``, as (winding, area, point inside) of b; None when their
+    windings contradict each other.
+
+    The edges run between consecutive crossing parameters, as forward
+    half-edges 2j and backward ones 2j + 1.  At a crossing the half-edge
+    after one arriving is the outgoing one just clockwise of its twin by the
+    angle of +-b', which keeps the face on the left (the DCEL of de Berg et
+    al., Computational Geometry, ch. 2).  Faces sum ``_arc_areas``; the
+    unbounded face has the least area and winding 0, and across a forward
+    edge left = right + 1 (Alexander's numbering).  A bounded face whose sum
+    falls below 0 lies below its rounding and reads 0.  A face's point lies
+    left of the middle of its edge that allows the longest step, half the
+    ``_clearance`` of the rest of the curve: the arc within |b'| / bend of
+    the middle meets the normal there only at the middle."""
+    theta = np.sort(crossings.ravel()) if len(crossings) else np.zeros(1)
+    stop = np.append(theta[1:], theta[0] + _TWO_PI)
+    after = np.arange(2 * len(theta))
+    if len(crossings):
+        place = np.searchsorted(theta, crossings)[:, [0, 0, 1, 1]]
+        out = (2 * place - [0, 1, 0, 1]) % len(after)
+        turn = np.argsort(np.angle(_arc(curve, theta)[1][place] * [1, -1, 1, -1]), axis=1)
+        out = np.take_along_axis(out, turn, axis=1)
+        after[out ^ 1] = np.roll(out, 1, axis=1)
+    face, count = np.full(len(after), -1), 0
+    for first in range(len(after)):
+        edge = first
+        while face[edge] < 0:
+            face[edge], edge = count, after[edge]
+        count += face[first] == count
+    edge_area = _arc_areas(curve, theta, stop)
+    area = np.bincount(face, np.ravel([edge_area, -edge_area], order="F"), count)
+    left, right, outer = face[0::2], face[1::2], np.argmin(area)
+    winding = np.full(count, np.nan)
+    winding[outer] = 0
+    for _ in range(count):
+        known = np.isnan(winding[left]) & ~np.isnan(winding[right])
+        winding[left[known]] = winding[right[known]] + 1
+        known = np.isnan(winding[right]) & ~np.isnan(winding[left])
+        winding[right[known]] = winding[left[known]] - 1
+    if np.any(winding[left] != winding[right] + 1):
         return None
-    return AreaEstimate(area, 0.0, (RegionComponent(k, area, centre, 0),), 0, 0.0,
-                        resolution)
+    middle = (theta + stop) / 2
+    value, slope = _arc(curve, middle)
+    reach = np.minimum(np.abs(slope) / curve[2], (stop - theta) / 2)
+    step = np.repeat(_clearance(curve, value, middle + reach, middle + _TWO_PI - reach) / 2, 2)
+    point = np.repeat(value, 2) + step * np.ravel([1j * slope, -1j * slope], order="F") \
+        / np.repeat(np.abs(slope), 2)
+    order = np.lexsort((step, face))            # by face, the longest step last
+    best = order[np.searchsorted(face[order], np.arange(count), side="right") - 1]
+    return [(int(winding[f]), max(float(area[f]), 0.0), complex(point[best[f]]))
+            for f in range(count) if f != outer]
 
 
-def spectral_area(t: StructuredOperator, resolution: int = 512) -> AreaEstimate:
-    """Planar measure of the spectrum's filled-in part.
+def winding_regions(s: LaurentSymbol) -> AreaEstimate:
+    """The bounded faces of the complement of the curve a(T) with their
+    windings, areas and representatives, and the area of {winding != 0}:
+    the exact arrangement of the curve.
 
-    For hyponormal operators this is the area entering Putnam's inequality;
-    isolated eigenvalues contribute nothing.  Exact for a monomial symbol, a
-    bandwidth-1 symbol (an ellipse; ``_exact_regions``) and a segment curve,
-    and builds no raster for them; a raster otherwise.
-    """
-    sym = symbol(t)
-    return _exact_regions(sym, resolution) or winding_regions(sym, resolution)
+    With (g, u) from ``_curve_symmetry``, a(z) = b(z^g), and the faces are
+    b's with windings times g.  A curve traced back and forth (u, segments)
+    bounds no face.  When b's offsets lie in {-1, 0, 1}, b traces an ellipse
+    about b_0 once: one face at winding sign(|b_1| - |b_-1|), of area
+    pi ||b_1|^2 - |b_-1|^2|.  Any other b less its constant is cut by
+    ``_crossings`` into ``_faces``; when they contradict, the error is inf
+    and no face is listed."""
+    if s.is_segment():
+        return AreaEstimate(0.0, 0.0, ())
+    w = max(abs(k) for k in s.coeffs)
+    g, u = _curve_symmetry(np.array([s.coeffs.get(k, 0j) for k in range(-w, w + 1)]))
+    if u is not None:
+        return AreaEstimate(0.0, 0.0, ())
+    centre = s.coeffs.get(0, 0j)
+    b = {k // g: c for k, c in s.coeffs.items() if k and k % g == 0}
+    if set(b) <= {-1, 1}:
+        big, small = abs(b.get(1, 0j)), abs(b.get(-1, 0j))
+        area = math.pi * abs(big ** 2 - small ** 2)
+        face = RegionComponent(g if big > small else -g, area, centre)
+        return AreaEstimate(area, 0.0, (face,))
+    lo, c = min(b), np.zeros(max(b) - min(b) + 1, dtype=complex)
+    c[np.array(list(b)) - lo] = list(b.values())
+    curve = (lo, c, float(sum(k * k * abs(v) for k, v in b.items())))
+    crossings, error = _crossings(curve)
+    faces = _faces(curve, crossings) if error < math.inf else None
+    if faces is None:
+        return AreaEstimate(0.0, math.inf, ())
+    components = tuple(RegionComponent(g * k, area, centre + point)
+                       for k, area, point in faces)
+    return AreaEstimate(sum(c.area for c in components if c.winding), error, components)
+
+
+def spectral_area(t: StructuredOperator) -> AreaEstimate:
+    """Planar measure of the spectrum's filled-in part, the area entering
+    Putnam's inequality for hyponormal operators (``winding_regions``)."""
+    return winding_regions(symbol(t))
 
 
 # -- summary container -------------------------------------------------------

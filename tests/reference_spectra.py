@@ -9,21 +9,26 @@ starting size and the agreement rule they shared, next to the seed-by-seed
 Newton iteration that ``numerics._schur_newton`` batches, the kernel
 count that sets its level from the exact top eigenvalue on every call, the
 contour engine that bandwidth-1 tails took before their quadratic pencil,
-and the paranormality test that built q(s) as an operator and counted it
-shift by shift.
+the paranormality test that built q(s) as an operator and counted it
+shift by shift, and the winding raster that gave the spectral area and its
+components before the exact arrangement of the curve.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
+from scipy import ndimage
 from scipy.linalg import eig_banded
 
 from opspectra.classify import Verdict, _pencil_shifts, default_paranormal_grid
 from opspectra.core import constant_diagonal, gram
 from opspectra.numerics import (MERGE_FACTOR, TRUNC_CAP, _corner_coupling, _schur_spectra,
                                 cluster_values, operator_norm, schur_eigenvalues)
+from opspectra import symbols
+from opspectra.errors import PointOnCurve
 from opspectra.symbols import _all_above, _wiener_hopf_block
 
 
@@ -168,3 +173,94 @@ def paranormal_by_shifts(t, grid=None, tol=1e-10, invalid=()):
             break
     proved = outcome is Verdict.NO or (outcome is Verdict.YES and method == "pencil")
     return outcome, failed_at, method, proved
+
+
+@dataclass(frozen=True)
+class RasterComponent:
+    """One bounded 4-connected component of the raster's cells off the curve."""
+
+    winding: int
+    area: float
+    representative: complex
+    cells: int
+
+
+@dataclass(frozen=True)
+class RasterEstimate:
+    """The raster area of {winding != 0} together with the curve, its error
+    bound, the components, the cells the curve touches and a cell's diagonal."""
+
+    value: float
+    error: float
+    components: tuple
+    curve_cells: int
+    cell_diagonal: float
+
+
+def raster_regions(s, resolution=512):
+    """``symbols.winding_regions`` as a raster, before the arrangement.
+
+    The cells of the bounding box that the curve's samples touch are marked,
+    the samples doubled from 4096 until they lie less than half a cell apart
+    (or reach 2^20), and each bounded 4-connected component of the other
+    cells gets the exact winding (``symbols.winding``) of its deepest cell
+    in chessboard distance to the curve, the first in scan order; one that
+    lies on the curve reads 0.  Error bound: curve length x cell diagonal.
+    A segment curve, and one below the rounding of its shift, has no
+    component and area 0."""
+    empty = RasterEstimate(0.0, 0.0, (), 0, 0.0)
+    if s.is_segment():
+        return empty
+    pts = s.on_circle(4096)
+    scale = max(1.0, s.magnitude())
+    extent = max(np.ptp(pts.real), np.ptp(pts.imag))
+    if extent <= 1e-13 * scale:
+        return empty
+    pad = extent / resolution
+    xmin, xmax = float(np.min(pts.real)) - pad, float(np.max(pts.real)) + pad
+    ymin, ymax = float(np.min(pts.imag)) - pad, float(np.max(pts.imag)) + pad
+    cw = (xmax - xmin) / resolution
+    ch = (ymax - ymin) / resolution
+    cell_area = cw * ch
+    cell_diag = math.hypot(cw, ch)
+    m = 4096
+    while True:
+        gaps = np.abs(np.diff(np.append(pts, pts[0])))
+        if float(np.max(gaps)) < 0.5 * min(cw, ch) or m >= 2 ** 20:
+            break
+        m *= 2
+        pts = s.on_circle(m)
+    curve_len = float(np.sum(np.abs(np.diff(np.append(pts, pts[0])))))
+    ix = np.clip(((pts.real - xmin) / cw).astype(int), 0, resolution - 1)
+    iy = np.clip(((pts.imag - ymin) / ch).astype(int), 0, resolution - 1)
+    curve_mask = np.zeros((resolution, resolution), dtype=bool)
+    curve_mask[iy, ix] = True
+    curve_cells = int(np.count_nonzero(curve_mask))
+    four = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
+    labels, n_labels = ndimage.label(~curve_mask, structure=four)
+    depth = ndimage.distance_transform_cdt(~curve_mask, metric="chessboard")
+    border = np.unique(np.concatenate([labels[0, :], labels[-1, :],
+                                       labels[:, 0], labels[:, -1]]))
+    unbounded = set(int(b) for b in border if b != 0)
+    bounded = [lab for lab in range(1, n_labels + 1) if lab not in unbounded]
+    counts = np.bincount(labels.ravel(), minlength=n_labels + 1)
+    boxes = ndimage.find_objects(labels)
+    components = []
+    inside_cells = 0
+    for lab in bounded:
+        box = boxes[lab - 1]
+        crop = np.where(labels[box] == lab, depth[box], -1)
+        ry, rx = np.unravel_index(np.argmax(crop), crop.shape)
+        q = complex(xmin + (box[1].start + rx + 0.5) * cw,
+                    ymin + (box[0].start + ry + 0.5) * ch)
+        try:
+            w = symbols.winding(s, q)
+        except PointOnCurve:        # the curve passes through a cell it missed
+            w = 0
+        cells = int(counts[lab])
+        if w != 0:
+            inside_cells += cells
+        components.append(RasterComponent(w, cells * cell_area, q, cells))
+    value = (inside_cells + curve_cells) * cell_area
+    error = (curve_len + 4 * cell_diag) * cell_diag
+    return RasterEstimate(value, error, tuple(components), curve_cells, cell_diag)

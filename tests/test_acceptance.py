@@ -116,9 +116,9 @@ def test_head_shift_golden():
 
 
 @criterion("Putnam inequality on bundled + 50 seeded hyponormal operators; "
-           "near equality for the right shift at resolution 512")
+           "near equality for the right shift")
 def test_putnam_suite():
-    rec = putnam_check(right_shift(), resolution=512, assume_hyponormal=True)
+    rec = putnam_check(right_shift(), assume_hyponormal=True)
     assert rec.holds
     assert abs(rec.commutator_norm - 1.0) <= 0.02
     assert abs(rec.area_over_pi - 1.0) <= 0.02
@@ -126,14 +126,14 @@ def test_putnam_suite():
     for name in BUNDLED:
         op = load_bundled(name).operator
         assert check_hyponormal(op).verdict is Verdict.YES, name
-        rec = putnam_check(op, resolution=512, assume_hyponormal=True)
+        rec = putnam_check(op, assume_hyponormal=True)
         assert rec.commutator_norm <= rec.area_over_pi \
             + rec.grid_error_over_pi + 1e-6, name
 
     rng = np.random.default_rng(SEED)
     for i in range(50):
         op = random_hyponormal(rng)
-        rec = putnam_check(op, resolution=512, assume_hyponormal=True)
+        rec = putnam_check(op, assume_hyponormal=True)
         assert rec.commutator_norm <= rec.area_over_pi \
             + rec.grid_error_over_pi + 1e-6, f"random operator {i}"
 

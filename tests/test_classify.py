@@ -355,21 +355,20 @@ def test_am_normal_examples():
 # -- Putnam inequality -----------------------------------------------------------
 
 def test_putnam_near_equality_for_shift():
-    rec = putnam_check(right_shift(), resolution=256, assume_hyponormal=True)
+    rec = putnam_check(right_shift(), assume_hyponormal=True)
     assert rec.holds
     assert rec.commutator_norm == pytest.approx(1.0, abs=1e-12)
     assert rec.area_over_pi == pytest.approx(1.0, abs=0.05)
 
 
 def test_putnam_trivial_for_normal():
-    rec = putnam_check(diagonal((0.5,), 1.0), resolution=128,
-                       assume_hyponormal=True)
+    rec = putnam_check(diagonal((0.5,), 1.0), assume_hyponormal=True)
     assert rec.holds and rec.commutator_norm <= 1e-14
 
 
 def test_putnam_scaled_shift_block():
     rec = putnam_check(load_bundled("nilpotent_head_shift").operator,
-                       resolution=256, assume_hyponormal=True)
+                       assume_hyponormal=True)
     assert rec.holds
     assert rec.commutator_norm <= 4.0 + 1e-9
 
@@ -385,21 +384,22 @@ MONOMIAL_SPECS = ("right_shift", "defect_shift", "nilpotent_head_shift",
 
 
 def test_monomial_symbols_build_no_raster(monkeypatch, pool_bases):
-    """c z^k has exact regions: with the raster disabled, every caller of
-    the area and the windings still answers.  A symbol of bandwidth 2
-    (pool base (2, 8, 0)) builds one raster, for the area alone: its
-    isolated eigenvalues are counted on the curve."""
+    """c z^k traces a circle k times, a face in closed form: with the
+    crossing search disabled, every caller of the area and the windings
+    still answers.  A symbol of bandwidth 2 (pool base (2, 8, 0)) runs one
+    search, for the area and its faces: its isolated eigenvalues are
+    counted on the curve."""
     symbols_module = importlib.import_module("opspectra.symbols")
-    raster, built = symbols_module.winding_regions, []
+    search, built = symbols_module._crossings, []
 
-    def no_raster(*args, **kwargs):
-        raise AssertionError("a monomial symbol must not be rasterized")
+    def no_search(*args, **kwargs):
+        raise AssertionError("a monomial symbol must take its closed form")
 
     def counted(*args, **kwargs):
         built.append(args)
-        return raster(*args, **kwargs)
+        return search(*args, **kwargs)
 
-    monkeypatch.setattr(symbols_module, "winding_regions", no_raster)
+    monkeypatch.setattr(symbols_module, "_crossings", no_search)
     ops = [load_bundled(name).operator for name in MONOMIAL_SPECS]
     for op in ops + [toeplitz({-2: 0.5j})]:
         spectral_summary(op)
@@ -407,14 +407,14 @@ def test_monomial_symbols_build_no_raster(monkeypatch, pool_bases):
         putnam_check(op, assume_hyponormal=True)
         weyl_normality_criterion(op)
 
-    monkeypatch.setattr(symbols_module, "winding_regions", counted)
+    monkeypatch.setattr(symbols_module, "_crossings", counted)
     spectral_summary(pool_bases[2])
     assert len(built) == 1
 
 
 def test_bandwidth_one_symbols_build_no_raster_and_run_no_contour(monkeypatch):
     """For a = a_-1 / z + a_0 + a_1 z beside a corner, the area, the
-    windings and the isolated eigenvalues are exact: no raster is built, no
+    windings and the isolated eigenvalues are exact: no crossing search or
     contour engine runs, and no Wiener-Hopf block of a - lam is formed (the
     Haynsworth counts on T*T, of another symbol, still run).  The
     hyponormal and AN verdicts are taken as yes, so that
@@ -433,7 +433,7 @@ def test_bandwidth_one_symbols_build_no_raster_and_run_no_contour(monkeypatch):
             refused()
         return block(tails, lam)
 
-    monkeypatch.setattr(symbols_module, "winding_regions", refused)
+    monkeypatch.setattr(symbols_module, "_crossings", refused)
     monkeypatch.setattr(classify_module, "schur_eigenvalues", refused)
     monkeypatch.setattr(numerics, "_wiener_hopf_block", other_symbols_only)
     summary = spectral_summary(t)
@@ -568,15 +568,14 @@ def test_classify_zero_operator():
 
 def test_spectral_summary_invariants():
     for op in (right_shift(), defect_shift(), diagonal((0.5j,), 1.0)):
-        summary = spectral_summary(op, samples=256, resolution=128)
+        summary = spectral_summary(op, samples=256)
         assert 0 <= summary.min_modulus <= summary.ess_min_modulus
         assert summary.ess_min_modulus <= summary.norm_upper + 1e-12
         assert summary.area >= 0
 
 
 def test_spectral_summary_isolated_eigenvalues():
-    summary = spectral_summary(diagonal((0.5j,), 1.0), samples=256,
-                               resolution=128)
+    summary = spectral_summary(diagonal((0.5j,), 1.0), samples=256)
     assert len(summary.eigenvalues) == 1
     value, mult = summary.eigenvalues[0]
     assert mult == 1 and abs(value - 0.5j) < 1e-9
@@ -591,7 +590,7 @@ def test_spectral_summary_keeps_a_double_eigenvalue_whole_beside_a_complex_one()
 
 
 def test_spectral_summary_shift_has_no_isolated_points():
-    summary = spectral_summary(right_shift(), samples=256, resolution=128)
+    summary = spectral_summary(right_shift(), samples=256)
     assert summary.eigenvalues == ()
     assert summary.weyl_extra and summary.weyl_extra[0].winding == 1
 

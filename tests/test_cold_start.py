@@ -1,6 +1,6 @@
-"""scipy's ``ndimage`` and ``linalg`` load on first use: the bundled commands
-never touch them, and a computation that does gets the same values as with
-both subpackages imported up front."""
+"""scipy's ``linalg`` loads on first use: the bundled commands never touch
+it, and a computation that does gets the same values as with it imported up
+front.  ``scipy.ndimage`` serves no computation, so it never loads."""
 
 import json
 import os
@@ -23,8 +23,9 @@ print(json.dumps(sorted(m for m in sys.modules
 """
 
 # A two-sided symbol that is neither a monomial nor a segment, so the
-# summary builds the winding raster, and the banded oracle behind validate.
-RASTER_AND_ORACLE = """
+# summary runs the crossing search of the curve, and the banded oracle
+# behind validate.
+SUMMARY_AND_ORACLE = """
 import hashlib, json, pickle, sys
 import numpy as np
 from opspectra import fredholm_index, from_dense_corner, spectral_summary, toeplitz
@@ -37,7 +38,7 @@ print(json.dumps({
     "summary": hashlib.sha256(pickle.dumps(summary)).hexdigest(),
     "area": summary.area, "eigenvalues": repr(summary.eigenvalues),
     "index": index,
-    "loaded": [name for name in ("scipy.ndimage._ni_label", "scipy.linalg._flapack")
+    "loaded": [name for name in ("scipy.ndimage", "scipy.linalg._flapack")
                if name in sys.modules]}))
 """
 
@@ -70,15 +71,37 @@ print(json.dumps({"certified": certified, "found": len(found),
 """
 
 
+SUMMARY_ONLY = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("workloads", {workloads!r})
+workloads = importlib.util.module_from_spec(spec)
+sys.modules["workloads"] = workloads
+spec.loader.exec_module(workloads)
+from opspectra import spectral_summary
+summary = spectral_summary(workloads.generic_base(3, 16, 1))
+print(json.dumps({{"faces": len(summary.weyl_extra), "error": summary.area_error,
+                  "ndimage": "scipy.ndimage" in sys.modules}}))
+"""
+
+
+def test_spectral_summary_leaves_ndimage_unloaded(tmp_path):
+    """The area and faces of pool base (3, 16, 1) come from the arrangement
+    of its curve: its four faces at nonzero winding, exactly, with
+    scipy.ndimage never imported."""
+    workloads = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    got = _run(SUMMARY_ONLY.format(workloads=str(workloads)), tmp_path)
+    assert got == {"faces": 4, "error": 0.0, "ndimage": False}
+
+
 def test_eigenvalue_engine_loads_no_ndimage(tmp_path):
-    """The isolated eigenvalues of RASTER_AND_ORACLE's operator are counted
+    """The isolated eigenvalues of SUMMARY_AND_ORACLE's operator are counted
     on its curve, with no raster: the deferred scipy.ndimage never runs."""
     got = _run(ENGINE_ONLY, tmp_path)
     assert got["certified"] and got["found"] and not got["ndimage"]
 
 
 def test_deferred_scipy_gives_the_eager_values(tmp_path):
-    deferred = _run(RASTER_AND_ORACLE, tmp_path)
-    eager = _run("import scipy.ndimage, scipy.linalg\n" + RASTER_AND_ORACLE, tmp_path)
-    assert deferred["loaded"] == ["scipy.ndimage._ni_label", "scipy.linalg._flapack"]
+    deferred = _run(SUMMARY_AND_ORACLE, tmp_path)
+    eager = _run("import scipy.linalg\n" + SUMMARY_AND_ORACLE, tmp_path)
+    assert deferred["loaded"] == ["scipy.linalg._flapack"]
     assert deferred == eager

@@ -28,7 +28,7 @@ GENERATORS = (suites.random_diagonal, suites.random_weighted_shift,
               suites.random_hyponormal, suites.random_finite_rank,
               suites.random_normal_corner, suites.random_an_hyponormal,
               suites.random_banded_symbol)
-SMALL = {"samples": 256, "resolution": 128}
+SMALL = {"samples": 256}
 
 
 def generic(bandwidth=2, corner=8, seed=1):

@@ -1,6 +1,8 @@
-"""The winding raster behind winding_regions, checked against a test-local
-oracle, and the region ``_zero_winding_mask`` where isolated eigenvalues are
-sought, checked against ``winding`` and ``_curve_distance``."""
+"""The winding raster oracle (``reference_spectra.raster_regions``), checked
+against a test-local one built with a Euclidean distance transform, with the
+arrangement's area inside its error; and the region ``_zero_winding_mask``
+where isolated eigenvalues are sought, checked against ``winding`` and
+``_curve_distance``."""
 
 import math
 
@@ -14,13 +16,13 @@ from opspectra import (LaurentSymbol, PointOnCurve, load_bundled, suites, symbol
                        toeplitz, winding_regions)
 from opspectra import symbols as symbols_module
 from opspectra.specfiles import BUNDLED
-from opspectra.symbols import (AreaEstimate, RegionComponent, _curve_distance,
-                               _segment_box, _tail_span, _zero_winding_mask,
-                               polygon_winding, winding)
+from opspectra.symbols import (AreaEstimate, _curve_distance, _segment_box, _tail_span,
+                               _zero_winding_mask, polygon_winding, winding)
+from reference_spectra import RasterComponent, RasterEstimate, raster_regions
 
 
 def _curve_cells(s, resolution):
-    """The raster's geometry as ``winding_regions`` builds it: ((xmin, ymin),
+    """The raster's geometry as ``raster_regions`` builds it: ((xmin, ymin),
     (cell width, cell height), the refined curve samples, the mask of the
     cells they touch), or None for a segment or a curve below rounding."""
     if s.is_segment():
@@ -54,7 +56,7 @@ def _edt_winding_regions(s, resolution):
     maximum_position chose each component's representative."""
     cells = _curve_cells(s, resolution)
     if cells is None:
-        return AreaEstimate(0.0, 0.0, (), 0, 0.0, resolution)
+        return RasterEstimate(0.0, 0.0, (), 0, 0.0)
     (xmin, ymin), (cw, ch), pts, curve_mask = cells
     cell_area = cw * ch
     cell_diag = math.hypot(cw, ch)
@@ -79,11 +81,10 @@ def _edt_winding_regions(s, resolution):
             cells = int(cells)
             if w != 0:
                 inside_cells += cells
-            components.append(RegionComponent(w, cells * cell_area, q, cells))
+            components.append(RasterComponent(w, cells * cell_area, q, cells))
     value = (inside_cells + curve_cells) * cell_area
     error = (curve_len + 4 * cell_diag) * cell_diag
-    return AreaEstimate(value, error, tuple(components), curve_cells,
-                        cell_diag, resolution)
+    return RasterEstimate(value, error, tuple(components), curve_cells, cell_diag)
 
 
 def _suite_symbols(count=12):
@@ -103,30 +104,35 @@ TRAPS = [{1: 1.0, -1: 0.5j}, {1: 1.0, -1: 1.0, 2: 1.0, -2: 1j},
 
 @pytest.mark.parametrize("resolution", [128, 512])
 def test_raster_matches_the_distance_transform_version(resolution, pool_bases):
+    """The oracle against the distance-transform raster, and the area of the
+    arrangement inside the oracle's error wherever the oracle marks cells
+    (a curve below the rounding of its shift has none)."""
     symbols = (_suite_symbols() + [LaurentSymbol(c) for c in TRAPS]
                + [symbol(t) for t in pool_bases]
                + [symbol(load_bundled(name).operator) for name in BUNDLED])
     for s in symbols:
-        got = winding_regions(s, resolution)
+        got = raster_regions(s, resolution)
         want = _edt_winding_regions(s, resolution)
         assert (got.value, got.error, got.curve_cells, got.cell_diagonal) == \
             (want.value, want.error, want.curve_cells, want.cell_diagonal)
         assert [(c.winding, c.cells, c.area) for c in got.components] == \
             [(c.winding, c.cells, c.area) for c in want.components]
+        exact = winding_regions(s)
+        assert exact.error == 0
+        assert got.curve_cells == 0 or abs(exact.value - got.value) <= got.error
 
 
 def test_representative_on_the_curve_reads_winding_zero(pool_bases, monkeypatch):
-    """Where ``winding`` finds a representative on the curve, its component
-    reads winding 0.  Pool base (2, 8, 0): a bandwidth-1 tail would take
-    the exact ellipse."""
+    """Where ``winding`` finds a representative on the curve, the oracle's
+    component reads winding 0."""
     t = pool_bases[2]
-    assert any(c.winding for c in winding_regions(symbol(t), 512).components)
+    assert any(c.winding for c in raster_regions(symbol(t), 512).components)
 
     def on_curve(s, lam):
         raise PointOnCurve(f"{lam} lies on the symbol curve")
 
     monkeypatch.setattr(symbols_module, "winding", on_curve)
-    components = winding_regions(symbol(t), 512).components
+    components = raster_regions(symbol(t), 512).components
     assert components and all(c.winding == 0 for c in components)
 
 
@@ -148,12 +154,12 @@ def _chessboard_depth(curve):
 def test_representative_is_the_first_deepest_cell_of_its_component(s):
     cells = _curve_cells(s, 128)
     if cells is None:
-        assert winding_regions(s, 128).components == ()
+        assert raster_regions(s, 128).components == ()
         return
     origin, (cw, ch), _, curve = cells
     labels = ndimage.label(~curve, structure=[[0, 1, 0], [1, 1, 1], [0, 1, 0]])[0]
     depth = _chessboard_depth(curve)
-    for comp in winding_regions(s, 128).components:
+    for comp in raster_regions(s, 128).components:
         rx = round((comp.representative.real - origin[0]) / cw - 0.5)
         ry = round((comp.representative.imag - origin[1]) / ch - 0.5)
         member = labels == labels[ry, rx]
@@ -215,10 +221,10 @@ def test_isolated_mask_matches_the_per_point_predicate(coeffs, seed, clearance):
 
 
 def test_segment_symbol_has_no_raster_and_falls_back():
-    """A segment curve has no raster, and the count cuts it out as a box:
+    """A segment curve bounds no face, and the count cuts it out as a box:
     clockwise around the segment, widened by the clearance."""
     s = LaurentSymbol({1: 1.0, -1: 1.0})
-    assert winding_regions(s, 512) == AreaEstimate(0.0, 0.0, (), 0, 0.0, 512)
+    assert winding_regions(s) == AreaEstimate(0.0, 0.0, ())
     z = np.array([0.0, 0.5j, 3.0, 1.0 + 1e-9j])
     assert _mask(s, z, 1e-6).tolist() == [False, True, True, False]
     box = _segment_box(s, 1e-6)(np.linspace(0, 2 * np.pi, 400, endpoint=False))

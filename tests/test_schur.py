@@ -17,7 +17,7 @@ from scipy.linalg import eig
 from conftest import load_perfbench
 from opspectra import (constant_diagonal, diagonal, embed_at,
                        from_dense_corner, gram, load_bundled, min_modulus,
-                       spectral_summary, suites, symbol, toeplitz)
+                       spectral_area, spectral_summary, suites, symbol, toeplitz)
 from opspectra import numerics
 from opspectra.classify import _region_clusters
 from opspectra.numerics import (_corner_coupling, _schur_newton, cluster_values,
@@ -25,8 +25,8 @@ from opspectra.numerics import (_corner_coupling, _schur_newton, cluster_values,
 from opspectra.symbols import (PointOnCurve, _curve_distance, _geometric_product,
                                _tail_span, _wiener_hopf_block, _zero_winding_mask,
                                kernel_count_by_truncation, winding)
-from reference_spectra import (region_clusters_by_contour, region_clusters_by_sections,
-                               schur_newton_per_seed)
+from reference_spectra import (raster_regions, region_clusters_by_contour,
+                               region_clusters_by_sections, schur_newton_per_seed)
 
 workloads = load_perfbench("workloads")
 tracer = load_perfbench("tracer")
@@ -474,21 +474,22 @@ def test_pollution_near_the_curve_is_not_listed():
         assert hit == any(v == k for k in kept)
 
 
-def test_thin_curve_is_certified_whatever_the_raster_samples(monkeypatch):
-    """The thin curve of pool base (1, 8, 1) with a z^2 term of 1e-3 fails
-    the area raster's gap test at 4096 samples; the count on the curve
-    reads no raster, and certifies the same seven eigenvalues either way."""
+def test_thin_curve_is_certified_and_its_area_exact():
+    """The thin curve of pool base (1, 8, 1) with a z^2 term of 1e-3 failed
+    the old area raster's gap test at 4096 samples.  The count on the curve
+    certifies seven eigenvalues, and the arrangement of the curve gives its
+    area with error 0, inside the error of the 512 raster oracle."""
     t = workloads.generic_base(1, 8, 1) + toeplitz({2: 1e-3})
     found, certified = _region_clusters(t)
     assert certified and len(found) == 7
-    monkeypatch.setattr("opspectra.symbols.MAX_CURVE_SAMPLES", 4096)
-    assert _region_clusters(t) == (found, True)
+    est, oracle = spectral_area(t), raster_regions(symbol(t), 512)
+    assert est.error == 0 and abs(est.value - oracle.value) <= oracle.error
 
 
-def test_the_listed_eigenvalues_do_not_depend_on_the_area_resolution():
+def test_the_listed_eigenvalues_do_not_depend_on_the_curve_samples():
     t = workloads.generic_base(1, 16, 0)
-    coarse = spectral_summary(t, samples=256, resolution=128)
-    fine = spectral_summary(t, samples=256, resolution=512)
+    coarse = spectral_summary(t, samples=256)
+    fine = spectral_summary(t, samples=1024)
     assert coarse.eigenvalues_stabilized and fine.eigenvalues_stabilized
     assert coarse.eigenvalues == fine.eigenvalues == _region_clusters(t)[0]
 

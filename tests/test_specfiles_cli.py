@@ -129,7 +129,7 @@ def test_rank_terms_reparse_as_bands():
 
 def test_cli_classify_exit_code_and_structured_output(capsys):
     code = main(["classify", "right_shift", "--format", "structured",
-                 "--resolution", "128", "--samples", "256"])
+                 "--samples", "256"])
     out = capsys.readouterr().out
     doc = json.loads(out)
     assert code == 0
@@ -144,7 +144,7 @@ def test_cli_classify_exit_code_and_structured_output(capsys):
 
 def test_cli_classify_text_output(capsys):
     code = main(["classify", "unitary_diag",
-                 "--resolution", "128", "--samples", "256"])
+                 "--samples", "256"])
     out = capsys.readouterr().out
     assert code == 0
     assert "normal" in out and "yes" in out
@@ -153,7 +153,7 @@ def test_cli_classify_text_output(capsys):
 
 def test_cli_determinism_modulo_timestamps(capsys):
     args = ["classify", "defect_shift", "--format", "structured",
-            "--resolution", "128", "--samples", "256"]
+            "--samples", "256"]
     main(args)
     first = json.loads(capsys.readouterr().out)
     main(args)
@@ -165,8 +165,7 @@ def test_cli_determinism_modulo_timestamps(capsys):
 
 def test_cli_spectrum_writes_curve_csv(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    code = main(["spectrum", "defect_shift", "--samples", "256",
-                 "--resolution", "128"])
+    code = main(["spectrum", "defect_shift", "--samples", "256"])
     out = capsys.readouterr().out
     assert code == 0
     path = tmp_path / "defect_shift_curve.csv"
@@ -301,8 +300,8 @@ def test_decompose_takes_no_samples_or_resolution(capsys):
 
 
 @pytest.mark.parametrize("command, keys", [
-    ("classify", {"tol", "samples", "resolution", "spec"}),
-    ("spectrum", {"tol", "samples", "resolution", "spec", "curve_csv"}),
+    ("classify", {"tol", "samples", "spec"}),
+    ("spectrum", {"tol", "samples", "spec", "curve_csv"}),
     ("decompose", {"trunc", "tol", "spec"})])
 def test_provenance_holds_the_parameters_the_command_reads(command, keys, capsys,
                                                            tmp_path, monkeypatch):
@@ -317,8 +316,8 @@ def test_provenance_holds_the_parameters_the_command_reads(command, keys, capsys
 
 
 @pytest.mark.parametrize("command, computation, keys", [
-    ("classify", spectral_summary, ("tol", "samples", "resolution")),
-    ("spectrum", spectral_summary, ("tol", "samples", "resolution")),
+    ("classify", spectral_summary, ("tol", "samples")),
+    ("spectrum", spectral_summary, ("tol", "samples")),
     ("decompose", structure_decompose, ("tol",))])
 def test_unset_parameters_are_the_defaults_of_the_computation(
         command, computation, keys, capsys, tmp_path, monkeypatch):
@@ -331,8 +330,11 @@ def test_unset_parameters_are_the_defaults_of_the_computation(
 
 
 # run parameters out of range, each refused where it enters: as a flag or
-# as a spec param
-BAD_RUN_PARAMS = [("classify", "resolution", 4), ("classify", "samples", 0),
+# as a spec param. The area comes from the exact arrangement of the curve,
+# which has no resolution: ``--resolution`` is an unknown flag and
+# ``resolution`` an unknown spec field, whatever their value.
+BAD_RUN_PARAMS = [("classify", "resolution", 4), ("spectrum", "resolution", 512),
+                  ("classify", "samples", 0),
                   ("spectrum", "samples", -3), ("classify", "tol", -1.0),
                   ("classify", "tol", math.nan), ("classify", "tol", math.inf),
                   ("decompose", "trunc", -1), ("classify", "samples", 2.5)]
@@ -354,7 +356,9 @@ def test_out_of_range_spec_param_is_a_validation_error(command, key, value, caps
     monkeypatch.chdir(tmp_path)
     text = json.dumps({"name": "shift", "params": {key: value},
                        "bands": [{"offset": 1, "tail": [1, 0]}]})
-    with pytest.raises(ValidationError, match=f"params.{key} must be"):
+    error, message = ((ParseError, "unknown fields.*resolution") if key == "resolution"
+                      else (ValidationError, f"params.{key} must be"))
+    with pytest.raises(error, match=message):
         parse_spec_text(text)
     (tmp_path / "spec.json").write_text(text)
     assert main([command, "spec.json"]) == 1
@@ -390,15 +394,14 @@ def test_cli_undetermined_maps_to_exit_two(capsys, monkeypatch):
     monkeypatch.setattr(cli_module, "classify",
                         lambda *a, **k: undetermined)
     code = main(["classify", "unitary_diag",
-                 "--resolution", "128", "--samples", "256"])
+                 "--samples", "256"])
     assert code == 2
 
 
 def test_cli_out_file(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(["classify", "right_shift",
-                 "--resolution", "128", "--samples", "256",
-                 "--out", str(out)])
+                 "--samples", "256", "--out", str(out)])
     capsys.readouterr()
     assert code == 0
     doc = json.loads(out.read_text())
@@ -444,7 +447,7 @@ def test_matrix_entries_match_per_entry_pairs():
         assert repr(got["entries"]) == repr(expected)   # repr keeps -0.0
 
 
-CLI_SMALL = ["--resolution", "128", "--samples", "256"]
+CLI_SMALL = ["--samples", "256"]
 
 
 def small(command):
@@ -565,7 +568,7 @@ def test_spectrum_reports_isolated_eigenvalues_that_did_not_stabilize(
     main(["spectrum", str(path), "--out", csv])
     out = capsys.readouterr().out
     assert "isolated eigenvalues        not stabilized" in out
-    assert "(raster error " in out
+    assert "(exact)" in out                  # the arrangement's area, error 0
     main(["classify", str(path), "--format", "structured"])
     doc = json.loads(capsys.readouterr().out)
     assert doc["spectral"]["eigenvalues_stabilized"] is False

@@ -14,9 +14,10 @@ from opspectra import (ConvergenceFailure, EssentialPoint, LaurentSymbol,
 from opspectra import symbols as symbols_module
 from opspectra.numerics import symbol_min_modulus_signed
 from opspectra.specfiles import load_bundled
-from opspectra.symbols import (AreaEstimate, _exact_regions, constant_value,
+from opspectra.symbols import (AreaEstimate, RegionComponent, constant_value,
                                modulus_constant, polygon_winding,
                                symbol_min_modulus)
+from reference_spectra import raster_regions
 
 
 def test_symbol_extraction():
@@ -183,35 +184,39 @@ def test_symbol_multiplicativity(a, b):
 
 
 def test_spectral_area_of_disc():
-    est = spectral_area(right_shift(), 256)
+    est = spectral_area(right_shift())
     assert abs(est.value - np.pi) <= est.error
     assert est.components and est.components[0].winding == 1
 
 
 def test_spectral_area_selfadjoint_vanishes():
-    est = spectral_area(load_bundled("selfadjoint_band").operator, 256)
+    est = spectral_area(load_bundled("selfadjoint_band").operator)
     assert est.value <= est.error
     assert all(c.winding == 0 for c in est.components)
 
 
 def test_spectral_area_scaled_disc():
-    est = spectral_area(toeplitz({1: 2.0}), 256)
+    est = spectral_area(toeplitz({1: 2.0}))
     assert abs(est.value - 4 * np.pi) <= est.error
 
 
 def test_spectral_area_converges_under_refinement():
-    coarse = spectral_area(right_shift(), 128)
-    fine = spectral_area(right_shift(), 256)
-    assert abs(fine.value - coarse.value) <= coarse.error
+    """The raster oracle closes in on the exact area as its cells shrink."""
+    exact = spectral_area(right_shift())
+    coarse = raster_regions(symbol(right_shift()), 128)
+    fine = raster_regions(symbol(right_shift()), 256)
+    assert fine.error < coarse.error
+    assert abs(exact.value - coarse.value) <= coarse.error
+    assert abs(exact.value - fine.value) <= fine.error
 
 
 def test_spectral_area_degenerate_curve():
-    est = spectral_area(diagonal((3.0,), 1.0), 128)
+    est = spectral_area(diagonal((3.0,), 1.0))
     assert est.value == 0.0 and est.error == 0.0
 
 
 def test_winding_regions_structure():
-    est = winding_regions(LaurentSymbol({1: 1.0, 0: 0.2}), 128)
+    est = winding_regions(LaurentSymbol({1: 1.0, 0: 0.2}))
     inside = [c for c in est.components if c.winding != 0]
     assert len(inside) == 1
     assert abs(inside[0].representative - 0.2) < 0.2
@@ -239,8 +244,8 @@ def test_monomial_area_is_exact_and_inside_the_raster_error(op):
     exact = np.pi * abs(c) ** 2
     est = spectral_area(op)
     assert est.value == exact and est.error == 0.0
-    assert [(r.winding, r.cells) for r in est.components] == [(k, 0)]
-    raster = winding_regions(symbol(op), 512)
+    assert [r.winding for r in est.components] == [k]
+    raster = raster_regions(symbol(op), 512)
     assert abs(raster.value - exact) <= raster.error
     assert tuple(r.winding for r in raster.components if r.winding) == (k,)
 
@@ -270,11 +275,11 @@ def test_ellipse_area_is_exact_and_inside_the_raster_error(coeffs):
     exact = np.pi * abs(a1 ** 2 - a_m1 ** 2)
     est = spectral_area(op)
     assert est.value == exact and est.error == 0.0
-    assert [(r.winding, r.cells, r.representative) for r in est.components] == \
-        [(1 if a1 > a_m1 else -1, 0, s.coeffs.get(0, 0j))]
+    assert [(r.winding, r.representative) for r in est.components] == \
+        [(1 if a1 > a_m1 else -1, s.coeffs.get(0, 0j))]
     assert sum(r.winding * r.area for r in est.components) == pytest.approx(
         np.pi * sum(k * abs(c) ** 2 for k, c in s.coeffs.items()), rel=1e-12)
-    raster = winding_regions(s, 512)
+    raster = raster_regions(s, 512)
     assert abs(raster.value - exact) <= raster.error
     assert {r.winding for r in raster.components if r.winding} == {est.components[0].winding}
 
@@ -282,17 +287,19 @@ def test_ellipse_area_is_exact_and_inside_the_raster_error(coeffs):
 @pytest.mark.parametrize("coeffs", [{1: 1.0, -1: 1.0}, {1: 2j, -1: -2.0, 0: 0.3}])
 def test_ellipse_with_equal_outer_moduli_has_no_area(coeffs):
     """|a_1| = |a_-1| flattens the ellipse to a segment: area 0, no component."""
-    assert _exact_regions(LaurentSymbol(coeffs)) is None
-    assert spectral_area(toeplitz(coeffs)) == AreaEstimate(0.0, 0.0, (), 0, 0.0, 512)
+    assert spectral_area(toeplitz(coeffs)) == AreaEstimate(0.0, 0.0, ())
 
 
 @pytest.mark.parametrize("coeffs", [{2: 1.0, 0: 0.2}, {0: 1e6, 2: 1e-7},
                                     {1: 1.0, 2: 1e-12}])
 def test_near_monomial_area_is_the_raster(coeffs):
-    """Two terms past bandwidth 1, however small the second, are neither a
-    monomial nor an ellipse: the area is the raster's, bit for bit."""
-    assert _exact_regions(LaurentSymbol(coeffs)) is None
-    assert spectral_area(toeplitz(coeffs)) == winding_regions(LaurentSymbol(coeffs))
+    """Two terms past bandwidth 1, however small the second, once took the
+    raster: the arrangement gives their area with error 0, inside the error
+    of the 512 raster oracle."""
+    est = spectral_area(toeplitz(coeffs))
+    oracle = raster_regions(LaurentSymbol(coeffs), 512)
+    assert est == winding_regions(LaurentSymbol(coeffs))
+    assert est.error == 0 and abs(est.value - oracle.value) <= oracle.error
 
 
 def _no_sampling(self, m):
@@ -310,7 +317,7 @@ def test_segment_curve_has_no_area_and_is_not_sampled(coeffs, monkeypatch):
     s = LaurentSymbol(coeffs)
     monkeypatch.setattr(LaurentSymbol, "on_circle", _no_sampling)
     assert s.is_segment()
-    assert winding_regions(s, 512) == AreaEstimate(0.0, 0.0, (), 0, 0.0, 512)
+    assert winding_regions(s) == AreaEstimate(0.0, 0.0, ())
 
 
 @pytest.mark.parametrize("coeffs, area, curve_cells, components", [
@@ -327,19 +334,30 @@ def test_segment_curve_has_no_area_and_is_not_sampled(coeffs, monkeypatch):
 ])
 def test_near_segment_traps_stay_on_the_raster(coeffs, area, curve_cells,
                                                components):
+    """Curves near a segment, pinned on the 256 raster oracle, get faces:
+    the arrangement's area lies inside the oracle's error, with the same
+    nonzero windings."""
     s = LaurentSymbol(coeffs)
     assert not s.is_segment()
-    est = winding_regions(s, 256)
-    assert est.value == pytest.approx(area, rel=1e-12)
-    assert est.curve_cells == curve_cells
-    assert [(c.winding, c.cells) for c in est.components] == components
+    oracle = raster_regions(s, 256)
+    assert oracle.value == pytest.approx(area, rel=1e-12)
+    assert oracle.curve_cells == curve_cells
+    assert [(c.winding, c.cells) for c in oracle.components] == components
+    est = winding_regions(s)
+    assert est.error == 0 and abs(est.value - oracle.value) <= oracle.error
+    assert sorted(c.winding for c in est.components if c.winding) == \
+        sorted(w for w, _ in components if w)
 
 
-def test_curve_below_the_rounding_of_its_shift_has_no_area():
-    # not a segment, but its extent 2e-8 is below 1e-13 * 1e6
+def test_a_circle_below_the_rounding_of_its_shift_keeps_its_area():
+    """Not a segment: a circle of radius 1e-8 about 1e6.  Its extent is
+    below the raster oracle's rounding bound 1e-13 * 1e6, where the oracle
+    sees no curve, but the arrangement reads the disc off the coefficients."""
     s = LaurentSymbol({0: 1e6, 1: 1e-8})
     assert not s.is_segment()
-    assert winding_regions(s, 256) == AreaEstimate(0.0, 0.0, (), 0, 0.0, 256)
+    assert raster_regions(s, 256).components == ()
+    area = np.pi * 1e-8 ** 2
+    assert winding_regions(s) == AreaEstimate(area, 0.0, (RegionComponent(1, area, 1e6),))
 
 
 unit = st.floats(-1, 1, allow_nan=False)
@@ -357,8 +375,8 @@ def test_rotated_shifted_real_symbol_is_segment(pairs, r0, phi, shift):
     s = LaurentSymbol(coeffs)
     assert s.is_segment()
     with mock.patch.object(LaurentSymbol, "on_circle", _no_sampling):
-        est = winding_regions(s, 128)
-    assert est == AreaEstimate(0.0, 0.0, (), 0, 0.0, 128)
+        est = winding_regions(s)
+    assert est == AreaEstimate(0.0, 0.0, ())
 
 
 # -- roots against the sampled oracles ------------------------------------------

@@ -1,6 +1,7 @@
 """The trace formula tr [T*, T] = sum_k k |a_k|^2 for T = T(a) + K
 (Helton-Howe, Carey-Pincus), checked on the finite corner of [T*, T] and,
-multiplied by pi, against the raster's sum of winding times area."""
+multiplied by pi, against the sum of winding times area over the faces of
+the curve's arrangement and of the raster oracle."""
 
 import math
 
@@ -9,6 +10,7 @@ import pytest
 
 from opspectra import self_commutator, suites, symbol, winding_regions
 from opspectra.specfiles import BUNDLED, load_bundled
+from reference_spectra import raster_regions
 
 GENERATORS = (suites.random_diagonal, suites.random_weighted_shift,
               suites.random_hyponormal, suites.random_finite_rank,
@@ -53,14 +55,19 @@ def test_commutator_corner_trace_is_the_coefficient_sum(operators):
 @pytest.mark.parametrize("resolution", [256, 512])
 def test_raster_winding_area_is_pi_times_the_coefficient_sum(operators,
                                                              resolution):
-    # every error of the raster sits in its curve cells, and a curve cell
-    # carries at most the largest winding
+    # the arrangement's faces give the sum to rounding; every error of the
+    # raster sits in its curve cells, and a curve cell carries at most the
+    # largest winding
     for t in operators:
-        est = winding_regions(symbol(t), resolution)
+        value, size = flux(t)
+        exact = winding_regions(symbol(t))
+        total = sum(c.winding * c.area for c in exact.components)
+        assert exact.error == 0
+        assert abs(total - math.pi * value) <= 1e-13 * max(1.0, size)
+        est = raster_regions(symbol(t), resolution)
         total = sum(c.winding * c.area for c in est.components)
         cell = est.components[0].area / est.components[0].cells \
             if est.components else 0.0
         most = max([1] + [abs(c.winding) for c in est.components])
-        value, size = flux(t)
         bound = most * est.curve_cells * cell + 1e-12 * max(1.0, size)
         assert abs(total - math.pi * value) <= bound
