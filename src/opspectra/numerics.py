@@ -19,12 +19,14 @@ from .core import StructuredOperator, gram, memoized, selfadjoint_defect
 from .errors import ConvergenceFailure, NotHermitian, NotStabilized
 from .symbols import (_block_from_roots, _boundary_block, _laurent_roots,
                       _segment_box, _split_roots, _tail_span, _wiener_hopf_block,
-                      _zero_winding_mask, symbol)
+                      _zero_winding_mask, spectral_area, symbol)
 
 TRUNC_CAP = 4096            # largest dense matrix hermitian_eig accepts
 MERGE_FACTOR = 100.0        # eigenvalues within 100*tol are one cluster
 ROUNDING_MULTIPLE = 8.0     # eigenvalues of T*T within 8 eps * scale of 0 are 0
 LOOP_BUDGET = 2 ** 15       # most points at which _loop_turns evaluates
+TIP_SHIFT = 0.382 * 2 * np.pi / 128     # no first point on a tip of a curve traced back and forth
+EDGE_INSET = 2 * np.pi * 2.0 ** -28     # a piece's first points lie this far inside its ends
 FALSI_STEPS = 100           # most S(lam) evaluations per eigenvalue in _eigs_below
 
 
@@ -265,30 +267,31 @@ def _discrete_eigs_below(t, bound, tol) -> DiscreteEigenReport:
                                ok, len(t.window), len(vals) - len(below))
 
 
-def _loop_turns(log_f, loops: int):
+def _loop_turns(log_f, cuts):
     """Total winding around 0 of a function along closed paths, or None.
 
     ``log_f(i, s)`` maps arrays of path indices (sorted) and parameters s
-    in [0, 2 pi) to (log f, side, reach): log f on any branch, NaN where f
-    cannot be evaluated; side 1 or -1 where the path is read forward or
-    backward, 0 where it is not read; reach as ``symbols._boundary_block``
-    gives it.  Each path starts with 128 points, evenly spaced, and all take
-    their new points in one batch per round.  A step between points of one
-    side counts with it, halved while log f changes by more than pi/4
-    (phase wrapped to (-pi, pi]).  A step across a change of side is cut to
-    2^-20 of the first steps, at its midpoint and half that either side of
-    where reaches of opposite signs put the change; a step longer than the
-    sum of its reaches is halved down to 2^-6 of the first steps.  Returns
-    the nearest integer, or None for a NaN where a path is read, more than
-    ``LOOP_BUDGET`` points, or a total more than 0.1 from it."""
-    points = [np.zeros((4, 0), dtype=complex)] * loops     # s, log f, side, reach
-    new = [np.arange(128) * (2 * np.pi / 128)] * loops
-    total, turns, finest = 0, 0.0, 2 * np.pi * 2.0 ** -27
+    in [0, 2 pi) to (log f, side): log f on any branch, NaN where f cannot
+    be evaluated; side 1 or -1 where the path is read forward or backward,
+    0 where it is not read.  ``cuts[i]`` splits path i into pieces, each
+    read on its own.  Each path starts with 128 points, evenly spaced, and
+    a point ``EDGE_INSET`` each side of every cut, and all take their new
+    points in one batch per round.  A step between points of one piece and
+    one side counts with that side, halved while log f changes by more than
+    pi/4 (phase wrapped to (-pi, pi]); any other step is neither read nor
+    halved.  Returns the nearest integer, or None for a NaN where a
+    path is read, more than ``LOOP_BUDGET`` points, or a total more than
+    0.1 from it."""
+    cuts = [np.sort(cut) for cut in cuts]
+    points = [np.zeros((3, 0), dtype=complex)] * len(cuts)         # s, log f, side
+    new = [np.mod(np.concatenate([np.arange(128) * (2 * np.pi / 128), cut - EDGE_INSET,
+                                  cut + EDGE_INSET]), 2 * np.pi) for cut in cuts]
+    total = 0
     while any(len(s) for s in new):
         total += sum(len(s) for s in new)
         if total > LOOP_BUDGET:
             return None
-        got = np.array(log_f(np.repeat(np.arange(loops), [len(s) for s in new]),
+        got = np.array(log_f(np.repeat(np.arange(len(cuts)), [len(s) for s in new]),
                              np.concatenate(new)))
         if np.isnan(got[0, got[1] != 0]).any():
             return None
@@ -296,19 +299,15 @@ def _loop_turns(log_f, loops: int):
         for i, k in enumerate(len(s) for s in new):
             merged = np.concatenate([points[i], np.vstack([new[i], got[:, :k]])], axis=1)
             points[i], got = merged[:, np.argsort(merged[0].real)], got[:, k:]
-            s, side, near = points[i][0].real, points[i][2].real, points[i][3].real
+            s, side = points[i][0].real, points[i][2].real
             gap = np.diff(np.append(s, s[0] + 2 * np.pi))
             step = np.diff(np.append(points[i][1], points[i][1, :1]))
             phase = (step.imag + np.pi) % (2 * np.pi) - np.pi
-            after, read = np.roll(near, -1), side == np.roll(side, -1)
+            piece = np.searchsorted(cuts[i], s) % max(len(cuts[i]), 1)
+            read = (piece == np.roll(piece, -1)) & (side == np.roll(side, -1)) & (side != 0)
             turns += np.sum(np.where(read, side * phase, 0.0)) / (2 * np.pi)
-            cross = ~read & (gap > 2 * finest)
-            split = (cross | (read & (side != 0) & (np.hypot(step.real, phase) > np.pi / 4))
-                     | ((np.abs(near) + np.abs(after) < gap) & (gap > 2 * np.pi / 2 ** 13)))
-            cross &= near * after < 0
-            at = s[cross] + gap[cross] * near[cross] / (near[cross] - after[cross])
-            new[i] = np.mod(np.concatenate([(s + 0.5 * gap)[split], at - finest / 2,
-                                            at + finest / 2]), 2 * np.pi)
+            split = read & (np.hypot(step.real, phase) > np.pi / 4)
+            new[i] = np.mod((s + 0.5 * gap)[split], 2 * np.pi)
     return round(turns) if abs(turns - round(turns)) <= 0.1 else None
 
 
@@ -373,12 +372,14 @@ def schur_eigenvalues(t: StructuredOperator, scale: float):
     zeros, and the argument principle on det S, divided by the zeros found,
     counts the zeros still missing; when some are, the seeds come once more
     from a section four times as large.  The count runs along the circle and
-    the curve itself, each piece with a winding-0 face beside it read with
-    that face on its left and S's boundary values from it
-    (``_boundary_block``); a segment curve, which folds onto itself, is cut
-    out as a box (``_segment_box``).  A zero is simple unless the count asks
-    for more, and then each zero's multiplicity is counted on a small
-    circle around it.  ``scale`` also sets Newton's step and stopping rule.
+    the curve itself, cut at the crossing parameters of the curve's edge
+    table (``spectral_area``, built once per operator): each edge with a
+    winding-0 face beside it is read with that face on its left and S's
+    boundary values from it (``_boundary_block``).  Where the arrangement
+    gave up, the list is uncertified.  A segment curve, which folds onto
+    itself, is cut out as a box (``_segment_box``).  A zero is simple
+    unless the count asks for more, and then each zero's multiplicity is
+    counted on a small circle around it.  ``scale`` also sets Newton's step and stopping rule.
 
     Returns (((value, multiplicity), ...) sorted by real then imaginary
     part, certified), where certified says the multiplicities add up to
@@ -395,19 +396,15 @@ def schur_eigenvalues(t: StructuredOperator, scale: float):
         def at(s):
             lam = f(s)
             g, ok = _wiener_hopf_block(t.tails, lam)
-            return lam, g, ok, np.ones(s.size), np.full(s.size, np.inf)
-        return at
-
-    def curve(s):
-        lam, g, side, reach = _boundary_block(t.tails, s)
-        return lam, g, np.ones(s.size, dtype=bool), side, reach
+            return lam, g, ok, np.ones(s.size)
+        return at, np.zeros(0)
 
     def count(paths, roots):
         """The turns of det S / prod (lam - r), r in ``roots``, along
-        ``paths`` (maps of s to (lam, G, ok, side, reach)), or None."""
+        ``paths`` ((map of s to (lam, G, ok, side), cuts) pairs), or None."""
         def log_f(i, s):       # i is sorted by path
-            lam, g, ok, side, reach = (np.concatenate(x) for x in zip(
-                *[paths[j](s[i == j]) for j in np.unique(i)]))
+            lam, g, ok, side = (np.concatenate(x) for x in zip(
+                *[paths[j][0](s[i == j]) for j in np.unique(i)]))
             out = np.empty(s.size, dtype=complex)
             chunk = max(1, 2 ** 17 // (m * m))     # at most 2 MB of matrices at once
             for lo in range(0, s.size, chunk):
@@ -416,17 +413,31 @@ def schur_eigenvalues(t: StructuredOperator, scale: float):
                                                  - q_block @ g[part] @ r_block)
                 out[part] = logabs + 1j * np.angle(sign)
             out[~ok] = np.nan
-            return out - np.sum(np.log(lam[:, None] - roots), axis=1), side, reach
+            return out - np.sum(np.log(lam[:, None] - roots), axis=1), side
 
-        return _loop_turns(log_f, len(paths))
+        return _loop_turns(log_f, [cut for _, cut in paths])
 
     zeros = np.zeros(0, dtype=complex)
     window_eigs = np.linalg.eigvals(t.window)
     outside = window_eigs[~(_wiener_hopf_block(t.tails, window_eigs)[1]
                             & (np.abs(window_eigs) < radius))]
     sym = symbol(t)
-    paths = [loop(lambda s: radius * np.exp(1j * s)),
-             loop(_segment_box(sym, 1e-6 * scale)) if sym.is_segment() else curve]
+    paths = [loop(lambda s: radius * np.exp(1j * s))]
+    edges = np.reshape(spectral_area(t).edges, (-1, 3))     # start, stop, side in b's theta
+    if sym.is_segment():
+        paths.append(loop(_segment_box(sym, 1e-6 * scale)))
+    elif len(edges):
+        start, side = edges[:, 0], edges[:, 2]
+
+        def curve(s):       # s + TIP_SHIFT is b's parameter
+            theta = s + TIP_SHIFT
+            at = side[np.searchsorted(start, theta % (2 * np.pi), side="right") - 1]
+            return (*_boundary_block(t.tails, theta, at), np.ones(s.size, dtype=bool), at)
+
+        paths.append((curve, np.mod(start - TIP_SHIFT, 2 * np.pi) if len(start) > 1
+                       else np.zeros(0)))
+    else:                   # the arrangement gave up: nothing to count along
+        paths = []
     # a zero near the curve has a slowly decaying eigenvector, which a small
     # section may not resolve: when the count shows zeros missing, the seeds
     # come once more from a section four times as large
@@ -445,7 +456,7 @@ def schur_eigenvalues(t: StructuredOperator, scale: float):
         # and not at all around points outside.  The division also flattens
         # the phase near the zeros found and along the circle, so that few
         # samples follow it.
-        missing = count(paths, np.concatenate([zeros, outside]))
+        missing = count(paths, np.concatenate([zeros, outside])) if paths else None
         if missing is None:
             return tuple((z, 1) for z in inside), False
         if missing == 0:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import StructuredOperator, constant_diagonal, gram
+from .core import StructuredOperator, constant_diagonal, gram, memoized
 from .errors import ConvergenceFailure, EssentialPoint, PointOnCurve
 
 _TWO_PI = 2.0 * math.pi
@@ -455,30 +455,24 @@ def _curve_symmetry(tails: np.ndarray) -> tuple:
     return g, None
 
 
-def _boundary_block(tails: np.ndarray, s) -> tuple:
-    """(lam, G, side, reach) at lam = a(e^(i theta)),
-    theta = (s + 0.382 (2 pi / 128)) / g: s in [0, 2 pi) runs once round
-    the period 2 pi / g (``_curve_symmetry``), and no point of a grid of 128
-    lands on a tip of a curve traced back and forth.  G is the boundary
-    value of ``_wiener_hopf_block`` from a winding-0 face beside the curve:
-    ``_block_from_roots`` on the roots of z^q (a(z) - lam) split as seen
-    from there.
+def _boundary_block(tails: np.ndarray, theta, side) -> tuple:
+    """(lam, G) at lam = b(e^(i theta)) = a(e^(i theta / g)), a = b(z^g)
+    (``_curve_symmetry``): G is the boundary value of ``_wiener_hopf_block``
+    from the winding-0 face on the left of the curve (``side`` 1) or on its
+    right (-1), ``_block_from_roots`` on the roots of z^q (a(z) - lam) split
+    as seen from there; where side is 0, G means nothing.
 
-    The roots e^(i theta) w^j, w = e^(2 pi i / g), lie on the circle, and
-    moving lam to the left of the curve moves them inside.  With them
-    divided out and k of the other roots strictly inside, the left face is
-    at winding 0 when k = q - g (side 1; they join the inner roots), the right
-    face when k = q (side -1; they join the outer roots); side 0 means
-    neither.  When a(u / z) = a(z), the partners u e^(-i theta) w^j are
-    divided out too and join the outer roots; side is then 1 or 0.  ``reach`` is
-    (|r| - 1) / |dr/ds| for the other root r nearest the circle at that
-    rate: to first order, no root crosses the circle in a shorter step."""
+    The roots e^(i theta / g) w^j, w = e^(2 pi i / g), lie on the circle,
+    and moving lam to the left of the curve moves them inside.  With them
+    divided out, they and the q - g other roots of least modulus are the
+    inner roots for side 1, and the q least alone for side -1.  When
+    a(u / z) = a(z), the partners u e^(-i theta / g) w^j are divided out too
+    and join the outer roots."""
     w = len(tails) // 2
     p, q = _tail_span(tails)
     poly = tails[w - q: w + p + 1][::-1]
-    slope = poly * (p - np.arange(p + q + 1))     # z^(q+1) a'(z), top degree first
     g, u = _curve_symmetry(tails)
-    z = np.exp(1j * (np.asarray(s, dtype=float) + 0.382 * _TWO_PI / 128) / g)
+    z = np.exp(1j * np.asarray(theta, dtype=float) / g)
     lam = np.polyval(poly, z) / z ** q
     marks = [z[:, None] * np.exp(2j * np.pi * np.arange(g) / g)]
     if u is not None:
@@ -490,19 +484,12 @@ def _boundary_block(tails: np.ndarray, s) -> tuple:
         for i in range(g, rest.shape[1]):
             rest[:, i] += mark[:, 0] ** g * rest[:, i - g]
     rest = _split_roots(rest, np.zeros(len(z)), 0)[1]
-    size = np.abs(rest)
-    k = np.count_nonzero(size < 1, axis=1)
-    side = np.where(k == q - g, 1, np.where((k == q) & (u is None), -1, 0))
-    # dr/ds = lam'(theta) / (g a'(r)), with |lam'| = |z a'(z)| on the circle
-    ratio = np.append((size - 1) * np.abs(np.polyval(slope, rest)) / size ** (q + 1),
-                      np.full((len(z), 1), np.inf), axis=1)
-    reach = np.take_along_axis(ratio, np.argmin(np.abs(ratio), axis=1)[:, None], axis=1)
-    reach = reach[:, 0] * g / np.abs(np.polyval(slope, z))
     roots = np.concatenate([rest] + marks, axis=1)
-    key = np.concatenate([size, np.where(side < 0, np.inf, -1.0)[:, None] * np.ones(g)]
-                         + [np.full((len(z), g), np.inf)] * (len(marks) - 1), axis=1)
+    key = np.concatenate([np.abs(rest), np.where(np.asarray(side) < 0, np.inf, -1.0)[:, None]
+                          * np.ones(g)] + [np.full((len(z), g), np.inf)] * (len(marks) - 1),
+                         axis=1)
     roots = np.take_along_axis(roots, np.argsort(key, axis=1), axis=1)
-    return lam, _block_from_roots(roots[:, :q], roots[:, q:], poly[0]), side, reach
+    return lam, _block_from_roots(roots[:, :q], roots[:, q:], poly[0])
 
 
 # -- the arrangement of the symbol curve --------------------------------------
@@ -525,11 +512,16 @@ class RegionComponent:
 class AreaEstimate:
     """The area of {winding != 0} and the bounded faces of the curve;
     ``error`` bounds what the pairs of arcs left unsettled can move (inf
-    when the search gave up or its windings contradict)."""
+    when the search gave up or its windings contradict).  ``edges`` is the
+    edge table of b, a = b(z^g): (start, stop, side) per edge between
+    consecutive crossing parameters of b, side 1 where the face on its left
+    is at winding 0, -1 where the one on its right is and 0 where neither
+    is; empty for a segment or where the search gave up."""
 
     value: float
     error: float
     components: tuple
+    edges: tuple = field(default=(), compare=False, repr=False)
 
 
 def _arc(curve, theta) -> tuple:
@@ -571,9 +563,11 @@ def _circle_gap(x, y):
     return np.abs(np.angle(np.exp(1j * (x - y))))
 
 
-def _crossings(curve) -> tuple:
+def _crossings(curve, mirror=None) -> tuple:
     """(crossings, error): the parameter pairs (s, t) at which the curve
     crosses itself, and the box area of the pairs of arcs left unsettled.
+    With b(mirror - theta) = b(theta), a pair of pieces that meets its own
+    mirror image traces one arc back and forth, and is settled.
 
     Each pair of the ARRANGEMENT_PIECES pieces of the curve (a piece with
     itself too) is tested.  Pieces do not meet when their boxes part, or
@@ -608,6 +602,8 @@ def _crossings(curve) -> tuple:
         settled = np.select([gap < 0.5, gap < 1.5], [spread < np.pi, turn + spread < np.pi],
                             ~_boxes_meet(lo[:pair], hi[:pair], lo[pair:], hi[pair:])
                             | (beside.min(axis=0) > 2 * pad) | (beside.max(axis=0) < -2 * pad))
+        if mirror is not None:
+            settled |= _circle_gap(s + t + length, mirror) <= length
         apart = ~settled & (gap > 1.5) & (np.minimum(turn, np.pi - turn) > spread)
         if apart.any():
             width = np.tile(length[apart], 2)
@@ -693,8 +689,8 @@ def _clearance(curve, points, start, stop) -> np.ndarray:
 
 def _faces(curve, crossings):
     """The bounded faces of the curve crossing itself at the parameter pairs
-    ``crossings``, as (winding, area, point inside) of b; None when their
-    windings contradict each other.
+    ``crossings``, as (winding, area, point inside) of b, and its edge table
+    (``AreaEstimate``); None when their windings contradict each other.
 
     The edges run between consecutive crossing parameters, as forward
     half-edges 2j and backward ones 2j + 1.  At a crossing the half-edge
@@ -742,8 +738,10 @@ def _faces(curve, crossings):
         / np.repeat(np.abs(slope), 2)
     order = np.lexsort((step, face))            # by face, the longest step last
     best = order[np.searchsorted(face[order], np.arange(count), side="right") - 1]
-    return [(int(winding[f]), max(float(area[f]), 0.0), complex(point[best[f]]))
-            for f in range(count) if f != outer]
+    side = np.where(winding[left] == 0, 1, np.where(winding[right] == 0, -1, 0))
+    return ([(int(winding[f]), max(float(area[f]), 0.0), complex(point[best[f]]))
+             for f in range(count) if f != outer],
+            tuple(zip(theta.tolist(), stop.tolist(), side.tolist())))
 
 
 def winding_regions(s: LaurentSymbol) -> AreaEstimate:
@@ -753,40 +751,51 @@ def winding_regions(s: LaurentSymbol) -> AreaEstimate:
 
     With (g, u) from ``_curve_symmetry``, a(z) = b(z^g), and the faces are
     b's with windings times g.  A curve traced back and forth (u, segments)
-    bounds no face.  When b's offsets lie in {-1, 0, 1}, b traces an ellipse
-    about b_0 once: one face at winding sign(|b_1| - |b_-1|), of area
-    pi ||b_1|^2 - |b_-1|^2|.  Any other b less its constant is cut by
-    ``_crossings`` into ``_faces``; when they contradict, the error is inf
-    and no face is listed."""
+    bounds no face; with u, b(u^g / z) = b(z), and the edges run between the
+    parameters at which its arc crosses itself (``_crossings`` with that
+    mirror), each at side 1, or there are none when that search gives up.
+    When b's offsets
+    lie in {-1, 0, 1}, b traces an ellipse about b_0 once: one face at
+    winding sign(|b_1| - |b_-1|), of area pi ||b_1|^2 - |b_-1|^2|, on the
+    left of its one edge when b runs counterclockwise.  Any other b less
+    its constant is cut by ``_crossings`` into ``_faces``; when they
+    contradict, the error is inf and no face or edge is listed."""
     if s.is_segment():
         return AreaEstimate(0.0, 0.0, ())
     w = max(abs(k) for k in s.coeffs)
     g, u = _curve_symmetry(np.array([s.coeffs.get(k, 0j) for k in range(-w, w + 1)]))
-    if u is not None:
-        return AreaEstimate(0.0, 0.0, ())
     centre = s.coeffs.get(0, 0j)
     b = {k // g: c for k, c in s.coeffs.items() if k and k % g == 0}
-    if set(b) <= {-1, 1}:
+    if u is None and set(b) <= {-1, 1}:
         big, small = abs(b.get(1, 0j)), abs(b.get(-1, 0j))
         area = math.pi * abs(big ** 2 - small ** 2)
         face = RegionComponent(g if big > small else -g, area, centre)
-        return AreaEstimate(area, 0.0, (face,))
+        return AreaEstimate(area, 0.0, (face,), ((0.0, _TWO_PI, -1 if big > small else 1),))
     lo, c = min(b), np.zeros(max(b) - min(b) + 1, dtype=complex)
     c[np.array(list(b)) - lo] = list(b.values())
     curve = (lo, c, float(sum(k * k * abs(v) for k, v in b.items())))
+    if u is not None:
+        crossings, error = _crossings(curve, g * np.angle(u))
+        theta = np.sort(crossings.ravel()) if len(crossings) else np.zeros(1)
+        stop = np.append(theta[1:], theta[0] + _TWO_PI)
+        edges = tuple((start, end, 1) for start, end in zip(theta.tolist(), stop.tolist()))
+        return AreaEstimate(0.0, 0.0, (), edges if error < math.inf else ())
     crossings, error = _crossings(curve)
-    faces = _faces(curve, crossings) if error < math.inf else None
-    if faces is None:
+    arrangement = _faces(curve, crossings) if error < math.inf else None
+    if arrangement is None:
         return AreaEstimate(0.0, math.inf, ())
+    faces, edges = arrangement
     components = tuple(RegionComponent(g * k, area, centre + point)
                        for k, area, point in faces)
-    return AreaEstimate(sum(c.area for c in components if c.winding), error, components)
+    return AreaEstimate(sum(c.area for c in components if c.winding), error, components,
+                        edges)
 
 
 def spectral_area(t: StructuredOperator) -> AreaEstimate:
     """Planar measure of the spectrum's filled-in part, the area entering
-    Putnam's inequality for hyponormal operators (``winding_regions``)."""
-    return winding_regions(symbol(t))
+    Putnam's inequality for hyponormal operators, with the faces and edge
+    table of the curve (``winding_regions``), kept in t's memo."""
+    return memoized(t, "spectral_area", lambda: winding_regions(symbol(t)))
 
 
 # -- summary container -------------------------------------------------------

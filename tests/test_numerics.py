@@ -380,41 +380,51 @@ def _on_square(s):
 
 def _read(log_f, side=lambda s: np.ones(s.size, dtype=int)):
     """``log_f`` along the square as ``_loop_turns`` takes it: read where
-    ``side`` is not 0, with no step needed for a change of side."""
-    return lambda i, s: (log_f(_on_square(s)), side(s), np.full(s.size, np.inf))
+    ``side`` is not 0."""
+    return lambda i, s: (log_f(_on_square(s)), side(s))
 
 
 def test_loop_turns_counts_and_gives_up():
-    assert numerics._loop_turns(_read(np.log), 1) == 1
-    assert numerics._loop_turns(_read(lambda z: np.full(z.shape, np.nan + 0j)), 1) is None
+    assert numerics._loop_turns(_read(np.log), [np.zeros(0)]) == 1
+    assert numerics._loop_turns(_read(lambda z: np.full(z.shape, np.nan + 0j)),
+                                [np.zeros(0)]) is None
 
 
 def test_loop_turns_budget(monkeypatch):
     monkeypatch.setattr(numerics, "LOOP_BUDGET", 127)
-    assert numerics._loop_turns(_read(np.log), 1) is None
+    assert numerics._loop_turns(_read(np.log), [np.zeros(0)]) is None
 
 
-def test_loop_turns_reads_each_side_and_cuts_its_changes_fine():
+def test_loop_turns_reads_each_side_and_adds_no_point_at_its_cuts():
     """A path read backward counts -1; one read on half its length only
-    (a piece that does not close up) gives no count; and a change of side
-    is cut down to 2^-20 of a first step at the change the reaches put
-    there."""
-    assert numerics._loop_turns(_read(np.log, lambda s: -np.ones(s.size, dtype=int)), 1) == -1
+    (a piece that does not close up) gives no count.  A path is read piece
+    by piece between the cuts given, with a first point EDGE_INSET each
+    side of every cut and no point added between them: a run read backward
+    between cuts at 0.30 and 0.32, inside one first step, along which the
+    phase turns by pi against 3 pi along the rest, counts 1.  Without the
+    cuts the run is only found by halving a step across it, its pieces are
+    not read, and the count gives up."""
+    none = [np.zeros(0)]
+    assert numerics._loop_turns(_read(np.log, lambda s: -np.ones(s.size, dtype=int)), none) == -1
     half = _read(np.log, lambda s: (s < np.pi).astype(int))
-    assert numerics._loop_turns(half, 1) is None
+    assert numerics._loop_turns(half, none) is None
+    lo, hi, inset = 0.30, 0.32, numerics.EDGE_INSET
     taken = []
 
-    def sloped(i, s):
+    def run(i, s):
         taken.append(s)
-        return np.log(_on_square(s)), (s < np.pi).astype(int), np.sin(s)
+        inside = (lo <= s) & (s < hi)
+        phase = np.where(inside, np.pi * (s - lo) / (hi - lo),
+                         np.pi + 3 * np.pi * ((s - hi) % (2 * np.pi)) / (2 * np.pi - hi + lo))
+        return 1j * phase, np.where(inside, -1, 1)
 
-    numerics._loop_turns(sloped, 1)
+    assert numerics._loop_turns(run, [np.array([hi, lo])]) == 1
     s = np.concatenate(taken)
-    finest = 2 * np.pi / 128 * 2.0 ** -20
-    assert np.min(np.abs(s - np.pi)) <= finest
-    assert np.min(np.minimum(s, 2 * np.pi - s)) <= finest
-    assert len(s) < 180
-    assert numerics._loop_turns(_read(np.log, lambda s: (s < 7).astype(int)), 2) == 2
+    assert np.all(np.isin([lo - inset, lo + inset, hi - inset, hi + inset], s))
+    for cut in (lo, hi):
+        assert not np.any((cut - inset < s) & (s < cut + inset))
+    assert numerics._loop_turns(run, none) is None
+    assert numerics._loop_turns(_read(np.log, lambda s: (s < 7).astype(int)), none * 2) == 2
 
 
 def test_min_modulus_not_stabilized(monkeypatch):

@@ -6,6 +6,7 @@ the seed-by-seed Newton iteration for the batched one.  The engine counts
 on the curve itself, so its lists also hold the eigenvalues next to the
 curve."""
 
+import dataclasses
 import importlib
 import math
 import tracemalloc
@@ -22,7 +23,7 @@ from opspectra import numerics
 from opspectra.classify import _region_clusters
 from opspectra.numerics import (_corner_coupling, _schur_newton, cluster_values,
                                 operator_norm)
-from opspectra.symbols import (PointOnCurve, _curve_distance, _geometric_product,
+from opspectra.symbols import (PointOnCurve, _curve_distance, _curve_symmetry, _geometric_product,
                                _tail_span, _wiener_hopf_block, _zero_winding_mask,
                                kernel_count_by_truncation, winding)
 from reference_spectra import (raster_regions, region_clusters_by_contour,
@@ -329,19 +330,154 @@ def test_eigenvalues_next_to_the_curve_are_listed(t, count):
 def test_changes_of_side_between_samples_are_found(monkeypatch):
     """Along the curve of the tail with offsets -4..2 from seed 0 the side
     changes twice within one of the 128 first steps, at three places.  The
-    reach of the nearest root finds them and the list is certified; with
-    every reach made infinite they are missed, the total lies more than 0.1
-    from an integer, and the count gives no certificate."""
+    count cuts the curve at the crossing parameters of its arrangement and
+    puts first points next to each, so each run is read and the list is
+    certified; with the cuts withheld the runs are missed, the total lies
+    more than 0.1 from an integer, and the count gives no certificate."""
     t = _tail_beside_corner(0, range(-4, 3), 8)
     assert _region_clusters(t) == ((), True)
+    turns = numerics._loop_turns
+
+    def blind(log_f, cuts):
+        return turns(log_f, [np.zeros(0)] * len(cuts))
+
+    monkeypatch.setattr(numerics, "_loop_turns", blind)
+    assert _region_clusters(t) == ((), False)
+
+
+def _section_oracle(t, n=1200):
+    """The eigenvalues of the n section in D at which S is singular to
+    1e-8 scale (its least singular value), sorted by real then imaginary
+    part: a section eigenvalue near the curve that S does not confirm is
+    pollution."""
+    contains, scale = region(t)
+    dense = np.linalg.eigvals(t.truncate(n))
+    return sorted((v for v in dense[contains(dense)]
+                   if np.linalg.svd(schur_complement(t, v), compute_uv=False)[-1]
+                   <= 1e-8 * scale), key=lambda v: (v.real, v.imag))
+
+
+def _assert_oracle(t, count):
+    """``_region_clusters`` certifies ``count`` simple eigenvalues, the
+    section oracle's to 1e-7 scale."""
+    found, certified = _region_clusters(t)
+    oracle = _section_oracle(t)
+    _, scale = region(t)
+    assert certified and [k for _, k in found] == [1] * count and len(oracle) == count
+    assert all(abs(v - w) <= 1e-7 * scale for (v, _), w in zip(found, oracle))
+
+
+def _sides_by_winding(t):
+    """The side of every edge of t's edge table as ``winding`` reads it at
+    the middle of the edge, 1e-7 scale to the left and right of the curve:
+    1 where the left is at winding 0, -1 where the right is, 0 where
+    neither."""
+    sym = symbol(t)
+    g = _curve_symmetry(t.tails)[0]
+    edges = np.array(spectral_area(t).edges)
+    middle = (edges[:, 0] + edges[:, 1]) / 2
+    lam, ahead = (sym.evaluate(np.exp(1j * (middle + h) / g)) for h in (0.0, 1e-6))
+    normal = 1j * (ahead - lam) / np.abs(ahead - lam) * 1e-7 * max(1.0, sym.magnitude())
+    left = np.array([winding(sym, v) for v in lam + normal])
+    right = np.array([winding(sym, v) for v in lam - normal])
+    return np.where(left == 0, 1, np.where(right == 0, -1, 0))
+
+
+def _draw_119_with_a_corner():
+    """Draw 119 of default_rng(0) (bandwidth integers(2, 7), tails
+    normal(size=2w+1) + 1j normal(size=2w+1)) beside a 4 x 4 complex
+    Gaussian corner from default_rng(1)."""
+    rng = np.random.default_rng(0)
+    for _ in range(120):
+        w = int(rng.integers(2, 7))
+        tails = rng.normal(size=2 * w + 1) + 1j * rng.normal(size=2 * w + 1)
+    head = np.random.default_rng(1)
+    return (toeplitz(dict(zip(range(-w, w + 1), tails)))
+            + from_dense_corner(head.normal(size=(4, 4)) + 1j * head.normal(size=(4, 4))))
+
+
+def test_a_run_of_sides_inside_one_first_step_is_read(monkeypatch):
+    """Draw 119 reads side 1 between the crossings 0.585915 and 0.590952,
+    inside one of the 128 first steps, and -1 on either side, as
+    ``winding`` confirms.  A count that took its sides from roots at its
+    samples put none there and certified by chance; the count on the edge
+    table samples the run, and its certified list is the section oracle's
+    (empty: the six eigenvalues of the 1200 section in D lie within
+    0.0016 scale of the curve, where S is not singular)."""
+    t = _draw_119_with_a_corner()
+    edges = np.array(spectral_area(t).edges)
+    run = int(np.argmin(np.abs(edges[:, 0] - 0.585915)))
+    np.testing.assert_allclose(edges[run, :2], [0.585915, 0.590952], atol=1e-6)
+    assert edges[[run - 1, run, run + 1], 2].tolist() == [-1, 1, -1]
+    assert np.array_equal(_sides_by_winding(t), edges[:, 2])
+    taken = []
     block = numerics._boundary_block
 
-    def blind(tails, s):
-        lam, g, side, _ = block(tails, s)
-        return lam, g, side, np.full(len(s), np.inf)
+    def recorded(tails, theta, side):
+        taken.append(np.asarray(theta) % (2 * np.pi))
+        return block(tails, theta, side)
 
-    monkeypatch.setattr(numerics, "_boundary_block", blind)
-    assert _region_clusters(t) == ((), False)
+    monkeypatch.setattr(numerics, "_boundary_block", recorded)
+    _assert_oracle(t, 0)
+    theta = np.concatenate(taken)
+    assert np.any((theta > 0.585915) & (theta < 0.590952))
+
+
+def test_a_flipped_side_changes_the_count_or_its_certificate(monkeypatch):
+    """With the side of the longest read edge of pool base (3, 8, 2) flipped
+    in its edge table, the list changes or is no longer certified."""
+    t = workloads.generic_base(3, 8, 2)
+    want, est = _region_clusters(t), spectral_area(t)
+    assert want[1]
+    j = max((j for j, e in enumerate(est.edges) if e[2]),
+            key=lambda j: est.edges[j][1] - est.edges[j][0])
+    start, stop, side = est.edges[j]
+    flipped = dataclasses.replace(
+        est, edges=est.edges[:j] + ((start, stop, -side),) + est.edges[j + 1:])
+    monkeypatch.setattr(numerics, "spectral_area", lambda t: flipped)
+    assert _region_clusters(t) != want
+
+
+def test_touching_lobes_read_the_right_side_and_list_the_oracle():
+    """z + 1/z + (i/2) z^2 touches itself at -i/2, where its two lobes merge
+    into one face of winding 1.  Its one edge reads -1 (the winding-0
+    outside on its right), as ``winding`` confirms at 16 points away from
+    the touch; beside the 4 x 4 corner of default_rng(1) the certified list
+    is the section oracle's four eigenvalues."""
+    head = np.random.default_rng(1)
+    t = (toeplitz({1: 1.0, -1: 1.0, 2: 0.5j})
+         + from_dense_corner(head.normal(size=(4, 4)) + 1j * head.normal(size=(4, 4))))
+    assert spectral_area(t).edges == ((0.0, 2 * np.pi, -1),)
+    sym = symbol(t)
+    theta = np.arange(16) * (2 * np.pi / 16) + 0.1          # the touch is at pi/2, 3 pi/2
+    lam, ahead = (sym.evaluate(np.exp(1j * (theta + h))) for h in (0.0, 1e-6))
+    normal = 1e-7j * (ahead - lam) / np.abs(ahead - lam)
+    assert [winding(sym, v) for v in lam + normal] == [1] * 16
+    assert [winding(sym, v) for v in lam - normal] == [0] * 16
+    _assert_oracle(t, 4)
+
+
+@pytest.mark.parametrize("t", _certificate_cases()[:11] + [
+    _tail_beside_corner(*OTHER_TAILS[3]), _tail_beside_corner(2, range(-3, 4), 6, True)])
+def test_edge_sides_are_those_winding_reads(t):
+    """On the 11 pool bases and on two tails with a_-k = a_k, every edge of
+    the table has the side that ``winding`` reads beside it; a tail with
+    a_-k = a_k reads 1 everywhere, with its arc cut where it crosses
+    itself (three times for the bandwidth-3 one, at four parameters each)."""
+    sides = _sides_by_winding(t)
+    assert np.array_equal(sides, np.array(spectral_area(t).edges)[:, 2])
+    if _curve_symmetry(t.tails)[1] is not None:
+        assert np.all(sides == 1)
+
+
+def test_a_symmetric_tail_whose_arc_crosses_itself_is_certified():
+    """a_-k = a_k with bandwidth 3 from seed 2: the arc, traced back and
+    forth, crosses itself, and the boundary values of S jump where it does.
+    The count cuts the curve there and certifies the section oracle's
+    three eigenvalues."""
+    t = _tail_beside_corner(2, range(-3, 4), 6, True)
+    assert len(spectral_area(t).edges) > 1
+    _assert_oracle(t, 3)
 
 
 def test_hermitian_tail_keeps_its_box():

@@ -559,9 +559,9 @@ def test_spectrum_reports_isolated_eigenvalues_that_did_not_stabilize(
     path = _unstable_spec(tmp_path)
     summary = opspectra.spectral_summary(parse_spec(path).operator)
     assert len(summary.eigenvalues) == 7 and summary.eigenvalues_stabilized
-    # with the count allowed no more than 1000 points it gives up, so the
-    # engine certifies nothing
-    monkeypatch.setattr("opspectra.numerics.LOOP_BUDGET", 1000)
+    # with the count allowed no more than 200 points (its first batch has
+    # 260) it gives up, so the engine certifies nothing
+    monkeypatch.setattr("opspectra.numerics.LOOP_BUDGET", 200)
     summary = opspectra.spectral_summary(parse_spec(path).operator)
     assert summary.eigenvalues == () and summary.eigenvalues_stabilized is False
     csv = str(tmp_path / "curve.csv")
