@@ -379,7 +379,8 @@ def schur_eigenvalues(t: StructuredOperator, scale: float):
     gave up, the list is uncertified.  A segment curve, which folds onto
     itself, is cut out as a box (``_segment_box``).  A zero is simple
     unless the count asks for more, and then each zero's multiplicity is
-    counted on a small circle around it.  ``scale`` also sets Newton's step and stopping rule.
+    counted on a small circle around it.  ``scale`` also sets Newton's
+    step and stopping rule.
 
     Returns (((value, multiplicity), ...) sorted by real then imaginary
     part, certified), where certified says the multiplicities add up to
