@@ -18,13 +18,13 @@ import numpy as np
 from .core import (StructuredOperator, gram, is_selfadjoint, selfadjoint_defect,
                    self_commutator)
 from .errors import NotHyponormal, NotStabilized
-from .numerics import (_gram_levels_below, _paranormal_counts, cluster_values,
-                       discrete_eigs_below, min_modulus, operator_norm,
-                       positivity_verdict, schur_eigenvalues)
-from .symbols import (EssentialCurve, SpectralSummary, _curve_distance,
-                      _nonconstant_size, _tail_span, constant_value,
-                      modulus_constant, spectral_area, symbol,
-                      symbol_min_modulus, winding)
+from .numerics import (MERGE_FACTOR, _gram_levels_below, _paranormal_counts,
+                       cluster_values, discrete_eigs_below, min_modulus,
+                       operator_norm, positivity_verdict, schur_eigenvalues)
+from .symbols import (CIRCLE_SAMPLES, EssentialCurve, SpectralSummary,
+                      _nonconstant_size, _tail_span, _zero_winding_mask,
+                      constant_value, modulus_constant, spectral_area, symbol,
+                      symbol_min_modulus)
 
 
 class Verdict(enum.Enum):
@@ -181,39 +181,27 @@ def check_an(t: StructuredOperator, tol: float = 1e-8) -> ANResult:
 
 # -- isolated eigenvalues ------------------------------------------------------
 
-def _off_curve(sym, z: np.ndarray, clearance: float, check_winding: bool) -> np.ndarray:
-    """Mask of the points z farther than ``clearance`` from the curve and,
-    when ``check_winding``, at winding 0."""
-    return np.array([_curve_distance(sym, v) > clearance
-                     and not (check_winding and winding(sym, v)) for v in z], dtype=bool)
-
-
 def _region_clusters(t: StructuredOperator, keep=None, tol: float = 1e-8):
     """The isolated eigenvalues of T at winding 0 off the curve, as
     ((value, multiplicity), ...) selected by ``keep`` (an elementwise
     predicate on an array of values), and whether the list is certified.
 
-    Every path leaves out the eigenvalues within the clearance
-    1e-6 max(1, ||T||) of the curve.  Past m = len(window), T is exactly
-    T(a).  When the tails are one-sided (p = 0 or q = 0), T is block
-    triangular, so these are the eigenvalues of the window (none for an
-    empty window, by Coburn's lemma), listed with their clusters; the list
-    is exact.  For a = a_-1 / z + a_0 + a_1 z, lam = a(r) is one at winding
-    0 iff r S(a(r)) = r^2 a_1 (E - I) + r (W - a_0 I) - a_-1 I is singular
+    Every path lists the values that ``_zero_winding_mask`` keeps, at the
+    clearance 1e-6 max(1, ||T||).  Past m = len(window), T is exactly T(a).
+    When the tails are one-sided (p = 0 or q = 0), T is block triangular,
+    so these are the eigenvalues of the window (none for an empty window,
+    by Coburn's lemma), listed with their clusters; the list is exact.
+    For a = a_-1 / z + a_0 + a_1 z, lam = a(r) is one at winding 0 iff
+    r S(a(r)) = r^2 a_1 (E - I) + r (W - a_0 I) - a_-1 I is singular
     (W the window, E = e_(m-1) e_(m-1)^T) for the root r of z (a - lam)
     with |r| < 1 < |a_-1 / (a_1 r)|: a quadratic eigenproblem, solved as
-    the 2m companion matrix of s = 1 / r (Tisseur & Meerbergen 2001).  That
-    root test is the winding test, so only the clearance is checked; the
+    the 2m companion matrix of s = 1 / r (Tisseur & Meerbergen 2001); the
     list is exact.  Otherwise they are the zeros of the corner's Schur
     complement inside the circle of radius 1.05 max(1, ||T||), counted on
-    the boundary of the winding-0 set there
-    (``numerics.schur_eigenvalues``).
-    """
-    sym = symbol(t)
+    the boundary of the winding-0 set there (``numerics.schur_eigenvalues``)."""
     norm = operator_norm(t)
-    clearance = 1e-6 * max(1.0, norm)
     m = len(t.window)
-    if one_sided := not m or 0 in _tail_span(t.tails):
+    if not m or 0 in _tail_span(t.tails):
         vals = np.linalg.eigvals(t.window)
     elif len(t.tails) == 3:
         a_m1, a0, a1 = t.tails
@@ -229,10 +217,10 @@ def _region_clusters(t: StructuredOperator, keep=None, tol: float = 1e-8):
             mask = keep(np.array([v for v, _ in found], dtype=complex))
             found = tuple(c for c, k in zip(found, mask) if k)
         return found, certified
-    vals = vals[_off_curve(sym, vals, clearance, one_sided)]
+    vals = vals[_zero_winding_mask(t, vals, np.inf, 1e-6 * max(1.0, norm))]
     if keep is not None:
         vals = vals[keep(vals)]
-    return cluster_values([complex(v) for v in vals], 100.0 * tol), True
+    return cluster_values([complex(v) for v in vals], MERGE_FACTOR * tol), True
 
 
 def _points_match(points, expected, atol: float) -> bool:
@@ -278,7 +266,7 @@ def check_an_normal_equivalence(t: StructuredOperator) -> EquivalenceRecord:
         interior, stable = _region_clusters(t, lambda z: abs(z) < alpha - tol)
         spectral = Verdict.YES if stable else Verdict.UNDETERMINED
         radii = cluster_values([abs(c) for c, m in interior for _ in range(m)],
-                               100.0 * tol) if stable else ()
+                               MERGE_FACTOR * tol) if stable else ()
         top = min(alpha - tol, math.sqrt(max(0.0, alpha * alpha - tol)))
         roots = [r for v, m in an.witness.get("eigenvalues_below", ())
                  for r in [math.sqrt(max(0.0, v))] * m if r < top]
@@ -322,7 +310,7 @@ def check_an_selfadjoint(t: StructuredOperator) -> SelfadjointANRecord:
     # multiplicities
     boundary = cluster_values([float(c.real)] + [float(v.real) for v, m in clusters
                                                  if abs(v) >= alpha - tol],
-                              100.0 * tol)
+                              MERGE_FACTOR * tol)
     return SelfadjointANRecord(
         True, verdict, alpha,
         tuple((float(v.real), m) for v, m in interior),
@@ -518,7 +506,7 @@ def classify(t: StructuredOperator, tol_an: float = 1e-8) -> ClassificationRepor
          "paranormal": 1e-10, "an": tol_an, "am_normal": tol_an})
 
 
-def spectral_summary(t: StructuredOperator, samples: int = 1024,
+def spectral_summary(t: StructuredOperator, samples: int = CIRCLE_SAMPLES,
                      tol: float = 1e-8) -> SpectralSummary:
     """Assemble the full spectral report for an operator.
 

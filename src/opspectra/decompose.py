@@ -31,7 +31,7 @@ from .classify import Verdict, check_an, check_hyponormal, check_normal
 from .core import StructuredOperator, gram, identity
 from .errors import (DimensionMismatch, NotHyponormal, NotNormAttainingClass,
                      TemplateMismatch)
-from .numerics import _greedy_clusters, frobenius_within, hermitian_eig
+from .numerics import MERGE_FACTOR, _greedy_clusters, frobenius_within, hermitian_eig
 from .symbols import symbol, winding
 
 CASE_NORM = "lambda_equals_norm"
@@ -138,7 +138,7 @@ def structure_decompose(t: StructuredOperator, n: int | None = None,
     def grouped(idx, descending):
         pairs = sorted((math.sqrt(max(0.0, level2 + float(gamma[i]))), i)
                        for i in idx)
-        return sorted(_greedy_clusters(pairs, 100.0 * tol),
+        return sorted(_greedy_clusters(pairs, MERGE_FACTOR * tol),
                       key=lambda g: -g[0] if descending else g[0])
 
     h0_groups = grouped([i for i, g in enumerate(gamma) if g > assign], True)

@@ -25,7 +25,7 @@ TRUNC_CAP = 4096            # largest dense matrix hermitian_eig accepts
 MERGE_FACTOR = 100.0        # eigenvalues within 100*tol are one cluster
 ROUNDING_MULTIPLE = 8.0     # eigenvalues of T*T within 8 eps * scale of 0 are 0
 LOOP_BUDGET = 2 ** 15       # most points at which _loop_turns evaluates
-TIP_SHIFT = 0.382 * 2 * np.pi / 128     # no first point on a tip of a curve traced back and forth
+TIP_SHIFT = 0.382 * 2 * np.pi / 128     # the curve's walk starts here: no first point on a join
 EDGE_INSET = 2 * np.pi * 2.0 ** -28     # a piece's first points lie this far inside its ends
 FALSI_STEPS = 100           # most S(lam) evaluations per eigenvalue in _eigs_below
 
@@ -271,19 +271,17 @@ def _loop_turns(log_f, cuts):
     """Total winding around 0 of a function along closed paths, or None.
 
     ``log_f(i, s)`` maps arrays of path indices (sorted) and parameters s
-    in [0, 2 pi) to (log f, side): log f on any branch, NaN where f cannot
-    be evaluated; side 1 or -1 where the path is read forward or backward,
-    0 where it is not read.  ``cuts[i]`` splits path i into pieces, each
-    read on its own.  Each path starts with 128 points, evenly spaced, and
-    a point ``EDGE_INSET`` each side of every cut, and all take their new
-    points in one batch per round.  A step between points of one piece and
-    one side counts with that side, halved while log f changes by more than
-    pi/4 (phase wrapped to (-pi, pi]); any other step is neither read nor
-    halved.  Returns the nearest integer, or None for a NaN where a
-    path is read, more than ``LOOP_BUDGET`` points, or a total more than
-    0.1 from it."""
+    in [0, 2 pi) to log f on any branch, NaN where f cannot be evaluated.
+    ``cuts[i]`` splits path i into pieces, each read on its own.  Each path
+    starts with 128 points, evenly spaced, and a point ``EDGE_INSET`` each
+    side of every cut, and all take their new points in one batch per
+    round.  Every step between points of one piece counts, halved while
+    log f changes by more than pi/4 (phase wrapped to (-pi, pi]); a step
+    across a cut is neither read nor halved.  Returns the nearest integer,
+    or None for a NaN, more than ``LOOP_BUDGET`` points, or a total more
+    than 0.1 from it."""
     cuts = [np.sort(cut) for cut in cuts]
-    points = [np.zeros((3, 0), dtype=complex)] * len(cuts)         # s, log f, side
+    points = [np.zeros((2, 0), dtype=complex)] * len(cuts)         # s, log f
     new = [np.mod(np.concatenate([np.arange(128) * (2 * np.pi / 128), cut - EDGE_INSET,
                                   cut + EDGE_INSET]), 2 * np.pi) for cut in cuts]
     total = 0
@@ -291,21 +289,21 @@ def _loop_turns(log_f, cuts):
         total += sum(len(s) for s in new)
         if total > LOOP_BUDGET:
             return None
-        got = np.array(log_f(np.repeat(np.arange(len(cuts)), [len(s) for s in new]),
-                             np.concatenate(new)))
-        if np.isnan(got[0, got[1] != 0]).any():
+        got = np.asarray(log_f(np.repeat(np.arange(len(cuts)), [len(s) for s in new]),
+                               np.concatenate(new)))
+        if np.isnan(got).any():
             return None
-        got[0, got[1] == 0], turns = 0.0, 0.0
+        turns = 0.0
         for i, k in enumerate(len(s) for s in new):
-            merged = np.concatenate([points[i], np.vstack([new[i], got[:, :k]])], axis=1)
-            points[i], got = merged[:, np.argsort(merged[0].real)], got[:, k:]
-            s, side = points[i][0].real, points[i][2].real
+            merged = np.concatenate([points[i], [new[i], got[:k]]], axis=1)
+            points[i], got = merged[:, np.argsort(merged[0].real)], got[k:]
+            s = points[i][0].real
             gap = np.diff(np.append(s, s[0] + 2 * np.pi))
             step = np.diff(np.append(points[i][1], points[i][1, :1]))
             phase = (step.imag + np.pi) % (2 * np.pi) - np.pi
             piece = np.searchsorted(cuts[i], s) % max(len(cuts[i]), 1)
-            read = (piece == np.roll(piece, -1)) & (side == np.roll(side, -1)) & (side != 0)
-            turns += np.sum(np.where(read, side * phase, 0.0)) / (2 * np.pi)
+            read = piece == np.roll(piece, -1)
+            turns += np.sum(phase[read]) / (2 * np.pi)
             split = read & (np.hypot(step.real, phase) > np.pi / 4)
             new[i] = np.mod((s + 0.5 * gap)[split], 2 * np.pi)
     return round(turns) if abs(turns - round(turns)) <= 0.1 else None
@@ -368,19 +366,21 @@ def schur_eigenvalues(t: StructuredOperator, scale: float):
     S(lam) = (T - lam)[:m, :m] - Q G(lam) R is singular, with
     Q = T[:m, m:m+q], R = T[m:m+p, :m] and G(lam) the leading q-by-p block
     of T(a - lam)^(-1) (``_wiener_hopf_block``).  Newton on det S refines
-    the eigenvalues at winding 0 of a section of size m + 8 (p + q) into
-    zeros, and the argument principle on det S, divided by the zeros found,
-    counts the zeros still missing; when some are, the seeds come once more
-    from a section four times as large.  The count runs along the circle and
-    the curve itself, cut at the crossing parameters of the curve's edge
-    table (``spectral_area``, built once per operator): each edge with a
-    winding-0 face beside it is read with that face on its left and S's
-    boundary values from it (``_boundary_block``).  Where the arrangement
-    gave up, the list is uncertified.  A segment curve, which folds onto
-    itself, is cut out as a box (``_segment_box``).  A zero is simple
-    unless the count asks for more, and then each zero's multiplicity is
-    counted on a small circle around it.  ``scale`` also sets Newton's
-    step and stopping rule.
+    the eigenvalues of a section of size m + 8 (p + q) into zeros (a seed
+    off winding 0 gives none), and the argument principle on det S, divided
+    by the zeros found, counts the zeros still missing.  When some are, the
+    seeds come once more from a section four times as large: a zero near
+    the curve has a slowly decaying eigenvector, which a small section may
+    not resolve.  The count runs along the circle and one walk over the
+    edges of the curve's edge table (``spectral_area``, built once per
+    operator) with a winding-0 face beside them, in table order, each with
+    that face on its left (an edge of side -1 backward) and S's boundary
+    values from it (``_boundary_block``); every join is a cut.  Where the
+    arrangement gave up, the list is uncertified.  A segment curve, which
+    folds onto itself, is cut out as a box (``_segment_box``).  A zero is
+    simple unless the count asks for more, and then each zero's
+    multiplicity is counted on a small circle around it.  ``scale`` also
+    sets Newton's step and stopping rule.
 
     Returns (((value, multiplicity), ...) sorted by real then imaginary
     part, certified), where certified says the multiplicities add up to
@@ -393,18 +393,17 @@ def schur_eigenvalues(t: StructuredOperator, scale: float):
     def contains(z):
         return _zero_winding_mask(t, z, radius, 1e-6 * scale)
 
-    def loop(f):            # the path s -> f(s) off the curve, read forward
+    def loop(f):            # the path s -> f(s) off the curve
         def at(s):
             lam = f(s)
-            g, ok = _wiener_hopf_block(t.tails, lam)
-            return lam, g, ok, np.ones(s.size)
+            return (lam, *_wiener_hopf_block(t.tails, lam))
         return at, np.zeros(0)
 
     def count(paths, roots):
         """The turns of det S / prod (lam - r), r in ``roots``, along
-        ``paths`` ((map of s to (lam, G, ok, side), cuts) pairs), or None."""
+        ``paths`` ((map of s to (lam, G, ok), cuts) pairs), or None."""
         def log_f(i, s):       # i is sorted by path
-            lam, g, ok, side = (np.concatenate(x) for x in zip(
+            lam, g, ok = (np.concatenate(x) for x in zip(
                 *[paths[j][0](s[i == j]) for j in np.unique(i)]))
             out = np.empty(s.size, dtype=complex)
             chunk = max(1, 2 ** 17 // (m * m))     # at most 2 MB of matrices at once
@@ -414,7 +413,7 @@ def schur_eigenvalues(t: StructuredOperator, scale: float):
                                                  - q_block @ g[part] @ r_block)
                 out[part] = logabs + 1j * np.angle(sign)
             out[~ok] = np.nan
-            return out - np.sum(np.log(lam[:, None] - roots), axis=1), side
+            return out - np.sum(np.log(lam[:, None] - roots), axis=1)
 
         return _loop_turns(log_f, [cut for _, cut in paths])
 
@@ -428,23 +427,23 @@ def schur_eigenvalues(t: StructuredOperator, scale: float):
     if sym.is_segment():
         paths.append(loop(_segment_box(sym, 1e-6 * scale)))
     elif len(edges):
-        start, side = edges[:, 0], edges[:, 2]
+        walk = edges[edges[:, 2] != 0]                      # the edges the count reads
+        join = np.append(0.0, np.cumsum(walk[:, 1] - walk[:, 0]))
+        unit = join[-1] / (2 * np.pi)                       # of b's parameter per unit of s
 
-        def curve(s):       # s + TIP_SHIFT is b's parameter
-            theta = s + TIP_SHIFT
-            at = side[np.searchsorted(start, theta % (2 * np.pi), side="right") - 1]
-            return (*_boundary_block(t.tails, theta, at), np.ones(s.size, dtype=bool), at)
+        def curve(s):       # the walk at s + TIP_SHIFT, each edge with its face on the left
+            at = np.mod(s + TIP_SHIFT, 2 * np.pi) * unit
+            j = np.minimum(np.searchsorted(join, at, side="right"), len(walk)) - 1
+            start, stop, side = walk[j].T
+            theta = np.where(side > 0, start, stop) + side * (at - join[j])
+            return (*_boundary_block(t.tails, theta, side), np.ones(s.size, dtype=bool))
 
-        paths.append((curve, np.mod(start - TIP_SHIFT, 2 * np.pi) if len(start) > 1
+        paths.append((curve, np.mod(join[:-1] / unit - TIP_SHIFT, 2 * np.pi) if len(edges) > 1
                        else np.zeros(0)))
     else:                   # the arrangement gave up: nothing to count along
         paths = []
-    # a zero near the curve has a slowly decaying eigenvector, which a small
-    # section may not resolve: when the count shows zeros missing, the seeds
-    # come once more from a section four times as large
     for size in (m + 8 * (p + q), 4 * (m + 8 * (p + q))):
         seeds = np.linalg.eigvals(t.truncate(size))
-        seeds = seeds[_wiener_hopf_block(t.tails, seeds)[1]]        # at winding 0
         for z in _schur_newton(t, (q_block, r_block), seeds, scale):
             if z is not None and np.all(np.abs(zeros - z) > 1e-7 * scale):
                 zeros = np.append(zeros, z)

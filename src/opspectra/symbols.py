@@ -186,8 +186,9 @@ def _geometric_product(ratios: np.ndarray, n: int) -> np.ndarray:
 def _split_roots(poly: np.ndarray, lam, q: int) -> tuple:
     """(inner, outer, ok): the q roots of least modulus and the rest of
     ``poly`` (top degree first; or one per row) less lam z^q, one row per lam,
-    from one batched companion eigenvalue call; ok where they split across
-    the circle (no margin)."""
+    from one batched companion eigenvalue call; ok where every inner root
+    lies strictly inside the circle and every outer one strictly outside
+    (no margin)."""
     d = poly.shape[-1] - 1
     lam = np.asarray(lam, dtype=complex).ravel()
     companion = np.zeros((lam.size, d, d), dtype=complex)
@@ -196,7 +197,7 @@ def _split_roots(poly: np.ndarray, lam, q: int) -> tuple:
     companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
     roots = np.linalg.eigvals(companion)
     roots = np.take_along_axis(roots, np.argsort(np.abs(roots), axis=1), axis=1)
-    ok = (np.abs(roots[:, q - 1]) < 1.0) & (np.abs(roots[:, q]) > 1.0)
+    ok = np.all(np.abs(roots[:, :q]) < 1.0, axis=1) & np.all(np.abs(roots[:, q:]) > 1.0, axis=1)
     return roots[:, :q], roots[:, q:], ok
 
 
@@ -405,11 +406,21 @@ def ess_min_modulus(t: StructuredOperator) -> float:
 
 def _zero_winding_mask(t: StructuredOperator, z, radius: float, margin: float):
     """Mask of the points z where the isolated eigenvalues of t are sought:
-    inside the circle |z| = ``radius``, at winding 0 (the roots of
-    z^q (a - z) split q : p; ``_wiener_hopf_block``, so p, q >= 1) and
-    farther than ``margin`` from the curve."""
+    inside the circle |z| = ``radius``, farther than ``margin`` from the
+    curve and at winding 0, where the roots of z^q (a - z) split q inside
+    the circle and p outside (``_split_roots``, p and q from ``_tail_span``);
+    for p = 0 through winding(a - z) = -winding(a~ - conj z), a~ the
+    reversed, conjugated tails (q = 0), and everywhere for a constant a."""
     z = np.asarray(z, dtype=complex).ravel()
-    inside = _wiener_hopf_block(t.tails, z)[1] & (np.abs(z) < radius)
+    inside = np.abs(z) < radius
+    if not z.size:
+        return inside
+    tails, w, at = t.tails, len(t.tails) // 2, z
+    p, q = _tail_span(tails)
+    if p == 0 < q:
+        tails, at, p, q = tails[::-1].conj(), z.conj(), q, 0
+    if p:
+        inside &= _split_roots(tails[w - q: w + p + 1][::-1], at, q)[2]
     sym = symbol(t)
     inside[inside] = [_curve_distance(sym, v) > margin for v in z[inside]]
     return inside
@@ -448,7 +459,7 @@ def _curve_symmetry(tails: np.ndarray) -> tuple:
         return g, None
     k = int(offsets[offsets > 0].min())
     j, tol = np.arange(1, w + 1), _SEGMENT_TOL * (size.sum() - size[w])
-    phase = np.angle(tails[w - k] / tails[w + k]) + _TWO_PI * np.arange(k)
+    phase = np.angle(tails[w - k] * tails[w + k].conj()) + _TWO_PI * np.arange(k)
     for u in np.exp(1j * phase / k):
         if np.all(np.abs(tails[w - j] - u ** j * tails[w + j]) <= tol):
             return g, u
@@ -460,7 +471,7 @@ def _boundary_block(tails: np.ndarray, theta, side) -> tuple:
     (``_curve_symmetry``): G is the boundary value of ``_wiener_hopf_block``
     from the winding-0 face on the left of the curve (``side`` 1) or on its
     right (-1), ``_block_from_roots`` on the roots of z^q (a(z) - lam) split
-    as seen from there; where side is 0, G means nothing.
+    as seen from there.
 
     The roots e^(i theta / g) w^j, w = e^(2 pi i / g), lie on the circle,
     and moving lam to the left of the curve moves them inside.  With them
@@ -554,8 +565,9 @@ def _cross(a, b):
 
 
 def _sides(start, stop, points):
-    """The signed distances of the points to the line from start to stop."""
-    return _cross((stop - start) / np.abs(stop - start), points - start)
+    """The signed distances of the points to the line from start to stop (0 for no chord)."""
+    chord = stop - start
+    return _cross(chord / np.where(chord, np.abs(chord), 1.0), points - start)
 
 
 def _circle_gap(x, y):
@@ -687,24 +699,22 @@ def _clearance(curve, points, start, stop) -> np.ndarray:
         begin[1::2] += length[1::2]
 
 
-def _faces(curve, crossings):
+def _faces(curve, crossings, theta, stop):
     """The bounded faces of the curve crossing itself at the parameter pairs
     ``crossings``, as (winding, area, point inside) of b, and its edge table
     (``AreaEstimate``); None when their windings contradict each other.
 
-    The edges run between consecutive crossing parameters, as forward
-    half-edges 2j and backward ones 2j + 1.  At a crossing the half-edge
-    after one arriving is the outgoing one just clockwise of its twin by the
-    angle of +-b', which keeps the face on the left (the DCEL of de Berg et
-    al., Computational Geometry, ch. 2).  Faces sum ``_arc_areas``; the
+    The edges run from each sorted crossing parameter ``theta`` to the
+    next, ``stop``, as forward half-edges 2j and backward ones 2j + 1.  At a
+    crossing the half-edge after one arriving is the outgoing one just
+    clockwise of its twin by the angle of +-b', which keeps the face on the
+    left (the DCEL of de Berg et al., Computational Geometry, ch. 2).  Faces sum ``_arc_areas``; the
     unbounded face has the least area and winding 0, and across a forward
     edge left = right + 1 (Alexander's numbering).  A bounded face whose sum
     falls below 0 lies below its rounding and reads 0.  A face's point lies
     left of the middle of its edge that allows the longest step, half the
     ``_clearance`` of the rest of the curve: the arc within |b'| / bend of
     the middle meets the normal there only at the middle."""
-    theta = np.sort(crossings.ravel()) if len(crossings) else np.zeros(1)
-    stop = np.append(theta[1:], theta[0] + _TWO_PI)
     after = np.arange(2 * len(theta))
     if len(crossings):
         place = np.searchsorted(theta, crossings)[:, [0, 0, 1, 1]]
@@ -774,14 +784,13 @@ def winding_regions(s: LaurentSymbol) -> AreaEstimate:
     lo, c = min(b), np.zeros(max(b) - min(b) + 1, dtype=complex)
     c[np.array(list(b)) - lo] = list(b.values())
     curve = (lo, c, float(sum(k * k * abs(v) for k, v in b.items())))
+    crossings, error = _crossings(curve, None if u is None else g * np.angle(u))
+    theta = np.sort(crossings.ravel()) if len(crossings) else np.zeros(1)
+    stop = np.append(theta[1:], theta[0] + _TWO_PI)
     if u is not None:
-        crossings, error = _crossings(curve, g * np.angle(u))
-        theta = np.sort(crossings.ravel()) if len(crossings) else np.zeros(1)
-        stop = np.append(theta[1:], theta[0] + _TWO_PI)
-        edges = tuple((start, end, 1) for start, end in zip(theta.tolist(), stop.tolist()))
+        edges = tuple(zip(theta.tolist(), stop.tolist(), [1] * len(theta)))
         return AreaEstimate(0.0, 0.0, (), edges if error < math.inf else ())
-    crossings, error = _crossings(curve)
-    arrangement = _faces(curve, crossings) if error < math.inf else None
+    arrangement = _faces(curve, crossings, theta, stop) if error < math.inf else None
     if arrangement is None:
         return AreaEstimate(0.0, math.inf, ())
     faces, edges = arrangement
@@ -804,9 +813,8 @@ def spectral_area(t: StructuredOperator) -> AreaEstimate:
 class SpectralSummary:
     """Bundle of spectral data for reporting.
 
-    eigenvalues holds only isolated eigenvalues of finite multiplicity
-    (stabilized truncation clusters off the curve with winding zero); it is
-    empty when eigenvalues_stabilized is False.
+    eigenvalues holds the isolated eigenvalues of finite multiplicity at
+    winding 0 off the curve; it is empty when eigenvalues_stabilized is False.
     Invariants: 0 <= min_modulus <= ess_min_modulus <= norm_upper, area >= 0.
     """
 

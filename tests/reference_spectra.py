@@ -10,7 +10,8 @@ Newton iteration that ``numerics._schur_newton`` batches, the kernel
 count that sets its level from the exact top eigenvalue on every call, the
 contour engine that bandwidth-1 tails took before their quadratic pencil,
 the paranormality test that built q(s) as an operator and counted it
-shift by shift, and the winding raster that gave the spectral area and its
+shift by shift, the listing rule read value by value with ``winding``, and
+the winding raster that gave the spectral area and its
 components before the exact arrangement of the curve.
 """
 
@@ -135,6 +136,16 @@ def region_clusters_by_contour(t):
     the count on the boundary of the winding-0 set.  Returns (clusters,
     certified)."""
     return schur_eigenvalues(t, max(1.0, operator_norm(t)))
+
+
+def zero_winding_by_winding(t, z, clearance):
+    """The listing rule of ``classify._region_clusters`` read value by
+    value: farther than ``clearance`` from the curve and at winding 0
+    (``symbols.winding``), which ``_zero_winding_mask`` reads from one
+    batched root split instead."""
+    sym = symbols.symbol(t)
+    return np.array([symbols._curve_distance(sym, v) > clearance
+                     and symbols.winding(sym, v) == 0 for v in z], dtype=bool)
 
 
 def count_below(h, lam):

@@ -4,6 +4,7 @@ against ``winding`` at their representatives and against the raster oracle,
 on random symbols and on fixed cases."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from conftest import load_perfbench
 from opspectra import AreaEstimate, LaurentSymbol, symbol, winding, winding_regions
 from opspectra import symbols as symbols_module
 from reference_spectra import raster_regions
+from test_no_warnings import symmetric_tail
 
 workloads = load_perfbench("workloads")
 
@@ -132,6 +134,20 @@ def test_a_curve_traced_back_and_forth_bounds_no_face():
     s = LaurentSymbol({1: 1.0, -1: 1.0, 2: 1j, -2: 1j})
     assert not s.is_segment()
     assert winding_regions(s) == AreaEstimate(0.0, 0.0, ())
+
+
+def test_a_bitwise_symmetric_tail_has_an_exact_mirror():
+    """For a_-k = a_k bitwise, u is 1 exactly (a quotient of the two equal
+    coefficients is 1 - 9.3e-18j here), so the mirror test settles the
+    pairs at the tip theta = 0 and no chord is halved to length 0: no
+    warning, one edge of side 1 and no face."""
+    tails = symbol(symmetric_tail()).coeffs
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = winding_regions(LaurentSymbol(tails))
+    assert symbols_module._curve_symmetry(symmetric_tail().tails) == (1, 1)
+    assert est == AreaEstimate(0.0, 0.0, ())
+    assert est.edges == ((0.0, 2 * math.pi, 1),)
 
 
 @pytest.mark.parametrize("offset", [-1e-3, -1e-6, -1e-9, -1e-12, 0.0, 1e-12, 1e-9, 1e-6, 1e-3])

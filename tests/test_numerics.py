@@ -378,10 +378,9 @@ def _on_square(s):
     return corners[edge] + along * (np.roll(corners, -1)[edge] - corners[edge])
 
 
-def _read(log_f, side=lambda s: np.ones(s.size, dtype=int)):
-    """``log_f`` along the square as ``_loop_turns`` takes it: read where
-    ``side`` is not 0."""
-    return lambda i, s: (log_f(_on_square(s)), side(s))
+def _read(log_f):
+    """``log_f`` along the square as ``_loop_turns`` takes it."""
+    return lambda i, s: log_f(_on_square(s))
 
 
 def test_loop_turns_counts_and_gives_up():
@@ -395,36 +394,36 @@ def test_loop_turns_budget(monkeypatch):
     assert numerics._loop_turns(_read(np.log), [np.zeros(0)]) is None
 
 
-def test_loop_turns_reads_each_side_and_adds_no_point_at_its_cuts():
-    """A path read backward counts -1; one read on half its length only
-    (a piece that does not close up) gives no count.  A path is read piece
-    by piece between the cuts given, with a first point EDGE_INSET each
-    side of every cut and no point added between them: a run read backward
-    between cuts at 0.30 and 0.32, inside one first step, along which the
-    phase turns by pi against 3 pi along the rest, counts 1.  Without the
-    cuts the run is only found by halving a step across it, its pieces are
-    not read, and the count gives up."""
+def test_loop_turns_reads_each_side_and_adds_no_point_at_its_cuts(monkeypatch):
+    """A path whose phase turns the other way counts -1.  A path is read
+    piece by piece between the cuts given, with a first point EDGE_INSET
+    each side of every cut and no point added between them: a run between
+    cuts at 0.30 and 0.32, inside one first step, along which the phase
+    turns back by pi, against 3 pi forward along the rest and a jump of
+    pi/2 at each cut, counts 1.  Without the cuts the run is only found by
+    halving a step across it, the jumps at its ends are halved until the
+    budget runs out, and the count gives up (a budget of 2,000 points, ten
+    times what the count with the cuts takes, gets there quickly)."""
     none = [np.zeros(0)]
-    assert numerics._loop_turns(_read(np.log, lambda s: -np.ones(s.size, dtype=int)), none) == -1
-    half = _read(np.log, lambda s: (s < np.pi).astype(int))
-    assert numerics._loop_turns(half, none) is None
+    assert numerics._loop_turns(_read(lambda z: np.log(z).conj()), none) == -1
     lo, hi, inset = 0.30, 0.32, numerics.EDGE_INSET
     taken = []
 
     def run(i, s):
         taken.append(s)
         inside = (lo <= s) & (s < hi)
-        phase = np.where(inside, np.pi * (s - lo) / (hi - lo),
-                         np.pi + 3 * np.pi * ((s - hi) % (2 * np.pi)) / (2 * np.pi - hi + lo))
-        return 1j * phase, np.where(inside, -1, 1)
+        return 1j * np.where(inside, np.pi / 2 - np.pi * (s - lo) / (hi - lo),
+                             3 * np.pi * ((s - hi) % (2 * np.pi)) / (2 * np.pi - hi + lo))
 
     assert numerics._loop_turns(run, [np.array([hi, lo])]) == 1
     s = np.concatenate(taken)
     assert np.all(np.isin([lo - inset, lo + inset, hi - inset, hi + inset], s))
     for cut in (lo, hi):
         assert not np.any((cut - inset < s) & (s < cut + inset))
+    assert len(s) * 10 <= 2000
+    monkeypatch.setattr(numerics, "LOOP_BUDGET", 2000)
     assert numerics._loop_turns(run, none) is None
-    assert numerics._loop_turns(_read(np.log, lambda s: (s < 7).astype(int)), none * 2) == 2
+    assert numerics._loop_turns(_read(np.log), none * 2) == 2
 
 
 def test_min_modulus_not_stabilized(monkeypatch):

@@ -27,11 +27,13 @@ from opspectra.symbols import (PointOnCurve, _curve_distance, _curve_symmetry, _
                                _tail_span, _wiener_hopf_block, _zero_winding_mask,
                                kernel_count_by_truncation, winding)
 from reference_spectra import (raster_regions, region_clusters_by_contour,
-                               region_clusters_by_sections, schur_newton_per_seed)
+                               region_clusters_by_sections, schur_newton_per_seed,
+                               zero_winding_by_winding)
 
 workloads = load_perfbench("workloads")
 tracer = load_perfbench("tracer")
 classify_module = importlib.import_module("opspectra.classify")
+symbols_module = importlib.import_module("opspectra.symbols")
 
 
 def region(t):
@@ -196,12 +198,14 @@ def test_bandwidth_one_pencil_against_the_contour_engine():
 
 def test_pencil_branch_makes_no_winding_call(monkeypatch):
     """The root test |r| < 1 < |a_-1 / (a_1 r)| puts every pencil value at
-    winding 0, so only the clearance filters them: with ``winding`` refused
-    the lists are those the winding test keeps, every value at winding 0."""
+    winding 0, and the listing rule (``_zero_winding_mask``) reads winding 0
+    from the same root split, not from ``winding``: with ``symbols.winding``
+    refused the lists are those the winding test keeps, every value at
+    winding 0."""
     def refuse(*args):
         raise AssertionError("winding called")
 
-    monkeypatch.setattr(classify_module, "winding", refuse)
+    monkeypatch.setattr(symbols_module, "winding", refuse)
     for t in _bandwidth_one_cases():
         found, certified = _region_clusters(t)
         assert certified and all(winding(symbol(t), v) == 0 for v, _ in found)
@@ -327,22 +331,37 @@ def test_eigenvalues_next_to_the_curve_are_listed(t, count):
     _far_section_eigenvalues_are_listed(t, np.array([v for v, _ in found]))
 
 
+def _record_curve_samples(monkeypatch):
+    """A list that collects the parameters theta (mod 2 pi) at which the
+    count evaluates ``_boundary_block``."""
+    taken = []
+    block = numerics._boundary_block
+
+    def recorded(tails, theta, side):
+        taken.append(np.asarray(theta) % (2 * np.pi))
+        return block(tails, theta, side)
+
+    monkeypatch.setattr(numerics, "_boundary_block", recorded)
+    return taken
+
+
 def test_changes_of_side_between_samples_are_found(monkeypatch):
     """Along the curve of the tail with offsets -4..2 from seed 0 the side
-    changes twice within one of the 128 first steps, at three places.  The
-    count cuts the curve at the crossing parameters of its arrangement and
-    puts first points next to each, so each run is read and the list is
-    certified; with the cuts withheld the runs are missed, the total lies
-    more than 0.1 from an integer, and the count gives no certificate."""
+    changes twice within one of the 128 first steps, at three places: three
+    small loops of side 0 split the curve into three runs of side -1.  The
+    count walks the three runs, each its own stretch of the walk between
+    cuts, samples each of them inside and none of the loops, and the list
+    is certified."""
     t = _tail_beside_corner(0, range(-4, 3), 8)
+    edges = np.array(spectral_area(t).edges)
+    assert edges[:, 2].tolist() == [0, -1, 0, -1, 0, -1]
+    assert np.all(edges[0::2, 1] - edges[0::2, 0] < 2 * np.pi / 128)
+    taken = _record_curve_samples(monkeypatch)
     assert _region_clusters(t) == ((), True)
-    turns = numerics._loop_turns
-
-    def blind(log_f, cuts):
-        return turns(log_f, [np.zeros(0)] * len(cuts))
-
-    monkeypatch.setattr(numerics, "_loop_turns", blind)
-    assert _region_clusters(t) == ((), False)
+    theta = np.concatenate(taken)
+    for start, stop, side in edges:
+        inside = np.count_nonzero((start < theta) & (theta < stop))
+        assert inside > 0 if side else inside == 0
 
 
 def _section_oracle(t, n=1200):
@@ -410,14 +429,7 @@ def test_a_run_of_sides_inside_one_first_step_is_read(monkeypatch):
     np.testing.assert_allclose(edges[run, :2], [0.585915, 0.590952], atol=1e-6)
     assert edges[[run - 1, run, run + 1], 2].tolist() == [-1, 1, -1]
     assert np.array_equal(_sides_by_winding(t), edges[:, 2])
-    taken = []
-    block = numerics._boundary_block
-
-    def recorded(tails, theta, side):
-        taken.append(np.asarray(theta) % (2 * np.pi))
-        return block(tails, theta, side)
-
-    monkeypatch.setattr(numerics, "_boundary_block", recorded)
+    taken = _record_curve_samples(monkeypatch)
     _assert_oracle(t, 0)
     theta = np.concatenate(taken)
     assert np.any((theta > 0.585915) & (theta < 0.590952))
@@ -573,6 +585,69 @@ def test_one_sided_and_constant_tails_give_the_window_eigenvalues(t):
     window = [complex(v) for v in np.linalg.eigvals(t.window)
               if at_winding_zero(sym, v) and _curve_distance(sym, v) > clearance]
     assert _region_clusters(t) == (cluster_values(window, 1e-6), True)
+
+
+def _one_sided_and_constant_cases():
+    """60 one-sided operators from six ``suites`` generators, every other
+    one replaced by its adjoint (so p = 0 and q = 0 both occur), and
+    constant symbols beside a corner, the zero symbol among them."""
+    rng = np.random.default_rng(11)
+    gens = (suites.random_diagonal, suites.random_weighted_shift, suites.random_hyponormal,
+            suites.random_normal_corner, suites.random_an_hyponormal,
+            suites.random_constant_modulus)
+    ops = [gens[i % 6](rng) for i in range(60)]
+    ops = [t.adjoint() if i % 2 else t for i, t in enumerate(ops)]
+    return ops + [toeplitz({0: c}) + from_dense_corner(rng.normal(size=(4, 4)))
+                  for c in (0.0, 1.0, 0.3 - 2j)]
+
+
+def test_the_listing_rule_is_winding_zero_off_the_clearance(monkeypatch):
+    """``_zero_winding_mask`` keeps exactly the values at winding 0 and
+    farther than the clearance from the curve, as ``winding`` and the
+    curve distance read them value by value: on the window eigenvalues and
+    points around the curve of one-sided tails, their adjoints and
+    constant symbols, and on the pencil values that ``_region_clusters``
+    passes it for bandwidth-1 tails.  At least 100 of the one-sided values
+    lie beyond the clearance and are left out for their winding."""
+    rng = np.random.default_rng(3)
+    left_out = 0
+    for t in _one_sided_and_constant_cases():
+        clearance = 1e-6 * max(1.0, operator_norm(t))
+        size = 1.5 * max(1.0, symbol(t).magnitude())
+        z = np.concatenate([np.linalg.eigvals(t.window),
+                            rng.uniform(-size, size, (20, 2)) @ [1, 1j]])
+        want = zero_winding_by_winding(t, z, clearance)
+        assert np.array_equal(_zero_winding_mask(t, z, np.inf, clearance), want)
+        far = np.array([_curve_distance(symbol(t), v) > clearance for v in z])
+        left_out += np.count_nonzero(far & ~want)
+    assert left_out >= 100
+    seen, mask = [], classify_module._zero_winding_mask
+
+    def recorded(t, z, radius, margin):
+        seen.append((t, z, margin))
+        return mask(t, z, radius, margin)
+
+    monkeypatch.setattr(classify_module, "_zero_winding_mask", recorded)
+    for t in _bandwidth_one_cases():
+        _region_clusters(t)
+    assert len(seen) == len(_bandwidth_one_cases())
+    for t, z, margin in seen:
+        assert np.array_equal(mask(t, z, np.inf, margin), zero_winding_by_winding(t, z, margin))
+
+
+def test_the_count_walks_only_the_edges_it_reads(monkeypatch):
+    """Pool base (4, 8, 1) has edges with no winding-0 face beside them
+    (side 0).  The count walks only the others: no ``_boundary_block``
+    sample falls on a side 0 edge, and every read edge gets one."""
+    t = workloads.generic_base(4, 8, 1)
+    edges = np.array(spectral_area(t).edges)
+    assert np.any(edges[:, 2] == 0)
+    taken = _record_curve_samples(monkeypatch)
+    assert _region_clusters(t)[1]
+    # the edge holding each sample; before the first start, the last edge
+    edge = np.searchsorted(edges[:, 0], np.concatenate(taken), side="right") - 1
+    assert np.all(edges[edge, 2] != 0)
+    assert set(edge % len(edges)) == set(np.flatnonzero(edges[:, 2]))
 
 
 def test_multiple_eigenvalue_is_counted_on_a_small_circle():
